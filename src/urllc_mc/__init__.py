@@ -57,13 +57,11 @@ from .sim import (
     MonteCarloEstimate,
     Numerology,
     SimAggregate,
-    TrialOutcome,
     estimate,
     estimate_from_aggregate,
     latency_budget_check,
-    simulate_mc_trial,
+    latency_cdf,
     simulate_run,
-    simulate_sc_trial,
     tti_duration_ms,
 )
 from .config import ScenarioConfig, SweepScale, SweepSpec, SweepVariable, parse_scenario
@@ -90,7 +88,6 @@ __all__ = [
     "SweepScale",
     "SweepSpec",
     "SweepVariable",
-    "TrialOutcome",
     "UrllcMcError",
     "UsageDistribution",
     "UsageReport",
@@ -104,6 +101,7 @@ __all__ = [
     "estimate",
     "estimate_from_aggregate",
     "latency_budget_check",
+    "latency_cdf",
     "linear_to_db",
     "mc_outage",
     "normalized_usage",
@@ -112,9 +110,7 @@ __all__ = [
     "q_inv",
     "sc_outage",
     "shannon_capacity",
-    "simulate_mc_trial",
     "simulate_run",
-    "simulate_sc_trial",
     "solve_bler",
     "succ_first",
     "succ_retx_nack",

@@ -112,27 +112,19 @@ def succ_retx_nack(profile: LinkBlerProfile) -> float:
     p_c / p_d1 given the first data decode failed, which contracts to
     the (p_d1 - p_c) factor below.
     """
-    if profile.p_c > profile.p_d1:
-        raise DomainError("p_c must not exceed p_d1")
     return (1.0 - profile.p_m1) * (1.0 - profile.p_m2) * (profile.p_d1 - profile.p_c)
 
 
 def succ_retx_total(profile: LinkBlerProfile) -> float:
     """Total retransmission success probability (both paths).
 
-    Evaluates the factored form and cross-checks it against the sum of
-    the two path probabilities; the two are algebraically identical.
+    The factored form of the sum of the timeout-path and NACK-path
+    probabilities; the two are algebraically identical.
     """
-    summed = succ_retx_timeout(profile) + succ_retx_nack(profile)
-    factored = (1.0 - profile.p_m2) * (
+    return (1.0 - profile.p_m2) * (
         profile.p_m1 * (1.0 - profile.p_d2)
         + (1.0 - profile.p_m1) * (profile.p_d1 - profile.p_c)
     )
-    if abs(summed - factored) > 1e-15:
-        raise ArithmeticError(
-            f"retransmission success forms disagree: {summed!r} vs {factored!r}"
-        )
-    return factored
 
 
 def sc_outage(profile: LinkBlerProfile) -> OutageBreakdown:

@@ -1,12 +1,35 @@
 """Monte Carlo HARQ event simulator with reproducible parallel streams.
 
 Each trial plays the per-link reception event tree (first transmission,
-timeout retransmission, NACK retransmission with Chase combining),
-duplicates across links, samples latency and counts channel uses.
-Per-trial randomness comes from counter-based Philox substreams keyed by
-(seed, trial index), so results are bit-identical for any batch size or
-worker count. Plain Monte Carlo only: validate at error rates where the
-binomial intervals are meaningful, not at the 1e-5 operating points.
+timeout retransmission, NACK retransmission with Chase combining) on
+every link and duplicates the packet across links. A run keeps two
+integer tables and nothing per trial: each link's event-tree leaf
+counts, and the success mix, which counts the trials in which ``a``
+links succeeded on the first try and ``b`` links on the retransmission.
+Outage and channel-use counts follow from the mix, so memory is O(m^2)
+whatever the trial count.
+
+Random stream (``STREAM_VERSION`` 2): link n of a trial reads words
+4n .. 4n + 3 of the trial's row of uint32 words: first metadata, first
+data, second metadata, and a second-stage word that is the
+retransmitted-data decode on the timeout path and the combined decode on
+the NACK path (the paths are mutually exclusive, so one word serves
+both). Rows come from Philox4x64 keyed by the seed, as the little-endian
+halves of its 64-bit outputs, padded to whole Philox blocks of eight
+words, so trial i starts at block i * ceil(m / 2). Any batch size or
+worker count therefore sees the same words for the same trial and gives
+bit-identical tallies. An event of probability p fires when its word is
+below the integer threshold floor(p * 2**32): p = 0 never fires, p = 1
+always does, and every other event probability is low by less than
+2**-32 (about 2.3e-10), below the solver's 1e-9 lower bracket.
+
+Frame alignment is uniform on [0, 1) TTI and moves only the latency, so
+it is not drawn: latency quantiles come from the exact latency
+distribution given the success mix, a conditional Monte Carlo
+(Rao-Blackwell) estimator (see ``latency_cdf``).
+
+Plain Monte Carlo only: validate at error rates where the binomial
+intervals are meaningful, not at the 1e-5 operating points.
 """
 
 from __future__ import annotations
@@ -15,26 +38,25 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .errors import DomainError, ValidationError
 from .outage import LinkBlerProfile
 from .solver import _validate_scheme
 
-# Per-trial draw layout: one shared frame-alignment draw, then five draws
-# per link: own frame alignment (used only when alignment is not shared),
-# first metadata, first data, second metadata, and a second-stage draw
-# that is the retransmitted-data decode on the timeout path and the
-# combined decode on the NACK path (the paths are mutually exclusive, so
-# one fresh uniform serves both).
-_DRAWS_PER_NODE = 5
+# Layout of the random stream; any change to the draws bumps it.
+STREAM_VERSION = 2
 
-_LEAF_FIRST, _LEAF_TIMEOUT, _LEAF_NACK, _LEAF_OUT = 0, 1, 2, 3
+# uint32 words per link and per Philox4x64 block
+_WORDS_PER_NODE = 4
+_WORDS_PER_BLOCK = 8
 
-DEFAULT_BATCH_SIZE = 1 << 17
+# Small enough that a batch's draws (32 bytes per trial for every two
+# links) stay in a core's L2 cache for the usual m <= 3.
+DEFAULT_BATCH_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,16 +121,6 @@ def latency_budget_check(numerology: Numerology, budget_ms: float) -> tuple[floa
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """Result of one simulated HARQ round (all links of one packet)."""
-
-    success: bool
-    used_retransmission: bool
-    latency_ttis: Optional[float]  # None when the packet was lost
-    channel_use_multiples: int
-
-
-@dataclass(frozen=True)
 class MonteCarloEstimate:
     mean: float
     ci_half_width_95: float
@@ -124,57 +136,53 @@ class Metric(Enum):
 
 @dataclass(frozen=True)
 class SimAggregate:
-    """Raw tallies of a run: integer counts plus success latencies.
+    """Integer tallies of a run and the inputs that shape its latency.
 
     ``leaf_counts[n]`` are the per-link event-tree leaf tallies
     (first-try success, timeout-path success, NACK-path success, outage)
-    of link n. ``usage_extra_counts[k]`` counts trials in which exactly
-    k links retransmitted (total channel uses (m + k) transmissions).
+    of link n. ``success_mix[a, b]`` counts the trials in which exactly
+    ``a`` links succeeded on the first try and ``b`` links on their
+    retransmission. Tallies of disjoint trial ranges merge by plain sums.
     """
 
     trials: int
     seed: int
     m_nodes: int
-    n_success: int
     leaf_counts: np.ndarray  # (m, 4) int64
-    usage_extra_counts: np.ndarray  # (m + 1,) int64
-    success_latencies_ttis: Optional[np.ndarray]
+    success_mix: np.ndarray  # (m + 1, m + 1) int64
+    numerology: Numerology
+    shared_frame_alignment: bool
+    stream_version: int = STREAM_VERSION
+
+    @property
+    def n_success(self) -> int:
+        return self.trials - int(self.success_mix[0, 0])
+
+    @property
+    def usage_extra_counts(self) -> np.ndarray:
+        """``[k]``: trials in which exactly k links retransmitted, i.e.
+        (m + k) transmissions; the m - a links that missed the first
+        try all retransmit."""
+        return self.success_mix.sum(axis=1)[::-1]
 
     def usage_multiples_sum(self) -> int:
         extras = int(np.sum(self.usage_extra_counts * np.arange(self.m_nodes + 1)))
         return self.m_nodes * self.trials + extras
 
 
-def _trial_uniforms(seed: int, start: int, count: int, m: int) -> np.ndarray:
-    """Uniform draws for trials [start, start + count), row per trial.
-
-    The per-trial budget is padded to a whole number of Philox blocks
-    (four 64-bit words) so any batch boundary lands exactly on a trial
-    boundary of the counter space.
-    """
-    k = 1 + _DRAWS_PER_NODE * m
-    k_pad = -(-k // 4) * 4
-    bits = Philox(key=seed)
-    bits.advance(start * (k_pad // 4))
-    return Generator(bits).random((count, k_pad))[:, :k]
+def _threshold(p: float) -> int:
+    """Integer threshold of an event of probability p on uint32 words."""
+    return math.floor(p * 2**32)
 
 
-def _node_leaves(u: np.ndarray, profile: LinkBlerProfile) -> np.ndarray:
-    """Classify trials into event-tree leaves for one link.
-
-    ``u`` columns: first metadata, first data, second metadata, second
-    stage. The combined decode after a NACK fails with the conditional
-    probability p_c / p_d1 given that the first data decode failed.
-    """
-    meta1_fail = u[:, 0] < profile.p_m1
-    data1_fail = u[:, 1] < profile.p_d1
-    meta2_ok = u[:, 2] >= profile.p_m2
-    leaves = np.full(u.shape[0], _LEAF_OUT, dtype=np.int8)
-    leaves[~meta1_fail & ~data1_fail] = _LEAF_FIRST
-    leaves[meta1_fail & meta2_ok & (u[:, 3] >= profile.p_d2)] = _LEAF_TIMEOUT
+def _thresholds(profile: LinkBlerProfile) -> Tuple[int, int, int, int, int]:
+    # the combined decode after a NACK fails with the conditional
+    # probability p_c / p_d1 given that the first data decode failed
     cond_fail = profile.p_c / profile.p_d1 if profile.p_d1 > 0 else 0.0
-    leaves[~meta1_fail & data1_fail & meta2_ok & (u[:, 3] >= cond_fail)] = _LEAF_NACK
-    return leaves
+    return tuple(
+        _threshold(p)
+        for p in (profile.p_m1, profile.p_d1, profile.p_m2, profile.p_d2, cond_fail)
+    )
 
 
 def _check_profiles(profiles: Sequence[LinkBlerProfile]) -> None:
@@ -188,39 +196,42 @@ def _check_profiles(profiles: Sequence[LinkBlerProfile]) -> None:
 
 
 def _run_batch(
-    profiles: Sequence[LinkBlerProfile],
-    numerology: Numerology,
+    thresholds: Sequence[Tuple[int, int, int, int, int]],
     seed: int,
     start: int,
     count: int,
-    shared_frame_alignment: bool,
-    collect_latencies: bool,
-):
-    m = len(profiles)
-    u = _trial_uniforms(seed, start, count, m)
-    first_lat_offset = (
-        numerology.t_bp_initial_ttis + numerology.t_tx_ttis + numerology.t_up_ttis
-    )
-    retx_lat_offset = (
-        numerology.harq_rtt_ttis + numerology.t_tx_ttis + numerology.t_up_ttis
-    )
-    leaf_counts = np.zeros((m, 4), dtype=np.int64)
-    extra_retx = np.zeros(count, dtype=np.int64)
-    best_lat = np.full(count, np.inf)
-    for n, profile in enumerate(profiles):
-        cols = u[:, 1 + _DRAWS_PER_NODE * n : 1 + _DRAWS_PER_NODE * (n + 1)]
-        t_fa = u[:, 0] if shared_frame_alignment else cols[:, 0]
-        leaves = _node_leaves(cols[:, 1:5], profile)
-        leaf_counts[n] = np.bincount(leaves, minlength=4)
-        first = leaves == _LEAF_FIRST
-        extra_retx += ~first
-        lat = np.where(first, t_fa + first_lat_offset, t_fa + retx_lat_offset)
-        lat[leaves == _LEAF_OUT] = np.inf
-        best_lat = np.minimum(best_lat, lat)
-    success = np.isfinite(best_lat)
-    usage_extra = np.bincount(extra_retx, minlength=m + 1)
-    latencies = best_lat[success] if collect_latencies else None
-    return int(success.sum()), leaf_counts, usage_extra, latencies
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Leaf counts and success mix of trials [start, start + count)."""
+    m = len(thresholds)
+    blocks = -(-_WORDS_PER_NODE * m // _WORDS_PER_BLOCK)  # per trial
+    bits = Philox(key=seed)
+    bits.advance(start * blocks)
+    # four 64-bit outputs per block
+    raw = bits.random_raw(count * blocks * 4)
+    u = raw.view(np.uint32).reshape(count, blocks * _WORDS_PER_BLOCK)
+    leaf_counts = np.empty((m, 4), dtype=np.int64)
+    # per-trial success counts, then the mix cell a * (m + 1) + b
+    cell_dtype = np.min_scalar_type((m + 1) ** 2 - 1)
+    first_ok = np.zeros(count, dtype=cell_dtype)
+    retx_ok = np.zeros(count, dtype=cell_dtype)
+    for n, (t_m1, t_d1, t_m2, t_d2, t_c) in enumerate(thresholds):
+        meta1, data1, meta2, stage2 = u[:, _WORDS_PER_NODE * n : _WORDS_PER_NODE * (n + 1)].T
+        meta1_fail = meta1 < t_m1
+        data1_fail = data1 < t_d1
+        meta2_ok = meta2 >= t_m2
+        first = ~(meta1_fail | data1_fail)
+        timeout = meta1_fail & meta2_ok & (stage2 >= t_d2)
+        nack = data1_fail & ~meta1_fail & meta2_ok & (stage2 >= t_c)
+        n_first = np.count_nonzero(first)
+        n_timeout = np.count_nonzero(timeout)
+        n_nack = np.count_nonzero(nack)
+        leaf_counts[n] = (n_first, n_timeout, n_nack, count - n_first - n_timeout - n_nack)
+        first_ok += first
+        retx_ok += timeout | nack
+    first_ok *= m + 1
+    first_ok += retx_ok
+    mix = np.bincount(first_ok, minlength=(m + 1) ** 2)
+    return leaf_counts, mix.reshape(m + 1, m + 1)
 
 
 def simulate_run(
@@ -229,14 +240,15 @@ def simulate_run(
     trials: int,
     seed: int,
     shared_frame_alignment: bool = True,
-    collect_latencies: bool = True,
     batch_size: int = DEFAULT_BATCH_SIZE,
     jobs: int = 1,
 ) -> SimAggregate:
     """Run ``trials`` independent HARQ rounds and tally the outcomes.
 
-    Counts accumulate as integers and batches reduce in index order, so
-    the aggregate is identical for any ``batch_size``/``jobs`` split.
+    Counts accumulate as integers, so the aggregate is identical for any
+    ``batch_size``/``jobs`` split, and memory does not grow with
+    ``trials``. The alignment mode draws nothing; it is kept for the
+    latency estimate.
     """
     _check_profiles(profiles)
     if not (isinstance(trials, int) and trials >= 1):
@@ -246,110 +258,93 @@ def simulate_run(
     if batch_size < 1 or jobs < 1:
         raise ValidationError("batch_size and jobs must be positive")
     m = len(profiles)
-    starts = list(range(0, trials, batch_size))
+    thresholds = [_thresholds(p) for p in profiles]
+    starts = range(0, trials, batch_size)
+    leaf_counts = np.zeros((m, 4), dtype=np.int64)
+    mix = np.zeros((m + 1, m + 1), dtype=np.int64)
 
     def run(start: int):
-        return _run_batch(
-            profiles,
-            numerology,
-            seed,
-            start,
-            min(batch_size, trials - start),
-            shared_frame_alignment,
-            collect_latencies,
-        )
+        return _run_batch(thresholds, seed, start, min(batch_size, trials - start))
 
-    if jobs == 1 or len(starts) == 1:
-        results = [run(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, starts))
-
-    n_success = 0
-    leaf_counts = np.zeros((m, 4), dtype=np.int64)
-    usage_extra = np.zeros(m + 1, dtype=np.int64)
-    latency_parts: List[np.ndarray] = []
-    for batch_success, batch_leaves, batch_usage, batch_lat in results:
-        n_success += batch_success
-        leaf_counts += batch_leaves
-        usage_extra += batch_usage
-        if batch_lat is not None:
-            latency_parts.append(batch_lat)
-    latencies = np.concatenate(latency_parts) if collect_latencies else None
+    # the pool starts threads only when the parallel branch submits work
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        parallel = jobs > 1 and len(starts) > 1
+        for batch_leaves, batch_mix in (pool.map if parallel else map)(run, starts):
+            leaf_counts += batch_leaves
+            mix += batch_mix
     return SimAggregate(
         trials=trials,
         seed=seed,
         m_nodes=m,
-        n_success=n_success,
         leaf_counts=leaf_counts,
-        usage_extra_counts=usage_extra,
-        success_latencies_ttis=latencies,
+        success_mix=mix,
+        numerology=numerology,
+        shared_frame_alignment=shared_frame_alignment,
     )
 
 
-def _trial_from_uniforms(
-    profiles: Sequence[LinkBlerProfile],
-    numerology: Numerology,
-    row: np.ndarray,
-    shared_frame_alignment: bool,
-) -> TrialOutcome:
-    best = math.inf
-    multiples = 0
-    used_retx = False
-    for n, profile in enumerate(profiles):
-        base = 1 + _DRAWS_PER_NODE * n
-        t_fa = float(row[0] if shared_frame_alignment else row[base])
-        leaf = int(_node_leaves(row[base + 1 : base + 5].reshape(1, 4), profile)[0])
-        if leaf == _LEAF_FIRST:
-            multiples += 1
-            lat = t_fa + (
-                numerology.t_bp_initial_ttis
-                + numerology.t_tx_ttis
-                + numerology.t_up_ttis
-            )
-        else:
-            multiples += 2
-            used_retx = True
-            if leaf == _LEAF_OUT:
-                lat = math.inf
-            else:
-                lat = t_fa + (
-                    numerology.harq_rtt_ttis
-                    + numerology.t_tx_ttis
-                    + numerology.t_up_ttis
-                )
-        best = min(best, lat)
-    success = math.isfinite(best)
-    return TrialOutcome(
-        success=success,
-        used_retransmission=used_retx,
-        latency_ttis=best if success else None,
-        channel_use_multiples=multiples,
-    )
+def _latency_offsets(numerology: Numerology) -> Tuple[float, float]:
+    """Latency of a first-try and of a retransmission success, in TTIs,
+    before the frame alignment is added."""
+    first = numerology.t_bp_initial_ttis + numerology.t_tx_ttis + numerology.t_up_ttis
+    retx = numerology.harq_rtt_ttis + numerology.t_tx_ttis + numerology.t_up_ttis
+    return first, retx
 
 
-def simulate_mc_trial(
-    profiles: Sequence[LinkBlerProfile],
-    numerology: Numerology,
-    rng: Generator,
-    shared_frame_alignment: bool = True,
-) -> TrialOutcome:
-    """One duplicated HARQ round; the first successful copy wins.
+def _latency_tail(agg: SimAggregate, x: float) -> float:
+    """Number of successful trials, in expectation over the frame
+    alignment, whose latency exceeds ``x`` TTIs.
 
-    Every link always finishes its own retransmission when its first
-    transmission fails, so channel-use multiples sum over links even
-    when another copy already got through.
+    Given the mix cell (a, b), a link succeeding first-try delivers at
+    t_fa + o1 and one succeeding on the retransmission at t_fa + o2, with
+    t_fa uniform on [0, 1). With one shared alignment the packet arrives
+    at t_fa plus the smallest offset present; with independent
+    alignments P(L > x) = (1 - F(x - o1))^a (1 - F(x - o2))^b, where F is
+    the uniform CDF.
     """
-    _check_profiles(profiles)
-    row = rng.random(1 + _DRAWS_PER_NODE * len(profiles))
-    return _trial_from_uniforms(profiles, numerology, row, shared_frame_alignment)
+    o1, o2 = _latency_offsets(agg.numerology)
+    late1 = 1.0 - min(max(x - o1, 0.0), 1.0)
+    late2 = 1.0 - min(max(x - o2, 0.0), 1.0)
+    k = np.arange(agg.m_nodes + 1)
+    a, b = k[:, None], k[None, :]
+    if agg.shared_frame_alignment:
+        late = np.minimum(np.where(a > 0, late1, 1.0), np.where(b > 0, late2, 1.0))
+    else:
+        late = late1**a * late2**b
+    late[0, 0] = 0.0  # outage: no latency
+    return float(np.sum(agg.success_mix * late))
 
 
-def simulate_sc_trial(
-    profile: LinkBlerProfile, numerology: Numerology, rng: Generator
-) -> TrialOutcome:
-    """One single-link HARQ round."""
-    return simulate_mc_trial([profile], numerology, rng)
+def latency_cdf(agg: SimAggregate, x: float) -> float:
+    """P(latency <= ``x`` TTIs | success), exact given the success mix.
+
+    NaN when the run saw no success.
+    """
+    if agg.n_success == 0:
+        return math.nan
+    return 1.0 - _latency_tail(agg, x) / agg.n_success
+
+
+def _latency_quantile(agg: SimAggregate, q: float) -> float:
+    """Smallest x with ``latency_cdf(agg, x) >= q``, by bisection to
+    full double precision on the support [min offset, max offset + 1].
+
+    Compares the tail with (1 - q), so q = 1 yields exactly the upper
+    end of the support.
+    """
+    if agg.n_success == 0:
+        return math.nan
+    o1, o2 = _latency_offsets(agg.numerology)
+    lo, hi = min(o1, o2), max(o1, o2) + 1.0
+    allowed = (1.0 - q) * agg.n_success
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if _latency_tail(agg, mid) <= allowed:
+            hi = mid
+        else:
+            lo = mid
 
 
 def estimate(
@@ -368,8 +363,12 @@ def estimate(
 
     OUTAGE is a proportion (normal-approximation binomial interval).
     MEAN_USAGE is in multiples of one transmission's channel uses.
-    LATENCY_QUANTILE is the empirical quantile of successful-trial
-    latencies in TTIs; no interval is attached to it.
+    LATENCY_QUANTILE is the ``quantile`` of successful-trial latency in
+    TTIs, from the latency distribution given the tallied success mix
+    with the uniform frame alignment integrated out exactly (conditional
+    Monte Carlo); its only sampling error is that of the mix, and no
+    interval is attached to it. With ``quantile=1`` it is the supremum of
+    the support.
     """
     _validate_scheme(scheme, len(profiles))
     agg = simulate_run(
@@ -378,7 +377,6 @@ def estimate(
         trials,
         seed,
         shared_frame_alignment=shared_frame_alignment,
-        collect_latencies=metric is Metric.LATENCY_QUANTILE,
         batch_size=batch_size,
         jobs=jobs,
     )
@@ -405,9 +403,5 @@ def estimate_from_aggregate(
     if metric is Metric.LATENCY_QUANTILE:
         if not 0.0 < quantile <= 1.0:
             raise ValidationError(f"quantile must be in (0, 1], got {quantile!r}")
-        if agg.success_latencies_ttis is None:
-            raise ValidationError("latencies were not collected for this run")
-        lats = agg.success_latencies_ttis
-        mean = float(np.quantile(lats, quantile)) if lats.size else math.nan
-        return MonteCarloEstimate(mean, 0.0, n, agg.seed)
+        return MonteCarloEstimate(_latency_quantile(agg, quantile), 0.0, n, agg.seed)
     raise ValidationError(f"unknown metric {metric!r}")

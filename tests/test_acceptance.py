@@ -33,6 +33,7 @@ from urllc_mc.resources import (
 from urllc_mc.sim import (
     Numerology,
     latency_budget_check,
+    latency_cdf,
     simulate_run,
     tti_duration_ms,
 )
@@ -207,13 +208,13 @@ def test_criterion_9_latency_budget_and_bands():
     assert fits
     profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
     agg = simulate_run([profile], numerology, 200_000, seed=909)
-    lats = agg.success_latencies_ttis
-    first_band = (lats >= 2.0) & (lats < 3.0)
-    retx_band = (lats >= 6.0) & (lats < 7.0)
-    assert np.all(first_band | retx_band)
-    assert first_band.any() and retx_band.any()
-    _report(9, "worst case exactly 1.000 ms; latencies confined to "
-               "[2,3) U [6,7) TTIs")
+    first_band = latency_cdf(agg, 3.0)
+    assert latency_cdf(agg, 2.0) == 0.0
+    assert latency_cdf(agg, 6.0) == first_band  # no mass between the bands
+    assert latency_cdf(agg, 7.0) == 1.0
+    assert 0.0 < first_band < 1.0  # mass in both bands
+    _report(9, "worst case exactly 1.000 ms; latency CDF mass confined to "
+               "[2,3] U [6,7] TTIs")
 
 
 def test_criterion_10_simulation_determinism(tmp_path, capsys):

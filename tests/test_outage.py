@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.fbl import FblContext
@@ -132,12 +134,23 @@ def test_succ_retx_total_examples():
     assert succ_retx_total(LinkBlerProfile(0, 0, 0, 0, 0)) == 0.0
 
 
-def test_succ_retx_total_matches_summed_form():
-    for profile in _random_profiles(500, seed=11):
-        total = succ_retx_total(profile)
-        assert total == pytest.approx(
-            succ_retx_timeout(profile) + succ_retx_nack(profile), abs=1e-15
-        )
+_prob = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _profiles(draw) -> LinkBlerProfile:
+    p_m1, p_d1, p_m2, p_d2 = (draw(_prob) for _ in range(4))
+    # a fraction of min(p_d1, p_d2) never exceeds it, so the profile is valid
+    return LinkBlerProfile(p_m1, p_d1, p_m2, p_d2, draw(_prob) * min(p_d1, p_d2))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_profiles())
+def test_succ_retx_total_matches_summed_form(profile):
+    total = succ_retx_total(profile)
+    assert total == pytest.approx(
+        succ_retx_timeout(profile) + succ_retx_nack(profile), abs=1e-15
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ around them. Seeds are fixed, so these tests are deterministic.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from urllc_mc.sim import (
     Numerology,
     estimate,
     estimate_from_aggregate,
+    _threshold,
     latency_budget_check,
-    simulate_mc_trial,
+    latency_cdf,
     simulate_run,
-    simulate_sc_trial,
     tti_duration_ms,
 )
 
@@ -80,77 +81,84 @@ def test_latency_budget_huge_budget_fits():
 
 
 # ---------------------------------------------------------------------------
-# single trials
+# single rounds, forced down one path with probabilities 0 and 1
 
 
 def test_sc_trial_perfect_link():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        out = simulate_sc_trial(LinkBlerProfile(0, 0, 0, 0, 0), DEFAULT, rng)
-        assert out.success and not out.used_retransmission
-        assert out.channel_use_multiples == 1
-        assert 2.0 <= out.latency_ttis < 3.0  # t_fa in [0,1) + tx + up
+    agg = simulate_run([LinkBlerProfile(0, 0, 0, 0, 0)], DEFAULT, 20, seed=0)
+    assert agg.n_success == 20
+    assert agg.leaf_counts[0].tolist() == [20, 0, 0, 0]  # no retransmission
+    assert agg.usage_multiples_sum() == 20  # one transmission each
+    # t_fa in [0,1) + tx + up
+    assert latency_cdf(agg, 2.0) == 0.0 and latency_cdf(agg, 3.0) == 1.0
 
 
 def test_sc_trial_forced_timeout_path():
-    profile = LinkBlerProfile(1, 0, 0, 0, 0)
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        out = simulate_sc_trial(profile, DEFAULT, rng)
-        assert out.success and out.used_retransmission
-        assert out.channel_use_multiples == 2
-        assert 6.0 <= out.latency_ttis < 7.0  # t_fa + rtt 4 + tx + up
+    agg = simulate_run([LinkBlerProfile(1, 0, 0, 0, 0)], DEFAULT, 20, seed=1)
+    assert agg.n_success == 20
+    assert agg.leaf_counts[0].tolist() == [0, 20, 0, 0]
+    assert agg.usage_multiples_sum() == 40
+    # t_fa + rtt 4 + tx + up
+    assert latency_cdf(agg, 6.0) == 0.0 and latency_cdf(agg, 7.0) == 1.0
 
 
 def test_sc_trial_forced_nack_path():
-    profile = LinkBlerProfile(0, 1, 0, 0, 0)  # data always fails, combining saves
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        out = simulate_sc_trial(profile, DEFAULT, rng)
-        assert out.success and out.used_retransmission
-        assert out.channel_use_multiples == 2
-        assert 6.0 <= out.latency_ttis < 7.0
+    # data always fails, combining saves
+    agg = simulate_run([LinkBlerProfile(0, 1, 0, 0, 0)], DEFAULT, 20, seed=2)
+    assert agg.n_success == 20
+    assert agg.leaf_counts[0].tolist() == [0, 0, 20, 0]
+    assert agg.usage_multiples_sum() == 40
+    assert latency_cdf(agg, 6.0) == 0.0 and latency_cdf(agg, 7.0) == 1.0
 
 
 def test_sc_trial_certain_outage():
-    profile = LinkBlerProfile(1, 1, 1, 1, 1)
-    rng = np.random.default_rng(3)
-    out = simulate_sc_trial(profile, DEFAULT, rng)
-    assert not out.success and out.latency_ttis is None
-    assert out.channel_use_multiples == 2
+    agg = simulate_run([LinkBlerProfile(1, 1, 1, 1, 1)], DEFAULT, 20, seed=3)
+    assert agg.n_success == 0
+    assert agg.leaf_counts[0].tolist() == [0, 0, 0, 20]
+    assert agg.usage_multiples_sum() == 40
+    assert math.isnan(estimate_from_aggregate(Metric.LATENCY_QUANTILE, agg).mean)
 
 
 def test_mc_trial_perfect_links():
-    rng = np.random.default_rng(4)
-    out = simulate_mc_trial([LinkBlerProfile(0, 0, 0, 0, 0)] * 2, DEFAULT, rng)
-    assert out.success and out.channel_use_multiples == 2
+    agg = simulate_run([LinkBlerProfile(0, 0, 0, 0, 0)] * 2, DEFAULT, 20, seed=4)
+    assert agg.n_success == 20 and agg.success_mix[2, 0] == 20
+    assert agg.usage_multiples_sum() == 40
 
 
 def test_mc_trial_takes_first_received_copy():
     # one link always succeeds first-try, one always needs the retx
     fast = LinkBlerProfile(0, 0, 0, 0, 0)
     slow = LinkBlerProfile(1, 0, 0, 0, 0)
-    rng = np.random.default_rng(5)
-    out = simulate_mc_trial([fast, slow], DEFAULT, rng)
-    assert out.success
-    assert out.latency_ttis < 3.0
-    assert out.channel_use_multiples == 3  # 1 + 2, no cross-link cancel
+    agg = simulate_run([fast, slow], DEFAULT, 20, seed=5)
+    assert agg.n_success == 20 and agg.success_mix[1, 1] == 20
+    assert latency_cdf(agg, 3.0) == 1.0  # the fast copy always wins
+    assert agg.usage_multiples_sum() == 60  # 1 + 2 each, no cross-link cancel
 
 
 def test_mc_trial_rejects_empty():
     with pytest.raises(DomainError):
-        simulate_mc_trial([], DEFAULT, np.random.default_rng(0))
+        simulate_run([], DEFAULT, 10, seed=0)
 
 
 def test_trial_with_unreachable_nack_branch_is_fine():
     # p_d1 = 0 with p_c = 0: the NACK branch never fires, nothing to define
-    out = simulate_sc_trial(
-        LinkBlerProfile(0.0, 0.0, 0.1, 0.5, 0.0), DEFAULT, np.random.default_rng(0)
-    )
-    assert out.success
+    agg = simulate_run([LinkBlerProfile(0.0, 0.0, 0.1, 0.5, 0.0)], DEFAULT, 20, seed=0)
+    assert agg.n_success == 20
     # p_c > 0 with p_d1 = 0 cannot even be built as a profile
     with pytest.raises(DomainError):
         LinkBlerProfile(0.1, 0.0, 0.1, 0.5, 0.1)
+
+
+def test_event_threshold_bound():
+    rng = np.random.default_rng(12)
+    for p in [0.0, 1.0, 2.0**-33, 1e-9, 0.00183, 0.0328, 0.5, *rng.uniform(0, 1, 1000)]:
+        t = _threshold(float(p))
+        assert isinstance(t, int)
+        assert 0.0 <= p - t / 2**32 < 2.0**-32
+    assert _threshold(0.0) == 0 and _threshold(1.0) == 2**32
+    words = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
+    assert not (words < _threshold(0.0)).any()
+    assert (words < _threshold(1.0)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +220,11 @@ def test_usage_histogram_matches_binomial_distribution():
 def test_latency_bands_default_numerology():
     profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
     agg = simulate_run([profile], DEFAULT, 10**5, seed=55)
-    lats = agg.success_latencies_ttis
-    in_first = (lats >= 2.0) & (lats < 3.0)
-    in_retx = (lats >= 6.0) & (lats < 7.0)
-    assert np.all(in_first | in_retx)
-    assert in_first.any() and in_retx.any()
+    first_band = latency_cdf(agg, 3.0)
+    assert latency_cdf(agg, 2.0) == 0.0
+    assert latency_cdf(agg, 6.0) == first_band  # nothing between the bands
+    assert latency_cdf(agg, 7.0) == 1.0
+    assert 0.0 < first_band < 1.0
 
 
 def test_latency_quantile_forced_retransmission():
@@ -224,8 +232,45 @@ def test_latency_quantile_forced_retransmission():
     est = estimate(
         Metric.LATENCY_QUANTILE, "SC", 10**5, 7, DEFAULT, [profile], quantile=1.0
     )
-    assert 6.0 <= est.mean < 7.0  # approaches 7 TTIs = 1 ms from below
-    assert est.mean > 6.99
+    assert est.mean == 7.0  # the supremum, 7 TTIs = 1 ms
+
+
+def test_latency_quantile_matches_analytic_mixture():
+    # shared alignment, one link: a mixture of U[2, 3) and U[6, 7)
+    profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
+    agg = simulate_run([profile], DEFAULT, 10**5, seed=56)
+    w_first = agg.success_mix[1, 0] / agg.n_success
+    # independent alignment, two links that both succeed first-try (or
+    # both on the retransmission): offset + min(U1, U2)
+    pairs = [
+        (offset, simulate_run([LinkBlerProfile(p_m1, 0, 0, 0, 0)] * 2, DEFAULT, 100,
+                              seed=57, shared_frame_alignment=False))
+        for offset, p_m1 in ((2.0, 0), (6.0, 1))
+    ]
+    for q in (1e-6, 0.01, 0.25, 0.5, 0.7, 0.9, 0.99, 0.999999):
+        mixture = 2.0 + q / w_first if q <= w_first else 6.0 + (q - w_first) / (1.0 - w_first)
+        got = estimate_from_aggregate(Metric.LATENCY_QUANTILE, agg, quantile=q).mean
+        assert got == pytest.approx(mixture, abs=1e-9)
+        for offset, pair in pairs:
+            got = estimate_from_aggregate(Metric.LATENCY_QUANTILE, pair, quantile=q).mean
+            assert got == pytest.approx(offset + 1.0 - math.sqrt(1.0 - q), abs=1e-9)
+
+
+def test_peak_memory_does_not_grow_with_trials():
+    profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
+    batch = 4096
+    draw_bytes = batch * 8 * 4  # one Philox block of eight uint32 words per trial
+
+    def peak(batches: int) -> int:
+        tracemalloc.start()
+        try:
+            simulate_run([profile] * 2, DEFAULT, batches * batch, seed=3, batch_size=batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm up
+    assert abs(peak(32) - peak(4)) < draw_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +308,15 @@ def test_estimate_validations():
 
 def test_batch_size_invariance():
     profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
-    base = simulate_run([profile] * 2, DEFAULT, 10_000, seed=99, batch_size=10_000)
-    for bs in (1_000, 3_333, 257):
-        agg = simulate_run([profile] * 2, DEFAULT, 10_000, seed=99, batch_size=bs)
-        assert agg.n_success == base.n_success
-        assert np.array_equal(agg.leaf_counts, base.leaf_counts)
-        assert np.array_equal(agg.usage_extra_counts, base.usage_extra_counts)
-        assert np.array_equal(
-            np.sort(agg.success_latencies_ttis), np.sort(base.success_latencies_ttis)
-        )
+    # m = 3 pads each trial to two Philox blocks
+    for m in (2, 3):
+        base = simulate_run([profile] * m, DEFAULT, 10_000, seed=99, batch_size=10_000)
+        for bs in (1_000, 3_333, 257):
+            agg = simulate_run([profile] * m, DEFAULT, 10_000, seed=99, batch_size=bs)
+            assert agg.n_success == base.n_success
+            assert np.array_equal(agg.leaf_counts, base.leaf_counts)
+            assert np.array_equal(agg.usage_extra_counts, base.usage_extra_counts)
+            assert np.array_equal(agg.success_mix, base.success_mix)
 
 
 def test_thread_count_invariance():
@@ -281,7 +326,7 @@ def test_thread_count_invariance():
     assert one.n_success == four.n_success
     assert np.array_equal(one.leaf_counts, four.leaf_counts)
     assert np.array_equal(one.usage_extra_counts, four.usage_extra_counts)
-    assert np.array_equal(one.success_latencies_ttis, four.success_latencies_ttis)
+    assert np.array_equal(one.success_mix, four.success_mix)
     est1 = estimate_from_aggregate(Metric.OUTAGE, one)
     est4 = estimate_from_aggregate(Metric.OUTAGE, four)
     assert est1 == est4
@@ -304,4 +349,10 @@ def test_shared_vs_independent_alignment_preserves_outage():
         [profile] * 2, DEFAULT, 10**5, seed=8, shared_frame_alignment=False
     )
     assert np.array_equal(shared.leaf_counts, indep.leaf_counts)
+    assert np.array_equal(shared.success_mix, indep.success_mix)
     assert shared.n_success == indep.n_success
+    # the earliest of independent alignments is never later than a shared one
+    for q in (0.1, 0.5, 0.9, 0.99, 0.9999, 1.0):
+        lat_shared = estimate_from_aggregate(Metric.LATENCY_QUANTILE, shared, quantile=q)
+        lat_indep = estimate_from_aggregate(Metric.LATENCY_QUANTILE, indep, quantile=q)
+        assert lat_indep.mean <= lat_shared.mean
