@@ -24,7 +24,6 @@ from .fbl import (
     shannon_capacity,
 )
 from .outage import (
-    ChaseCombiningSpec,
     ChaseModel,
     LinkBlerProfile,
     OutageBreakdown,
@@ -57,7 +56,6 @@ from .sim import (
     MonteCarloEstimate,
     Numerology,
     SimAggregate,
-    estimate,
     estimate_from_aggregate,
     latency_budget_check,
     latency_cdf,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlerPolicy",
-    "ChaseCombiningSpec",
     "ChaseModel",
     "DomainError",
     "FblContext",
@@ -98,7 +95,6 @@ __all__ = [
     "channel_dispersion",
     "channel_use",
     "db_to_linear",
-    "estimate",
     "estimate_from_aggregate",
     "latency_budget_check",
     "latency_cdf",

@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .fbl import FblContext, db_to_linear
-from .outage import ChaseCombiningSpec, ChaseModel, mc_outage, sc_outage
+from .outage import ChaseModel, mc_outage, sc_outage
 from .resources import normalized_usage, usage_at_reliability
 from .sim import Metric, estimate_from_aggregate, simulate_run, tti_duration_ms
 from .solver import BlerPolicy, PolicyKind, build_profile, solve_bler
@@ -210,12 +210,11 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
     for m in ms:
         scheme = "SC" if m == 1 else "MC"
         ctx = FblContext(cfg.payload_bits, db_to_linear(cfg.sinr_db_per_node[0]))
-        result = solve_bler(scheme, m, cfg.target_outage, cfg.policy, cfg.chase, ctx)
         report = usage_at_reliability(
             scheme, m, cfg.target_outage, ctx, cfg.policy, cfg.chase
         )
         rows.append([
-            m, scheme, report.bler_target, result.achieved_outage,
+            m, scheme, report.bler_target, report.achieved_outage,
             report.channel_use_single, report.total_usage,
         ])
     return header, rows
@@ -234,7 +233,7 @@ def _reproduce_table2() -> Rows:
               "discrepancy_flag"]
     ctx = FblContext(_REPRO_PAYLOAD_BITS, db_to_linear(10.0))
     policy = BlerPolicy(PolicyKind.EQUAL)
-    chase = ChaseCombiningSpec(ChaseModel.ZERO)
+    chase = ChaseModel.ZERO
     rows = []
     for scheme, m in (("SC", 1), ("MC", 2)):
         report = usage_at_reliability(scheme, m, _REPRO_TARGET, ctx, policy, chase)
@@ -249,7 +248,6 @@ def _reproduce_table2() -> Rows:
 
 def _reproduce_fig3() -> Rows:
     header = ["p_d", "policy", "scheme", "m", "outage"]
-    chase = ChaseCombiningSpec(ChaseModel.ZERO)
     policies = [
         ("half", BlerPolicy(PolicyKind.HALF)),
         ("fixed_0.01", BlerPolicy(PolicyKind.FIXED_META, fixed_meta=0.01)),
@@ -260,7 +258,7 @@ def _reproduce_fig3() -> Rows:
     for value in grid:
         p_d = float(value)
         for label, policy in policies:
-            profile = build_profile(p_d, policy, chase)
+            profile = build_profile(p_d, policy, ChaseModel.ZERO)
             for scheme, m in schemes:
                 rows.append([p_d, label, scheme, m, mc_outage([profile] * m)])
     return header, rows
@@ -268,9 +266,8 @@ def _reproduce_fig3() -> Rows:
 
 def _reproduce_fig4() -> Rows:
     header = ["scheme", "m", "p_m", "p_d", "outage", "normalized_usage"]
-    chase = ChaseCombiningSpec(ChaseModel.ZERO)
     policy = BlerPolicy(PolicyKind.FIXED_META, fixed_meta=0.01)
-    profile = build_profile(0.1, policy, chase)
+    profile = build_profile(0.1, policy, ChaseModel.ZERO)
     rows = []
     for scheme, m in (("SC", 1), ("MC", 2)):
         rows.append([
@@ -284,7 +281,7 @@ def _reproduce_fig5() -> Rows:
     header = ["sinr_db", "bler_target_sc", "channel_use_sc", "usage_sc",
               "bler_target_mc", "channel_use_mc", "usage_mc", "sc_savings"]
     policy = BlerPolicy(PolicyKind.EQUAL)
-    chase = ChaseCombiningSpec(ChaseModel.ZERO)
+    chase = ChaseModel.ZERO
     rows = []
     for sinr_db in (0.0, 10.0):
         ctx = FblContext(_REPRO_PAYLOAD_BITS, db_to_linear(sinr_db))
@@ -340,24 +337,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Outage, BLER-target and resource dimensioning for "
         "single- and multi-connectivity URLLC links.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to the scenario JSON document")
-    common.add_argument("--seed", type=int, help="override the configured seed")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--format", choices=("csv", "pretty"), default="pretty")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="simulation worker threads (results are identical)")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", help="path to the scenario JSON document")
+    scenario.add_argument("--format", choices=("csv", "pretty"), default="pretty")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("outage", parents=[common],
+    sub.add_parser("outage", parents=[scenario],
                    help="closed-form outage at the configured p_d")
-    sub.add_parser("solve", parents=[common],
+    sub.add_parser("solve", parents=[scenario],
                    help="BLER target for the configured outage target")
-    sub.add_parser("resource", parents=[common],
+    sub.add_parser("resource", parents=[scenario],
                    help="channel use and total usage at the outage target")
-    sub.add_parser("simulate", parents=[common],
-                   help="Monte Carlo estimates for the scenario")
-    sweep = sub.add_parser("sweep", parents=[common],
+    simulate = sub.add_parser("simulate", parents=[scenario],
+                              help="Monte Carlo estimates for the scenario")
+    simulate.add_argument("--seed", type=int, help="override the configured seed")
+    simulate.add_argument("--jobs", type=int, default=1,
+                          help="simulation worker threads (results are identical)")
+    sweep = sub.add_parser("sweep", parents=[scenario],
                            help="evaluate along a swept variable")
     sweep.add_argument("--variable", required=True,
                        choices=[v.value for v in SweepVariable])
@@ -366,18 +362,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, required=True)
     sweep.add_argument("--scale", choices=[s.value for s in SweepScale],
                        default="linear")
-    sub.add_parser("reproduce", parents=[common],
-                   help="write table2/fig3/fig4/fig5 CSVs to --out")
+    reproduce = sub.add_parser("reproduce",
+                               help="write table2/fig3/fig4/fig5 CSVs to --out")
+    reproduce.add_argument("--out", default="out", help="output directory")
     return parser
 
 
 def _load_config(args) -> ScenarioConfig:
     if not args.config:
         raise ValidationError(f"--config is required for the {args.command} command")
-    cfg = load_scenario(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+    return load_scenario(args.config)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -395,6 +389,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "resource":
             header, rows = cmd_resource(cfg)
         elif args.command == "simulate":
+            if args.seed is not None:
+                cfg = dataclasses.replace(cfg, seed=args.seed)
             header, rows = cmd_simulate(cfg, jobs=args.jobs)
         else:
             spec = SweepSpec(

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 from .errors import ParseError, ValidationError
 from .fbl import FblContext, db_to_linear
-from .outage import ChaseCombiningSpec, ChaseModel
+from .outage import ChaseModel
 from .sim import Numerology
 from .solver import BlerPolicy, PolicyKind
 
@@ -40,7 +40,6 @@ _NUMEROLOGY_KEYS = {
     "scs_khz",
     "symbols_per_tti",
     "harq_rtt_ttis",
-    "timeout_ttis",
     "t_up_ttis",
     "t_tx_ttis",
     "t_bp_initial_ttis",
@@ -88,7 +87,7 @@ class ScenarioConfig:
     payload_bits: int = 256
     metadata_bits: int = 128  # informational; never folded into channel use
     policy: BlerPolicy = field(default_factory=BlerPolicy)
-    chase: ChaseCombiningSpec = field(default_factory=ChaseCombiningSpec)
+    chase: ChaseModel = ChaseModel.ZERO
     p_d: Optional[float] = None
     numerology: Numerology = field(default_factory=Numerology)
     trials: int = 100_000
@@ -158,7 +157,7 @@ def _parse_numerology(doc) -> Numerology:
     for key in ("scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis"):
         if key in sub:
             kwargs[key] = float(_get_number(sub, key))
-    for key in ("symbols_per_tti", "harq_rtt_ttis", "timeout_ttis"):
+    for key in ("symbols_per_tti", "harq_rtt_ttis"):
         if key in sub:
             kwargs[key] = _get_int(sub, key, minimum=1)
     return Numerology(**kwargs)
@@ -239,15 +238,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
     chase_name = doc.get("chase", "zero")
     _require(isinstance(chase_name, str), "chase", "must be a string")
     try:
-        chase_model = ChaseModel(chase_name.lower())
+        chase = ChaseModel(chase_name.lower())
     except ValueError:
         raise ValidationError(
             f"chase: must be one of {[c.value for c in ChaseModel]}, got {chase_name!r}"
         ) from None
-    chase_ctx = None
-    if chase_model is ChaseModel.FINITE_BLOCKLENGTH:
-        chase_ctx = FblContext(payload_bits, db_to_linear(sinrs[0]))
-    chase = ChaseCombiningSpec(chase_model, chase_ctx)
 
     p_d = _get_number(doc, "p_d")
     if p_d is not None:

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import DomainError, ValidationError
-from .fbl import FblContext, achieved_bler
+from .fbl import FblContext, achieved_bler, channel_use
 
 
 def _check_prob(name: str, value) -> None:
@@ -60,21 +60,6 @@ class ChaseModel(Enum):
     ZERO = "zero"
     PRODUCT = "product"
     FINITE_BLOCKLENGTH = "finite_blocklength"
-
-
-@dataclass(frozen=True)
-class ChaseCombiningSpec:
-    """Chase-combining model selection; FINITE_BLOCKLENGTH needs a context
-    (combining doubles the SINR for equal-power transmissions)."""
-
-    model: ChaseModel = ChaseModel.ZERO
-    context: Optional[FblContext] = None
-
-    def __post_init__(self) -> None:
-        if self.model is ChaseModel.FINITE_BLOCKLENGTH and self.context is None:
-            raise ValidationError(
-                "FINITE_BLOCKLENGTH chase model requires an FblContext"
-            )
 
 
 @dataclass(frozen=True)
@@ -156,32 +141,22 @@ def mc_outage(profiles: Sequence[LinkBlerProfile]) -> float:
 
 
 def chase_bler(
-    spec: ChaseCombiningSpec,
-    p_d1: float,
-    channel_uses: Optional[float] = None,
-    p_d2: Optional[float] = None,
+    model: ChaseModel, p_d: float, ctx: Optional[FblContext] = None
 ) -> float:
     """Post-combining data error probability p_c under the chosen model.
 
     ZERO: combining always succeeds. PRODUCT: the combined decode fails
-    only if both copies would fail independently (p_d2 defaults to
-    p_d1). FINITE_BLOCKLENGTH: re-evaluate the block error rate at the
-    summed SINR of the two equal-power copies, same payload and channel
-    uses; requires the carried context and ``channel_uses``.
+    only if both copies would fail independently. FINITE_BLOCKLENGTH:
+    re-evaluate the block error rate at the summed SINR of the two
+    equal-power copies, same payload, over the channel uses that ``ctx``
+    needs for a single copy at ``p_d``; requires ``ctx``.
     """
-    _check_prob("p_d1", p_d1)
-    if spec.model is ChaseModel.ZERO:
+    _check_prob("p_d", p_d)
+    if model is ChaseModel.ZERO:
         return 0.0
-    if spec.model is ChaseModel.PRODUCT:
-        if p_d2 is None:
-            p_d2 = p_d1
-        _check_prob("p_d2", p_d2)
-        return p_d1 * p_d2
-    if spec.context is None:
+    if model is ChaseModel.PRODUCT:
+        return p_d * p_d
+    if ctx is None:
         raise ValidationError("FINITE_BLOCKLENGTH chase model requires an FblContext")
-    if channel_uses is None:
-        raise ValidationError(
-            "FINITE_BLOCKLENGTH chase model requires the per-transmission channel uses"
-        )
-    combined = FblContext(spec.context.payload_bits, 2.0 * spec.context.sinr_linear)
-    return achieved_bler(combined, channel_uses)
+    combined = FblContext(ctx.payload_bits, 2.0 * ctx.sinr_linear)
+    return achieved_bler(combined, channel_use(ctx, p_d))

@@ -14,11 +14,10 @@ from typing import Optional, Tuple
 
 from .errors import DomainError, ValidationError
 from .fbl import FblContext, channel_use
-from .outage import ChaseCombiningSpec, LinkBlerProfile, succ_first
+from .outage import ChaseModel, LinkBlerProfile, succ_first
 from .solver import (
     BlerPolicy,
     ContextArg,
-    SolveResult,
     _node_contexts,
     _validate_scheme,
     build_profile,
@@ -50,12 +49,14 @@ class UsageReport:
 
     ``channel_use_single`` is the per-transmission channel-use count
     (node average when per-node SINRs differ); ``total_usage`` includes
-    the expected retransmissions over all links. When requested, the
+    the expected retransmissions over all links. ``achieved_outage`` is
+    the outage the solver reached at ``bler_target``. When requested, the
     metadata's own channel-use count is reported alongside and is never
     added into ``total_usage``.
     """
 
     bler_target: float
+    achieved_outage: float
     channel_use_single: float
     total_usage: float
     scheme: str
@@ -121,7 +122,7 @@ def usage_at_reliability(
     target_outage: float,
     ctx: ContextArg,
     policy: BlerPolicy,
-    chase: ChaseCombiningSpec,
+    chase: ChaseModel,
     metadata_bits: Optional[int] = None,
 ) -> UsageReport:
     """Dimension a transmission for a reliability target.
@@ -141,7 +142,7 @@ def usage_at_reliability(
     if ctx is None:
         raise ValidationError("usage_at_reliability requires an FblContext")
     contexts = _node_contexts(ctx, m)
-    result: SolveResult = solve_bler(scheme, m, target_outage, policy, chase, contexts)
+    result = solve_bler(scheme, m, target_outage, policy, chase, contexts)
     uses = [channel_use(c, result.p_d) for c in contexts]
     # p_succ_first depends only on the BLER targets, shared by all nodes
     profile = build_profile(result.p_d, policy, chase, contexts[0])
@@ -155,6 +156,7 @@ def usage_at_reliability(
         ) / len(contexts)
     return UsageReport(
         bler_target=result.p_d,
+        achieved_outage=result.achieved_outage,
         channel_use_single=math.fsum(uses) / len(uses),
         total_usage=total,
         scheme=scheme,

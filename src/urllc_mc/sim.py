@@ -45,7 +45,6 @@ from numpy.random import Philox
 
 from .errors import DomainError, ValidationError
 from .outage import LinkBlerProfile
-from .solver import _validate_scheme
 
 # Layout of the random stream; any change to the draws bumps it.
 STREAM_VERSION = 2
@@ -64,14 +63,14 @@ class Numerology:
     """Mini-slot timing constants; durations are in TTIs unless noted.
 
     The default is a four-symbol mini-slot at 30 kHz subcarrier spacing
-    (TTI of 1/7 ms), HARQ round-trip of four TTIs and a feedback timeout
-    of three TTIs, which fits one retransmission in a 1 ms budget.
+    (TTI of 1/7 ms) and a HARQ round-trip of four TTIs, which fits one
+    retransmission in a 1 ms budget. A retransmission after a feedback
+    timeout is scheduled on the same HARQ round-trip as one after a NACK.
     """
 
     scs_khz: float = 30.0
     symbols_per_tti: int = 4
     harq_rtt_ttis: int = 4
-    timeout_ttis: int = 3
     t_up_ttis: float = 1.0
     t_tx_ttis: float = 1.0
     t_bp_initial_ttis: float = 0.0
@@ -79,7 +78,7 @@ class Numerology:
     def __post_init__(self) -> None:
         if not self.scs_khz > 0:
             raise ValidationError(f"scs_khz must be positive, got {self.scs_khz!r}")
-        for name in ("symbols_per_tti", "harq_rtt_ttis", "timeout_ttis"):
+        for name in ("symbols_per_tti", "harq_rtt_ttis"):
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 1):
                 raise ValidationError(f"{name} must be a positive integer, got {value!r}")
@@ -185,16 +184,6 @@ def _thresholds(profile: LinkBlerProfile) -> Tuple[int, int, int, int, int]:
     )
 
 
-def _check_profiles(profiles: Sequence[LinkBlerProfile]) -> None:
-    if len(profiles) < 1:
-        raise DomainError("at least one link profile is required")
-    for profile in profiles:
-        if profile.p_c > 0.0 and profile.p_d1 == 0.0:
-            raise DomainError(
-                "p_c > 0 with p_d1 = 0 leaves the combining probability undefined"
-            )
-
-
 def _run_batch(
     thresholds: Sequence[Tuple[int, int, int, int, int]],
     seed: int,
@@ -250,7 +239,8 @@ def simulate_run(
     ``trials``. The alignment mode draws nothing; it is kept for the
     latency estimate.
     """
-    _check_profiles(profiles)
+    if len(profiles) < 1:
+        raise DomainError("at least one link profile is required")
     if not (isinstance(trials, int) and trials >= 1):
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     if not (isinstance(seed, int) and seed >= 0):
@@ -347,19 +337,11 @@ def _latency_quantile(agg: SimAggregate, q: float) -> float:
             lo = mid
 
 
-def estimate(
-    metric: Metric,
-    scheme: str,
-    trials: int,
-    seed: int,
-    numerology: Numerology,
-    profiles: Sequence[LinkBlerProfile],
-    quantile: float = 0.99,
-    shared_frame_alignment: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    jobs: int = 1,
+def estimate_from_aggregate(
+    metric: Metric, agg: SimAggregate, quantile: float = 0.99
 ) -> MonteCarloEstimate:
-    """Monte Carlo estimate of one metric with a 95% half-width.
+    """Monte Carlo estimate of one metric with a 95% half-width, from the
+    tallies of a run.
 
     OUTAGE is a proportion (normal-approximation binomial interval).
     MEAN_USAGE is in multiples of one transmission's channel uses.
@@ -370,23 +352,6 @@ def estimate(
     interval is attached to it. With ``quantile=1`` it is the supremum of
     the support.
     """
-    _validate_scheme(scheme, len(profiles))
-    agg = simulate_run(
-        profiles,
-        numerology,
-        trials,
-        seed,
-        shared_frame_alignment=shared_frame_alignment,
-        batch_size=batch_size,
-        jobs=jobs,
-    )
-    return estimate_from_aggregate(metric, agg, quantile=quantile)
-
-
-def estimate_from_aggregate(
-    metric: Metric, agg: SimAggregate, quantile: float = 0.99
-) -> MonteCarloEstimate:
-    """Turn raw tallies into a point estimate with its interval."""
     n = agg.trials
     if metric is Metric.OUTAGE:
         mean = (n - agg.n_success) / n

@@ -14,8 +14,8 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError, SolverError, ValidationError
-from .fbl import FblContext, channel_use
-from .outage import ChaseCombiningSpec, ChaseModel, LinkBlerProfile, chase_bler, mc_outage
+from .fbl import FblContext
+from .outage import ChaseModel, LinkBlerProfile, chase_bler, mc_outage
 
 P_D_BRACKET = (1e-9, 0.4999)  # upper end stays inside the channel-use domain
 MAX_ITERATIONS = 200
@@ -63,32 +63,20 @@ class SolveResult:
 def build_profile(
     p_d: float,
     policy: BlerPolicy,
-    chase: ChaseCombiningSpec,
+    chase: ChaseModel,
     ctx: Optional[FblContext] = None,
 ) -> LinkBlerProfile:
     """Link profile at a candidate data BLER.
 
     BLER targets are held equal across the initial transmission and the
-    retransmission (the time between them is short). For the
-    FINITE_BLOCKLENGTH chase model the channel-use count is first
-    computed at p_d, then the combined-decode error at that count; the
-    explicit ``ctx`` takes precedence over the one carried by ``chase``.
+    retransmission (the time between them is short). ``ctx`` is the
+    link's own context, needed only by the FINITE_BLOCKLENGTH chase
+    model.
     """
     if not 0.0 < p_d < 1.0:
         raise DomainError(f"p_d must be in (0, 1), got {p_d!r}")
     p_m = policy.meta_bler(p_d)
-    if chase.model is ChaseModel.FINITE_BLOCKLENGTH:
-        eff_ctx = ctx if ctx is not None else chase.context
-        if eff_ctx is None:
-            raise ValidationError(
-                "FINITE_BLOCKLENGTH chase model requires an FblContext"
-            )
-        uses = channel_use(eff_ctx, p_d)
-        p_c = chase_bler(
-            ChaseCombiningSpec(chase.model, eff_ctx), p_d, channel_uses=uses
-        )
-    else:
-        p_c = chase_bler(chase, p_d)
+    p_c = chase_bler(chase, p_d, ctx)
     return LinkBlerProfile(p_m1=p_m, p_d1=p_d, p_m2=p_m, p_d2=p_d, p_c=p_c)
 
 
@@ -121,7 +109,7 @@ def outage_at(
     p_d: float,
     m: int,
     policy: BlerPolicy,
-    chase: ChaseCombiningSpec,
+    chase: ChaseModel,
     contexts: Sequence,
 ) -> float:
     """Forward outage over m links at a shared data BLER target."""
@@ -134,7 +122,7 @@ def solve_bler(
     m: int,
     target: float,
     policy: BlerPolicy,
-    chase: ChaseCombiningSpec,
+    chase: ChaseModel,
     ctx: ContextArg = None,
 ) -> SolveResult:
     """Data BLER target achieving the requested end-to-end outage.

@@ -18,7 +18,6 @@ import pytest
 from urllc_mc.cli import main
 from urllc_mc.fbl import FblContext, channel_use, db_to_linear, q_func, q_inv
 from urllc_mc.outage import (
-    ChaseCombiningSpec,
     ChaseModel,
     LinkBlerProfile,
     mc_outage,
@@ -39,7 +38,7 @@ from urllc_mc.sim import (
 )
 from urllc_mc.solver import BlerPolicy, PolicyKind, solve_bler
 
-ZERO = ChaseCombiningSpec(ChaseModel.ZERO)
+ZERO = ChaseModel.ZERO
 EQUAL = BlerPolicy(PolicyKind.EQUAL)
 CTX_10DB = FblContext(256, db_to_linear(10.0))
 

@@ -13,6 +13,9 @@ import numpy as np
 import pytest
 
 from urllc_mc.cli import main
+from urllc_mc.fbl import FblContext, db_to_linear
+from urllc_mc.outage import ChaseModel, chase_bler
+from urllc_mc.solver import BlerPolicy, solve_bler
 
 
 @pytest.fixture()
@@ -167,6 +170,11 @@ def test_sweep_m_solves_each_node_count(config_path, capsys):
     assert [r["m"] for r in rows] == ["1", "2", "3"]
     blers = [float(r["bler_target"]) for r in rows]
     assert blers[0] < blers[1] < blers[2]
+    ctx = FblContext(256, db_to_linear(10.0))
+    for m, row in enumerate(rows, start=1):
+        scheme = "SC" if m == 1 else "MC"
+        result = solve_bler(scheme, m, 1e-5, BlerPolicy(), ChaseModel.ZERO, ctx)
+        assert row["achieved_outage"] == f"{result.achieved_outage:.9g}"
 
 
 def test_sweep_sinr_usage_decreases(config_path, capsys):
@@ -213,13 +221,20 @@ def test_domain_error_exit_code(config_path, capsys):
 def test_outage_emits_one_row_per_node(config_path, capsys):
     code = main([
         "outage",
-        "--config", config_path(scheme="MC", m_nodes=2, sinr_db=[0, 10], p_d=0.1),
+        "--config", config_path(scheme="MC", m_nodes=2, sinr_db=[0, 10], p_d=0.1,
+                                chase="finite_blocklength"),
         "--format", "csv",
     ])
     assert code == 0
     rows = _rows(capsys.readouterr().out)
     assert [r["node"] for r in rows] == ["1", "2"]
     assert rows[0]["p_out_total"] == rows[1]["p_out_total"]
+    # each node's combined decode is sized from its own SINR
+    assert rows[0]["p_c"] != rows[1]["p_c"]
+    for row, sinr_db in zip(rows, (0.0, 10.0)):
+        ctx = FblContext(256, db_to_linear(sinr_db))
+        p_c = chase_bler(ChaseModel.FINITE_BLOCKLENGTH, 0.1, ctx)
+        assert row["p_c"] == f"{p_c:.9g}"
 
 
 def test_missing_config_file_exit_code(capsys):
@@ -231,6 +246,18 @@ def test_missing_config_file_exit_code(capsys):
 def test_missing_config_flag(capsys):
     code = main(["solve"])
     assert code == 3
+
+
+def test_subcommands_reject_flags_they_ignore(config_path, capsys):
+    # --jobs and --seed belong to simulate, --out to reproduce
+    for argv in (
+        ["outage", "--config", config_path(p_d=0.1), "--jobs", "2"],
+        ["solve", "--config", config_path(), "--seed", "3"],
+        ["reproduce", "--format", "csv"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def test_minimal_document_gets_defaults():
     assert cfg.payload_bits == 256
     assert cfg.metadata_bits == 128
     assert cfg.policy.kind is PolicyKind.EQUAL
-    assert cfg.chase.model is ChaseModel.ZERO
+    assert cfg.chase is ChaseModel.ZERO
     assert cfg.p_d is None
     assert cfg.trials == 100_000
     assert cfg.seed == 1234
@@ -87,11 +87,11 @@ def test_policy_parsing():
 
 def test_chase_parsing():
     cfg = parse_scenario(_doc(chase="product"))
-    assert cfg.chase.model is ChaseModel.PRODUCT
+    assert cfg.chase is ChaseModel.PRODUCT
     cfg = parse_scenario(_doc(chase="finite_blocklength"))
-    assert cfg.chase.model is ChaseModel.FINITE_BLOCKLENGTH
-    assert cfg.chase.context is not None
-    assert cfg.chase.context.payload_bits == 256
+    assert cfg.chase is ChaseModel.FINITE_BLOCKLENGTH
+    with pytest.raises(ValidationError, match="chase"):
+        parse_scenario(_doc(chase="ideal"))
 
 
 def test_trials_must_be_positive():
@@ -123,6 +123,12 @@ def test_numerology_overrides():
     assert cfg.numerology.symbols_per_tti == 7
     with pytest.raises(ValidationError, match="numerology"):
         parse_scenario(_doc(numerology={"scs": 30}))
+
+
+def test_numerology_timeout_ttis_rejected_by_name():
+    # the timeout path shares the HARQ round trip; there is no timeout knob
+    with pytest.raises(ValidationError, match="timeout_ttis"):
+        parse_scenario(_doc(numerology={"timeout_ttis": 3}))
 
 
 def test_contexts_built_from_sinrs():

@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urllc_mc.errors import DomainError, ValidationError
-from urllc_mc.fbl import FblContext
+from urllc_mc.fbl import FblContext, achieved_bler, channel_use
 from urllc_mc.outage import (
-    ChaseCombiningSpec,
     ChaseModel,
     LinkBlerProfile,
     chase_bler,
@@ -290,29 +289,26 @@ def test_mc_outage_empty_rejected():
 
 
 def test_chase_zero():
-    spec = ChaseCombiningSpec(ChaseModel.ZERO)
     for p in (0.0, 0.1, 0.9):
-        assert chase_bler(spec, p) == 0.0
+        assert chase_bler(ChaseModel.ZERO, p) == 0.0
 
 
 def test_chase_product():
-    spec = ChaseCombiningSpec(ChaseModel.PRODUCT)
-    assert chase_bler(spec, 0.1) == pytest.approx(0.01, abs=1e-15)
-    assert chase_bler(spec, 0.1, p_d2=0.2) == pytest.approx(0.02, abs=1e-15)
+    assert chase_bler(ChaseModel.PRODUCT, 0.1) == pytest.approx(0.01, abs=1e-15)
+    # the context plays no part outside the finite-blocklength model
+    ctx = FblContext(256, 10.0)
+    assert chase_bler(ChaseModel.PRODUCT, 0.1, ctx) == chase_bler(ChaseModel.PRODUCT, 0.1)
 
 
 def test_chase_finite_blocklength():
     ctx = FblContext(256, 10.0)
-    spec = ChaseCombiningSpec(ChaseModel.FINITE_BLOCKLENGTH, context=ctx)
     # doubling the SINR at the single-transmission channel-use count
-    # pushes the combined error probability far below the original
-    assert chase_bler(spec, 0.0328, channel_uses=80.88) < 1e-9
+    # (80.88 at this BLER) pushes the combined error far below the original
+    p_c = chase_bler(ChaseModel.FINITE_BLOCKLENGTH, 0.0328, ctx)
+    assert 0.0 < p_c < 1e-9
+    assert p_c == achieved_bler(FblContext(256, 20.0), channel_use(ctx, 0.0328))
 
 
-def test_chase_finite_blocklength_requires_context_and_uses():
+def test_chase_finite_blocklength_requires_context():
     with pytest.raises(ValidationError):
-        ChaseCombiningSpec(ChaseModel.FINITE_BLOCKLENGTH)
-    ctx = FblContext(256, 10.0)
-    spec = ChaseCombiningSpec(ChaseModel.FINITE_BLOCKLENGTH, context=ctx)
-    with pytest.raises(ValidationError):
-        chase_bler(spec, 0.0328)
+        chase_bler(ChaseModel.FINITE_BLOCKLENGTH, 0.0328)

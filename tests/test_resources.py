@@ -7,7 +7,7 @@ import pytest
 
 from urllc_mc.errors import DomainError
 from urllc_mc.fbl import FblContext, db_to_linear
-from urllc_mc.outage import ChaseCombiningSpec, ChaseModel, LinkBlerProfile
+from urllc_mc.outage import ChaseModel, LinkBlerProfile
 from urllc_mc.resources import (
     UsageDistribution,
     UsageReport,
@@ -19,7 +19,7 @@ from urllc_mc.resources import (
 )
 from urllc_mc.solver import BlerPolicy, PolicyKind
 
-ZERO = ChaseCombiningSpec(ChaseModel.ZERO)
+ZERO = ChaseModel.ZERO
 EQUAL = BlerPolicy(PolicyKind.EQUAL)
 
 
@@ -194,6 +194,6 @@ def test_usage_at_reliability_savings_band():
 
 def test_usage_report_invariants():
     with pytest.raises(DomainError):
-        UsageReport(0.01, 100.0, 99.0, "SC", 1)
+        UsageReport(0.01, 1e-5, 100.0, 99.0, "SC", 1)
     with pytest.raises(DomainError):
-        UsageReport(0.01, 100.0, 150.0, "MC", 2)
+        UsageReport(0.01, 1e-5, 100.0, 150.0, "MC", 2)

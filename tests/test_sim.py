@@ -19,7 +19,6 @@ from urllc_mc.resources import usage_distribution_mc, usage_mc
 from urllc_mc.sim import (
     Metric,
     Numerology,
-    estimate,
     estimate_from_aggregate,
     _threshold,
     latency_budget_check,
@@ -229,9 +228,8 @@ def test_latency_bands_default_numerology():
 
 def test_latency_quantile_forced_retransmission():
     profile = LinkBlerProfile(0, 1, 0, 0, 0)  # every trial retransmits
-    est = estimate(
-        Metric.LATENCY_QUANTILE, "SC", 10**5, 7, DEFAULT, [profile], quantile=1.0
-    )
+    agg = simulate_run([profile], DEFAULT, 10**5, seed=7)
+    est = estimate_from_aggregate(Metric.LATENCY_QUANTILE, agg, quantile=1.0)
     assert est.mean == 7.0  # the supremum, 7 TTIs = 1 ms
 
 
@@ -278,16 +276,15 @@ def test_peak_memory_does_not_grow_with_trials():
 
 
 def test_estimate_outage_trivial():
-    est = estimate(
-        Metric.OUTAGE, "SC", 1000, 5, DEFAULT, [LinkBlerProfile(0, 0, 0, 0, 0)]
-    )
+    agg = simulate_run([LinkBlerProfile(0, 0, 0, 0, 0)], DEFAULT, 1000, seed=5)
+    est = estimate_from_aggregate(Metric.OUTAGE, agg)
     assert est.mean == 0.0 and est.ci_half_width_95 == 0.0
     assert est.trials == 1000 and est.seed == 5
 
 
 def test_estimate_ci_formula():
     profile = LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
-    est = estimate(Metric.OUTAGE, "SC", 10**5, 6, DEFAULT, [profile])
+    est = estimate_from_aggregate(Metric.OUTAGE, simulate_run([profile], DEFAULT, 10**5, 6))
     expected_ci = 1.96 * math.sqrt(est.mean * (1 - est.mean) / est.trials)
     assert est.ci_half_width_95 == pytest.approx(expected_ci, rel=1e-12)
 
@@ -295,15 +292,12 @@ def test_estimate_ci_formula():
 def test_estimate_validations():
     profile = LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
     with pytest.raises(ValidationError):
-        estimate(Metric.OUTAGE, "SC", 0, 5, DEFAULT, [profile])
+        simulate_run([profile], DEFAULT, 0, 5)
     with pytest.raises(ValidationError):
-        estimate(Metric.OUTAGE, "SC", 10, -1, DEFAULT, [profile])
+        simulate_run([profile], DEFAULT, 10, -1)
+    agg = simulate_run([profile], DEFAULT, 10, 5)
     with pytest.raises(ValidationError):
-        estimate(Metric.OUTAGE, "SC", 10, 5, DEFAULT, [profile] * 2)
-    with pytest.raises(ValidationError):
-        estimate(
-            Metric.LATENCY_QUANTILE, "SC", 10, 5, DEFAULT, [profile], quantile=0.0
-        )
+        estimate_from_aggregate(Metric.LATENCY_QUANTILE, agg, quantile=0.0)
 
 
 def test_batch_size_invariance():
@@ -334,8 +328,10 @@ def test_thread_count_invariance():
 
 def test_estimate_repeatable_bit_exact():
     profile = LinkBlerProfile(0.05, 0.15, 0.05, 0.15, 0.02)
-    a = estimate(Metric.OUTAGE, "SC", 10**5, 2024, DEFAULT, [profile])
-    b = estimate(Metric.OUTAGE, "SC", 10**5, 2024, DEFAULT, [profile])
+    a, b = (
+        estimate_from_aggregate(Metric.OUTAGE, simulate_run([profile], DEFAULT, 10**5, 2024))
+        for _ in range(2)
+    )
     assert a == b
 
 

@@ -14,8 +14,8 @@ import urllc_mc.solver as solver_mod
 from urllc_mc.errors import DomainError, SolverError, ValidationError
 from urllc_mc.fbl import FblContext
 from urllc_mc.outage import (
-    ChaseCombiningSpec,
     ChaseModel,
+    chase_bler,
     LinkBlerProfile,
     mc_outage,
     sc_outage,
@@ -27,7 +27,7 @@ from urllc_mc.solver import (
     solve_bler,
 )
 
-ZERO = ChaseCombiningSpec(ChaseModel.ZERO)
+ZERO = ChaseModel.ZERO
 EQUAL = BlerPolicy(PolicyKind.EQUAL)
 
 # real roots of 3p^2 - 2p^3 = t in (0, 0.5), computed at 50 digits
@@ -62,20 +62,24 @@ def test_build_profile_half_policy():
 
 def test_build_profile_fixed_meta_product_chase():
     policy = BlerPolicy(PolicyKind.FIXED_META, fixed_meta=0.01)
-    profile = build_profile(0.1, policy, ChaseCombiningSpec(ChaseModel.PRODUCT))
+    profile = build_profile(0.1, policy, ChaseModel.PRODUCT)
     assert profile.p_m1 == 0.01
     assert profile.p_c == pytest.approx(0.01, abs=1e-15)  # p_d^2
 
 
 def test_build_profile_finite_blocklength_chase():
+    fbl = ChaseModel.FINITE_BLOCKLENGTH
     ctx = FblContext(256, 10.0)
-    spec = ChaseCombiningSpec(ChaseModel.FINITE_BLOCKLENGTH, context=ctx)
-    profile = build_profile(0.0328, EQUAL, spec)
+    profile = build_profile(0.0328, EQUAL, fbl, ctx)
     assert 0.0 < profile.p_c < 1e-9
-    # explicit per-node context wins over the one the chase model carries
-    profile2 = build_profile(0.0328, EQUAL, spec, ctx=FblContext(256, 1.0))
+    assert profile.p_c == chase_bler(fbl, 0.0328, ctx)
+    # each link's p_c follows its own context
+    profile2 = build_profile(0.0328, EQUAL, fbl, ctx=FblContext(256, 1.0))
     assert profile2.p_c != profile.p_c
     assert 0.0 < profile2.p_c < 1e-9
+    # the model cannot size the combined decode without a context
+    with pytest.raises(ValidationError):
+        build_profile(0.0328, EQUAL, fbl)
 
 
 def test_build_profile_domain():
@@ -146,9 +150,9 @@ def test_solve_mc_allows_looser_bler_than_sc():
 
 def test_solve_with_finite_blocklength_chase():
     ctx = FblContext(256, 10.0)
-    spec = ChaseCombiningSpec(ChaseModel.FINITE_BLOCKLENGTH, context=ctx)
-    res = solve_bler("SC", 1, 1e-5, EQUAL, spec, ctx=ctx)
-    profile = build_profile(res.p_d, EQUAL, spec, ctx=ctx)
+    fbl = ChaseModel.FINITE_BLOCKLENGTH
+    res = solve_bler("SC", 1, 1e-5, EQUAL, fbl, ctx=ctx)
+    profile = build_profile(res.p_d, EQUAL, fbl, ctx=ctx)
     assert sc_outage(profile).p_out == pytest.approx(1e-5, rel=1e-3)
 
 
