@@ -88,8 +88,7 @@ def cmd_outage(cfg: ScenarioConfig) -> Rows:
 def cmd_solve(cfg: ScenarioConfig) -> Rows:
     """BLER target achieving the configured outage target."""
     result = solve_bler(
-        cfg.scheme, cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase,
-        cfg.contexts(),
+        cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase, cfg.contexts()
     )
     header = ["scheme", "m", "target_outage", "p_d", "p_m", "achieved_outage",
               "iterations"]
@@ -101,27 +100,26 @@ def cmd_solve(cfg: ScenarioConfig) -> Rows:
 def cmd_resource(cfg: ScenarioConfig) -> Rows:
     """Channel use and total expected usage at the outage target."""
     report = usage_at_reliability(
-        cfg.scheme, cfg.m_nodes, cfg.target_outage, cfg.contexts(), cfg.policy,
-        cfg.chase,
+        cfg.m_nodes, cfg.target_outage, cfg.contexts(), cfg.policy, cfg.chase,
         metadata_bits=cfg.metadata_bits if cfg.report_metadata_use else None,
     )
     header = ["scheme", "m", "bler_target", "channel_use", "total_usage",
               "metadata_channel_use"]
-    rows = [[report.scheme, report.m_nodes, report.bler_target,
+    rows = [[cfg.scheme, report.m_nodes, report.bler_target,
              report.channel_use_single, report.total_usage,
              report.metadata_channel_use]]
     return header, rows
 
 
 def _simulation_profiles(cfg: ScenarioConfig):
+    contexts = cfg.contexts()
     if cfg.p_d is not None:
         p_d = cfg.p_d
     else:
         p_d = solve_bler(
-            cfg.scheme, cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase,
-            cfg.contexts(),
+            cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase, contexts
         ).p_d
-    return [build_profile(p_d, cfg.policy, cfg.chase, c) for c in cfg.contexts()]
+    return [build_profile(p_d, cfg.policy, cfg.chase, c) for c in contexts]
 
 
 def cmd_simulate(cfg: ScenarioConfig, jobs: int = 1) -> Rows:
@@ -164,18 +162,17 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
     """Evaluate the scenario along one swept variable."""
     if sweep.variable is SweepVariable.P_D:
         header = ["p_d", "scheme", "m", "policy", "outage", "normalized_usage"]
+        contexts = cfg.contexts()
         rows = []
         for value in _sweep_grid(sweep):
             p_d = float(value)
             if not 0.0 < p_d < 1.0:
                 raise ValidationError(f"p_d sweep value {p_d!r} outside (0, 1)")
-            profiles = [
-                build_profile(p_d, cfg.policy, cfg.chase, c) for c in cfg.contexts()
-            ]
+            profiles = [build_profile(p_d, cfg.policy, cfg.chase, c) for c in contexts]
             rows.append([
                 p_d, cfg.scheme, cfg.m_nodes, _policy_label(cfg.policy),
                 mc_outage(profiles),
-                normalized_usage(cfg.scheme, cfg.m_nodes, profiles[0]),
+                normalized_usage(cfg.m_nodes, profiles[0]),
             ])
         return header, rows
 
@@ -187,7 +184,7 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
             sinr_db = float(value)
             ctx = FblContext(cfg.payload_bits, db_to_linear(sinr_db))
             report = usage_at_reliability(
-                cfg.scheme, cfg.m_nodes, cfg.target_outage, ctx, cfg.policy,
+                cfg.m_nodes, cfg.target_outage, [ctx] * cfg.m_nodes, cfg.policy,
                 cfg.chase,
             )
             rows.append([
@@ -196,9 +193,15 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
             ])
         return header, rows
 
-    # node-count sweep: integer grid, linear scale only
+    # node-count sweep: integer grid, linear scale only, one SINR for all nodes
     if sweep.scale is not SweepScale.LINEAR:
         raise ValidationError("m sweep supports only the linear scale")
+    if len(set(cfg.sinr_db_per_node)) > 1:
+        raise ValidationError(
+            "sinr_db: the m sweep needs one SINR for every node, got "
+            f"{list(cfg.sinr_db_per_node)!r}"
+        )
+    ctx = cfg.contexts()[0]
     header = ["m", "scheme", "bler_target", "achieved_outage", "channel_use",
               "total_usage"]
     ms: List[int] = []
@@ -208,13 +211,11 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
             ms.append(m)
     rows = []
     for m in ms:
-        scheme = "SC" if m == 1 else "MC"
-        ctx = FblContext(cfg.payload_bits, db_to_linear(cfg.sinr_db_per_node[0]))
         report = usage_at_reliability(
-            scheme, m, cfg.target_outage, ctx, cfg.policy, cfg.chase
+            m, cfg.target_outage, [ctx] * m, cfg.policy, cfg.chase
         )
         rows.append([
-            m, scheme, report.bler_target, report.achieved_outage,
+            m, "SC" if m == 1 else "MC", report.bler_target, report.achieved_outage,
             report.channel_use_single, report.total_usage,
         ])
     return header, rows
@@ -236,7 +237,7 @@ def _reproduce_table2() -> Rows:
     chase = ChaseModel.ZERO
     rows = []
     for scheme, m in (("SC", 1), ("MC", 2)):
-        report = usage_at_reliability(scheme, m, _REPRO_TARGET, ctx, policy, chase)
+        report = usage_at_reliability(m, _REPRO_TARGET, [ctx] * m, policy, chase)
         quoted = _REPRO_USAGE_QUOTED[scheme]
         # the quoted duplicated-scheme usage is not reproducible from the
         # expected-usage formula; flag it instead of guessing
@@ -272,7 +273,7 @@ def _reproduce_fig4() -> Rows:
     for scheme, m in (("SC", 1), ("MC", 2)):
         rows.append([
             scheme, m, profile.p_m1, profile.p_d1, mc_outage([profile] * m),
-            normalized_usage(scheme, m, profile),
+            normalized_usage(m, profile),
         ])
     return header, rows
 
@@ -285,8 +286,8 @@ def _reproduce_fig5() -> Rows:
     rows = []
     for sinr_db in (0.0, 10.0):
         ctx = FblContext(_REPRO_PAYLOAD_BITS, db_to_linear(sinr_db))
-        sc = usage_at_reliability("SC", 1, _REPRO_TARGET, ctx, policy, chase)
-        mc = usage_at_reliability("MC", 2, _REPRO_TARGET, ctx, policy, chase)
+        sc = usage_at_reliability(1, _REPRO_TARGET, [ctx], policy, chase)
+        mc = usage_at_reliability(2, _REPRO_TARGET, [ctx] * 2, policy, chase)
         rows.append([
             sinr_db, sc.bler_target, sc.channel_use_single, sc.total_usage,
             mc.bler_target, mc.channel_use_single, mc.total_usage,

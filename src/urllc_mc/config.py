@@ -7,6 +7,7 @@ defaults. A single ``sinr_db`` number broadcasts to all nodes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
@@ -119,6 +120,11 @@ def _get_number(doc, key, default=None, required=False):
         key,
         f"must be a number, got {value!r}",
     )
+    _require(
+        not isinstance(value, float) or math.isfinite(value),
+        key,
+        f"must be finite, got {value!r}",
+    )
     return value
 
 
@@ -215,6 +221,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
             f"must be a number or list of numbers, got {sinr_raw!r}",
         )
         sinrs = (float(sinr_raw),) * m_nodes
+    _require(
+        all(math.isfinite(s) for s in sinrs), "sinr_db", f"must be finite, got {sinr_raw!r}"
+    )
 
     target = _get_number(doc, "target_outage", required=True)
     _require(0.0 < target < 1.0, "target_outage", f"must be in (0, 1), got {target!r}")

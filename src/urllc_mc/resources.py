@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError, ValidationError
 from .fbl import FblContext, channel_use
 from .outage import ChaseModel, LinkBlerProfile, succ_first
-from .solver import (
-    BlerPolicy,
-    ContextArg,
-    _node_contexts,
-    _validate_scheme,
-    build_profile,
-    solve_bler,
-)
+from .solver import BlerPolicy, solve_bler
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,6 @@ class UsageReport:
     achieved_outage: float
     channel_use_single: float
     total_usage: float
-    scheme: str
     m_nodes: int
     metadata_channel_use: Optional[float] = None
 
@@ -108,19 +100,16 @@ def usage_distribution_mc(m: int, r: float, p_succ_first: float) -> UsageDistrib
     return UsageDistribution(support)
 
 
-def normalized_usage(scheme: str, m: int, profile: LinkBlerProfile) -> float:
-    """Expected usage in multiples of one transmission's resources."""
-    _validate_scheme(scheme, m)
-    if scheme == "SC":
-        m = 1
+def normalized_usage(m: int, profile: LinkBlerProfile) -> float:
+    """Expected usage over m links in multiples of one transmission's
+    resources."""
     return usage_mc(m, 1.0, succ_first(profile))
 
 
 def usage_at_reliability(
-    scheme: str,
     m: int,
     target_outage: float,
-    ctx: ContextArg,
+    contexts: Sequence[FblContext],
     policy: BlerPolicy,
     chase: ChaseModel,
     metadata_bits: Optional[int] = None,
@@ -129,24 +118,16 @@ def usage_at_reliability(
 
     Pipeline: solve the per-transmission BLER target, size the
     transmission via the finite-blocklength channel use at that BLER,
-    then account for expected retransmissions. Per-node SINRs may
-    differ; usage is then summed node-wise.
+    then account for expected retransmissions. ``contexts`` holds one
+    context per link; per-node SINRs may differ, and usage is then
+    summed node-wise.
     """
-    _validate_scheme(scheme, m)
-    if scheme == "SC":
-        m = 1
-    if not 0.0 < target_outage < 0.25:
-        raise DomainError(
-            f"target outage must be in (0, 0.25), got {target_outage!r}"
-        )
-    if ctx is None:
-        raise ValidationError("usage_at_reliability requires an FblContext")
-    contexts = _node_contexts(ctx, m)
-    result = solve_bler(scheme, m, target_outage, policy, chase, contexts)
+    if contexts is None:
+        raise ValidationError("usage_at_reliability requires one FblContext per link")
+    result = solve_bler(m, target_outage, policy, chase, contexts)
     uses = [channel_use(c, result.p_d) for c in contexts]
-    # p_succ_first depends only on the BLER targets, shared by all nodes
-    profile = build_profile(result.p_d, policy, chase, contexts[0])
-    p1 = succ_first(profile)
+    # first-try success depends only on the BLER targets, shared by all nodes
+    p1 = (1.0 - result.p_m) * (1.0 - result.p_d)
     total = (2.0 - p1) * math.fsum(uses)
     meta_use = None
     if metadata_bits is not None:
@@ -159,7 +140,6 @@ def usage_at_reliability(
         achieved_outage=result.achieved_outage,
         channel_use_single=math.fsum(uses) / len(uses),
         total_usage=total,
-        scheme=scheme,
         m_nodes=m,
         metadata_channel_use=meta_use,
     )

@@ -76,6 +76,10 @@ class Numerology:
     t_bp_initial_ttis: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if not self.scs_khz > 0:
             raise ValidationError(f"scs_khz must be positive, got {self.scs_khz!r}")
         for name in ("symbols_per_tti", "harq_rtt_ttis"):
@@ -123,8 +127,6 @@ def latency_budget_check(numerology: Numerology, budget_ms: float) -> tuple[floa
 class MonteCarloEstimate:
     mean: float
     ci_half_width_95: float
-    trials: int
-    seed: int
 
 
 class Metric(Enum):
@@ -356,7 +358,7 @@ def estimate_from_aggregate(
     if metric is Metric.OUTAGE:
         mean = (n - agg.n_success) / n
         ci = 1.96 * math.sqrt(mean * (1.0 - mean) / n)
-        return MonteCarloEstimate(mean, ci, n, agg.seed)
+        return MonteCarloEstimate(mean, ci)
     if metric is Metric.MEAN_USAGE:
         values = agg.m_nodes + np.arange(agg.m_nodes + 1)
         counts = agg.usage_extra_counts
@@ -364,9 +366,9 @@ def estimate_from_aggregate(
         total_sq = int(np.sum(values * values * counts))
         mean = total / n
         var = max(0.0, total_sq / n - mean * mean)
-        return MonteCarloEstimate(mean, 1.96 * math.sqrt(var / n), n, agg.seed)
+        return MonteCarloEstimate(mean, 1.96 * math.sqrt(var / n))
     if metric is Metric.LATENCY_QUANTILE:
         if not 0.0 < quantile <= 1.0:
             raise ValidationError(f"quantile must be in (0, 1], got {quantile!r}")
-        return MonteCarloEstimate(_latency_quantile(agg, quantile), 0.0, n, agg.seed)
+        return MonteCarloEstimate(_latency_quantile(agg, quantile), 0.0)
     raise ValidationError(f"unknown metric {metric!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import DomainError, SolverError, ValidationError
 from .fbl import FblContext
@@ -80,68 +80,46 @@ def build_profile(
     return LinkBlerProfile(p_m1=p_m, p_d1=p_d, p_m2=p_m, p_d2=p_d, p_c=p_c)
 
 
-ContextArg = Union[FblContext, Sequence[FblContext], None]
-
-
-def _node_contexts(ctx: ContextArg, m: int) -> list:
-    if ctx is None or isinstance(ctx, FblContext):
-        return [ctx] * m
-    contexts = list(ctx)
-    if len(contexts) == 1:
-        return contexts * m
-    if len(contexts) != m:
-        raise ValidationError(
-            f"expected 1 or {m} per-node contexts, got {len(contexts)}"
-        )
-    return contexts
-
-
-def _validate_scheme(scheme: str, m: int) -> None:
-    if scheme not in ("SC", "MC"):
-        raise ValidationError(f"scheme must be 'SC' or 'MC', got {scheme!r}")
-    if not (isinstance(m, int) and m >= 1):
-        raise ValidationError(f"m must be a positive integer, got {m!r}")
-    if scheme == "SC" and m != 1:
-        raise ValidationError("SC carries a single link (m must be 1)")
-
-
 def outage_at(
     p_d: float,
-    m: int,
     policy: BlerPolicy,
     chase: ChaseModel,
-    contexts: Sequence,
+    contexts: Sequence[Optional[FblContext]],
 ) -> float:
-    """Forward outage over m links at a shared data BLER target."""
+    """Forward outage over one link per context at a shared data BLER target."""
     profiles = [build_profile(p_d, policy, chase, c) for c in contexts]
     return mc_outage(profiles)
 
 
 def solve_bler(
-    scheme: str,
     m: int,
     target: float,
     policy: BlerPolicy,
     chase: ChaseModel,
-    ctx: ContextArg = None,
+    contexts: Optional[Sequence[Optional[FblContext]]] = None,
 ) -> SolveResult:
-    """Data BLER target achieving the requested end-to-end outage.
+    """Data BLER target achieving the requested end-to-end outage over m
+    duplicating links (m = 1 is single connectivity).
+
+    ``contexts`` holds one context per link, or is None when the chase
+    model needs none.
 
     Bisection on log10(p_d) over the fixed bracket, to an absolute
     outage tolerance of 0.1% of the target (ample for three significant
     digits) within at most 200 iterations. Ties on an exact midpoint hit
     resolve toward the lower half.
     """
-    _validate_scheme(scheme, m)
-    if scheme == "SC":
-        m = 1
+    if not (isinstance(m, int) and m >= 1):
+        raise ValidationError(f"m must be a positive integer, got {m!r}")
+    contexts = [None] * m if contexts is None else list(contexts)
+    if len(contexts) != m:
+        raise ValidationError(f"expected {m} per-node contexts, got {len(contexts)}")
     if not 1e-12 < target < 0.25:
         raise DomainError(f"target outage must be in (1e-12, 0.25), got {target!r}")
-    contexts = _node_contexts(ctx, m)
 
     lo_p, hi_p = P_D_BRACKET
-    f_lo = outage_at(lo_p, m, policy, chase, contexts)
-    f_hi = outage_at(hi_p, m, policy, chase, contexts)
+    f_lo = outage_at(lo_p, policy, chase, contexts)
+    f_hi = outage_at(hi_p, policy, chase, contexts)
     if f_lo > f_hi:
         raise SolverError(
             f"NON_MONOTONE: outage at bracket ends is decreasing "
@@ -158,7 +136,7 @@ def solve_bler(
     for iteration in range(1, MAX_ITERATIONS + 1):
         mid_log = 0.5 * (lo_log + hi_log)
         p_d = 10.0**mid_log
-        f = outage_at(p_d, m, policy, chase, contexts)
+        f = outage_at(p_d, policy, chase, contexts)
         if abs(f - target) <= tol:
             return SolveResult(
                 p_d=p_d,

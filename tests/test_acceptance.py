@@ -56,7 +56,7 @@ def _within_binomial_ci(count: int, n: int, p: float) -> bool:
 
 def test_criterion_1_table_sc_row():
     t0 = time.perf_counter()
-    res = solve_bler("SC", 1, 1e-5, EQUAL, ZERO)
+    res = solve_bler(1, 1e-5, EQUAL, ZERO)
     r = channel_use(CTX_10DB, res.p_d)
     usage = usage_sc(r, (1.0 - res.p_m) * (1.0 - res.p_d))
     elapsed = time.perf_counter() - t0
@@ -70,7 +70,7 @@ def test_criterion_1_table_sc_row():
 
 def test_criterion_2_table_mc_row():
     t0 = time.perf_counter()
-    res = solve_bler("MC", 2, 1e-5, EQUAL, ZERO)
+    res = solve_bler(2, 1e-5, EQUAL, ZERO)
     r = channel_use(CTX_10DB, res.p_d)
     usage = usage_mc(2, r, (1.0 - res.p_m) * (1.0 - res.p_d))
     elapsed = time.perf_counter() - t0
@@ -112,8 +112,8 @@ def test_criterion_4_mc_product_law():
 
 def test_criterion_5_normalized_usage_points():
     profile = LinkBlerProfile(0.01, 0.1, 0.01, 0.1, 0.0)
-    sc = normalized_usage("SC", 1, profile)
-    mc = normalized_usage("MC", 2, profile)
+    sc = normalized_usage(1, profile)
+    mc = normalized_usage(2, profile)
     assert sc == pytest.approx(1.109, abs=0.001)
     assert mc == pytest.approx(2.218, abs=0.002)
     _report(5, f"normalized usage at 1%/10% BLERs: SC={sc:.3f}, MC={mc:.3f}")
@@ -124,8 +124,8 @@ def test_criterion_6_resource_savings_band():
     savings = {}
     for sinr_db in (0.0, 10.0):
         ctx = FblContext(256, db_to_linear(sinr_db))
-        res_sc = solve_bler("SC", 1, 1e-5, EQUAL, ZERO)
-        res_mc = solve_bler("MC", 2, 1e-5, EQUAL, ZERO)
+        res_sc = solve_bler(1, 1e-5, EQUAL, ZERO)
+        res_mc = solve_bler(2, 1e-5, EQUAL, ZERO)
         u_sc = usage_sc(
             channel_use(ctx, res_sc.p_d), (1 - res_sc.p_m) * (1 - res_sc.p_d)
         )

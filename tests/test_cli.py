@@ -64,6 +64,16 @@ def test_resource_reports_table_row(config_path, capsys):
     assert row["metadata_channel_use"] == ""
 
 
+def test_resource_prints_configured_scheme(config_path, capsys):
+    code = main([
+        "resource", "--config", config_path(scheme="MC", m_nodes=1),
+        "--format", "csv",
+    ])
+    assert code == 0
+    row = _rows(capsys.readouterr().out)[0]
+    assert (row["scheme"], row["m"]) == ("MC", "1")
+
+
 def test_resource_with_metadata_report(config_path, capsys):
     code = main([
         "resource", "--config", config_path(report_metadata_use=True),
@@ -172,9 +182,19 @@ def test_sweep_m_solves_each_node_count(config_path, capsys):
     assert blers[0] < blers[1] < blers[2]
     ctx = FblContext(256, db_to_linear(10.0))
     for m, row in enumerate(rows, start=1):
-        scheme = "SC" if m == 1 else "MC"
-        result = solve_bler(scheme, m, 1e-5, BlerPolicy(), ChaseModel.ZERO, ctx)
+        result = solve_bler(m, 1e-5, BlerPolicy(), ChaseModel.ZERO, [ctx] * m)
         assert row["achieved_outage"] == f"{result.achieved_outage:.9g}"
+
+
+def test_sweep_m_rejects_differing_node_sinrs(config_path, capsys):
+    code = main([
+        "sweep", "--config", config_path(scheme="MC", m_nodes=3, sinr_db=[0, 5, 10]),
+        "--variable", "m", "--start", "1", "--stop", "3", "--points", "3",
+    ])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "VALIDATION_ERROR" in captured.err and "sinr_db" in captured.err
 
 
 def test_sweep_sinr_usage_decreases(config_path, capsys):

@@ -14,6 +14,7 @@ from urllc_mc.config import (
 )
 from urllc_mc.errors import ParseError, ValidationError
 from urllc_mc.outage import ChaseModel
+from urllc_mc.sim import Numerology
 from urllc_mc.solver import PolicyKind
 
 
@@ -129,6 +130,27 @@ def test_numerology_timeout_ttis_rejected_by_name():
     # the timeout path shares the HARQ round trip; there is no timeout knob
     with pytest.raises(ValidationError, match="timeout_ttis"):
         parse_scenario(_doc(numerology={"timeout_ttis": 3}))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [({"numerology": {key: value}}, key)
+     for key in ("scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis")
+     for value in (NAN, INF)]
+    + [({"sinr_db": INF}, "sinr_db"),
+       ({"scheme": "MC", "sinr_db": [10, -INF]}, "sinr_db"),
+       ({"scheme": "MC", "sinr_db": [NAN]}, "sinr_db")],
+)
+def test_non_finite_numbers_rejected_by_name(overrides, field):
+    # json.loads accepts NaN and Infinity, which pass every range check
+    with pytest.raises(ValidationError, match=f"{field}: must be finite"):
+        parse_scenario(_doc(**overrides))
+    if "numerology" in overrides:
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            Numerology(**overrides["numerology"])
 
 
 def test_contexts_built_from_sinrs():

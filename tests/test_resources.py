@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from urllc_mc.errors import DomainError
+from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.fbl import FblContext, db_to_linear
 from urllc_mc.outage import ChaseModel, LinkBlerProfile
 from urllc_mc.resources import (
@@ -114,15 +114,15 @@ def test_distribution_validation():
 
 def test_normalized_usage_fig4_points():
     profile = LinkBlerProfile(0.01, 0.1, 0.01, 0.1, 0)
-    assert normalized_usage("SC", 1, profile) == pytest.approx(1.109, abs=1e-12)
-    assert normalized_usage("MC", 2, profile) == pytest.approx(2.218, abs=1e-12)
+    assert normalized_usage(1, profile) == pytest.approx(1.109, abs=1e-12)
+    assert normalized_usage(2, profile) == pytest.approx(2.218, abs=1e-12)
 
 
 def test_normalized_usage_perfect_link():
     perfect = LinkBlerProfile(0, 0, 0, 0, 0)
-    assert normalized_usage("SC", 1, perfect) == 1.0
+    assert normalized_usage(1, perfect) == 1.0
     for m in range(1, 5):
-        assert normalized_usage("MC", m, perfect) == float(m)
+        assert normalized_usage(m, perfect) == float(m)
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +131,17 @@ def test_normalized_usage_perfect_link():
 
 def test_usage_at_reliability_sc_table_row():
     ctx = FblContext(256, db_to_linear(10.0))
-    report = usage_at_reliability("SC", 1, 1e-5, ctx, EQUAL, ZERO)
+    report = usage_at_reliability(1, 1e-5, [ctx], EQUAL, ZERO)
     assert report.bler_target == pytest.approx(0.001826, abs=2e-5)
     assert report.channel_use_single == pytest.approx(85.14, abs=0.05)
     assert report.total_usage == pytest.approx(85.44, abs=0.10)
-    assert report.scheme == "SC" and report.m_nodes == 1
+    assert report.m_nodes == 1
     assert report.metadata_channel_use is None
 
 
 def test_usage_at_reliability_mc_table_row():
     ctx = FblContext(256, db_to_linear(10.0))
-    report = usage_at_reliability("MC", 2, 1e-5, ctx, EQUAL, ZERO)
+    report = usage_at_reliability(2, 1e-5, [ctx] * 2, EQUAL, ZERO)
     assert report.bler_target == pytest.approx(0.0328, abs=2e-4)
     assert report.channel_use_single == pytest.approx(80.88, abs=0.05)
     assert report.total_usage == pytest.approx(172.20, abs=0.10)
@@ -149,31 +149,34 @@ def test_usage_at_reliability_mc_table_row():
 
 def test_usage_at_reliability_in_domain_at_loose_target():
     ctx = FblContext(256, db_to_linear(10.0))
-    report = usage_at_reliability("SC", 1, 0.249, ctx, EQUAL, ZERO)
+    report = usage_at_reliability(1, 0.249, [ctx], EQUAL, ZERO)
     assert report.channel_use_single > ctx.payload_bits / ctx.capacity
 
 
 def test_usage_at_reliability_heterogeneous_nodes():
     contexts = [FblContext(256, db_to_linear(10.0)), FblContext(256, db_to_linear(0.0))]
-    report = usage_at_reliability("MC", 2, 1e-5, contexts, EQUAL, ZERO)
+    report = usage_at_reliability(2, 1e-5, contexts, EQUAL, ZERO)
     # same solved BLER as the homogeneous case (outage ignores SINR under
     # ideal link adaptation); usage sums the two per-node channel uses
-    r10 = usage_at_reliability(
-        "MC", 2, 1e-5, [contexts[0]] * 2, EQUAL, ZERO
-    )
-    r0 = usage_at_reliability("MC", 2, 1e-5, [contexts[1]] * 2, EQUAL, ZERO)
+    r10 = usage_at_reliability(2, 1e-5, [contexts[0]] * 2, EQUAL, ZERO)
+    r0 = usage_at_reliability(2, 1e-5, [contexts[1]] * 2, EQUAL, ZERO)
     assert report.bler_target == pytest.approx(r10.bler_target, rel=1e-12)
     assert report.total_usage == pytest.approx(
         (r10.total_usage + r0.total_usage) / 2, rel=1e-12
     )
 
 
+def test_usage_at_reliability_requires_contexts():
+    with pytest.raises(ValidationError):
+        usage_at_reliability(1, 1e-5, None, EQUAL, ZERO)
+
+
 def test_usage_at_reliability_metadata_reported_separately():
     ctx = FblContext(256, db_to_linear(10.0))
     with_meta = usage_at_reliability(
-        "SC", 1, 1e-5, ctx, EQUAL, ZERO, metadata_bits=128
+        1, 1e-5, [ctx], EQUAL, ZERO, metadata_bits=128
     )
-    without = usage_at_reliability("SC", 1, 1e-5, ctx, EQUAL, ZERO)
+    without = usage_at_reliability(1, 1e-5, [ctx], EQUAL, ZERO)
     assert with_meta.metadata_channel_use is not None
     assert with_meta.metadata_channel_use > 0
     # never folded into the headline usage
@@ -185,8 +188,8 @@ def test_usage_at_reliability_savings_band():
     # after the BLER relaxation: savings in [46%, 52%] at 0 and 10 dB
     for sinr_db in (0.0, 10.0):
         ctx = FblContext(256, db_to_linear(sinr_db))
-        sc = usage_at_reliability("SC", 1, 1e-5, ctx, EQUAL, ZERO)
-        mc = usage_at_reliability("MC", 2, 1e-5, ctx, EQUAL, ZERO)
+        sc = usage_at_reliability(1, 1e-5, [ctx], EQUAL, ZERO)
+        mc = usage_at_reliability(2, 1e-5, [ctx] * 2, EQUAL, ZERO)
         savings = 1.0 - sc.total_usage / mc.total_usage
         assert 0.46 <= savings <= 0.52
         assert 0.49 <= sc.total_usage / mc.total_usage <= 0.54
@@ -194,6 +197,6 @@ def test_usage_at_reliability_savings_band():
 
 def test_usage_report_invariants():
     with pytest.raises(DomainError):
-        UsageReport(0.01, 1e-5, 100.0, 99.0, "SC", 1)
+        UsageReport(0.01, 1e-5, 100.0, 99.0, 1)
     with pytest.raises(DomainError):
-        UsageReport(0.01, 1e-5, 100.0, 150.0, "MC", 2)
+        UsageReport(0.01, 1e-5, 100.0, 150.0, 2)

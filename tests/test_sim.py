@@ -279,13 +279,14 @@ def test_estimate_outage_trivial():
     agg = simulate_run([LinkBlerProfile(0, 0, 0, 0, 0)], DEFAULT, 1000, seed=5)
     est = estimate_from_aggregate(Metric.OUTAGE, agg)
     assert est.mean == 0.0 and est.ci_half_width_95 == 0.0
-    assert est.trials == 1000 and est.seed == 5
+    assert agg.trials == 1000 and agg.seed == 5
 
 
 def test_estimate_ci_formula():
     profile = LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
-    est = estimate_from_aggregate(Metric.OUTAGE, simulate_run([profile], DEFAULT, 10**5, 6))
-    expected_ci = 1.96 * math.sqrt(est.mean * (1 - est.mean) / est.trials)
+    agg = simulate_run([profile], DEFAULT, 10**5, 6)
+    est = estimate_from_aggregate(Metric.OUTAGE, agg)
+    expected_ci = 1.96 * math.sqrt(est.mean * (1 - est.mean) / agg.trials)
     assert est.ci_half_width_95 == pytest.approx(expected_ci, rel=1e-12)
 
 

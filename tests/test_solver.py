@@ -94,7 +94,7 @@ def test_build_profile_domain():
 
 
 def test_solve_sc_reference_target():
-    res = solve_bler("SC", 1, 1e-5, EQUAL, ZERO)
+    res = solve_bler(1, 1e-5, EQUAL, ZERO)
     assert res.p_d == pytest.approx(P_ROOT_1E5, rel=1e-3)
     assert res.p_d == pytest.approx(0.001826, abs=2e-5)  # 0.1826% +- 0.002pp
     assert res.p_m == res.p_d
@@ -103,7 +103,7 @@ def test_solve_sc_reference_target():
 
 
 def test_solve_mc_reference_target():
-    res = solve_bler("MC", 2, 1e-5, EQUAL, ZERO)
+    res = solve_bler(2, 1e-5, EQUAL, ZERO)
     assert res.p_d == pytest.approx(P_ROOT_SQRT_1E5, rel=1e-3)
     assert res.p_d == pytest.approx(0.0328, abs=2e-4)  # 3.28% +- 0.02pp
     assert abs(res.achieved_outage - 1e-5) <= 1e-3 * 1e-5
@@ -112,7 +112,7 @@ def test_solve_mc_reference_target():
 def test_solve_recovers_known_profile():
     p = 0.07
     target = mc_outage([LinkBlerProfile(p, p, p, p, 0)] * 2)
-    res = solve_bler("MC", 2, target, EQUAL, ZERO)
+    res = solve_bler(2, target, EQUAL, ZERO)
     assert res.p_d == pytest.approx(p, rel=1e-3)
 
 
@@ -120,7 +120,6 @@ def test_solve_roundtrip_random_cases():
     rng = np.random.default_rng(17)
     for _ in range(200):
         m = int(rng.integers(1, 4))
-        scheme = "SC" if m == 1 else "MC"
         policy = rng.choice(
             [
                 EQUAL,
@@ -130,7 +129,7 @@ def test_solve_roundtrip_random_cases():
         )
         target = float(10.0 ** rng.uniform(-8, -2))
         try:
-            res = solve_bler(scheme, m, target, policy, ZERO)
+            res = solve_bler(m, target, policy, ZERO)
         except SolverError:
             # fixed-meta floor can make very low targets unreachable
             assert policy.kind is PolicyKind.FIXED_META
@@ -142,16 +141,16 @@ def test_solve_roundtrip_random_cases():
 
 def test_solve_mc_allows_looser_bler_than_sc():
     for target in (1e-6, 1e-5, 1e-4):
-        sc = solve_bler("SC", 1, target, EQUAL, ZERO)
-        mc2 = solve_bler("MC", 2, target, EQUAL, ZERO)
-        mc3 = solve_bler("MC", 3, target, EQUAL, ZERO)
+        sc = solve_bler(1, target, EQUAL, ZERO)
+        mc2 = solve_bler(2, target, EQUAL, ZERO)
+        mc3 = solve_bler(3, target, EQUAL, ZERO)
         assert sc.p_d < mc2.p_d < mc3.p_d
 
 
 def test_solve_with_finite_blocklength_chase():
     ctx = FblContext(256, 10.0)
     fbl = ChaseModel.FINITE_BLOCKLENGTH
-    res = solve_bler("SC", 1, 1e-5, EQUAL, fbl, ctx=ctx)
+    res = solve_bler(1, 1e-5, EQUAL, fbl, [ctx])
     profile = build_profile(res.p_d, EQUAL, fbl, ctx=ctx)
     assert sc_outage(profile).p_out == pytest.approx(1e-5, rel=1e-3)
 
@@ -160,30 +159,31 @@ def test_solve_no_bracket_below_fixed_meta_floor():
     # with a fixed 1% metadata BLER the outage floor is p_m^2 = 1e-4
     policy = BlerPolicy(PolicyKind.FIXED_META, fixed_meta=0.01)
     with pytest.raises(SolverError, match="NO_BRACKET"):
-        solve_bler("SC", 1, 1e-5, policy, ZERO)
+        solve_bler(1, 1e-5, policy, ZERO)
 
 
 def test_solve_non_monotone_detected(monkeypatch):
-    def upside_down(p_d, m, policy, chase, contexts):
+    def upside_down(p_d, policy, chase, contexts):
         return 1e-3 / p_d  # decreasing in p_d
 
     monkeypatch.setattr(solver_mod, "outage_at", upside_down)
     with pytest.raises(SolverError, match="NON_MONOTONE"):
-        solver_mod.solve_bler("SC", 1, 1e-5, EQUAL, ZERO)
+        solver_mod.solve_bler(1, 1e-5, EQUAL, ZERO)
 
 
 def test_solve_validations():
-    with pytest.raises(ValidationError):
-        solve_bler("XX", 1, 1e-5, EQUAL, ZERO)
-    with pytest.raises(ValidationError):
-        solve_bler("SC", 2, 1e-5, EQUAL, ZERO)
+    with pytest.raises(ValidationError, match="positive integer"):
+        solve_bler(0, 1e-5, EQUAL, ZERO)
+    ctx = FblContext(256, 10.0)
+    with pytest.raises(ValidationError, match="expected 2 per-node contexts, got 3"):
+        solve_bler(2, 1e-5, EQUAL, ZERO, [ctx] * 3)
     with pytest.raises(DomainError):
-        solve_bler("SC", 1, 0.3, EQUAL, ZERO)
+        solve_bler(1, 0.3, EQUAL, ZERO)
     with pytest.raises(DomainError):
-        solve_bler("SC", 1, 1e-13, EQUAL, ZERO)
+        solve_bler(1, 1e-13, EQUAL, ZERO)
 
 
 def test_solve_deterministic():
-    a = solve_bler("MC", 2, 1e-5, EQUAL, ZERO)
-    b = solve_bler("MC", 2, 1e-5, EQUAL, ZERO)
+    a = solve_bler(2, 1e-5, EQUAL, ZERO)
+    b = solve_bler(2, 1e-5, EQUAL, ZERO)
     assert a == b
