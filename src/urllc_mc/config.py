@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
@@ -67,6 +68,9 @@ class SweepSpec:
     scale: SweepScale = SweepScale.LINEAR
 
     def __post_init__(self) -> None:
+        for name, value in (("start", self.start), ("stop", self.stop)):
+            if not math.isfinite(value):
+                raise ValidationError(f"sweep {name} must be finite, got {value!r}")
         if not self.start < self.stop:
             raise ValidationError(
                 f"sweep start must be below stop, got [{self.start!r}, {self.stop!r}]"
@@ -110,22 +114,26 @@ def _require(cond: bool, field_name: str, constraint: str):
         raise ValidationError(f"{field_name}: {constraint}")
 
 
+def _number(value, field_name: str) -> float:
+    """A JSON number as a finite float; NaN, infinities and integers too
+    large for a float are rejected by field name."""
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        field_name,
+        f"must be a number, got {value!r}",
+    )
+    # an exact comparison, so an int too large for a float fails too
+    _require(
+        abs(value) <= sys.float_info.max, field_name, f"must be finite, got {value!r}"
+    )
+    return float(value)
+
+
 def _get_number(doc, key, default=None, required=False):
     if key not in doc:
         _require(not required, key, "is required")
         return default
-    value = doc[key]
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        key,
-        f"must be a number, got {value!r}",
-    )
-    _require(
-        not isinstance(value, float) or math.isfinite(value),
-        key,
-        f"must be finite, got {value!r}",
-    )
-    return value
+    return _number(doc[key], key)
 
 
 def _get_int(doc, key, default=None, minimum=None, required=False):
@@ -138,6 +146,7 @@ def _get_int(doc, key, default=None, minimum=None, required=False):
         key,
         f"must be an integer, got {value!r}",
     )
+    _number(value, key)  # rejects an int too large for a float
     if minimum is not None:
         _require(value >= minimum, key, f"must be >= {minimum}, got {value!r}")
     return value
@@ -162,7 +171,7 @@ def _parse_numerology(doc) -> Numerology:
     kwargs = {}
     for key in ("scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis"):
         if key in sub:
-            kwargs[key] = float(_get_number(sub, key))
+            kwargs[key] = _get_number(sub, key)
     for key in ("symbols_per_tti", "harq_rtt_ttis"):
         if key in sub:
             kwargs[key] = _get_int(sub, key, minimum=1)
@@ -201,12 +210,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     _require("sinr_db" in doc, "sinr_db", "is required")
     sinr_raw = doc["sinr_db"]
     if isinstance(sinr_raw, list):
-        _require(
-            all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in sinr_raw),
-            "sinr_db_per_node",
-            "entries must be numbers",
-        )
-        sinrs = tuple(float(s) for s in sinr_raw)
+        sinrs = tuple(_number(s, "sinr_db") for s in sinr_raw)
         if len(sinrs) == 1:
             sinrs = sinrs * m_nodes
         _require(
@@ -215,15 +219,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             f"needs 1 or {m_nodes} entries, got {len(sinrs)}",
         )
     else:
-        _require(
-            isinstance(sinr_raw, (int, float)) and not isinstance(sinr_raw, bool),
-            "sinr_db",
-            f"must be a number or list of numbers, got {sinr_raw!r}",
-        )
-        sinrs = (float(sinr_raw),) * m_nodes
-    _require(
-        all(math.isfinite(s) for s in sinrs), "sinr_db", f"must be finite, got {sinr_raw!r}"
-    )
+        sinrs = (_number(sinr_raw, "sinr_db"),) * m_nodes
 
     target = _get_number(doc, "target_outage", required=True)
     _require(0.0 < target < 1.0, "target_outage", f"must be in (0, 1), got {target!r}")
@@ -242,7 +238,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     fixed_meta = _get_number(doc, "fixed_meta")
     if kind is PolicyKind.FIXED_META:
         _require(fixed_meta is not None, "fixed_meta", "is required for the fixed_meta policy")
-    policy = BlerPolicy(kind, float(fixed_meta) if fixed_meta is not None else None)
+    policy = BlerPolicy(kind, fixed_meta)
 
     chase_name = doc.get("chase", "zero")
     _require(isinstance(chase_name, str), "chase", "must be a string")
@@ -256,11 +252,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
     p_d = _get_number(doc, "p_d")
     if p_d is not None:
         _require(0.0 < p_d < 1.0, "p_d", f"must be in (0, 1), got {p_d!r}")
-        p_d = float(p_d)
 
     trials = _get_int(doc, "trials", default=100_000, minimum=1)
     seed = _get_int(doc, "seed", default=1234, minimum=0)
-    latency_quantile = float(_get_number(doc, "latency_quantile", default=0.99))
+    latency_quantile = _get_number(doc, "latency_quantile", default=0.99)
     _require(
         0.0 < latency_quantile <= 1.0,
         "latency_quantile",
@@ -271,7 +266,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         scheme=scheme,
         m_nodes=m_nodes,
         sinr_db_per_node=sinrs,
-        target_outage=float(target),
+        target_outage=target,
         payload_bits=payload_bits,
         metadata_bits=metadata_bits,
         policy=policy,

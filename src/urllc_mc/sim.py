@@ -35,6 +35,7 @@ intervals are meaningful, not at the 1e-5 operating points.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -78,7 +79,8 @@ class Numerology:
     def __post_init__(self) -> None:
         for name in ("scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            # an exact comparison, so an int too large for a float fails too
+            if not abs(value) <= sys.float_info.max:
                 raise ValidationError(f"{name} must be finite, got {value!r}")
         if not self.scs_khz > 0:
             raise ValidationError(f"scs_khz must be positive, got {self.scs_khz!r}")
@@ -245,8 +247,9 @@ def simulate_run(
         raise DomainError("at least one link profile is required")
     if not (isinstance(trials, int) and trials >= 1):
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
-    if not (isinstance(seed, int) and seed >= 0):
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not (isinstance(seed, int) and 0 <= seed < 2**128):
+        # the seed is the 128-bit Philox key
+        raise ValidationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if batch_size < 1 or jobs < 1:
         raise ValidationError("batch_size and jobs must be positive")
     m = len(profiles)

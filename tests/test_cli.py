@@ -8,10 +8,15 @@ through capsys. Exit codes: 0 ok, 2 parse, 3 validation, 4 solver,
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import urllc_mc
 from urllc_mc.cli import main
 from urllc_mc.fbl import FblContext, db_to_linear
 from urllc_mc.outage import ChaseModel, chase_bler
@@ -139,6 +144,21 @@ def test_simulate_deterministic_and_thread_invariant(config_path, capsys):
     assert first == second == threaded
 
 
+@pytest.mark.parametrize("via_flag", [False, True])
+def test_simulate_seed_bounded_by_philox_key(config_path, capsys, via_flag):
+    # the seed is the 128-bit Philox key
+    for seed, code in ((2**128 - 1, 0), (2**128, 3)):
+        if via_flag:
+            argv = ["simulate", "--config", config_path(p_d=0.1, trials=10),
+                    "--seed", str(seed)]
+        else:
+            argv = ["simulate", "--config", config_path(p_d=0.1, trials=10, seed=seed)]
+        assert main(argv) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "VALIDATION_ERROR" in err and "seed" in err
+
+
 def test_simulate_seed_override_changes_stream(config_path, capsys):
     path = config_path(p_d=0.05, trials=30000, seed=42)
     assert main(["simulate", "--config", path, "--format", "csv"]) == 0
@@ -195,6 +215,17 @@ def test_sweep_m_rejects_differing_node_sinrs(config_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "VALIDATION_ERROR" in captured.err and "sinr_db" in captured.err
+
+
+@pytest.mark.parametrize("variable", ["p_d", "sinr_db", "m"])
+def test_sweep_rejects_non_finite_bounds_by_name(config_path, capsys, variable):
+    for start, stop, name in (("1", "inf", "stop"), ("nan", "3", "start")):
+        code = main([
+            "sweep", "--config", config_path(), "--variable", variable,
+            "--start", start, "--stop", stop, "--points", "3",
+        ])
+        assert code == 3
+        assert f"VALIDATION_ERROR: sweep {name} must be finite" in capsys.readouterr().err
 
 
 def test_sweep_sinr_usage_decreases(config_path, capsys):
@@ -257,6 +288,13 @@ def test_outage_emits_one_row_per_node(config_path, capsys):
         assert row["p_c"] == f"{p_c:.9g}"
 
 
+def test_integer_beyond_float_range_exit_code(config_path, capsys):
+    code = main(["solve", "--config", config_path(sinr_db=10**400)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "VALIDATION_ERROR: sinr_db: must be finite" in err
+
+
 def test_missing_config_file_exit_code(capsys):
     code = main(["solve", "--config", "/nonexistent/path.json"])
     assert code == 6
@@ -278,6 +316,19 @@ def test_subcommands_reject_flags_they_ignore(config_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # the Q-function pair comes from the standard library; only the
+    # benchmark's independent oracle imports scipy
+    src = Path(urllc_mc.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = ("import sys, urllc_mc.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

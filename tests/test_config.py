@@ -133,6 +133,7 @@ def test_numerology_timeout_ttis_rejected_by_name():
 
 
 NAN, INF = float("nan"), float("inf")
+HUGE = 10**400  # a JSON integer beyond the float range
 
 
 @pytest.mark.parametrize(
@@ -142,10 +143,18 @@ NAN, INF = float("nan"), float("inf")
      for value in (NAN, INF)]
     + [({"sinr_db": INF}, "sinr_db"),
        ({"scheme": "MC", "sinr_db": [10, -INF]}, "sinr_db"),
-       ({"scheme": "MC", "sinr_db": [NAN]}, "sinr_db")],
+       ({"scheme": "MC", "sinr_db": [NAN]}, "sinr_db")]
+    + [({"sinr_db": HUGE}, "sinr_db"),
+       ({"sinr_db": -HUGE}, "sinr_db"),
+       ({"scheme": "MC", "sinr_db": [10, HUGE]}, "sinr_db"),
+       ({"numerology": {"t_up_ttis": HUGE}}, "t_up_ttis"),
+       ({"latency_quantile": HUGE}, "latency_quantile"),
+       ({"policy": "fixed_meta", "fixed_meta": HUGE}, "fixed_meta"),
+       ({"payload_bits": HUGE}, "payload_bits")],
 )
 def test_non_finite_numbers_rejected_by_name(overrides, field):
-    # json.loads accepts NaN and Infinity, which pass every range check
+    # json.loads accepts NaN, Infinity and integers too large for a float,
+    # which pass every range check
     with pytest.raises(ValidationError, match=f"{field}: must be finite"):
         parse_scenario(_doc(**overrides))
     if "numerology" in overrides:

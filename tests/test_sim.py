@@ -296,6 +296,10 @@ def test_estimate_validations():
         simulate_run([profile], DEFAULT, 0, 5)
     with pytest.raises(ValidationError):
         simulate_run([profile], DEFAULT, 10, -1)
+    # the seed is the 128-bit Philox key
+    with pytest.raises(ValidationError, match="seed"):
+        simulate_run([profile], DEFAULT, 10, 2**128)
+    assert simulate_run([profile], DEFAULT, 10, 2**128 - 1).seed == 2**128 - 1
     agg = simulate_run([profile], DEFAULT, 10, 5)
     with pytest.raises(ValidationError):
         estimate_from_aggregate(Metric.LATENCY_QUANTILE, agg, quantile=0.0)
