@@ -52,13 +52,11 @@ from .solver import (
     solve_bler,
 )
 from .sim import (
-    Metric,
-    MonteCarloEstimate,
     Numerology,
     SimAggregate,
-    estimate_from_aggregate,
     latency_budget_check,
     latency_cdf,
+    latency_quantile,
     simulate_run,
     tti_duration_ms,
 )
@@ -72,8 +70,6 @@ __all__ = [
     "DomainError",
     "FblContext",
     "LinkBlerProfile",
-    "Metric",
-    "MonteCarloEstimate",
     "Numerology",
     "OutageBreakdown",
     "ParseError",
@@ -95,9 +91,9 @@ __all__ = [
     "channel_dispersion",
     "channel_use",
     "db_to_linear",
-    "estimate_from_aggregate",
     "latency_budget_check",
     "latency_cdf",
+    "latency_quantile",
     "linear_to_db",
     "mc_outage",
     "normalized_usage",

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import (
+    MAX_NODES,
     ScenarioConfig,
     SweepScale,
     SweepSpec,
@@ -33,7 +34,7 @@ from .errors import (
 from .fbl import FblContext, db_to_linear
 from .outage import ChaseModel, mc_outage, sc_outage
 from .resources import normalized_usage, usage_at_reliability
-from .sim import Metric, estimate_from_aggregate, simulate_run, tti_duration_ms
+from .sim import latency_quantile, simulate_run, tti_duration_ms
 from .solver import BlerPolicy, PolicyKind, build_profile, solve_bler
 
 Rows = Tuple[List[str], List[list]]
@@ -129,25 +130,18 @@ def cmd_simulate(cfg: ScenarioConfig, jobs: int = 1) -> Rows:
     BLER target.
     """
     profiles = _simulation_profiles(cfg)
-    agg = simulate_run(
-        profiles, cfg.numerology, cfg.trials, cfg.seed,
-        shared_frame_alignment=cfg.shared_frame_alignment, jobs=jobs,
+    agg = simulate_run(profiles, cfg.trials, cfg.seed, jobs=jobs)
+    latency = latency_quantile(
+        agg, cfg.numerology, cfg.latency_quantile, cfg.shared_frame_alignment
     )
-    outage = estimate_from_aggregate(Metric.OUTAGE, agg)
-    usage = estimate_from_aggregate(Metric.MEAN_USAGE, agg)
-    latency = estimate_from_aggregate(
-        Metric.LATENCY_QUANTILE, agg, quantile=cfg.latency_quantile
-    )
-    latency_ms = latency.mean * tti_duration_ms(cfg.numerology)
+    q = f"{cfg.latency_quantile:g}"
     header = ["metric", "value", "ci_half_width_95", "trials", "seed"]
     rows = [
-        ["outage", outage.mean, outage.ci_half_width_95, agg.trials, agg.seed],
-        ["mean_usage_multiples", usage.mean, usage.ci_half_width_95, agg.trials,
-         agg.seed],
-        [f"latency_ttis_q{cfg.latency_quantile:g}", latency.mean, latency.ci_half_width_95,
+        ["outage", *agg.outage(), agg.trials, agg.seed],
+        ["mean_usage_multiples", *agg.mean_usage(), agg.trials, agg.seed],
+        [f"latency_ttis_q{q}", latency, 0.0, agg.trials, agg.seed],
+        [f"latency_ms_q{q}", latency * tti_duration_ms(cfg.numerology), 0.0,
          agg.trials, agg.seed],
-        [f"latency_ms_q{cfg.latency_quantile:g}", latency_ms, 0.0, agg.trials,
-         agg.seed],
     ]
     return header, rows
 
@@ -182,7 +176,10 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
         rows = []
         for value in _sweep_grid(sweep):
             sinr_db = float(value)
-            ctx = FblContext(cfg.payload_bits, db_to_linear(sinr_db))
+            try:
+                ctx = FblContext(cfg.payload_bits, db_to_linear(sinr_db))
+            except DomainError as exc:
+                raise ValidationError(f"sinr_db sweep value {sinr_db!r}: {exc}") from None
             report = usage_at_reliability(
                 cfg.m_nodes, cfg.target_outage, [ctx] * cfg.m_nodes, cfg.policy,
                 cfg.chase,
@@ -193,7 +190,8 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
             ])
         return header, rows
 
-    # node-count sweep: integer grid, linear scale only, one SINR for all nodes
+    # node-count sweep: integer grid in [1, MAX_NODES], linear scale only,
+    # one SINR for all nodes
     if sweep.scale is not SweepScale.LINEAR:
         raise ValidationError("m sweep supports only the linear scale")
     if len(set(cfg.sinr_db_per_node)) > 1:
@@ -207,7 +205,9 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
     ms: List[int] = []
     for value in _sweep_grid(sweep):
         m = int(round(float(value)))
-        if m >= 1 and m not in ms:
+        if not 1 <= m <= MAX_NODES:
+            raise ValidationError(f"m sweep value {m} outside [1, {MAX_NODES}]")
+        if m not in ms:
             ms.append(m)
     rows = []
     for m in ms:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
-from .errors import ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .fbl import FblContext, db_to_linear
 from .outage import ChaseModel
 from .sim import Numerology
@@ -37,6 +37,14 @@ _TOP_KEYS = {
     "latency_quantile",
     "report_metadata_use",
 }
+
+# Most duplicating links a scenario or an m sweep may use. The paper
+# evaluates m <= 3 and the benchmark sweeps to 8; past about m = 40 the
+# solver cannot bracket even a 1e-12 outage target.
+MAX_NODES = 64
+
+# Most points of a sweep grid; the benchmark's p_d sweep uses 20,001.
+MAX_SWEEP_POINTS = 1_000_000
 
 _NUMEROLOGY_KEYS = {
     "scs_khz",
@@ -77,6 +85,10 @@ class SweepSpec:
             )
         if not (isinstance(self.points, int) and self.points >= 2):
             raise ValidationError(f"sweep needs at least 2 points, got {self.points!r}")
+        if self.points > MAX_SWEEP_POINTS:
+            raise ValidationError(
+                f"sweep points must be at most {MAX_SWEEP_POINTS}, got {self.points!r}"
+            )
         if self.scale is SweepScale.LOG10 and self.start <= 0:
             raise ValidationError("log-scale sweep requires start > 0")
 
@@ -190,6 +202,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
 
@@ -206,6 +220,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     _require(
         scheme == "MC" or m_nodes == 1, "m_nodes", "must be 1 for the SC scheme"
     )
+    _require(m_nodes <= MAX_NODES, "m_nodes", f"must be <= {MAX_NODES}, got {m_nodes!r}")
 
     _require("sinr_db" in doc, "sinr_db", "is required")
     sinr_raw = doc["sinr_db"]
@@ -262,7 +277,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         f"must be in (0, 1], got {latency_quantile!r}",
     )
 
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         scheme=scheme,
         m_nodes=m_nodes,
         sinr_db_per_node=sinrs,
@@ -279,6 +294,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         latency_quantile=latency_quantile,
         report_metadata_use=_get_bool(doc, "report_metadata_use", False),
     )
+    try:  # a finite SINR can still overflow or give a zero capacity
+        cfg.contexts()
+    except DomainError as exc:
+        raise ValidationError(f"sinr_db: {exc}") from None
+    return cfg
 
 
 def load_scenario(path: str) -> ScenarioConfig:

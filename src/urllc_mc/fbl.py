@@ -66,7 +66,10 @@ def channel_dispersion(sinr_linear: float) -> float:
 
 def db_to_linear(x_db: float) -> float:
     """Convert a dB power ratio to linear scale."""
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise DomainError(f"must be finite in linear scale, got {x_db!r} dB") from None
 
 
 def linear_to_db(x: float) -> float:
@@ -82,7 +85,8 @@ class FblContext:
 
     ``capacity`` and ``dispersion`` are always recomputed from
     ``sinr_linear``; they are stored so repeated evaluations do not pay
-    for the logs.
+    for the logs. A SINR so small that ``1 + sinr`` rounds to 1 gives a
+    zero capacity, which no channel use can reach, and is rejected.
     """
 
     payload_bits: int
@@ -95,7 +99,12 @@ class FblContext:
             raise DomainError(
                 f"payload_bits must be a positive integer, got {self.payload_bits!r}"
             )
-        object.__setattr__(self, "capacity", shannon_capacity(self.sinr_linear))
+        capacity = shannon_capacity(self.sinr_linear)
+        if capacity == 0.0:
+            raise DomainError(
+                f"capacity log2(1 + sinr) rounds to 0 at sinr_linear {self.sinr_linear!r}"
+            )
+        object.__setattr__(self, "capacity", capacity)
         object.__setattr__(self, "dispersion", channel_dispersion(self.sinr_linear))
 
 

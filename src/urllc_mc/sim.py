@@ -23,10 +23,12 @@ below the integer threshold floor(p * 2**32): p = 0 never fires, p = 1
 always does, and every other event probability is low by less than
 2**-32 (about 2.3e-10), below the solver's 1e-9 lower bracket.
 
-Frame alignment is uniform on [0, 1) TTI and moves only the latency, so
-it is not drawn: latency quantiles come from the exact latency
-distribution given the success mix, a conditional Monte Carlo
-(Rao-Blackwell) estimator (see ``latency_cdf``).
+Estimates read the tallies: ``SimAggregate.outage`` and ``mean_usage``
+directly, the latency functions together with the numerology and the
+frame-alignment mode. Frame alignment is uniform on [0, 1) TTI and moves
+only the latency, so it is not drawn: latency quantiles come from the
+exact latency distribution given the success mix, a conditional Monte
+Carlo (Rao-Blackwell) estimator (see ``latency_quantile``).
 
 Plain Monte Carlo only: validate at error rates where the binomial
 intervals are meaningful, not at the 1e-5 operating points.
@@ -38,7 +40,6 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -57,6 +58,9 @@ _WORDS_PER_BLOCK = 8
 # Small enough that a batch's draws (32 bytes per trial for every two
 # links) stay in a core's L2 cache for the usual m <= 3.
 DEFAULT_BATCH_SIZE = 1 << 14
+
+# Most worker threads a run may use; the pool submits every batch at once.
+MAX_JOBS = 64
 
 
 @dataclass(frozen=True)
@@ -126,20 +130,8 @@ def latency_budget_check(numerology: Numerology, budget_ms: float) -> tuple[floa
 
 
 @dataclass(frozen=True)
-class MonteCarloEstimate:
-    mean: float
-    ci_half_width_95: float
-
-
-class Metric(Enum):
-    OUTAGE = "outage"
-    MEAN_USAGE = "mean_usage"
-    LATENCY_QUANTILE = "latency_quantile"
-
-
-@dataclass(frozen=True)
 class SimAggregate:
-    """Integer tallies of a run and the inputs that shape its latency.
+    """Integer tallies of a run and their provenance.
 
     ``leaf_counts[n]`` are the per-link event-tree leaf tallies
     (first-try success, timeout-path success, NACK-path success, outage)
@@ -153,8 +145,6 @@ class SimAggregate:
     m_nodes: int
     leaf_counts: np.ndarray  # (m, 4) int64
     success_mix: np.ndarray  # (m + 1, m + 1) int64
-    numerology: Numerology
-    shared_frame_alignment: bool
     stream_version: int = STREAM_VERSION
 
     @property
@@ -171,6 +161,22 @@ class SimAggregate:
     def usage_multiples_sum(self) -> int:
         extras = int(np.sum(self.usage_extra_counts * np.arange(self.m_nodes + 1)))
         return self.m_nodes * self.trials + extras
+
+    def outage(self) -> Tuple[float, float]:
+        """Outage proportion and its 95% half-width (normal-approximation
+        binomial interval)."""
+        mean = (self.trials - self.n_success) / self.trials
+        return mean, 1.96 * math.sqrt(mean * (1.0 - mean) / self.trials)
+
+    def mean_usage(self) -> Tuple[float, float]:
+        """Mean usage in multiples of one transmission's channel uses, and
+        its 95% half-width."""
+        n = self.trials
+        mean = self.usage_multiples_sum() / n
+        values = self.m_nodes + np.arange(self.m_nodes + 1)
+        total_sq = int(np.sum(values * values * self.usage_extra_counts))
+        var = max(0.0, total_sq / n - mean * mean)
+        return mean, 1.96 * math.sqrt(var / n)
 
 
 def _threshold(p: float) -> int:
@@ -229,10 +235,8 @@ def _run_batch(
 
 def simulate_run(
     profiles: Sequence[LinkBlerProfile],
-    numerology: Numerology,
     trials: int,
     seed: int,
-    shared_frame_alignment: bool = True,
     batch_size: int = DEFAULT_BATCH_SIZE,
     jobs: int = 1,
 ) -> SimAggregate:
@@ -240,8 +244,7 @@ def simulate_run(
 
     Counts accumulate as integers, so the aggregate is identical for any
     ``batch_size``/``jobs`` split, and memory does not grow with
-    ``trials``. The alignment mode draws nothing; it is kept for the
-    latency estimate.
+    ``trials``.
     """
     if len(profiles) < 1:
         raise DomainError("at least one link profile is required")
@@ -252,6 +255,8 @@ def simulate_run(
         raise ValidationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if batch_size < 1 or jobs < 1:
         raise ValidationError("batch_size and jobs must be positive")
+    if jobs > MAX_JOBS:
+        raise ValidationError(f"jobs must be at most {MAX_JOBS}, got {jobs!r}")
     m = len(profiles)
     thresholds = [_thresholds(p) for p in profiles]
     starts = range(0, trials, batch_size)
@@ -268,13 +273,7 @@ def simulate_run(
             leaf_counts += batch_leaves
             mix += batch_mix
     return SimAggregate(
-        trials=trials,
-        seed=seed,
-        m_nodes=m,
-        leaf_counts=leaf_counts,
-        success_mix=mix,
-        numerology=numerology,
-        shared_frame_alignment=shared_frame_alignment,
+        trials=trials, seed=seed, m_nodes=m, leaf_counts=leaf_counts, success_mix=mix
     )
 
 
@@ -286,7 +285,9 @@ def _latency_offsets(numerology: Numerology) -> Tuple[float, float]:
     return first, retx
 
 
-def _latency_tail(agg: SimAggregate, x: float) -> float:
+def _latency_tail(
+    agg: SimAggregate, numerology: Numerology, x: float, shared_frame_alignment: bool
+) -> float:
     """Number of successful trials, in expectation over the frame
     alignment, whose latency exceeds ``x`` TTIs.
 
@@ -297,12 +298,12 @@ def _latency_tail(agg: SimAggregate, x: float) -> float:
     alignments P(L > x) = (1 - F(x - o1))^a (1 - F(x - o2))^b, where F is
     the uniform CDF.
     """
-    o1, o2 = _latency_offsets(agg.numerology)
+    o1, o2 = _latency_offsets(numerology)
     late1 = 1.0 - min(max(x - o1, 0.0), 1.0)
     late2 = 1.0 - min(max(x - o2, 0.0), 1.0)
     k = np.arange(agg.m_nodes + 1)
     a, b = k[:, None], k[None, :]
-    if agg.shared_frame_alignment:
+    if shared_frame_alignment:
         late = np.minimum(np.where(a > 0, late1, 1.0), np.where(b > 0, late2, 1.0))
     else:
         late = late1**a * late2**b
@@ -310,68 +311,40 @@ def _latency_tail(agg: SimAggregate, x: float) -> float:
     return float(np.sum(agg.success_mix * late))
 
 
-def latency_cdf(agg: SimAggregate, x: float) -> float:
+def latency_cdf(agg: SimAggregate, numerology: Numerology, x: float,
+                shared_frame_alignment: bool = True) -> float:
     """P(latency <= ``x`` TTIs | success), exact given the success mix.
 
     NaN when the run saw no success.
     """
     if agg.n_success == 0:
         return math.nan
-    return 1.0 - _latency_tail(agg, x) / agg.n_success
+    return 1.0 - _latency_tail(agg, numerology, x, shared_frame_alignment) / agg.n_success
 
 
-def _latency_quantile(agg: SimAggregate, q: float) -> float:
-    """Smallest x with ``latency_cdf(agg, x) >= q``, by bisection to
-    full double precision on the support [min offset, max offset + 1].
+def latency_quantile(agg: SimAggregate, numerology: Numerology, q: float,
+                     shared_frame_alignment: bool = True) -> float:
+    """Smallest x in TTIs with ``latency_cdf(...) >= q``; NaN when the run
+    saw no success.
 
-    Compares the tail with (1 - q), so q = 1 yields exactly the upper
-    end of the support.
+    The frame alignment is integrated out exactly, so the only sampling
+    error is that of the success mix, and no interval is attached.
+    Bisection runs to full double precision on the support
+    [min offset, max offset + 1] and compares the tail with (1 - q), so
+    q = 1 yields exactly the upper end of the support.
     """
+    if not 0.0 < q <= 1.0:
+        raise ValidationError(f"q must be in (0, 1], got {q!r}")
     if agg.n_success == 0:
         return math.nan
-    o1, o2 = _latency_offsets(agg.numerology)
+    o1, o2 = _latency_offsets(numerology)
     lo, hi = min(o1, o2), max(o1, o2) + 1.0
     allowed = (1.0 - q) * agg.n_success
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if _latency_tail(agg, mid) <= allowed:
+        if _latency_tail(agg, numerology, mid, shared_frame_alignment) <= allowed:
             hi = mid
         else:
             lo = mid
-
-
-def estimate_from_aggregate(
-    metric: Metric, agg: SimAggregate, quantile: float = 0.99
-) -> MonteCarloEstimate:
-    """Monte Carlo estimate of one metric with a 95% half-width, from the
-    tallies of a run.
-
-    OUTAGE is a proportion (normal-approximation binomial interval).
-    MEAN_USAGE is in multiples of one transmission's channel uses.
-    LATENCY_QUANTILE is the ``quantile`` of successful-trial latency in
-    TTIs, from the latency distribution given the tallied success mix
-    with the uniform frame alignment integrated out exactly (conditional
-    Monte Carlo); its only sampling error is that of the mix, and no
-    interval is attached to it. With ``quantile=1`` it is the supremum of
-    the support.
-    """
-    n = agg.trials
-    if metric is Metric.OUTAGE:
-        mean = (n - agg.n_success) / n
-        ci = 1.96 * math.sqrt(mean * (1.0 - mean) / n)
-        return MonteCarloEstimate(mean, ci)
-    if metric is Metric.MEAN_USAGE:
-        values = agg.m_nodes + np.arange(agg.m_nodes + 1)
-        counts = agg.usage_extra_counts
-        total = int(np.sum(values * counts))
-        total_sq = int(np.sum(values * values * counts))
-        mean = total / n
-        var = max(0.0, total_sq / n - mean * mean)
-        return MonteCarloEstimate(mean, 1.96 * math.sqrt(var / n))
-    if metric is Metric.LATENCY_QUANTILE:
-        if not 0.0 < quantile <= 1.0:
-            raise ValidationError(f"quantile must be in (0, 1], got {quantile!r}")
-        return MonteCarloEstimate(_latency_quantile(agg, quantile), 0.0)
-    raise ValidationError(f"unknown metric {metric!r}")

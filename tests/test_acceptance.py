@@ -163,7 +163,6 @@ def test_criterion_7_finite_blocklength_roundtrips():
 def test_criterion_8_monte_carlo_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(808)
-    numerology = Numerology()
     n = 10**6
     checks = 0
     for _ in range(20):
@@ -174,7 +173,7 @@ def test_criterion_8_monte_carlo_oracle():
         )
         bd = sc_outage(profile)
 
-        agg = simulate_run([profile], numerology, n, seed=int(rng.integers(1 << 30)))
+        agg = simulate_run([profile], n, seed=int(rng.integers(1 << 30)))
         assert _within_binomial_ci(n - agg.n_success, n, bd.p_out)
         leaf_probs = (
             bd.p_succ_first, bd.p_succ_timeout_retx, bd.p_succ_nack_retx, bd.p_out
@@ -186,9 +185,7 @@ def test_criterion_8_monte_carlo_oracle():
         mean_hat = agg.usage_multiples_sum() / n
         assert abs(mean_hat - (1.0 + q)) <= Z_9999 * math.sqrt(q * (1 - q) / n)
 
-        agg_mc = simulate_run(
-            [profile] * 2, numerology, n, seed=int(rng.integers(1 << 30))
-        )
+        agg_mc = simulate_run([profile] * 2, n, seed=int(rng.integers(1 << 30)))
         dist = usage_distribution_mc(2, 1.0, bd.p_succ_first)
         for k, (_, weight) in enumerate(dist.support):
             assert _within_binomial_ci(int(agg_mc.usage_extra_counts[k]), n, weight)
@@ -206,11 +203,11 @@ def test_criterion_9_latency_budget_and_bands():
     assert worst == 1.0  # exactly one millisecond
     assert fits
     profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
-    agg = simulate_run([profile], numerology, 200_000, seed=909)
-    first_band = latency_cdf(agg, 3.0)
-    assert latency_cdf(agg, 2.0) == 0.0
-    assert latency_cdf(agg, 6.0) == first_band  # no mass between the bands
-    assert latency_cdf(agg, 7.0) == 1.0
+    agg = simulate_run([profile], 200_000, seed=909)
+    first_band = latency_cdf(agg, numerology, 3.0)
+    assert latency_cdf(agg, numerology, 2.0) == 0.0
+    assert latency_cdf(agg, numerology, 6.0) == first_band  # no mass between the bands
+    assert latency_cdf(agg, numerology, 7.0) == 1.0
     assert 0.0 < first_band < 1.0  # mass in both bands
     _report(9, "worst case exactly 1.000 ms; latency CDF mass confined to "
                "[2,3] U [6,7] TTIs")

@@ -228,6 +228,32 @@ def test_sweep_rejects_non_finite_bounds_by_name(config_path, capsys, variable):
         assert f"VALIDATION_ERROR: sweep {name} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "variable, start, stop, points, message",
+    [
+        # capacity rounds to 0 / overflow in linear scale
+        ("sinr_db", "-400", "-200", "3", "sinr_db sweep value -400.0: capacity"),
+        ("sinr_db", "0", "1e300", "3", "sinr_db sweep value 5e+299: must be finite"),
+        # no node count of at least 1, and one beyond MAX_NODES
+        ("m", "-5", "0.2", "3", "m sweep value -5 outside [1, 64]"),
+        ("m", "1", "1e9", "2", "m sweep value 1000000000 outside [1, 64]"),
+        ("p_d", "1e-4", "0.1", "100000000000000000000", "sweep points must be at most"),
+        ("p_d", "1e-4", "0.1", "1000001", "sweep points must be at most 1000000"),
+    ],
+)
+def test_sweep_rejects_grid_values_outside_the_domain_by_name(
+    config_path, capsys, variable, start, stop, points, message
+):
+    code = main([
+        "sweep", "--config", config_path(), "--variable", variable,
+        "--start", start, "--stop", stop, "--points", points,
+    ])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"VALIDATION_ERROR: {message}" in captured.err
+
+
 def test_sweep_sinr_usage_decreases(config_path, capsys):
     code = main([
         "sweep", "--config", config_path(), "--variable", "sinr_db",
@@ -246,6 +272,11 @@ def test_sweep_sinr_usage_decreases(config_path, capsys):
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    code = main(["solve", "--config", str(bad)])
+    assert code == 2
+    assert "PARSE_ERROR" in capsys.readouterr().err
+    # an integer literal past the int-to-string digit limit
+    bad.write_text('{"scheme": "SC", "target_outage": 1e-5, "sinr_db": 1' + "0" * 5000 + "}")
     code = main(["solve", "--config", str(bad)])
     assert code == 2
     assert "PARSE_ERROR" in capsys.readouterr().err
@@ -293,6 +324,25 @@ def test_integer_beyond_float_range_exit_code(config_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "VALIDATION_ERROR: sinr_db: must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [({"scheme": "MC", "m_nodes": 65}, "m_nodes"),
+     ({"scheme": "MC", "m_nodes": 10**30}, "m_nodes"),
+     ({"sinr_db": -200}, "sinr_db"),
+     ({"sinr_db": 1e300}, "sinr_db")],
+)
+def test_out_of_domain_scenario_values_exit_code(config_path, capsys, overrides, field):
+    code = main(["resource", "--config", config_path(**overrides)])
+    assert code == 3
+    assert f"VALIDATION_ERROR: {field}: " in capsys.readouterr().err
+
+
+def test_simulate_jobs_bounded_before_any_thread(config_path, capsys):
+    code = main(["simulate", "--config", config_path(p_d=0.1, trials=10), "--jobs", "65"])
+    assert code == 3
+    assert "VALIDATION_ERROR: jobs must be at most 64" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_code(capsys):

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from urllc_mc.config import (
+    MAX_NODES,
+    MAX_SWEEP_POINTS,
     SweepScale,
     SweepSpec,
     SweepVariable,
@@ -150,7 +152,10 @@ HUGE = 10**400  # a JSON integer beyond the float range
        ({"numerology": {"t_up_ttis": HUGE}}, "t_up_ttis"),
        ({"latency_quantile": HUGE}, "latency_quantile"),
        ({"policy": "fixed_meta", "fixed_meta": HUGE}, "fixed_meta"),
-       ({"payload_bits": HUGE}, "payload_bits")],
+       ({"payload_bits": HUGE}, "payload_bits")]
+    # finite in dB, but beyond the float range in linear scale
+    + [({"sinr_db": 1e300}, "sinr_db"),
+       ({"scheme": "MC", "sinr_db": [10, 1e300]}, "sinr_db")],
 )
 def test_non_finite_numbers_rejected_by_name(overrides, field):
     # json.loads accepts NaN, Infinity and integers too large for a float,
@@ -160,6 +165,21 @@ def test_non_finite_numbers_rejected_by_name(overrides, field):
     if "numerology" in overrides:
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             Numerology(**overrides["numerology"])
+
+
+def test_sinr_with_zero_capacity_rejected_by_name():
+    # 1 + 1e-20 rounds to 1, so log2(1 + sinr) is 0 and no channel use fits
+    with pytest.raises(ValidationError, match="sinr_db: capacity"):
+        parse_scenario(_doc(sinr_db=-200))
+    with pytest.raises(ValidationError, match="sinr_db: capacity"):
+        parse_scenario(_doc(scheme="MC", sinr_db=[10, -200]))
+
+
+@pytest.mark.parametrize("m_nodes", [MAX_NODES + 1, 10**30])
+def test_node_count_bounded_by_name(m_nodes):
+    assert parse_scenario(_doc(scheme="MC", m_nodes=MAX_NODES)).m_nodes == MAX_NODES
+    with pytest.raises(ValidationError, match=f"m_nodes: must be <= {MAX_NODES}"):
+        parse_scenario(_doc(scheme="MC", m_nodes=m_nodes))
 
 
 def test_contexts_built_from_sinrs():
@@ -177,3 +197,6 @@ def test_sweep_spec_validation():
         SweepSpec(SweepVariable.P_D, 1e-4, 1e-1, 1)
     with pytest.raises(ValidationError):
         SweepSpec(SweepVariable.P_D, 0.0, 1e-1, 10, SweepScale.LOG10)
+    SweepSpec(SweepVariable.P_D, 1e-4, 1e-1, MAX_SWEEP_POINTS)
+    with pytest.raises(ValidationError, match="sweep points"):
+        SweepSpec(SweepVariable.P_D, 1e-4, 1e-1, MAX_SWEEP_POINTS + 1)

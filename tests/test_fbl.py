@@ -182,6 +182,12 @@ def test_context_validation():
         FblContext(payload_bits=0, sinr_linear=10.0)
     with pytest.raises(DomainError):
         FblContext(payload_bits=256, sinr_linear=0.0)
+    # 1 + sinr rounds to 1: a zero capacity that no channel use can reach
+    with pytest.raises(DomainError, match="capacity"):
+        FblContext(payload_bits=256, sinr_linear=db_to_linear(-200.0))
+    FblContext(payload_bits=256, sinr_linear=db_to_linear(-150.0))
+    with pytest.raises(DomainError, match="finite"):
+        db_to_linear(1e300)
 
 
 # ---------------------------------------------------------------------------
