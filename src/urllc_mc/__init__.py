@@ -40,6 +40,7 @@ from .resources import (
     UsageReport,
     normalized_usage,
     usage_at_reliability,
+    usage_at_solution,
     usage_distribution_mc,
     usage_mc,
     usage_sc,
@@ -110,6 +111,7 @@ __all__ = [
     "succ_retx_total",
     "tti_duration_ms",
     "usage_at_reliability",
+    "usage_at_solution",
     "usage_distribution_mc",
     "usage_mc",
     "usage_sc",

@@ -33,9 +33,9 @@ from .errors import (
 )
 from .fbl import FblContext, db_to_linear
 from .outage import ChaseModel, mc_outage, sc_outage
-from .resources import normalized_usage, usage_at_reliability
+from .resources import normalized_usage, usage_at_reliability, usage_at_solution
 from .sim import latency_quantile, simulate_run, tti_duration_ms
-from .solver import BlerPolicy, PolicyKind, build_profile, solve_bler
+from .solver import BlerPolicy, PolicyKind, build_profile, link_profiles, solve_bler
 
 Rows = Tuple[List[str], List[list]]
 
@@ -67,8 +67,7 @@ def cmd_outage(cfg: ScenarioConfig) -> Rows:
     """Closed-form outage breakdown at the configured data BLER."""
     if cfg.p_d is None:
         raise ValidationError("p_d: is required for the outage command")
-    contexts = cfg.contexts()
-    profiles = [build_profile(cfg.p_d, cfg.policy, cfg.chase, c) for c in contexts]
+    profiles = link_profiles(cfg.p_d, cfg.policy, cfg.chase, cfg.contexts())
     total = mc_outage(profiles)
     header = [
         "scheme", "m", "node", "p_d", "p_m", "p_c",
@@ -114,13 +113,11 @@ def cmd_resource(cfg: ScenarioConfig) -> Rows:
 
 def _simulation_profiles(cfg: ScenarioConfig):
     contexts = cfg.contexts()
-    if cfg.p_d is not None:
-        p_d = cfg.p_d
-    else:
-        p_d = solve_bler(
-            cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase, contexts
-        ).p_d
-    return [build_profile(p_d, cfg.policy, cfg.chase, c) for c in contexts]
+    p_d = cfg.p_d
+    if p_d is None:
+        p_d = solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase,
+                         contexts).p_d
+    return link_profiles(p_d, cfg.policy, cfg.chase, contexts)
 
 
 def cmd_simulate(cfg: ScenarioConfig, jobs: int = 1) -> Rows:
@@ -162,7 +159,7 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
             p_d = float(value)
             if not 0.0 < p_d < 1.0:
                 raise ValidationError(f"p_d sweep value {p_d!r} outside (0, 1)")
-            profiles = [build_profile(p_d, cfg.policy, cfg.chase, c) for c in contexts]
+            profiles = link_profiles(p_d, cfg.policy, cfg.chase, contexts)
             rows.append([
                 p_d, cfg.scheme, cfg.m_nodes, _policy_label(cfg.policy),
                 mc_outage(profiles),
@@ -174,16 +171,18 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
         header = ["sinr_db", "scheme", "m", "bler_target", "channel_use",
                   "total_usage"]
         rows = []
+        result = None
         for value in _sweep_grid(sweep):
             sinr_db = float(value)
             try:
                 ctx = FblContext(cfg.payload_bits, db_to_linear(sinr_db))
             except DomainError as exc:
                 raise ValidationError(f"sinr_db sweep value {sinr_db!r}: {exc}") from None
-            report = usage_at_reliability(
-                cfg.m_nodes, cfg.target_outage, [ctx] * cfg.m_nodes, cfg.policy,
-                cfg.chase,
-            )
+            links = [ctx] * cfg.m_nodes
+            if result is None or cfg.chase.reads_sinr:
+                result = solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy,
+                                    cfg.chase, links)
+            report = usage_at_solution(result, links)
             rows.append([
                 sinr_db, cfg.scheme, cfg.m_nodes, report.bler_target,
                 report.channel_use_single, report.total_usage,
@@ -229,24 +228,6 @@ _REPRO_TARGET = 1e-5
 _REPRO_USAGE_QUOTED = {"SC": 85.44, "MC": 166.12}  # reference values
 
 
-def _reproduce_table2() -> Rows:
-    header = ["scheme", "bler_target", "channel_use", "usage_eq", "usage_paper",
-              "discrepancy_flag"]
-    ctx = FblContext(_REPRO_PAYLOAD_BITS, db_to_linear(10.0))
-    policy = BlerPolicy(PolicyKind.EQUAL)
-    chase = ChaseModel.ZERO
-    rows = []
-    for scheme, m in (("SC", 1), ("MC", 2)):
-        report = usage_at_reliability(m, _REPRO_TARGET, [ctx] * m, policy, chase)
-        quoted = _REPRO_USAGE_QUOTED[scheme]
-        # the quoted duplicated-scheme usage is not reproducible from the
-        # expected-usage formula; flag it instead of guessing
-        discrepant = abs(report.total_usage - quoted) > 0.5
-        rows.append([scheme, report.bler_target, report.channel_use_single,
-                     report.total_usage, quoted, discrepant])
-    return header, rows
-
-
 def _reproduce_fig3() -> Rows:
     header = ["p_d", "policy", "scheme", "m", "outage"]
     policies = [
@@ -278,34 +259,40 @@ def _reproduce_fig4() -> Rows:
     return header, rows
 
 
-def _reproduce_fig5() -> Rows:
-    header = ["sinr_db", "bler_target_sc", "channel_use_sc", "usage_sc",
-              "bler_target_mc", "channel_use_mc", "usage_mc", "sc_savings"]
+def _reproduce_table2_fig5() -> Tuple[Rows, Rows]:
+    """Table 2 (at 10 dB) and fig. 5 (at 0 and 10 dB) from one SC and one
+    MC solve: under perfect combining the BLER targets read no SINR."""
     policy = BlerPolicy(PolicyKind.EQUAL)
-    chase = ChaseModel.ZERO
-    rows = []
+    solved = {m: solve_bler(m, _REPRO_TARGET, policy, ChaseModel.ZERO) for m in (1, 2)}
+    sized = {}  # sinr_db -> [SC report, MC report]
     for sinr_db in (0.0, 10.0):
         ctx = FblContext(_REPRO_PAYLOAD_BITS, db_to_linear(sinr_db))
-        sc = usage_at_reliability(1, _REPRO_TARGET, [ctx], policy, chase)
-        mc = usage_at_reliability(2, _REPRO_TARGET, [ctx] * 2, policy, chase)
-        rows.append([
-            sinr_db, sc.bler_target, sc.channel_use_single, sc.total_usage,
-            mc.bler_target, mc.channel_use_single, mc.total_usage,
-            1.0 - sc.total_usage / mc.total_usage,
-        ])
-    return header, rows
+        sized[sinr_db] = [usage_at_solution(res, [ctx] * m) for m, res in solved.items()]
+    fig5 = [[sinr_db, sc.bler_target, sc.channel_use_single, sc.total_usage,
+             mc.bler_target, mc.channel_use_single, mc.total_usage,
+             1.0 - sc.total_usage / mc.total_usage] for sinr_db, (sc, mc) in sized.items()]
+    table2 = []
+    for scheme, report in zip(("SC", "MC"), sized[10.0]):
+        quoted = _REPRO_USAGE_QUOTED[scheme]
+        # the quoted duplicated-scheme usage is not reproducible from the
+        # expected-usage formula; flag it instead of guessing
+        table2.append([scheme, report.bler_target, report.channel_use_single,
+                       report.total_usage, quoted, abs(report.total_usage - quoted) > 0.5])
+    return (
+        (["scheme", "bler_target", "channel_use", "usage_eq", "usage_paper",
+          "discrepancy_flag"], table2),
+        (["sinr_db", "bler_target_sc", "channel_use_sc", "usage_sc",
+          "bler_target_mc", "channel_use_mc", "usage_mc", "sc_savings"], fig5),
+    )
 
 
 def cmd_reproduce(out_dir: str) -> List[str]:
     """Write table2/fig3/fig4/fig5 CSVs into ``out_dir``; returns paths."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "table2.csv": _reproduce_table2(),
-        "fig3.csv": _reproduce_fig3(),
-        "fig4.csv": _reproduce_fig4(),
-        "fig5.csv": _reproduce_fig5(),
-    }
+    table2, fig5 = _reproduce_table2_fig5()
+    outputs = {"table2.csv": table2, "fig3.csv": _reproduce_fig3(),
+               "fig4.csv": _reproduce_fig4(), "fig5.csv": fig5}
     written = []
     for name, (header, rows) in outputs.items():
         path = directory / name

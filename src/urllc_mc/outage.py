@@ -61,6 +61,10 @@ class ChaseModel(Enum):
     PRODUCT = "product"
     FINITE_BLOCKLENGTH = "finite_blocklength"
 
+    @property
+    def reads_sinr(self) -> bool:  # may p_c depend on the link's SINR?
+        return self not in (ChaseModel.ZERO, ChaseModel.PRODUCT)
+
 
 @dataclass(frozen=True)
 class OutageBreakdown:
@@ -130,13 +134,16 @@ def mc_outage(profiles: Sequence[LinkBlerProfile]) -> float:
 
     The copies are decoded independently and never combined across
     links, so the packet is lost only if every link's own HARQ round
-    fails.
+    fails. A link holding the previous link's profile object reuses its
+    ``sc_outage``; the product still takes one factor per link, in order.
     """
     if len(profiles) < 1:
         raise DomainError("at least one link profile is required")
-    out = 1.0
+    out, last = 1.0, None
     for profile in profiles:
-        out *= sc_outage(profile).p_out
+        if profile is not last:
+            p_out, last = sc_outage(profile).p_out, profile
+        out *= p_out
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import DomainError, ValidationError
 from .fbl import FblContext, channel_use
 from .outage import ChaseModel, LinkBlerProfile, succ_first
-from .solver import BlerPolicy, solve_bler
+from .solver import BlerPolicy, SolveResult, solve_bler
 
 
 @dataclass(frozen=True)
@@ -106,25 +106,15 @@ def normalized_usage(m: int, profile: LinkBlerProfile) -> float:
     return usage_mc(m, 1.0, succ_first(profile))
 
 
-def usage_at_reliability(
-    m: int,
-    target_outage: float,
-    contexts: Sequence[FblContext],
-    policy: BlerPolicy,
-    chase: ChaseModel,
-    metadata_bits: Optional[int] = None,
-) -> UsageReport:
-    """Dimension a transmission for a reliability target.
-
-    Pipeline: solve the per-transmission BLER target, size the
-    transmission via the finite-blocklength channel use at that BLER,
-    then account for expected retransmissions. ``contexts`` holds one
-    context per link; per-node SINRs may differ, and usage is then
-    summed node-wise.
+def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],
+                      metadata_bits: Optional[int] = None) -> UsageReport:
+    """Size a transmission at a solve over the links ``contexts``, one per
+    node: the finite-blocklength channel use at ``result.p_d`` plus the
+    expected retransmissions, summed node-wise. A solve holds at other
+    SINRs only if its chase model reads none (``ChaseModel.reads_sinr``).
     """
-    if contexts is None:
-        raise ValidationError("usage_at_reliability requires one FblContext per link")
-    result = solve_bler(m, target_outage, policy, chase, contexts)
+    if contexts is None or len(contexts) != result.m_nodes:
+        raise ValidationError(f"usage_at_solution needs the {result.m_nodes} solved links")
     uses = [channel_use(c, result.p_d) for c in contexts]
     # first-try success depends only on the BLER targets, shared by all nodes
     p1 = (1.0 - result.p_m) * (1.0 - result.p_d)
@@ -140,6 +130,17 @@ def usage_at_reliability(
         achieved_outage=result.achieved_outage,
         channel_use_single=math.fsum(uses) / len(uses),
         total_usage=total,
-        m_nodes=m,
+        m_nodes=result.m_nodes,
         metadata_channel_use=meta_use,
     )
+
+
+def usage_at_reliability(m: int, target_outage: float, contexts: Sequence[FblContext],
+                         policy: BlerPolicy, chase: ChaseModel,
+                         metadata_bits: Optional[int] = None) -> UsageReport:
+    """Dimension a transmission for a reliability target: solve the BLER
+    target over one link per context, then size at it (``usage_at_solution``)."""
+    if contexts is None:
+        raise ValidationError("usage_at_reliability requires one FblContext per link")
+    result = solve_bler(m, target_outage, policy, chase, contexts)
+    return usage_at_solution(result, contexts, metadata_bits)

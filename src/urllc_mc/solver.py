@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .errors import DomainError, SolverError, ValidationError
 from .fbl import FblContext
@@ -58,6 +58,7 @@ class SolveResult:
     p_m: float
     achieved_outage: float
     iterations: int
+    m_nodes: int  # links solved over
 
 
 def build_profile(
@@ -80,6 +81,23 @@ def build_profile(
     return LinkBlerProfile(p_m1=p_m, p_d1=p_d, p_m2=p_m, p_d2=p_d, p_c=p_c)
 
 
+def link_profiles(
+    p_d: float,
+    policy: BlerPolicy,
+    chase: ChaseModel,
+    contexts: Sequence[Optional[FblContext]],
+) -> List[LinkBlerProfile]:
+    """One profile per link, in link order; a link whose context equals the
+    previous link's shares its profile (one comparison, no hashing, per link)."""
+    profiles: List[LinkBlerProfile] = []
+    for i, c in enumerate(contexts):
+        if i and (c is contexts[i - 1] or c == contexts[i - 1]):
+            profiles.append(profiles[-1])
+        else:
+            profiles.append(build_profile(p_d, policy, chase, c))
+    return profiles
+
+
 def outage_at(
     p_d: float,
     policy: BlerPolicy,
@@ -87,8 +105,7 @@ def outage_at(
     contexts: Sequence[Optional[FblContext]],
 ) -> float:
     """Forward outage over one link per context at a shared data BLER target."""
-    profiles = [build_profile(p_d, policy, chase, c) for c in contexts]
-    return mc_outage(profiles)
+    return mc_outage(link_profiles(p_d, policy, chase, contexts))
 
 
 def solve_bler(
@@ -143,6 +160,7 @@ def solve_bler(
                 p_m=policy.meta_bler(p_d),
                 achieved_outage=f,
                 iterations=iteration,
+                m_nodes=m,
             )
         if f >= target:
             hi_log = mid_log

@@ -7,6 +7,7 @@ through capsys. Exit codes: 0 ok, 2 parse, 3 validation, 4 solver,
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -424,6 +425,22 @@ def test_reproduce_deterministic_bytes(tmp_path):
     assert main(["reproduce", "--out", str(out_b)]) == 0
     for name in ("table2.csv", "fig3.csv", "fig4.csv", "fig5.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+REPRODUCE_SHA256 = {
+    "table2.csv": "5d3a365f5c49ffd88cbd9ee7e5ea171d1182ad185186774a78b447132b63ed3e",
+    "fig3.csv": "c72067be69b679bd95c59f98804aec67cf1ccd760389aec017fe3036db27e3da",
+    "fig4.csv": "45de6cdf68066136017e869ab33c59cf9dfaf097acaf45c060dd961497ae6270",
+    "fig5.csv": "3b5bbeb44538ed008d9ea046662fd291375667811deae7911e5cd090b6406aa4",
+}
+
+
+def test_reproduce_bytes_are_pinned(tmp_path, capsys):
+    # the reference CSVs must not move by a single byte
+    assert main(["reproduce", "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in REPRODUCE_SHA256}
+    assert digests == REPRODUCE_SHA256
 
 
 def test_pretty_format_renders_header(config_path, capsys):
