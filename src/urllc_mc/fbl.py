@@ -56,12 +56,18 @@ def shannon_capacity(sinr_linear: float) -> float:
 def channel_dispersion(sinr_linear: float) -> float:
     """Channel dispersion V = (1 - 1/(1+sinr)^2) / ln(2)^2.
 
-    Strictly increasing in the SINR; in (0, 1/ln(2)^2) for finite
-    positive SINR (squared information units per channel use).
+    Strictly increasing in the SINR and below 1/ln(2)^2 for finite
+    positive SINR (squared information units per channel use); in double
+    precision it rounds to that limit from about 81 dB on.
     """
     if not (math.isfinite(sinr_linear) and sinr_linear > 0.0):
         raise DomainError(f"sinr_linear must be positive, got {sinr_linear!r}")
-    return DISPERSION_LIMIT * (1.0 - 1.0 / (1.0 + sinr_linear) ** 2)
+    try:
+        return DISPERSION_LIMIT * (1.0 - 1.0 / (1.0 + sinr_linear) ** 2)
+    except OverflowError:
+        # past about 1,541 dB; 1/(1+sinr)^2 < 2**-1022 there, so the
+        # correctly rounded V is the limit itself
+        return DISPERSION_LIMIT
 
 
 def db_to_linear(x_db: float) -> float:

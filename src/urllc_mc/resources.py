@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ValidationError
 from .fbl import FblContext, channel_use
@@ -106,6 +106,19 @@ def normalized_usage(m: int, profile: LinkBlerProfile) -> float:
     return usage_mc(m, 1.0, succ_first(profile))
 
 
+def _per_link(f: Callable[[FblContext], float], contexts: Sequence[FblContext]) -> List[float]:
+    """``[f(c) for c in contexts]``, with one call of ``f`` per run of equal
+    adjacent contexts (identity, then value), as ``solver.link_profiles``
+    shares profiles."""
+    values: List[float] = []
+    for i, c in enumerate(contexts):
+        if i and (c is contexts[i - 1] or c == contexts[i - 1]):
+            values.append(values[-1])
+        else:
+            values.append(f(c))
+    return values
+
+
 def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],
                       metadata_bits: Optional[int] = None) -> UsageReport:
     """Size a transmission at a solve over the links ``contexts``, one per
@@ -115,16 +128,16 @@ def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],
     """
     if contexts is None or len(contexts) != result.m_nodes:
         raise ValidationError(f"usage_at_solution needs the {result.m_nodes} solved links")
-    uses = [channel_use(c, result.p_d) for c in contexts]
+    uses = _per_link(lambda c: channel_use(c, result.p_d), contexts)
     # first-try success depends only on the BLER targets, shared by all nodes
     p1 = (1.0 - result.p_m) * (1.0 - result.p_d)
     total = (2.0 - p1) * math.fsum(uses)
     meta_use = None
     if metadata_bits is not None:
-        meta_use = math.fsum(
-            channel_use(FblContext(metadata_bits, c.sinr_linear), result.p_m)
-            for c in contexts
-        ) / len(contexts)
+        meta_use = math.fsum(_per_link(
+            lambda c: channel_use(FblContext(metadata_bits, c.sinr_linear), result.p_m),
+            contexts,
+        )) / len(contexts)
     return UsageReport(
         bler_target=result.p_d,
         achieved_outage=result.achieved_outage,

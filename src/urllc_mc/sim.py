@@ -9,19 +9,22 @@ links succeeded on the first try and ``b`` links on the retransmission.
 Outage and channel-use counts follow from the mix, so memory is O(m^2)
 whatever the trial count.
 
-Random stream (``STREAM_VERSION`` 2): link n of a trial reads words
-4n .. 4n + 3 of the trial's row of uint32 words: first metadata, first
-data, second metadata, and a second-stage word that is the
-retransmitted-data decode on the timeout path and the combined decode on
-the NACK path (the paths are mutually exclusive, so one word serves
-both). Rows come from Philox4x64 keyed by the seed, as the little-endian
-halves of its 64-bit outputs, padded to whole Philox blocks of eight
-words, so trial i starts at block i * ceil(m / 2). Any batch size or
-worker count therefore sees the same words for the same trial and gives
-bit-identical tallies. An event of probability p fires when its word is
-below the integer threshold floor(p * 2**32): p = 0 never fires, p = 1
-always does, and every other event probability is low by less than
-2**-32 (about 2.3e-10), below the solver's 1e-9 lower bracket.
+Random stream (``STREAM_VERSION`` 3): each HARQ attempt of a link reads
+one uint32 word, split into bands by cumulative integer thresholds
+computed in exact rational arithmetic: the attempt's metadata decode
+fails below floor(p_m * 2**32), its data decode in [floor(p_m * 2**32),
+floor((p_m + (1 - p_m) * p_d) * 2**32)), and it succeeds above. The
+second attempt's metadata decode fails with p_m2, its data decode with
+p_d2 on the timeout path and with p_c / p_d1 (given the first data
+decode failed) on the NACK path. Trial i of an m-link run reads the
+64-bit outputs m * i .. m * i + m - 1 of Philox4x64 keyed by the seed;
+link n takes uint32 words 2n (first attempt) and 2n + 1 (second attempt)
+of that row, the little-endian halves of output n. Being counter-based,
+the stream lets a batch start at any trial, mid-block included, so any
+batch size or worker count sees the same words for the same trial and
+gives bit-identical tallies. Every band is within 2**-32 (about 2.3e-10)
+of its probability, below the solver's 1e-9 lower bracket; probabilities
+0 and 1 are exact.
 
 Estimates read the tallies: ``SimAggregate.outage`` and ``mean_usage``
 directly, the latency functions together with the numerology and the
@@ -40,6 +43,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -49,14 +53,10 @@ from .errors import DomainError, ValidationError
 from .outage import LinkBlerProfile
 
 # Layout of the random stream; any change to the draws bumps it.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
-# uint32 words per link and per Philox4x64 block
-_WORDS_PER_NODE = 4
-_WORDS_PER_BLOCK = 8
-
-# Small enough that a batch's draws (32 bytes per trial for every two
-# links) stay in a core's L2 cache for the usual m <= 3.
+# Small enough that a batch's draws (8 bytes per trial and link) and the
+# first-try mask stay in a core's L2 cache for the usual m <= 3.
 DEFAULT_BATCH_SIZE = 1 << 14
 
 # Most worker threads a run may use; the pool submits every batch at once.
@@ -179,49 +179,62 @@ class SimAggregate:
         return mean, 1.96 * math.sqrt(var / n)
 
 
-def _threshold(p: float) -> int:
+def _threshold(p: float | Fraction) -> int:
     """Integer threshold of an event of probability p on uint32 words."""
     return math.floor(p * 2**32)
 
 
-def _thresholds(profile: LinkBlerProfile) -> Tuple[int, int, int, int, int]:
+def _thresholds(profile: LinkBlerProfile) -> Tuple[int, int, int, int]:
+    """A link's thresholds, in exact rational arithmetic: its first word
+    fails the metadata decode below the first and the data decode below
+    the second; its second word fails the retransmission below the third
+    on the timeout path and below the fourth on the NACK path."""
+    p_m1, p_d1, p_m2, p_d2, p_c = (
+        Fraction(p) for p in (profile.p_m1, profile.p_d1, profile.p_m2, profile.p_d2, profile.p_c)
+    )
     # the combined decode after a NACK fails with the conditional
     # probability p_c / p_d1 given that the first data decode failed
-    cond_fail = profile.p_c / profile.p_d1 if profile.p_d1 > 0 else 0.0
-    return tuple(
-        _threshold(p)
-        for p in (profile.p_m1, profile.p_d1, profile.p_m2, profile.p_d2, cond_fail)
+    cond_fail = p_c / p_d1 if p_d1 > 0 else Fraction(0)
+    return (
+        _threshold(p_m1),
+        _threshold(p_m1 + (1 - p_m1) * p_d1),
+        _threshold(p_m2 + (1 - p_m2) * p_d2),
+        _threshold(p_m2 + (1 - p_m2) * cond_fail),
     )
 
 
 def _run_batch(
-    thresholds: Sequence[Tuple[int, int, int, int, int]],
+    thresholds: Sequence[Tuple[int, int, int, int]],
     seed: int,
     start: int,
     count: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Leaf counts and success mix of trials [start, start + count)."""
     m = len(thresholds)
-    blocks = -(-_WORDS_PER_NODE * m // _WORDS_PER_BLOCK)  # per trial
     bits = Philox(key=seed)
-    bits.advance(start * blocks)
-    # four 64-bit outputs per block
-    raw = bits.random_raw(count * blocks * 4)
-    u = raw.view(np.uint32).reshape(count, blocks * _WORDS_PER_BLOCK)
+    # four 64-bit outputs per Philox block; a batch may start mid-block
+    blocks, skip = divmod(m * start, 4)
+    bits.advance(blocks)
+    u = bits.random_raw(skip + m * count)[skip:].view(np.uint32).reshape(count, 2 * m)
+    # Only the trials in which some link missed its first try read further;
+    # the others are first-try successes on every link, mix cell (m, 0).
+    missed = u[:, 0] < thresholds[0][1]
+    for n in range(1, m):
+        missed |= u[:, 2 * n] < thresholds[n][1]
+    rows = np.flatnonzero(missed)
+    all_first = count - rows.size
     leaf_counts = np.empty((m, 4), dtype=np.int64)
     # per-trial success counts, then the mix cell a * (m + 1) + b
     cell_dtype = np.min_scalar_type((m + 1) ** 2 - 1)
-    first_ok = np.zeros(count, dtype=cell_dtype)
-    retx_ok = np.zeros(count, dtype=cell_dtype)
-    for n, (t_m1, t_d1, t_m2, t_d2, t_c) in enumerate(thresholds):
-        meta1, data1, meta2, stage2 = u[:, _WORDS_PER_NODE * n : _WORDS_PER_NODE * (n + 1)].T
-        meta1_fail = meta1 < t_m1
-        data1_fail = data1 < t_d1
-        meta2_ok = meta2 >= t_m2
-        first = ~(meta1_fail | data1_fail)
-        timeout = meta1_fail & meta2_ok & (stage2 >= t_d2)
-        nack = data1_fail & ~meta1_fail & meta2_ok & (stage2 >= t_c)
-        n_first = np.count_nonzero(first)
+    first_ok = np.zeros(rows.size, dtype=cell_dtype)
+    retx_ok = np.zeros(rows.size, dtype=cell_dtype)
+    for n, (t_meta1, t_fail1, t_timeout, t_nack) in enumerate(thresholds):
+        word1, word2 = u[:, 2 * n][rows], u[:, 2 * n + 1][rows]
+        first = word1 >= t_fail1
+        meta1_fail = word1 < t_meta1
+        timeout = meta1_fail & (word2 >= t_timeout)
+        nack = ~(first | meta1_fail) & (word2 >= t_nack)
+        n_first = all_first + np.count_nonzero(first)
         n_timeout = np.count_nonzero(timeout)
         n_nack = np.count_nonzero(nack)
         leaf_counts[n] = (n_first, n_timeout, n_nack, count - n_first - n_timeout - n_nack)
@@ -230,6 +243,7 @@ def _run_batch(
     first_ok *= m + 1
     first_ok += retx_ok
     mix = np.bincount(first_ok, minlength=(m + 1) ** 2)
+    mix[m * (m + 1)] += all_first
     return leaf_counts, mix.reshape(m + 1, m + 1)
 
 

@@ -266,6 +266,19 @@ def test_sweep_sinr_usage_decreases(config_path, capsys):
     assert usages[0] > usages[1] > usages[2]
 
 
+def test_sinr_past_the_dispersion_overflow_is_sized(config_path, capsys):
+    # (1 + sinr)^2 overflows a double between about 1,541 and 3,083 dB
+    assert main(["solve", "--config", config_path(sinr_db=2000)]) == 0
+    capsys.readouterr()
+    code = main([
+        "sweep", "--config", config_path(), "--variable", "sinr_db",
+        "--start", "0", "--stop", "2000", "--points", "3", "--format", "csv",
+    ])
+    assert code == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [r["sinr_db"] for r in rows] == ["0", "1000", "2000"]
+
+
 # ---------------------------------------------------------------------------
 # errors and exit codes
 

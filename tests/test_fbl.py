@@ -149,6 +149,14 @@ def test_dispersion_strictly_increasing_and_bounded():
     assert all(0.0 < v < DISPERSION_LIMIT for v in vals)
 
 
+def test_dispersion_saturates_where_the_square_overflows():
+    # (1 + sinr)^2 overflows past about 1,541 dB; 1/(1+sinr)^2 is below
+    # 2**-1022 there, so the limit is the correctly rounded value
+    assert channel_dispersion(1e200) == DISPERSION_LIMIT
+    assert channel_dispersion(db_to_linear(3000.0)) == DISPERSION_LIMIT
+    assert channel_dispersion(1e150) == DISPERSION_LIMIT * (1.0 - 1.0 / (1.0 + 1e150) ** 2)
+
+
 def test_dispersion_domain():
     with pytest.raises(DomainError):
         channel_dispersion(-0.5)

@@ -9,17 +9,21 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.outage import LinkBlerProfile, sc_outage
 from urllc_mc.resources import usage_distribution_mc, usage_mc
 from urllc_mc.sim import (
+    DEFAULT_BATCH_SIZE,
     MAX_JOBS,
     Numerology,
     _threshold,
+    _thresholds,
     latency_budget_check,
     latency_cdf,
     latency_quantile,
@@ -160,6 +164,20 @@ def test_event_threshold_bound():
     assert (words < _threshold(1.0)).all()
 
 
+def test_attempt_bands_within_two_to_the_minus_32():
+    rng = np.random.default_rng(13)
+    pairs = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.00183, 0.00183),
+             *rng.uniform(0, 1, (500, 2)).tolist()]
+    for p_m, p_d in pairs:
+        t_meta, t_fail, t_timeout, t_nack = _thresholds(LinkBlerProfile(p_m, p_d, p_m, p_d, 0.0))
+        assert t_timeout == t_fail and t_nack == t_meta  # p_c = 0: combining always decodes
+        p_m, p_d = Fraction(p_m), Fraction(p_d)
+        bands = (t_meta, t_fail - t_meta, 2**32 - t_fail)
+        targets = (p_m, (1 - p_m) * p_d, (1 - p_m) * (1 - p_d))
+        for width, target in zip(bands, targets):
+            assert abs(Fraction(width, 2**32) - target) < Fraction(1, 2**32)
+
+
 # ---------------------------------------------------------------------------
 # aggregates against the closed forms
 
@@ -255,7 +273,7 @@ def test_latency_quantile_matches_analytic_mixture():
 def test_peak_memory_does_not_grow_with_trials():
     profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
     batch = 4096
-    draw_bytes = batch * 8 * 4  # one Philox block of eight uint32 words per trial
+    draw_bytes = batch * 2 * 8  # one 64-bit Philox output per link and trial
 
     def peak(batches: int) -> int:
         tracemalloc.start()
@@ -308,10 +326,12 @@ def test_estimate_validations():
 
 def test_batch_size_invariance():
     profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
-    # m = 3 pads each trial to two Philox blocks
-    for m in (2, 3):
+    # a trial reads m of a Philox block's four 64-bit outputs, so batches of
+    # 3_333, 257 and 5 trials start mid-block for m = 1, 2 and 3, and an
+    # m = 3 trial can straddle two blocks; m = 4 fills whole blocks
+    for m in (1, 2, 3, 4):
         base = simulate_run([profile] * m, 10_000, seed=99, batch_size=10_000)
-        for bs in (1_000, 3_333, 257):
+        for bs in (1_000, 3_333, 257, 5):
             agg = simulate_run([profile] * m, 10_000, seed=99, batch_size=bs)
             assert agg.n_success == base.n_success
             assert np.array_equal(agg.leaf_counts, base.leaf_counts)
@@ -321,13 +341,70 @@ def test_batch_size_invariance():
 
 def test_thread_count_invariance():
     profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
-    one = simulate_run([profile], 50_000, seed=123, batch_size=4_096, jobs=1)
-    four = simulate_run([profile], 50_000, seed=123, batch_size=4_096, jobs=4)
-    assert one.n_success == four.n_success
-    assert np.array_equal(one.leaf_counts, four.leaf_counts)
-    assert np.array_equal(one.usage_extra_counts, four.usage_extra_counts)
-    assert np.array_equal(one.success_mix, four.success_mix)
-    assert one.outage() == four.outage()
+    for m in (1, 3):
+        one = simulate_run([profile] * m, 50_000, seed=123, batch_size=4_095, jobs=1)
+        four = simulate_run([profile] * m, 50_000, seed=123, batch_size=4_095, jobs=4)
+        assert one.n_success == four.n_success
+        assert np.array_equal(one.leaf_counts, four.leaf_counts)
+        assert np.array_equal(one.usage_extra_counts, four.usage_extra_counts)
+        assert np.array_equal(one.success_mix, four.success_mix)
+        assert one.outage() == four.outage()
+
+
+def _stream_tallies(profiles, trials, seed):
+    """Leaf counts and success mix rebuilt one trial at a time from the
+    documented stream: trial i of an m-link run reads the uint32 words
+    2m * i .. 2m * i + 2m - 1 of Philox(key=seed), and link n compares
+    words 2n and 2n + 1 with its attempts' band thresholds."""
+    m = len(profiles)
+    words = Philox(key=seed).random_raw(m * trials).view(np.uint32).tolist()
+
+    def fails_below(p_meta, p_data):  # floor((p_m + (1 - p_m) * p_d) * 2**32), exactly
+        p_meta = Fraction(p_meta)
+        return math.floor((p_meta + (1 - p_meta) * Fraction(p_data)) * 2**32)
+
+    bands = [
+        (
+            math.floor(p.p_m1 * 2**32),  # the first metadata decode fails below
+            fails_below(p.p_m1, p.p_d1),  # the first attempt fails below
+            fails_below(p.p_m2, p.p_d2),  # the timeout retransmission fails below
+            fails_below(p.p_m2, Fraction(p.p_c) / Fraction(p.p_d1)),  # the NACK one
+        )
+        for p in profiles
+    ]
+    leaves = np.zeros((m, 4), dtype=np.int64)
+    mix = np.zeros((m + 1, m + 1), dtype=np.int64)
+    for i in range(trials):
+        first = retx = 0
+        for n, (meta1, attempt1, timeout, nack) in enumerate(bands):
+            word1, word2 = words[2 * m * i + 2 * n], words[2 * m * i + 2 * n + 1]
+            if word1 >= attempt1:
+                leaf = 0
+            elif word1 < meta1:
+                leaf = 1 if word2 >= timeout else 3
+            else:
+                leaf = 2 if word2 >= nack else 3
+            leaves[n, leaf] += 1
+            first += leaf == 0
+            retx += leaf in (1, 2)
+        mix[first, retx] += 1
+    return leaves, mix
+
+
+def test_stream_layout_is_pinned():
+    profiles = [
+        LinkBlerProfile(0.2, 0.3, 0.25, 0.4, 0.1),
+        LinkBlerProfile(0.05, 0.5, 0.1, 0.2, 0.2),
+        LinkBlerProfile(0.3, 0.1, 0.0, 0.6, 0.05),
+    ]
+    trials = 2_000
+    for m in (1, 2, 3):
+        leaves, mix = _stream_tallies(profiles[:m], trials, seed=2019 + m)
+        assert (leaves > 0).all()  # every leaf of every link is reached
+        for bs in (1, 3, 257, DEFAULT_BATCH_SIZE):
+            agg = simulate_run(profiles[:m], trials, seed=2019 + m, batch_size=bs)
+            assert np.array_equal(agg.leaf_counts, leaves)
+            assert np.array_equal(agg.success_mix, mix)
 
 
 def test_estimate_repeatable_bit_exact():
