@@ -9,7 +9,6 @@ Output is deterministic: fixed row order, fixed number formatting
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -24,13 +23,7 @@ from .config import (
     SweepVariable,
     load_scenario,
 )
-from .errors import (
-    DomainError,
-    ParseError,
-    SolverError,
-    UrllcMcError,
-    ValidationError,
-)
+from .errors import DomainError, UrllcMcError, ValidationError
 from .fbl import FblContext, db_to_linear
 from .outage import ChaseModel, mc_outage, sc_outage
 from .resources import normalized_usage, usage_at_reliability, usage_at_solution
@@ -38,13 +31,6 @@ from .sim import latency_quantile, simulate_run, tti_duration_ms
 from .solver import BlerPolicy, PolicyKind, build_profile, link_profiles, solve_bler
 
 Rows = Tuple[List[str], List[list]]
-
-_ERROR_CODES = {
-    ParseError: "PARSE_ERROR",
-    ValidationError: "VALIDATION_ERROR",
-    SolverError: "SOLVER_ERROR",
-    DomainError: "DOMAIN_ERROR",
-}
 
 
 def _fmt(value) -> str:
@@ -120,14 +106,14 @@ def _simulation_profiles(cfg: ScenarioConfig):
     return link_profiles(p_d, cfg.policy, cfg.chase, contexts)
 
 
-def cmd_simulate(cfg: ScenarioConfig, jobs: int = 1) -> Rows:
-    """Monte Carlo estimates for the configured scenario.
+def cmd_simulate(cfg: ScenarioConfig, seed: int, jobs: int = 1) -> Rows:
+    """Monte Carlo estimates for the configured scenario, drawn with ``seed``.
 
     Simulates at the configured p_d when given, otherwise at the solved
     BLER target.
     """
     profiles = _simulation_profiles(cfg)
-    agg = simulate_run(profiles, cfg.trials, cfg.seed, jobs=jobs)
+    agg = simulate_run(profiles, cfg.trials, seed, jobs=jobs)
     latency = latency_quantile(
         agg, cfg.numerology, cfg.latency_quantile, cfg.shared_frame_alignment
     )
@@ -377,9 +363,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "resource":
             header, rows = cmd_resource(cfg)
         elif args.command == "simulate":
-            if args.seed is not None:
-                cfg = dataclasses.replace(cfg, seed=args.seed)
-            header, rows = cmd_simulate(cfg, jobs=args.jobs)
+            seed = cfg.seed if args.seed is None else args.seed
+            header, rows = cmd_simulate(cfg, seed, jobs=args.jobs)
         else:
             spec = SweepSpec(
                 variable=SweepVariable(args.variable),
@@ -390,11 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             header, rows = cmd_sweep(cfg, spec)
     except UrllcMcError as exc:
-        code = next(
-            (name for cls, name in _ERROR_CODES.items() if isinstance(exc, cls)),
-            "ERROR",
-        )
-        print(f"error: {code}: {exc}", file=sys.stderr)
+        print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: IO_ERROR: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -45,15 +45,6 @@ MAX_NODES = 64
 
 # Most points of a sweep grid; the benchmark's p_d sweep uses 20,001.
 MAX_SWEEP_POINTS = 1_000_000
-
-_NUMEROLOGY_KEYS = {
-    "scs_khz",
-    "symbols_per_tti",
-    "harq_rtt_ttis",
-    "t_up_ttis",
-    "t_tx_ttis",
-    "t_bp_initial_ttis",
-}
 
 
 class SweepVariable(Enum):
@@ -177,16 +168,18 @@ def _parse_numerology(doc) -> Numerology:
         return Numerology()
     sub = doc["numerology"]
     _require(isinstance(sub, dict), "numerology", "must be an object")
-    unknown = set(sub) - _NUMEROLOGY_KEYS
+    schema = fields(Numerology)
+    unknown = set(sub) - {f.name for f in schema}
     if unknown:
         raise ValidationError(f"numerology: unknown key {sorted(unknown)[0]!r}")
     kwargs = {}
-    for key in ("scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis"):
-        if key in sub:
-            kwargs[key] = _get_number(sub, key)
-    for key in ("symbols_per_tti", "harq_rtt_ttis"):
-        if key in sub:
-            kwargs[key] = _get_int(sub, key, minimum=1)
+    # the float fields in field order, then the int fields; a field's type
+    # is its annotation string, since sim.py postpones annotations
+    for f in sorted(schema, key=lambda f: f.type != "float"):
+        if f.name in sub and f.type == "float":
+            kwargs[f.name] = _get_number(sub, f.name)
+        elif f.name in sub:
+            kwargs[f.name] = _get_int(sub, f.name, minimum=1)
     return Numerology(**kwargs)
 
 

@@ -1,22 +1,25 @@
-"""Exception types shared across the toolkit, mapped to CLI exit codes."""
+"""Exception types shared across the toolkit, with their CLI exit and error codes."""
 
 
 class UrllcMcError(Exception):
     """Base class for all toolkit errors."""
 
     exit_code = 1
+    code = "ERROR"
 
 
 class ParseError(UrllcMcError):
     """Malformed configuration document (bad syntax, wrong top-level shape)."""
 
     exit_code = 2
+    code = "PARSE_ERROR"
 
 
 class ValidationError(UrllcMcError):
     """Well-formed input that violates a field constraint."""
 
     exit_code = 3
+    code = "VALIDATION_ERROR"
 
 
 class SolverError(UrllcMcError):
@@ -24,9 +27,11 @@ class SolverError(UrllcMcError):
     or no convergence within the iteration budget."""
 
     exit_code = 4
+    code = "SOLVER_ERROR"
 
 
 class DomainError(UrllcMcError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
     exit_code = 5
+    code = "DOMAIN_ERROR"

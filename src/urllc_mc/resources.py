@@ -131,7 +131,7 @@ def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],
     uses = _per_link(lambda c: channel_use(c, result.p_d), contexts)
     # first-try success depends only on the BLER targets, shared by all nodes
     p1 = (1.0 - result.p_m) * (1.0 - result.p_d)
-    total = (2.0 - p1) * math.fsum(uses)
+    r_sum = math.fsum(uses)
     meta_use = None
     if metadata_bits is not None:
         meta_use = math.fsum(_per_link(
@@ -141,8 +141,8 @@ def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],
     return UsageReport(
         bler_target=result.p_d,
         achieved_outage=result.achieved_outage,
-        channel_use_single=math.fsum(uses) / len(uses),
-        total_usage=total,
+        channel_use_single=r_sum / len(uses),
+        total_usage=usage_sc(r_sum, p1),
         m_nodes=result.m_nodes,
         metadata_channel_use=meta_use,
     )

@@ -71,6 +71,7 @@ class Numerology:
     (TTI of 1/7 ms) and a HARQ round-trip of four TTIs, which fits one
     retransmission in a 1 ms budget. A retransmission after a feedback
     timeout is scheduled on the same HARQ round-trip as one after a NACK.
+    The initial buffering delay ``t_bp_initial_ttis`` delays every delivery.
     """
 
     scs_khz: float = 30.0
@@ -110,22 +111,33 @@ def tti_duration_ms(numerology: Numerology) -> float:
     return _ms_from_ttis(numerology, 1.0)
 
 
+def _latency_offsets(numerology: Numerology) -> Tuple[float, float]:
+    """Latency of a first-try and of a retransmission success, in TTIs,
+    before the frame alignment is added.
+
+    The initial buffering delay ``t_bp_initial_ttis`` precedes the first
+    transmission, so it delays every delivery. The retransmission offset
+    exceeds the first-try one by ``harq_rtt_ttis >= 1``, so the
+    retransmission band [retx, retx + 1) starts no earlier than the
+    first-try band [first, first + 1) ends.
+    """
+    n = numerology
+    first = n.t_bp_initial_ttis + n.t_tx_ttis + n.t_up_ttis
+    retx = n.harq_rtt_ttis + n.t_tx_ttis + n.t_up_ttis + n.t_bp_initial_ttis
+    return first, retx
+
+
 def latency_budget_check(numerology: Numerology, budget_ms: float) -> tuple[float, bool]:
     """Worst-case one-retransmission latency and whether it fits the budget.
 
-    Worst case: a full TTI of frame alignment, the HARQ round trip, the
-    retransmission itself and the receiver processing time.
+    The worst case is the retransmission offset of ``_latency_offsets``
+    plus a full TTI of frame alignment: the upper end of the latency
+    support, which ``latency_quantile`` returns at q = 1.
     """
     if not budget_ms > 0:
         raise ValidationError(f"budget_ms must be positive, got {budget_ms!r}")
-    worst_ttis = (
-        1.0
-        + numerology.harq_rtt_ttis
-        + numerology.t_tx_ttis
-        + numerology.t_up_ttis
-        + numerology.t_bp_initial_ttis
-    )
-    worst_ms = _ms_from_ttis(numerology, worst_ttis)
+    _, retx = _latency_offsets(numerology)
+    worst_ms = _ms_from_ttis(numerology, retx + 1.0)
     return worst_ms, worst_ms <= budget_ms
 
 
@@ -291,14 +303,6 @@ def simulate_run(
     )
 
 
-def _latency_offsets(numerology: Numerology) -> Tuple[float, float]:
-    """Latency of a first-try and of a retransmission success, in TTIs,
-    before the frame alignment is added."""
-    first = numerology.t_bp_initial_ttis + numerology.t_tx_ttis + numerology.t_up_ttis
-    retx = numerology.harq_rtt_ttis + numerology.t_tx_ttis + numerology.t_up_ttis
-    return first, retx
-
-
 def _latency_tail(
     agg: SimAggregate, numerology: Numerology, x: float, shared_frame_alignment: bool
 ) -> float:
@@ -308,19 +312,19 @@ def _latency_tail(
     Given the mix cell (a, b), a link succeeding first-try delivers at
     t_fa + o1 and one succeeding on the retransmission at t_fa + o2, with
     t_fa uniform on [0, 1). With one shared alignment the packet arrives
-    at t_fa plus the smallest offset present; with independent
-    alignments P(L > x) = (1 - F(x - o1))^a (1 - F(x - o2))^b, where F is
-    the uniform CDF.
+    at t_fa + o1 if a > 0 and at t_fa + o2 otherwise, since o2 >= o1 + 1;
+    with independent alignments P(L > x) = (1 - F(x - o1))^a
+    (1 - F(x - o2))^b, where F is the uniform CDF.
     """
     o1, o2 = _latency_offsets(numerology)
     late1 = 1.0 - min(max(x - o1, 0.0), 1.0)
     late2 = 1.0 - min(max(x - o2, 0.0), 1.0)
     k = np.arange(agg.m_nodes + 1)
-    a, b = k[:, None], k[None, :]
     if shared_frame_alignment:
-        late = np.minimum(np.where(a > 0, late1, 1.0), np.where(b > 0, late2, 1.0))
+        late = np.full((k.size, k.size), late1)
+        late[0] = late2  # no first-try success: the retransmission delivers
     else:
-        late = late1**a * late2**b
+        late = late1 ** k[:, None] * late2 ** k[None, :]
     late[0, 0] = 0.0  # outage: no latency
     return float(np.sum(agg.success_mix * late))
 
@@ -344,15 +348,16 @@ def latency_quantile(agg: SimAggregate, numerology: Numerology, q: float,
     The frame alignment is integrated out exactly, so the only sampling
     error is that of the success mix, and no interval is attached.
     Bisection runs to full double precision on the support
-    [min offset, max offset + 1] and compares the tail with (1 - q), so
-    q = 1 yields exactly the upper end of the support.
+    [first-try offset, retransmission offset + 1] (``_latency_offsets``)
+    and compares the tail with (1 - q), so q = 1 yields exactly the upper
+    end of the support, the worst case of ``latency_budget_check``.
     """
     if not 0.0 < q <= 1.0:
         raise ValidationError(f"q must be in (0, 1], got {q!r}")
     if agg.n_success == 0:
         return math.nan
-    o1, o2 = _latency_offsets(numerology)
-    lo, hi = min(o1, o2), max(o1, o2) + 1.0
+    lo, retx = _latency_offsets(numerology)
+    hi = retx + 1.0
     allowed = (1.0 - q) * agg.n_success
     while True:
         mid = 0.5 * (lo + hi)

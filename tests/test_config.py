@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -18,6 +19,11 @@ from urllc_mc.errors import ParseError, ValidationError
 from urllc_mc.outage import ChaseModel
 from urllc_mc.sim import Numerology
 from urllc_mc.solver import PolicyKind
+
+
+# the numerology schema: field types are annotation strings in sim.py
+NUMEROLOGY_FLOATS = [f.name for f in fields(Numerology) if f.type == "float"]
+NUMEROLOGY_INTS = [f.name for f in fields(Numerology) if f.type == "int"]
 
 
 def _doc(**overrides) -> str:
@@ -128,6 +134,26 @@ def test_numerology_overrides():
         parse_scenario(_doc(numerology={"scs": 30}))
 
 
+def test_numerology_schema_follows_the_dataclass():
+    assert NUMEROLOGY_FLOATS == ["scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis"]
+    assert NUMEROLOGY_INTS == ["symbols_per_tti", "harq_rtt_ttis"]
+    # every field round-trips, each with its own value and type
+    values = {
+        f.name: i + 2 if f.name in NUMEROLOGY_INTS else i + 0.5
+        for i, f in enumerate(fields(Numerology))
+    }
+    numerology = parse_scenario(_doc(numerology=values)).numerology
+    for name, value in values.items():
+        got = getattr(numerology, name)
+        assert got == value and type(got) is type(value), name
+    for name in NUMEROLOGY_INTS:
+        with pytest.raises(ValidationError, match=f"{name}: must be an integer"):
+            parse_scenario(_doc(numerology={name: "4"}))
+    # the float fields are read before the int fields
+    with pytest.raises(ValidationError, match="scs_khz: must be a number"):
+        parse_scenario(_doc(numerology={"harq_rtt_ttis": 0, "scs_khz": "x"}))
+
+
 def test_numerology_timeout_ttis_rejected_by_name():
     # the timeout path shares the HARQ round trip; there is no timeout knob
     with pytest.raises(ValidationError, match="timeout_ttis"):
@@ -141,7 +167,7 @@ HUGE = 10**400  # a JSON integer beyond the float range
 @pytest.mark.parametrize(
     "overrides, field",
     [({"numerology": {key: value}}, key)
-     for key in ("scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis")
+     for key in NUMEROLOGY_FLOATS
      for value in (NAN, INF)]
     + [({"sinr_db": INF}, "sinr_db"),
        ({"scheme": "MC", "sinr_db": [10, -INF]}, "sinr_db"),

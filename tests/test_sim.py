@@ -250,6 +250,26 @@ def test_latency_quantile_forced_retransmission():
     assert latency_quantile(agg, DEFAULT, 1.0) == 7.0  # the supremum, 7 TTIs = 1 ms
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("t_bp", [0, 1, 5])
+def test_latency_support_ends_at_the_budget_worst_case(t_bp, shared, m):
+    # the initial buffering delay precedes the first transmission, so it
+    # delays the retransmission as well
+    numerology = Numerology(t_bp_initial_ttis=t_bp)
+    agg = simulate_run([LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)] * m, 10**4, seed=58)
+    first = t_bp + numerology.t_tx_ttis + numerology.t_up_ttis
+    retx = numerology.harq_rtt_ttis + first
+    assert latency_quantile(agg, numerology, 1.0, shared) == retx + 1.0
+    worst_ms, _ = latency_budget_check(numerology, 1.0)
+    assert (retx + 1.0) * tti_duration_ms(numerology) == pytest.approx(worst_ms, rel=1e-12)
+    assert latency_cdf(agg, numerology, first, shared) == 0.0
+    band_end = latency_cdf(agg, numerology, first + 1.0, shared)
+    assert 0.0 < band_end < 1.0
+    for x in np.linspace(first + 1.0, retx, 7):
+        assert latency_cdf(agg, numerology, float(x), shared) == band_end
+
+
 def test_latency_quantile_matches_analytic_mixture():
     # shared alignment, one link: a mixture of U[2, 3) and U[6, 7)
     profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
