@@ -1,7 +1,9 @@
 """Scenario configuration: a single JSON document, validated strictly.
 
-Unknown keys are rejected by name so typos cannot silently fall back to
-defaults. A single ``sinr_db`` number broadcasts to all nodes.
+``ScenarioConfig`` is the document's schema: its field names are the keys
+and its field defaults the defaults. Unknown keys are rejected by name so
+typos cannot silently fall back to defaults. A single ``sinr_db`` number
+broadcasts to all nodes.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -18,25 +20,6 @@ from .fbl import FblContext, db_to_linear
 from .outage import ChaseModel
 from .sim import Numerology
 from .solver import BlerPolicy, PolicyKind
-
-_TOP_KEYS = {
-    "scheme",
-    "m_nodes",
-    "sinr_db",
-    "payload_bits",
-    "metadata_bits",
-    "policy",
-    "fixed_meta",
-    "chase",
-    "target_outage",
-    "p_d",
-    "numerology",
-    "trials",
-    "seed",
-    "shared_frame_alignment",
-    "latency_quantile",
-    "report_metadata_use",
-}
 
 # Most duplicating links a scenario or an m sweep may use. The paper
 # evaluates m <= 3 and the benchmark sweeps to 8; past about m = 40 the
@@ -86,7 +69,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A full experiment description."""
+    """A full experiment description, and the schema of the scenario
+    document: a key is a field name, an absent key takes the field's
+    default, and the scalar fields are type-checked by their annotations
+    in field order (the order in which the ranges are checked, too)."""
 
     scheme: str
     m_nodes: int
@@ -97,11 +83,11 @@ class ScenarioConfig:
     policy: BlerPolicy = field(default_factory=BlerPolicy)
     chase: ChaseModel = ChaseModel.ZERO
     p_d: Optional[float] = None
-    numerology: Numerology = field(default_factory=Numerology)
     trials: int = 100_000
     seed: int = 1234
-    shared_frame_alignment: bool = True
     latency_quantile: float = 0.99
+    numerology: Numerology = field(default_factory=Numerology)
+    shared_frame_alignment: bool = True
     report_metadata_use: bool = False
 
     def contexts(self) -> list[FblContext]:
@@ -110,6 +96,11 @@ class ScenarioConfig:
             FblContext(self.payload_bits, db_to_linear(s))
             for s in self.sinr_db_per_node
         ]
+
+
+# a list or number of dB values stands for the per-node tuple, and the
+# fixed_meta policy's value sits beside "policy"
+_KEYS = {f.name for f in fields(ScenarioConfig)} - {"sinr_db_per_node"} | {"sinr_db", "fixed_meta"}
 
 
 def _require(cond: bool, field_name: str, constraint: str):
@@ -132,75 +123,66 @@ def _number(value, field_name: str) -> float:
     return float(value)
 
 
-def _get_number(doc, key, default=None, required=False):
-    if key not in doc:
-        _require(not required, key, "is required")
-        return default
-    return _number(doc[key], key)
+def _scalars(doc: dict, schema) -> dict:
+    """Every scalar field of the dataclass ``schema``, in field order: the
+    document's value checked against the field's annotation string (the
+    modules postpone annotations), or else its default (MISSING if none)."""
+    values = {}
+    for f in fields(schema):
+        if f.type not in ("int", "float", "Optional[float]", "bool"):
+            continue
+        value = values[f.name] = doc.get(f.name, f.default)
+        if f.name not in doc:
+            continue
+        if f.type == "bool":
+            _require(isinstance(value, bool), f.name, f"must be a boolean, got {value!r}")
+        elif f.type == "int":
+            _require(
+                isinstance(value, int) and not isinstance(value, bool),
+                f.name,
+                f"must be an integer, got {value!r}",
+            )
+            _number(value, f.name)  # rejects an int too large for a float
+        else:
+            values[f.name] = _number(value, f.name)
+    return values
 
 
-def _get_int(doc, key, default=None, minimum=None, required=False):
-    if key not in doc:
-        _require(not required, key, "is required")
-        return default
-    value = doc[key]
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        key,
-        f"must be an integer, got {value!r}",
-    )
-    _number(value, key)  # rejects an int too large for a float
-    if minimum is not None:
-        _require(value >= minimum, key, f"must be >= {minimum}, got {value!r}")
-    return value
+def _enum(doc: dict, key: str, default: Enum) -> Enum:
+    """The member of ``default``'s enum whose value ``doc[key]`` names, in
+    any case; ``default`` when the key is absent."""
+    name, members = doc.get(key, default.value), type(default)
+    _require(isinstance(name, str), key, "must be a string")
+    try:
+        return members(name.lower())
+    except ValueError:
+        raise ValidationError(
+            f"{key}: must be one of {[m.value for m in members]}, got {name!r}"
+        ) from None
 
 
-def _get_bool(doc, key, default):
-    if key not in doc:
-        return default
-    value = doc[key]
-    _require(isinstance(value, bool), key, f"must be a boolean, got {value!r}")
-    return value
-
-
-def _parse_numerology(doc) -> Numerology:
-    if "numerology" not in doc:
-        return Numerology()
-    sub = doc["numerology"]
-    _require(isinstance(sub, dict), "numerology", "must be an object")
-    schema = fields(Numerology)
-    unknown = set(sub) - {f.name for f in schema}
-    if unknown:
-        raise ValidationError(f"numerology: unknown key {sorted(unknown)[0]!r}")
-    kwargs = {}
-    # the float fields in field order, then the int fields; a field's type
-    # is its annotation string, since sim.py postpones annotations
-    for f in sorted(schema, key=lambda f: f.type != "float"):
-        if f.name in sub and f.type == "float":
-            kwargs[f.name] = _get_number(sub, f.name)
-        elif f.name in sub:
-            kwargs[f.name] = _get_int(sub, f.name, minimum=1)
-    return Numerology(**kwargs)
+def _at_least(values: dict, minimum: int, *names: str) -> None:
+    for name in names:
+        _require(values[name] >= minimum, name, f"must be >= {minimum}, got {values[name]!r}")
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario document.
 
     Raises ParseError for malformed JSON (with position) and
-    ValidationError for constraint violations (naming the field).
+    ValidationError for constraint violations (naming the field). The
+    top-level scalars are type-checked, in field order, before any range.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # e.g. an integer literal past the digit limit
         raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
 
-    unknown = set(doc) - _TOP_KEYS
+    unknown = set(doc) - _KEYS
     if unknown:
         raise ValidationError(f"unknown key {sorted(unknown)[0]!r}")
 
@@ -209,83 +191,56 @@ def parse_scenario(text: str) -> ScenarioConfig:
     scheme = scheme_raw.upper()
     _require(scheme in ("SC", "MC"), "scheme", f"must be 'SC' or 'MC', got {scheme_raw!r}")
 
-    m_nodes = _get_int(doc, "m_nodes", default=(1 if scheme == "SC" else 2), minimum=1)
-    _require(
-        scheme == "MC" or m_nodes == 1, "m_nodes", "must be 1 for the SC scheme"
-    )
+    values = _scalars(doc, ScenarioConfig)
+    if values["m_nodes"] is MISSING:
+        values["m_nodes"] = 1 if scheme == "SC" else 2
+    m_nodes = values["m_nodes"]
+    _at_least(values, 1, "m_nodes")
+    _require(scheme == "MC" or m_nodes == 1, "m_nodes", "must be 1 for the SC scheme")
+    # before the broadcast below, so a huge count never builds a tuple
     _require(m_nodes <= MAX_NODES, "m_nodes", f"must be <= {MAX_NODES}, got {m_nodes!r}")
 
     _require("sinr_db" in doc, "sinr_db", "is required")
-    sinr_raw = doc["sinr_db"]
-    if isinstance(sinr_raw, list):
-        sinrs = tuple(_number(s, "sinr_db") for s in sinr_raw)
-        if len(sinrs) == 1:
-            sinrs = sinrs * m_nodes
-        _require(
-            len(sinrs) == m_nodes,
-            "sinr_db_per_node",
-            f"needs 1 or {m_nodes} entries, got {len(sinrs)}",
-        )
-    else:
-        sinrs = (_number(sinr_raw, "sinr_db"),) * m_nodes
-
-    target = _get_number(doc, "target_outage", required=True)
-    _require(0.0 < target < 1.0, "target_outage", f"must be in (0, 1), got {target!r}")
-
-    payload_bits = _get_int(doc, "payload_bits", default=256, minimum=1)
-    metadata_bits = _get_int(doc, "metadata_bits", default=128, minimum=1)
-
-    policy_name = doc.get("policy", "equal")
-    _require(isinstance(policy_name, str), "policy", "must be a string")
-    try:
-        kind = PolicyKind(policy_name.lower())
-    except ValueError:
-        raise ValidationError(
-            f"policy: must be one of {[k.value for k in PolicyKind]}, got {policy_name!r}"
-        ) from None
-    fixed_meta = _get_number(doc, "fixed_meta")
-    if kind is PolicyKind.FIXED_META:
-        _require(fixed_meta is not None, "fixed_meta", "is required for the fixed_meta policy")
-    policy = BlerPolicy(kind, fixed_meta)
-
-    chase_name = doc.get("chase", "zero")
-    _require(isinstance(chase_name, str), "chase", "must be a string")
-    try:
-        chase = ChaseModel(chase_name.lower())
-    except ValueError:
-        raise ValidationError(
-            f"chase: must be one of {[c.value for c in ChaseModel]}, got {chase_name!r}"
-        ) from None
-
-    p_d = _get_number(doc, "p_d")
-    if p_d is not None:
-        _require(0.0 < p_d < 1.0, "p_d", f"must be in (0, 1), got {p_d!r}")
-
-    trials = _get_int(doc, "trials", default=100_000, minimum=1)
-    seed = _get_int(doc, "seed", default=1234, minimum=0)
-    latency_quantile = _get_number(doc, "latency_quantile", default=0.99)
+    raw = doc["sinr_db"]
+    sinrs = tuple(_number(s, "sinr_db") for s in (raw if isinstance(raw, list) else [raw]))
+    if len(sinrs) == 1:
+        sinrs = sinrs * m_nodes
     _require(
-        0.0 < latency_quantile <= 1.0,
-        "latency_quantile",
-        f"must be in (0, 1], got {latency_quantile!r}",
+        len(sinrs) == m_nodes, "sinr_db_per_node", f"needs 1 or {m_nodes} entries, got {len(sinrs)}"
     )
 
+    target = values["target_outage"]
+    _require(target is not MISSING, "target_outage", "is required")
+    _require(0.0 < target < 1.0, "target_outage", f"must be in (0, 1), got {target!r}")
+    _at_least(values, 1, "payload_bits", "metadata_bits")
+
+    kind = _enum(doc, "policy", BlerPolicy.kind)  # the dataclass defaults
+    meta = _scalars(doc, BlerPolicy)
+    if kind is PolicyKind.FIXED_META:
+        _require(meta["fixed_meta"] is not None, "fixed_meta",
+                 "is required for the fixed_meta policy")
+    policy = BlerPolicy(kind, **meta)
+    chase = _enum(doc, "chase", ScenarioConfig.chase)
+
+    p_d = values["p_d"]
+    if p_d is not None:
+        _require(0.0 < p_d < 1.0, "p_d", f"must be in (0, 1), got {p_d!r}")
+    _at_least(values, 1, "trials")
+    _at_least(values, 0, "seed")
+    q = values["latency_quantile"]
+    _require(0.0 < q <= 1.0, "latency_quantile", f"must be in (0, 1], got {q!r}")
+
+    sub = doc.get("numerology", {})
+    _require(isinstance(sub, dict), "numerology", "must be an object")
+    unknown = set(sub) - {f.name for f in fields(Numerology)}
+    if unknown:
+        raise ValidationError(f"numerology: unknown key {sorted(unknown)[0]!r}")
+    timing = _scalars(sub, Numerology)
+    _at_least(timing, 1, *(f.name for f in fields(Numerology) if f.type == "int"))
+
     cfg = ScenarioConfig(
-        scheme=scheme,
-        m_nodes=m_nodes,
-        sinr_db_per_node=sinrs,
-        target_outage=target,
-        payload_bits=payload_bits,
-        metadata_bits=metadata_bits,
-        policy=policy,
-        chase=chase,
-        p_d=p_d,
-        numerology=_parse_numerology(doc),
-        trials=trials,
-        seed=seed,
-        shared_frame_alignment=_get_bool(doc, "shared_frame_alignment", True),
-        latency_quantile=latency_quantile,
-        report_metadata_use=_get_bool(doc, "report_metadata_use", False),
+        scheme=scheme, sinr_db_per_node=sinrs, policy=policy, chase=chase,
+        numerology=Numerology(**timing), **values,
     )
     try:  # a finite SINR can still overflow or give a zero capacity
         cfg.contexts()

@@ -130,7 +130,10 @@ def channel_use(ctx: FblContext, bler: float) -> float:
     root = (qi * math.sqrt(v) + math.sqrt(qi * qi * v + 4.0 * ctx.payload_bits * c)) / (
         2.0 * c
     )
-    return root * root
+    uses = root * root
+    if not math.isfinite(uses):
+        raise DomainError(f"channel use of a {ctx.payload_bits!r}-bit payload overflows")
+    return uses
 
 
 def achieved_bler(ctx: FblContext, channel_uses: float) -> float:

@@ -59,7 +59,8 @@ STREAM_VERSION = 3
 # first-try mask stay in a core's L2 cache for the usual m <= 3.
 DEFAULT_BATCH_SIZE = 1 << 14
 
-# Most worker threads a run may use; the pool submits every batch at once.
+# Most worker threads a run may use; each sums the tallies of its own
+# strided share of the batches, so memory does not grow with the run.
 MAX_JOBS = 64
 
 
@@ -285,19 +286,26 @@ def simulate_run(
         raise ValidationError(f"jobs must be at most {MAX_JOBS}, got {jobs!r}")
     m = len(profiles)
     thresholds = [_thresholds(p) for p in profiles]
-    starts = range(0, trials, batch_size)
-    leaf_counts = np.zeros((m, 4), dtype=np.int64)
-    mix = np.zeros((m + 1, m + 1), dtype=np.int64)
 
-    def run(start: int):
-        return _run_batch(thresholds, seed, start, min(batch_size, trials - start))
-
-    # the pool starts threads only when the parallel branch submits work
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parallel = jobs > 1 and len(starts) > 1
-        for batch_leaves, batch_mix in (pool.map if parallel else map)(run, starts):
+    def tally(share: range) -> Tuple[np.ndarray, np.ndarray]:
+        leaf_counts = np.zeros((m, 4), dtype=np.int64)
+        mix = np.zeros((m + 1, m + 1), dtype=np.int64)
+        for start in share:
+            batch_leaves, batch_mix = _run_batch(
+                thresholds, seed, start, min(batch_size, trials - start)
+            )
             leaf_counts += batch_leaves
             mix += batch_mix
+        return leaf_counts, mix
+
+    starts = range(0, trials, batch_size)
+    workers = min(jobs, len(starts))
+    if workers == 1:
+        leaf_counts, mix = tally(starts)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            shares = list(pool.map(tally, (starts[w::workers] for w in range(workers))))
+        leaf_counts, mix = (sum(parts) for parts in zip(*shares))
     return SimAggregate(
         trials=trials, seed=seed, m_nodes=m, leaf_counts=leaf_counts, success_mix=mix
     )

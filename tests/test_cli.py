@@ -341,6 +341,22 @@ def test_integer_beyond_float_range_exit_code(config_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, overrides",
+    [(["resource"], {"payload_bits": 10**308}),
+     (["resource"], {"metadata_bits": 10**308, "report_metadata_use": True}),
+     (["sweep", "--variable", "sinr_db", "--start", "0", "--stop", "10", "--points", "3"],
+      {"payload_bits": 10**308})],
+)
+def test_channel_use_overflow_exit_code(config_path, capsys, command, overrides):
+    # a bit count that fits a float can still overflow the channel use
+    code = main([*command, "--config", config_path(**overrides), "--format", "csv"])
+    assert code == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"DOMAIN_ERROR: channel use of a {10**308}-bit payload overflows" in err
+
+
+@pytest.mark.parametrize(
     "overrides, field",
     [({"scheme": "MC", "m_nodes": 65}, "m_nodes"),
      ({"scheme": "MC", "m_nodes": 10**30}, "m_nodes"),

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import pytest
 
 from urllc_mc.config import (
     MAX_NODES,
     MAX_SWEEP_POINTS,
+    ScenarioConfig,
     SweepScale,
     SweepSpec,
     SweepVariable,
@@ -48,6 +49,11 @@ def test_minimal_document_gets_defaults():
     assert cfg.numerology.scs_khz == 30.0
     assert cfg.numerology.symbols_per_tti == 4
     assert cfg.shared_frame_alignment is True
+    # every field with a default takes the dataclass's own
+    for f in fields(ScenarioConfig):
+        if f.default is not MISSING or f.default_factory is not MISSING:
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            assert getattr(cfg, f.name) == default, f.name
 
 
 def test_mc_defaults_to_two_nodes_with_broadcast_sinr():
@@ -149,7 +155,7 @@ def test_numerology_schema_follows_the_dataclass():
     for name in NUMEROLOGY_INTS:
         with pytest.raises(ValidationError, match=f"{name}: must be an integer"):
             parse_scenario(_doc(numerology={name: "4"}))
-    # the float fields are read before the int fields
+    # every type is checked before any range
     with pytest.raises(ValidationError, match="scs_khz: must be a number"):
         parse_scenario(_doc(numerology={"harq_rtt_ttis": 0, "scs_khz": "x"}))
 

@@ -224,6 +224,14 @@ def test_channel_use_domain():
             channel_use(ctx, bad)
 
 
+def test_channel_use_overflow_is_a_domain_error():
+    # the sum under the root overflows at 10**308 bits; at 10**300 bits and
+    # a tiny capacity only the square of the root does
+    for payload_bits, sinr_linear in ((10**308, 10.0), (10**300, 1e-12)):
+        with pytest.raises(DomainError, match=f"{payload_bits}-bit payload overflows"):
+            channel_use(FblContext(payload_bits, sinr_linear), 1e-3)
+
+
 def test_channel_use_exceeds_asymptotic_minimum():
     ctx = FblContext(256, 10.0)
     for p in (1e-9, 1e-5, 0.01, 0.4):

@@ -307,6 +307,21 @@ def test_peak_memory_does_not_grow_with_trials():
     assert abs(peak(32) - peak(4)) < draw_bytes
 
 
+def test_parallel_peak_memory_does_not_grow_with_batches():
+    # at jobs > 1 each worker sums its own share; no result waits per batch
+    profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
+
+    def peak(batches: int) -> int:
+        tracemalloc.start()
+        try:
+            simulate_run([profile], batches * 16, seed=3, batch_size=16, jobs=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4_000) <= 2 * peak(400)
+
+
 # ---------------------------------------------------------------------------
 # estimates and determinism
 
