@@ -34,14 +34,13 @@ from .outage import (
     succ_retx_nack,
     succ_retx_timeout,
     succ_retx_total,
+    success_mix,
 )
 from .resources import (
-    UsageDistribution,
     UsageReport,
     normalized_usage,
     usage_at_reliability,
     usage_at_solution,
-    usage_distribution_mc,
     usage_mc,
     usage_sc,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "SweepSpec",
     "SweepVariable",
     "UrllcMcError",
-    "UsageDistribution",
     "UsageReport",
     "ValidationError",
     "achieved_bler",
@@ -109,10 +107,10 @@ __all__ = [
     "succ_retx_nack",
     "succ_retx_timeout",
     "succ_retx_total",
+    "success_mix",
     "tti_duration_ms",
     "usage_at_reliability",
     "usage_at_solution",
-    "usage_distribution_mc",
     "usage_mc",
     "usage_sc",
 ]

@@ -115,7 +115,7 @@ def cmd_simulate(cfg: ScenarioConfig, seed: int, jobs: int = 1) -> Rows:
     profiles = _simulation_profiles(cfg)
     agg = simulate_run(profiles, cfg.trials, seed, jobs=jobs)
     latency = latency_quantile(
-        agg, cfg.numerology, cfg.latency_quantile, cfg.shared_frame_alignment
+        agg.success_mix, cfg.numerology, cfg.latency_quantile, cfg.shared_frame_alignment
     )
     q = f"{cfg.latency_quantile:g}"
     header = ["metric", "value", "ci_half_width_95", "trials", "seed"]

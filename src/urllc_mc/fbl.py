@@ -9,6 +9,7 @@ All functions are pure and scalar.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -105,6 +106,10 @@ class FblContext:
             raise DomainError(
                 f"payload_bits must be a positive integer, got {self.payload_bits!r}"
             )
+        # an exact comparison, so an int too large for a float fails too (its
+        # repr may exceed the int-to-str digit limit, so it is not printed)
+        if not self.payload_bits <= sys.float_info.max:
+            raise DomainError("payload_bits must be within the float range")
         capacity = shannon_capacity(self.sinr_linear)
         if capacity == 0.0:
             raise DomainError(

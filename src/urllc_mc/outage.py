@@ -4,7 +4,8 @@ Single link: first transmission, retransmission after a feedback timeout
 (metadata lost, no combining) and retransmission after a NACK (Chase
 combining with the first data copy). Duplicated transmission: product of
 the per-link outages, since every link runs its own independent HARQ
-round and copies are never combined across links.
+round and copies are never combined across links. Its success mix holds
+every per-round distribution: outage, retransmissions and latency.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ValidationError
 from .fbl import FblContext, achieved_bler, channel_use
@@ -145,6 +148,30 @@ def mc_outage(profiles: Sequence[LinkBlerProfile]) -> float:
             p_out, last = sc_outage(profile).p_out, profile
         out *= p_out
     return out
+
+
+def success_mix(profiles: Sequence[LinkBlerProfile]) -> np.ndarray:
+    """Exact success mix of a packet duplicated over the given links.
+
+    Cell (a, b) is the probability that exactly ``a`` links succeed on the
+    first try and ``b`` on the retransmission, the exact counterpart of
+    ``SimAggregate.success_mix``; its reversed row sums are the
+    distribution of the number of retransmitting links. Each link enters
+    as its outage factor plus the shifted success terms, so cell (0, 0)
+    takes the products of ``mc_outage`` and equals it bit for bit.
+    """
+    if len(profiles) < 1:
+        raise DomainError("at least one link profile is required")
+    m = len(profiles)
+    mix = np.zeros((m + 1, m + 1))
+    mix[0, 0] = 1.0
+    for profile in profiles:
+        bd = sc_outage(profile)
+        step = mix * bd.p_out
+        step[1:] += mix[:-1] * bd.p_succ_first
+        step[:, 1:] += mix[:, :-1] * succ_retx_total(profile)
+        mix = step
+    return mix
 
 
 def chase_bler(

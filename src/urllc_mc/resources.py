@@ -2,38 +2,22 @@
 
 Every link always completes its own retransmission when its first
 transmission fails, even if another link already delivered the packet,
-so the total channel usage of a duplicated transmission is a binomial
-mixture over the per-link first-transmission outcomes.
+so a duplicated transmission uses m + k transmissions when k links miss
+the first try. The distribution of k is the reversed row sums of the
+success mix (``outage.success_mix``); the expected usage needs only the
+per-link first-try probability.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .fbl import FblContext, channel_use
 from .outage import ChaseModel, LinkBlerProfile, succ_first
 from .solver import BlerPolicy, SolveResult, solve_bler
-
-
-@dataclass(frozen=True)
-class UsageDistribution:
-    """Discrete distribution of the total channel uses of one round."""
-
-    support: Tuple[Tuple[float, float], ...]  # (channel_uses, probability)
-
-    def __post_init__(self) -> None:
-        total = math.fsum(p for _, p in self.support)
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"probabilities must sum to 1, got {total!r}")
-        uses = [u for u, _ in self.support]
-        if any(a >= b for a, b in zip(uses, uses[1:])):
-            raise DomainError("support points must be strictly increasing")
-
-    def mean(self) -> float:
-        return math.fsum(u * p for u, p in self.support)
 
 
 @dataclass(frozen=True)
@@ -78,26 +62,6 @@ def usage_mc(m: int, r: float, p_succ_first: float) -> float:
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"m must be a positive integer, got {m!r}")
     return m * usage_sc(r, p_succ_first)
-
-
-def usage_distribution_mc(m: int, r: float, p_succ_first: float) -> UsageDistribution:
-    """Distribution of total channel uses over m links.
-
-    n of the m first transmissions fail (binomially), adding n
-    retransmissions: (m + n) * r with weight C(m,n) p^(m-n) (1-p)^n.
-    """
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"m must be a positive integer, got {m!r}")
-    if not r > 0.0:
-        raise DomainError(f"channel uses must be positive, got {r!r}")
-    if not 0.0 <= p_succ_first <= 1.0:
-        raise DomainError(f"p_succ_first must be in [0, 1], got {p_succ_first!r}")
-    p = p_succ_first
-    support = tuple(
-        ((m + n) * r, math.comb(m, n) * p ** (m - n) * (1.0 - p) ** n)
-        for n in range(m + 1)
-    )
-    return UsageDistribution(support)
 
 
 def normalized_usage(m: int, profile: LinkBlerProfile) -> float:

@@ -27,11 +27,12 @@ of its probability, below the solver's 1e-9 lower bracket; probabilities
 0 and 1 are exact.
 
 Estimates read the tallies: ``SimAggregate.outage`` and ``mean_usage``
-directly, the latency functions together with the numerology and the
-frame-alignment mode. Frame alignment is uniform on [0, 1) TTI and moves
-only the latency, so it is not drawn: latency quantiles come from the
-exact latency distribution given the success mix, a conditional Monte
-Carlo (Rao-Blackwell) estimator (see ``latency_quantile``).
+directly, the latency functions a success mix (``agg.success_mix``, or
+the exact ``outage.success_mix``) with the numerology and the
+frame-alignment mode. Frame alignment is uniform on [0, 1) TTI and
+moves only the latency, so it is not drawn: latency quantiles come from
+the exact latency distribution given the mix, a conditional Monte Carlo
+(Rao-Blackwell) estimator (see ``latency_quantile``).
 
 Plain Monte Carlo only: validate at error rates where the binomial
 intervals are meaningful, not at the 1e-5 operating points.
@@ -312,10 +313,10 @@ def simulate_run(
 
 
 def _latency_tail(
-    agg: SimAggregate, numerology: Numerology, x: float, shared_frame_alignment: bool
+    mix: np.ndarray, numerology: Numerology, x: float, shared_frame_alignment: bool
 ) -> float:
-    """Number of successful trials, in expectation over the frame
-    alignment, whose latency exceeds ``x`` TTIs.
+    """Mass of the mix, in expectation over the frame alignment, whose
+    latency exceeds ``x`` TTIs.
 
     Given the mix cell (a, b), a link succeeding first-try delivers at
     t_fa + o1 and one succeeding on the retransmission at t_fa + o2, with
@@ -327,34 +328,33 @@ def _latency_tail(
     o1, o2 = _latency_offsets(numerology)
     late1 = 1.0 - min(max(x - o1, 0.0), 1.0)
     late2 = 1.0 - min(max(x - o2, 0.0), 1.0)
-    k = np.arange(agg.m_nodes + 1)
+    k = np.arange(mix.shape[0])
     if shared_frame_alignment:
         late = np.full((k.size, k.size), late1)
         late[0] = late2  # no first-try success: the retransmission delivers
     else:
         late = late1 ** k[:, None] * late2 ** k[None, :]
     late[0, 0] = 0.0  # outage: no latency
-    return float(np.sum(agg.success_mix * late))
+    return float(np.sum(mix * late))
 
 
-def latency_cdf(agg: SimAggregate, numerology: Numerology, x: float,
+def latency_cdf(mix: np.ndarray, numerology: Numerology, x: float,
                 shared_frame_alignment: bool = True) -> float:
-    """P(latency <= ``x`` TTIs | success), exact given the success mix.
-
-    NaN when the run saw no success.
-    """
-    if agg.n_success == 0:
+    """P(latency <= ``x`` TTIs | success), exact given the success mix
+    (counted or exact); NaN when the mix holds no success."""
+    successes = float(mix.sum() - mix[0, 0])  # all but the outage cell
+    if successes == 0:
         return math.nan
-    return 1.0 - _latency_tail(agg, numerology, x, shared_frame_alignment) / agg.n_success
+    return 1.0 - _latency_tail(mix, numerology, x, shared_frame_alignment) / successes
 
 
-def latency_quantile(agg: SimAggregate, numerology: Numerology, q: float,
+def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
                      shared_frame_alignment: bool = True) -> float:
-    """Smallest x in TTIs with ``latency_cdf(...) >= q``; NaN when the run
-    saw no success.
+    """Smallest x in TTIs with ``latency_cdf(mix, ...) >= q``; NaN when the
+    mix holds no success.
 
     The frame alignment is integrated out exactly, so the only sampling
-    error is that of the success mix, and no interval is attached.
+    error is that of a counted mix, and no interval is attached.
     Bisection runs to full double precision on the support
     [first-try offset, retransmission offset + 1] (``_latency_offsets``)
     and compares the tail with (1 - q), so q = 1 yields exactly the upper
@@ -362,16 +362,17 @@ def latency_quantile(agg: SimAggregate, numerology: Numerology, q: float,
     """
     if not 0.0 < q <= 1.0:
         raise ValidationError(f"q must be in (0, 1], got {q!r}")
-    if agg.n_success == 0:
+    successes = float(mix.sum() - mix[0, 0])
+    if successes == 0:
         return math.nan
     lo, retx = _latency_offsets(numerology)
     hi = retx + 1.0
-    allowed = (1.0 - q) * agg.n_success
+    allowed = (1.0 - q) * successes
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if _latency_tail(agg, numerology, mid, shared_frame_alignment) <= allowed:
+        if _latency_tail(mix, numerology, mid, shared_frame_alignment) <= allowed:
             hi = mid
         else:
             lo = mid

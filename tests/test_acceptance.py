@@ -22,10 +22,10 @@ from urllc_mc.outage import (
     LinkBlerProfile,
     mc_outage,
     sc_outage,
+    success_mix,
 )
 from urllc_mc.resources import (
     normalized_usage,
-    usage_distribution_mc,
     usage_mc,
     usage_sc,
 )
@@ -186,9 +186,10 @@ def test_criterion_8_monte_carlo_oracle():
         assert abs(mean_hat - (1.0 + q)) <= Z_9999 * math.sqrt(q * (1 - q) / n)
 
         agg_mc = simulate_run([profile] * 2, n, seed=int(rng.integers(1 << 30)))
-        dist = usage_distribution_mc(2, 1.0, bd.p_succ_first)
-        for k, (_, weight) in enumerate(dist.support):
-            assert _within_binomial_ci(int(agg_mc.usage_extra_counts[k]), n, weight)
+        # k of the two links retransmit: the exact mix's reversed row sums
+        dist = success_mix([profile] * 2).sum(axis=1)[::-1]
+        for k, weight in enumerate(dist):
+            assert _within_binomial_ci(int(agg_mc.usage_extra_counts[k]), n, float(weight))
         checks += 10
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -204,10 +205,11 @@ def test_criterion_9_latency_budget_and_bands():
     assert fits
     profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
     agg = simulate_run([profile], 200_000, seed=909)
-    first_band = latency_cdf(agg, numerology, 3.0)
-    assert latency_cdf(agg, numerology, 2.0) == 0.0
-    assert latency_cdf(agg, numerology, 6.0) == first_band  # no mass between the bands
-    assert latency_cdf(agg, numerology, 7.0) == 1.0
+    mix = agg.success_mix
+    first_band = latency_cdf(mix, numerology, 3.0)
+    assert latency_cdf(mix, numerology, 2.0) == 0.0
+    assert latency_cdf(mix, numerology, 6.0) == first_band  # no mass between the bands
+    assert latency_cdf(mix, numerology, 7.0) == 1.0
     assert 0.0 < first_band < 1.0  # mass in both bands
     _report(9, "worst case exactly 1.000 ms; latency CDF mass confined to "
                "[2,3] U [6,7] TTIs")

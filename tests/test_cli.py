@@ -472,6 +472,31 @@ def test_reproduce_bytes_are_pinned(tmp_path, capsys):
     assert digests == REPRODUCE_SHA256
 
 
+# simulate --seed 2024 --format csv on 1e5-trial documents: the Table 2 SC
+# and MC2 points, and three per-node links under product combining with
+# one frame alignment per link. The digests move only with the random
+# stream's layout, that is with a bump of urllc_mc.sim.STREAM_VERSION.
+SIMULATE_SHA256 = {
+    "sc": ({"scheme": "SC", "target_outage": 1e-5, "sinr_db": 10},
+           "60caaff47a227f26737c19e5d459e5c2a7ea2ad0145133af081bd02699ef0154"),
+    "mc2": ({"scheme": "MC", "m_nodes": 2, "target_outage": 1e-5, "sinr_db": 10},
+            "b03d3dfdee3e85f73b645e35a1a0f3bdecf9406c157a6647e054f59c613f8068"),
+    "dup3": ({"scheme": "MC", "m_nodes": 3, "sinr_db": [0, 5, 10], "chase": "product",
+              "p_d": 0.2, "shared_frame_alignment": False, "target_outage": 1e-5},
+             "8225a52603bacc8a3a85b6d5cb675105a204e77205ca4dbd5a848fc9e78eb2ad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_SHA256))
+def test_simulate_stdout_is_pinned(name, tmp_path, capsys):
+    doc, digest = SIMULATE_SHA256[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**doc, "trials": 100_000}))
+    argv = ["simulate", "--config", str(path), "--seed", "2024", "--format", "csv"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_pretty_format_renders_header(config_path, capsys):
     code = main(["solve", "--config", config_path()])
     assert code == 0

@@ -194,6 +194,12 @@ def test_context_validation():
     with pytest.raises(DomainError, match="capacity"):
         FblContext(payload_bits=256, sinr_linear=db_to_linear(-200.0))
     FblContext(payload_bits=256, sinr_linear=db_to_linear(-150.0))
+    # past the float range the payload is rejected by name, not left to
+    # overflow in channel_use
+    with pytest.raises(DomainError, match="payload_bits"):
+        FblContext(payload_bits=10**400, sinr_linear=10.0)
+    with pytest.raises(DomainError, match="payload_bits"):
+        FblContext(payload_bits=10**5000, sinr_linear=10.0)
     with pytest.raises(DomainError, match="finite"):
         db_to_linear(1e300)
 

@@ -7,6 +7,9 @@ to 1e-14.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from urllc_mc.outage import (
     succ_retx_nack,
     succ_retx_timeout,
     succ_retx_total,
+    success_mix,
 )
 
 
@@ -282,6 +286,44 @@ def test_mc_outage_heterogeneous_product():
 def test_mc_outage_empty_rejected():
     with pytest.raises(DomainError):
         mc_outage([])
+    with pytest.raises(DomainError):
+        success_mix([])
+
+
+# ---------------------------------------------------------------------------
+# success_mix
+
+
+def test_success_mix_matches_outcome_enumeration():
+    # every link ends in one of three classes: first try, retransmission,
+    # outage; summing the products over all 3^m combinations gives the mix
+    profiles = _random_profiles(4, seed=43)
+    for m in range(1, 5):
+        expected = np.zeros((m + 1, m + 1))
+        for outcome in itertools.product(range(3), repeat=m):
+            prob = 1.0
+            for profile, cls in zip(profiles, outcome):
+                bd = sc_outage(profile)
+                prob *= (bd.p_succ_first, succ_retx_total(profile), bd.p_out)[cls]
+            expected[outcome.count(0), outcome.count(1)] += prob
+        assert np.allclose(success_mix(profiles[:m]), expected, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_profiles(), min_size=1, max_size=6))
+def test_success_mix_outage_cell_is_mc_outage(profiles):
+    # the same products in the same order, so equal bit for bit
+    assert success_mix(profiles)[0, 0] == mc_outage(profiles)
+
+
+def test_success_mix_row_sums_are_binomial_over_equal_links():
+    for profile in _random_profiles(30, seed=41):
+        p = sc_outage(profile).p_succ_first
+        for m in range(1, 7):
+            # entry k: exactly k links retransmit
+            got = success_mix([profile] * m).sum(axis=1)[::-1]
+            expected = [math.comb(m, k) * p ** (m - k) * (1.0 - p) ** k for k in range(m + 1)]
+            assert np.allclose(got, expected, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.fbl import FblContext, db_to_linear
-from urllc_mc.outage import ChaseModel, LinkBlerProfile
+from urllc_mc.outage import ChaseModel, LinkBlerProfile, success_mix
 from urllc_mc.resources import (
-    UsageDistribution,
     UsageReport,
     normalized_usage,
     usage_at_reliability,
-    usage_distribution_mc,
     usage_mc,
     usage_sc,
 )
@@ -71,19 +71,29 @@ def test_usage_domain():
 
 
 # ---------------------------------------------------------------------------
-# usage distribution
+# usage distribution: the exact success mix's row sums
+
+
+def _usage_distribution(m: int, r: float, p_succ_first: float) -> list:
+    """(channel uses, probability) over m equal links: m + k transmissions
+    when k links miss the first try, weighted by the reversed row sums of
+    the exact success mix."""
+    p_fail = 1.0 - p_succ_first
+    link = LinkBlerProfile(p_m1=0.0, p_d1=p_fail, p_m2=0.0, p_d2=p_fail, p_c=0.0)
+    weights = success_mix([link] * m).sum(axis=1)[::-1]
+    return [((m + k) * r, float(w)) for k, w in enumerate(weights)]
 
 
 def test_distribution_two_links():
-    dist = usage_distribution_mc(2, 1.0, 0.9)
-    assert dist.support == ((2.0, pytest.approx(0.81)), (3.0, pytest.approx(0.18)),
-                            (4.0, pytest.approx(0.01)))
+    dist = _usage_distribution(2, 1.0, 0.9)
+    assert dist == [(2.0, pytest.approx(0.81)), (3.0, pytest.approx(0.18)),
+                    (4.0, pytest.approx(0.01))]
 
 
 def test_distribution_single_link():
-    dist = usage_distribution_mc(1, 2.5, 0.7)
-    assert dist.support[0] == (2.5, pytest.approx(0.7))
-    assert dist.support[1] == (5.0, pytest.approx(0.3))
+    dist = _usage_distribution(1, 2.5, 0.7)
+    assert dist[0] == (2.5, pytest.approx(0.7))
+    assert dist[1] == (5.0, pytest.approx(0.3))
 
 
 def test_distribution_mean_matches_expected_usage():
@@ -92,20 +102,13 @@ def test_distribution_mean_matches_expected_usage():
         m = int(rng.integers(1, 7))
         r = float(rng.uniform(0.5, 300))
         p = float(rng.uniform(0, 1))
-        dist = usage_distribution_mc(m, r, p)
-        assert dist.mean() == pytest.approx(usage_mc(m, r, p), rel=1e-12)
+        mean = math.fsum(u * w for u, w in _usage_distribution(m, r, p))
+        assert mean == pytest.approx(usage_mc(m, r, p), rel=1e-12)
 
 
 def test_distribution_three_links_reference_mean():
-    dist = usage_distribution_mc(3, 80.88, 0.935476)
-    assert dist.mean() == pytest.approx(258.30, abs=0.01)
-
-
-def test_distribution_validation():
-    with pytest.raises(DomainError):
-        UsageDistribution(((1.0, 0.5), (2.0, 0.6)))
-    with pytest.raises(DomainError):
-        UsageDistribution(((2.0, 0.5), (1.0, 0.5)))
+    mean = math.fsum(u * w for u, w in _usage_distribution(3, 80.88, 0.935476))
+    assert mean == pytest.approx(258.30, abs=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ import pytest
 from numpy.random import Philox
 
 from urllc_mc.errors import DomainError, ValidationError
-from urllc_mc.outage import LinkBlerProfile, sc_outage
-from urllc_mc.resources import usage_distribution_mc, usage_mc
+from urllc_mc.fbl import FblContext, db_to_linear
+from urllc_mc.outage import ChaseModel, LinkBlerProfile, sc_outage, success_mix
+from urllc_mc.resources import usage_mc
 from urllc_mc.sim import (
     DEFAULT_BATCH_SIZE,
     MAX_JOBS,
@@ -30,6 +31,7 @@ from urllc_mc.sim import (
     simulate_run,
     tti_duration_ms,
 )
+from urllc_mc.solver import BlerPolicy, PolicyKind, link_profiles
 
 Z_9999 = 3.8906  # two-sided 99.99% normal quantile
 
@@ -93,7 +95,8 @@ def test_sc_trial_perfect_link():
     assert agg.leaf_counts[0].tolist() == [20, 0, 0, 0]  # no retransmission
     assert agg.usage_multiples_sum() == 20  # one transmission each
     # t_fa in [0,1) + tx + up
-    assert latency_cdf(agg, DEFAULT, 2.0) == 0.0 and latency_cdf(agg, DEFAULT, 3.0) == 1.0
+    mix = agg.success_mix
+    assert latency_cdf(mix, DEFAULT, 2.0) == 0.0 and latency_cdf(mix, DEFAULT, 3.0) == 1.0
 
 
 def test_sc_trial_forced_timeout_path():
@@ -102,7 +105,8 @@ def test_sc_trial_forced_timeout_path():
     assert agg.leaf_counts[0].tolist() == [0, 20, 0, 0]
     assert agg.usage_multiples_sum() == 40
     # t_fa + rtt 4 + tx + up
-    assert latency_cdf(agg, DEFAULT, 6.0) == 0.0 and latency_cdf(agg, DEFAULT, 7.0) == 1.0
+    mix = agg.success_mix
+    assert latency_cdf(mix, DEFAULT, 6.0) == 0.0 and latency_cdf(mix, DEFAULT, 7.0) == 1.0
 
 
 def test_sc_trial_forced_nack_path():
@@ -111,7 +115,8 @@ def test_sc_trial_forced_nack_path():
     assert agg.n_success == 20
     assert agg.leaf_counts[0].tolist() == [0, 0, 20, 0]
     assert agg.usage_multiples_sum() == 40
-    assert latency_cdf(agg, DEFAULT, 6.0) == 0.0 and latency_cdf(agg, DEFAULT, 7.0) == 1.0
+    mix = agg.success_mix
+    assert latency_cdf(mix, DEFAULT, 6.0) == 0.0 and latency_cdf(mix, DEFAULT, 7.0) == 1.0
 
 
 def test_sc_trial_certain_outage():
@@ -119,7 +124,11 @@ def test_sc_trial_certain_outage():
     assert agg.n_success == 0
     assert agg.leaf_counts[0].tolist() == [0, 0, 0, 20]
     assert agg.usage_multiples_sum() == 40
-    assert math.isnan(latency_quantile(agg, DEFAULT, 0.99))
+    assert math.isnan(latency_quantile(agg.success_mix, DEFAULT, 0.99))
+    exact = success_mix([LinkBlerProfile(1, 1, 1, 1, 1)] * 2)  # and the exact mix
+    assert exact[0, 0] == 1.0
+    assert math.isnan(latency_cdf(exact, DEFAULT, 3.0))
+    assert math.isnan(latency_quantile(exact, DEFAULT, 0.99))
 
 
 def test_mc_trial_perfect_links():
@@ -134,7 +143,7 @@ def test_mc_trial_takes_first_received_copy():
     slow = LinkBlerProfile(1, 0, 0, 0, 0)
     agg = simulate_run([fast, slow], 20, seed=5)
     assert agg.n_success == 20 and agg.success_mix[1, 1] == 20
-    assert latency_cdf(agg, DEFAULT, 3.0) == 1.0  # the fast copy always wins
+    assert latency_cdf(agg.success_mix, DEFAULT, 3.0) == 1.0  # the fast copy always wins
     assert agg.usage_multiples_sum() == 60  # 1 + 2 each, no cross-link cancel
 
 
@@ -229,25 +238,25 @@ def test_usage_histogram_matches_binomial_distribution():
     profile = LinkBlerProfile(0.05, 0.1, 0.05, 0.1, 0.0)
     m, n = 3, 10**6
     agg = simulate_run([profile] * m, n, seed=404)
-    dist = usage_distribution_mc(m, 1.0, sc_outage(profile).p_succ_first)
-    for k, (_, weight) in enumerate(dist.support):
-        assert _within_ci(int(agg.usage_extra_counts[k]), n, weight)
+    dist = success_mix([profile] * m).sum(axis=1)[::-1]  # k links retransmit
+    for k, weight in enumerate(dist):
+        assert _within_ci(int(agg.usage_extra_counts[k]), n, float(weight))
 
 
 def test_latency_bands_default_numerology():
     profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
     agg = simulate_run([profile], 10**5, seed=55)
-    first_band = latency_cdf(agg, DEFAULT, 3.0)
-    assert latency_cdf(agg, DEFAULT, 2.0) == 0.0
-    assert latency_cdf(agg, DEFAULT, 6.0) == first_band  # nothing between the bands
-    assert latency_cdf(agg, DEFAULT, 7.0) == 1.0
+    first_band = latency_cdf(agg.success_mix, DEFAULT, 3.0)
+    assert latency_cdf(agg.success_mix, DEFAULT, 2.0) == 0.0
+    assert latency_cdf(agg.success_mix, DEFAULT, 6.0) == first_band  # nothing between the bands
+    assert latency_cdf(agg.success_mix, DEFAULT, 7.0) == 1.0
     assert 0.0 < first_band < 1.0
 
 
 def test_latency_quantile_forced_retransmission():
     profile = LinkBlerProfile(0, 1, 0, 0, 0)  # every trial retransmits
     agg = simulate_run([profile], 10**5, seed=7)
-    assert latency_quantile(agg, DEFAULT, 1.0) == 7.0  # the supremum, 7 TTIs = 1 ms
+    assert latency_quantile(agg.success_mix, DEFAULT, 1.0) == 7.0  # the supremum, 7 TTIs = 1 ms
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -260,14 +269,14 @@ def test_latency_support_ends_at_the_budget_worst_case(t_bp, shared, m):
     agg = simulate_run([LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)] * m, 10**4, seed=58)
     first = t_bp + numerology.t_tx_ttis + numerology.t_up_ttis
     retx = numerology.harq_rtt_ttis + first
-    assert latency_quantile(agg, numerology, 1.0, shared) == retx + 1.0
+    assert latency_quantile(agg.success_mix, numerology, 1.0, shared) == retx + 1.0
     worst_ms, _ = latency_budget_check(numerology, 1.0)
     assert (retx + 1.0) * tti_duration_ms(numerology) == pytest.approx(worst_ms, rel=1e-12)
-    assert latency_cdf(agg, numerology, first, shared) == 0.0
-    band_end = latency_cdf(agg, numerology, first + 1.0, shared)
+    assert latency_cdf(agg.success_mix, numerology, first, shared) == 0.0
+    band_end = latency_cdf(agg.success_mix, numerology, first + 1.0, shared)
     assert 0.0 < band_end < 1.0
     for x in np.linspace(first + 1.0, retx, 7):
-        assert latency_cdf(agg, numerology, float(x), shared) == band_end
+        assert latency_cdf(agg.success_mix, numerology, float(x), shared) == band_end
 
 
 def test_latency_quantile_matches_analytic_mixture():
@@ -283,11 +292,50 @@ def test_latency_quantile_matches_analytic_mixture():
     ]
     for q in (1e-6, 0.01, 0.25, 0.5, 0.7, 0.9, 0.99, 0.999999):
         mixture = 2.0 + q / w_first if q <= w_first else 6.0 + (q - w_first) / (1.0 - w_first)
-        got = latency_quantile(agg, DEFAULT, q)
+        got = latency_quantile(agg.success_mix, DEFAULT, q)
         assert got == pytest.approx(mixture, abs=1e-9)
         for offset, pair in pairs:
-            got = latency_quantile(pair, DEFAULT, q, shared_frame_alignment=False)
+            got = latency_quantile(pair.success_mix, DEFAULT, q, shared_frame_alignment=False)
             assert got == pytest.approx(offset + 1.0 - math.sqrt(1.0 - q), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the exact success mix against the counted one
+
+
+def _per_node_profiles(m: int, chase: ChaseModel) -> list:
+    """m links at p_d = 0.1 under the half policy, 256 bits at 0, 5, 10, 3 dB."""
+    contexts = [FblContext(256, db_to_linear(s)) for s in (0.0, 5.0, 10.0, 3.0)[:m]]
+    return link_profiles(0.1, BlerPolicy(PolicyKind.HALF), chase, contexts)
+
+
+def _half_width(p, n):  # binomial 95% normal-approximation half-width
+    return 1.96 * np.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("chase", list(ChaseModel))
+def test_exact_mix_matches_simulated_mix(chase):
+    n = 10**6
+    for m in range(1, 5):
+        profiles = _per_node_profiles(m, chase)
+        counted = simulate_run(profiles, n, seed=600 + m).success_mix
+        exact = success_mix(profiles)
+        assert (np.abs(counted / n - exact) <= 4 * _half_width(exact, n)).all()
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_latency_cdf_of_exact_mix_matches_simulated(shared):
+    n = 10**6
+    profiles = _per_node_profiles(2, ChaseModel.FINITE_BLOCKLENGTH)
+    counted = simulate_run(profiles, n, seed=611).success_mix
+    exact = success_mix(profiles)
+    successes = n - int(counted[0, 0])
+    # inside the first-try band [2, 3) and the retransmission band [6, 7)
+    for x in (2.1, 2.5, 2.9, 6.1, 6.5, 6.9):
+        cdf = latency_cdf(exact, DEFAULT, x, shared)
+        assert 0.0 < cdf < 1.0
+        got = latency_cdf(counted, DEFAULT, x, shared)
+        assert abs(got - cdf) <= 4 * _half_width(cdf, successes)
 
 
 def test_peak_memory_does_not_grow_with_trials():
@@ -356,7 +404,7 @@ def test_estimate_validations():
         simulate_run([profile], 10, 5, jobs=MAX_JOBS + 1)
     agg = simulate_run([profile], 10, 5)
     with pytest.raises(ValidationError):
-        latency_quantile(agg, DEFAULT, 0.0)
+        latency_quantile(agg.success_mix, DEFAULT, 0.0)
 
 
 def test_batch_size_invariance():
@@ -458,6 +506,6 @@ def test_shared_vs_independent_alignment_preserves_outage():
     agg = simulate_run([profile] * 2, 10**5, seed=8)
     # the earliest of independent alignments is never later than a shared one
     for q in (0.1, 0.5, 0.9, 0.99, 0.9999, 1.0):
-        lat_shared = latency_quantile(agg, DEFAULT, q, shared_frame_alignment=True)
-        lat_indep = latency_quantile(agg, DEFAULT, q, shared_frame_alignment=False)
+        lat_shared = latency_quantile(agg.success_mix, DEFAULT, q, shared_frame_alignment=True)
+        lat_indep = latency_quantile(agg.success_mix, DEFAULT, q, shared_frame_alignment=False)
         assert lat_indep <= lat_shared
