@@ -31,9 +31,6 @@ from .outage import (
     mc_outage,
     sc_outage,
     succ_first,
-    succ_retx_nack,
-    succ_retx_timeout,
-    succ_retx_total,
     success_mix,
 )
 from .resources import (
@@ -104,9 +101,6 @@ __all__ = [
     "simulate_run",
     "solve_bler",
     "succ_first",
-    "succ_retx_nack",
-    "succ_retx_timeout",
-    "succ_retx_total",
     "success_mix",
     "tti_duration_ms",
     "usage_at_reliability",

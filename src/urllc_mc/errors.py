@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit, with their CLI exit and error codes."""
 
+import sys
+
 
 class UrllcMcError(Exception):
     """Base class for all toolkit errors."""
@@ -35,3 +37,12 @@ class DomainError(UrllcMcError, ValueError):
 
     exit_code = 5
     code = "DOMAIN_ERROR"
+
+
+def shown(value: object) -> str:
+    """``repr(value)`` for an error message. An int past the float range is
+    described instead: no check accepts one, and its repr may exceed the
+    int-to-str digit limit."""
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        return "an int past the float range"
+    return repr(value)

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .errors import DomainError
+from .errors import DomainError, shown
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -39,7 +39,7 @@ def q_inv(p: float) -> float:
     [1e-12, 1 - 1e-12].
     """
     if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
-        raise DomainError(f"q_inv argument must be in (0, 1), got {p!r}")
+        raise DomainError(f"q_inv argument must be in (0, 1), got {shown(p)}")
     x = -_STANDARD_NORMAL.inv_cdf(p)
     pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
     if pdf > 0.0:
@@ -76,13 +76,13 @@ def db_to_linear(x_db: float) -> float:
     try:
         return 10.0 ** (x_db / 10.0)
     except OverflowError:
-        raise DomainError(f"must be finite in linear scale, got {x_db!r} dB") from None
+        raise DomainError(f"must be finite in linear scale, got {shown(x_db)} dB") from None
 
 
 def linear_to_db(x: float) -> float:
     """Convert a linear power ratio to dB."""
     if not x > 0.0:
-        raise DomainError(f"linear value must be positive, got {x!r}")
+        raise DomainError(f"linear value must be positive, got {shown(x)}")
     return 10.0 * math.log10(x)
 
 
@@ -104,7 +104,7 @@ class FblContext:
     def __post_init__(self) -> None:
         if not (isinstance(self.payload_bits, int) and self.payload_bits >= 1):
             raise DomainError(
-                f"payload_bits must be a positive integer, got {self.payload_bits!r}"
+                f"payload_bits must be a positive integer, got {shown(self.payload_bits)}"
             )
         # an exact comparison, so an int too large for a float fails too (its
         # repr may exceed the int-to-str digit limit, so it is not printed)
@@ -128,7 +128,7 @@ def channel_use(ctx: FblContext, bler: float) -> float:
     (no rounding to resource blocks).
     """
     if not (isinstance(bler, (int, float)) and 0.0 < bler < 0.5):
-        raise DomainError(f"bler must be in (0, 0.5), got {bler!r}")
+        raise DomainError(f"bler must be in (0, 0.5), got {shown(bler)}")
     qi = q_inv(bler)
     c = ctx.capacity
     v = ctx.dispersion
@@ -148,7 +148,7 @@ def achieved_bler(ctx: FblContext, channel_uses: float) -> float:
     decreasing in ``channel_uses``.
     """
     if not channel_uses > 0.0:
-        raise DomainError(f"channel_uses must be positive, got {channel_uses!r}")
+        raise DomainError(f"channel_uses must be positive, got {shown(channel_uses)}")
     arg = (channel_uses * ctx.capacity - ctx.payload_bits) / math.sqrt(
         channel_uses * ctx.dispersion
     )

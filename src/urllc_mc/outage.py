@@ -10,26 +10,21 @@ every per-round distribution: outage, retransmissions and latency.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, shown
 from .fbl import FblContext, achieved_bler, channel_use
 
 
 def _check_prob(name: str, value) -> None:
-    ok = (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and 0.0 <= value <= 1.0
-    )
+    # the chained comparison rejects NaN and +-inf, and compares ints exactly
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
     if not ok:
-        raise DomainError(f"{name} must be a probability in [0, 1], got {value!r}")
+        raise DomainError(f"{name} must be a probability in [0, 1], got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -88,47 +83,26 @@ def succ_first(profile: LinkBlerProfile) -> float:
     return (1.0 - profile.p_m1) * (1.0 - profile.p_d1)
 
 
-def succ_retx_timeout(profile: LinkBlerProfile) -> float:
-    """Success via the retransmission that follows a feedback timeout.
-
-    Reached when the first metadata is lost; no combining is possible
-    because the first copy could not be identified.
-    """
-    return profile.p_m1 * (1.0 - profile.p_m2) * (1.0 - profile.p_d2)
-
-
-def succ_retx_nack(profile: LinkBlerProfile) -> float:
-    """Success via the NACK-triggered retransmission with Chase combining.
-
-    The combined decode fails with the conditional probability
-    p_c / p_d1 given the first data decode failed, which contracts to
-    the (p_d1 - p_c) factor below.
-    """
-    return (1.0 - profile.p_m1) * (1.0 - profile.p_m2) * (profile.p_d1 - profile.p_c)
-
-
-def succ_retx_total(profile: LinkBlerProfile) -> float:
-    """Total retransmission success probability (both paths).
-
-    The factored form of the sum of the timeout-path and NACK-path
-    probabilities; the two are algebraically identical.
-    """
-    return (1.0 - profile.p_m2) * (
-        profile.p_m1 * (1.0 - profile.p_d2)
-        + (1.0 - profile.p_m1) * (profile.p_d1 - profile.p_c)
-    )
-
-
 def sc_outage(profile: LinkBlerProfile) -> OutageBreakdown:
-    """Full per-link outage breakdown for at most one retransmission."""
+    """Full per-link outage breakdown for at most one retransmission.
+
+    The timeout path is reached when the first metadata is lost; no
+    combining is possible because the first copy could not be identified.
+    On the NACK path the combined decode fails with the conditional
+    probability p_c / p_d1 given the first data decode failed, which
+    contracts to the (p_d1 - p_c) factor. The outage takes the factored
+    sum of the two retransmission paths.
+    """
+    p_m1, p_d1, p_m2, p_d2, p_c = (
+        profile.p_m1, profile.p_d1, profile.p_m2, profile.p_d2, profile.p_c
+    )
     p1 = succ_first(profile)
-    p2 = succ_retx_total(profile)
-    p_out = max(0.0, 1.0 - p1 - p2)
+    p2 = (1.0 - p_m2) * (p_m1 * (1.0 - p_d2) + (1.0 - p_m1) * (p_d1 - p_c))
     return OutageBreakdown(
         p_succ_first=p1,
-        p_succ_timeout_retx=succ_retx_timeout(profile),
-        p_succ_nack_retx=succ_retx_nack(profile),
-        p_out=p_out,
+        p_succ_timeout_retx=p_m1 * (1.0 - p_m2) * (1.0 - p_d2),
+        p_succ_nack_retx=(1.0 - p_m1) * (1.0 - p_m2) * (p_d1 - p_c),
+        p_out=max(0.0, 1.0 - p1 - p2),
     )
 
 
@@ -169,7 +143,7 @@ def success_mix(profiles: Sequence[LinkBlerProfile]) -> np.ndarray:
         bd = sc_outage(profile)
         step = mix * bd.p_out
         step[1:] += mix[:-1] * bd.p_succ_first
-        step[:, 1:] += mix[:, :-1] * succ_retx_total(profile)
+        step[:, 1:] += mix[:, :-1] * (bd.p_succ_timeout_retx + bd.p_succ_nack_retx)
         mix = step
     return mix
 

@@ -11,10 +11,11 @@ per-link first-try probability.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, shown
 from .fbl import FblContext, channel_use
 from .outage import ChaseModel, LinkBlerProfile, succ_first
 from .solver import BlerPolicy, SolveResult, solve_bler
@@ -50,17 +51,20 @@ class UsageReport:
 def usage_sc(r: float, p_succ_first: float) -> float:
     """Expected channel uses of a single link: r plus r more when the
     first transmission fails, i.e. (2 - p_succ_first) * r."""
-    if not r > 0.0:
-        raise DomainError(f"channel uses must be positive, got {r!r}")
+    # exact comparisons, so an int too large for a float fails too
+    if not 0.0 < r <= sys.float_info.max:
+        raise DomainError(f"channel uses must be positive and finite, got {shown(r)}")
     if not 0.0 <= p_succ_first <= 1.0:
-        raise DomainError(f"p_succ_first must be in [0, 1], got {p_succ_first!r}")
+        raise DomainError(f"p_succ_first must be in [0, 1], got {shown(p_succ_first)}")
     return (2.0 - p_succ_first) * r
 
 
 def usage_mc(m: int, r: float, p_succ_first: float) -> float:
     """Expected channel uses over m duplicating links."""
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"m must be a positive integer, got {m!r}")
+    if not (isinstance(m, int) and 1 <= m <= sys.float_info.max):
+        raise DomainError(
+            f"m must be a positive integer within the float range, got {shown(m)}"
+        )
     return m * usage_sc(r, p_succ_first)
 
 

@@ -50,7 +50,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from numpy.random import Philox
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, shown
 from .outage import LinkBlerProfile
 
 # Layout of the random stream; any change to the draws bumps it.
@@ -88,13 +88,16 @@ class Numerology:
             value = getattr(self, name)
             # an exact comparison, so an int too large for a float fails too
             if not abs(value) <= sys.float_info.max:
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+                raise ValidationError(f"{name} must be finite, got {shown(value)}")
         if not self.scs_khz > 0:
             raise ValidationError(f"scs_khz must be positive, got {self.scs_khz!r}")
         for name in ("symbols_per_tti", "harq_rtt_ttis"):
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
-                raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+            if not (isinstance(value, int) and 1 <= value <= sys.float_info.max):
+                raise ValidationError(
+                    f"{name} must be a positive integer within the float range, "
+                    f"got {shown(value)}"
+                )
         if not self.t_tx_ttis > 0:
             raise ValidationError(f"t_tx_ttis must be positive, got {self.t_tx_ttis!r}")
         for name in ("t_up_ttis", "t_bp_initial_ttis"):
@@ -137,7 +140,7 @@ def latency_budget_check(numerology: Numerology, budget_ms: float) -> tuple[floa
     support, which ``latency_quantile`` returns at q = 1.
     """
     if not budget_ms > 0:
-        raise ValidationError(f"budget_ms must be positive, got {budget_ms!r}")
+        raise ValidationError(f"budget_ms must be positive, got {shown(budget_ms)}")
     _, retx = _latency_offsets(numerology)
     worst_ms = _ms_from_ttis(numerology, retx + 1.0)
     return worst_ms, worst_ms <= budget_ms
@@ -151,7 +154,10 @@ class SimAggregate:
     (first-try success, timeout-path success, NACK-path success, outage)
     of link n. ``success_mix[a, b]`` counts the trials in which exactly
     ``a`` links succeeded on the first try and ``b`` links on their
-    retransmission. Tallies of disjoint trial ranges merge by plain sums.
+    retransmission; its reversed row sums count the trials in which
+    exactly k links retransmitted, i.e. used m + k transmissions, since
+    the m - a links that missed the first try all retransmit. Tallies of
+    disjoint trial ranges merge by plain sums.
     """
 
     trials: int
@@ -159,36 +165,27 @@ class SimAggregate:
     m_nodes: int
     leaf_counts: np.ndarray  # (m, 4) int64
     success_mix: np.ndarray  # (m + 1, m + 1) int64
-    stream_version: int = STREAM_VERSION
+    stream_version = STREAM_VERSION  # a class attribute, not a field
 
     @property
     def n_success(self) -> int:
         return self.trials - int(self.success_mix[0, 0])
 
-    @property
-    def usage_extra_counts(self) -> np.ndarray:
-        """``[k]``: trials in which exactly k links retransmitted, i.e.
-        (m + k) transmissions; the m - a links that missed the first
-        try all retransmit."""
-        return self.success_mix.sum(axis=1)[::-1]
-
-    def usage_multiples_sum(self) -> int:
-        extras = int(np.sum(self.usage_extra_counts * np.arange(self.m_nodes + 1)))
-        return self.m_nodes * self.trials + extras
-
     def outage(self) -> Tuple[float, float]:
         """Outage proportion and its 95% half-width (normal-approximation
         binomial interval)."""
-        mean = (self.trials - self.n_success) / self.trials
+        mean = int(self.success_mix[0, 0]) / self.trials
         return mean, 1.96 * math.sqrt(mean * (1.0 - mean) / self.trials)
 
     def mean_usage(self) -> Tuple[float, float]:
         """Mean usage in multiples of one transmission's channel uses, and
         its 95% half-width."""
-        n = self.trials
-        mean = self.usage_multiples_sum() / n
-        values = self.m_nodes + np.arange(self.m_nodes + 1)
-        total_sq = int(np.sum(values * values * self.usage_extra_counts))
+        n, m = self.trials, self.m_nodes
+        counts = self.success_mix.sum(axis=1)[::-1]  # [k]: k links retransmitted
+        k = np.arange(m + 1)
+        mean = (m * n + int(np.sum(counts * k))) / n
+        values = m + k
+        total_sq = int(np.sum(values * values * counts))
         var = max(0.0, total_sq / n - mean * mean)
         return mean, 1.96 * math.sqrt(var / n)
 
@@ -277,14 +274,14 @@ def simulate_run(
     if len(profiles) < 1:
         raise DomainError("at least one link profile is required")
     if not (isinstance(trials, int) and trials >= 1):
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
+        raise ValidationError(f"trials must be a positive integer, got {shown(trials)}")
     if not (isinstance(seed, int) and 0 <= seed < 2**128):
         # the seed is the 128-bit Philox key
-        raise ValidationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+        raise ValidationError(f"seed must be an integer in [0, 2**128), got {shown(seed)}")
     if batch_size < 1 or jobs < 1:
         raise ValidationError("batch_size and jobs must be positive")
     if jobs > MAX_JOBS:
-        raise ValidationError(f"jobs must be at most {MAX_JOBS}, got {jobs!r}")
+        raise ValidationError(f"jobs must be at most {MAX_JOBS}, got {shown(jobs)}")
     m = len(profiles)
     thresholds = [_thresholds(p) for p in profiles]
 
@@ -361,7 +358,7 @@ def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
     end of the support, the worst case of ``latency_budget_check``.
     """
     if not 0.0 < q <= 1.0:
-        raise ValidationError(f"q must be in (0, 1], got {q!r}")
+        raise ValidationError(f"q must be in (0, 1], got {shown(q)}")
     successes = float(mix.sum() - mix[0, 0])
     if successes == 0:
         return math.nan

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
 
-from .errors import DomainError, SolverError, ValidationError
+from .errors import DomainError, SolverError, ValidationError, shown
 from .fbl import FblContext
 from .outage import ChaseModel, LinkBlerProfile, chase_bler, mc_outage
 
@@ -39,7 +39,7 @@ class BlerPolicy:
             if self.fixed_meta is None or not 0.0 < self.fixed_meta < 1.0:
                 raise ValidationError(
                     f"FIXED_META policy requires fixed_meta in (0, 1), "
-                    f"got {self.fixed_meta!r}"
+                    f"got {shown(self.fixed_meta)}"
                 )
         elif self.fixed_meta is not None:
             raise ValidationError(f"{self.kind.name} policy takes no fixed_meta value")
@@ -75,7 +75,7 @@ def build_profile(
     model.
     """
     if not 0.0 < p_d < 1.0:
-        raise DomainError(f"p_d must be in (0, 1), got {p_d!r}")
+        raise DomainError(f"p_d must be in (0, 1), got {shown(p_d)}")
     p_m = policy.meta_bler(p_d)
     p_c = chase_bler(chase, p_d, ctx)
     return LinkBlerProfile(p_m1=p_m, p_d1=p_d, p_m2=p_m, p_d2=p_d, p_c=p_c)
@@ -127,12 +127,12 @@ def solve_bler(
     resolve toward the lower half.
     """
     if not (isinstance(m, int) and m >= 1):
-        raise ValidationError(f"m must be a positive integer, got {m!r}")
+        raise ValidationError(f"m must be a positive integer, got {shown(m)}")
     contexts = [None] * m if contexts is None else list(contexts)
     if len(contexts) != m:
         raise ValidationError(f"expected {m} per-node contexts, got {len(contexts)}")
     if not 1e-12 < target < 0.25:
-        raise DomainError(f"target outage must be in (1e-12, 0.25), got {target!r}")
+        raise DomainError(f"target outage must be in (1e-12, 0.25), got {shown(target)}")
 
     lo_p, hi_p = P_D_BRACKET
     f_lo = outage_at(lo_p, policy, chase, contexts)

@@ -182,14 +182,15 @@ def test_criterion_8_monte_carlo_oracle():
             assert _within_binomial_ci(int(count), n, prob)
         # mean usage in transmission multiples: 1 + Bernoulli(1 - p_succ_first)
         q = 1.0 - bd.p_succ_first
-        mean_hat = agg.usage_multiples_sum() / n
+        mean_hat = agg.mean_usage()[0]
         assert abs(mean_hat - (1.0 + q)) <= Z_9999 * math.sqrt(q * (1 - q) / n)
 
         agg_mc = simulate_run([profile] * 2, n, seed=int(rng.integers(1 << 30)))
         # k of the two links retransmit: the exact mix's reversed row sums
+        counts = agg_mc.success_mix.sum(axis=1)[::-1]
         dist = success_mix([profile] * 2).sum(axis=1)[::-1]
         for k, weight in enumerate(dist):
-            assert _within_binomial_ci(int(agg_mc.usage_extra_counts[k]), n, float(weight))
+            assert _within_binomial_ci(int(counts[k]), n, float(weight))
         checks += 10
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

@@ -7,6 +7,7 @@ through capsys. Exit codes: 0 ok, 2 parse, 3 validation, 4 solver,
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -398,17 +399,22 @@ def test_subcommands_reject_flags_they_ignore(config_path, capsys):
         assert exc.value.code == 2
 
 
-def test_cli_import_loads_no_scipy():
-    # the Q-function pair comes from the standard library; only the
-    # benchmark's independent oracle imports scipy
+def test_cli_import_loads_only_stdlib_and_numpy():
+    # the package declares only numpy: the Q-function pair comes from the
+    # standard library, and scipy, mpmath and hypothesis serve the
+    # benchmark's oracle and the tests; numpy's extensions register the
+    # Cython runtime modules
     src = Path(urllc_mc.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    probe = ("import sys, urllc_mc.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = ("import sys; before = set(sys.modules); import urllc_mc.cli; "
+             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    added = ast.literal_eval(result.stdout)
+    assert "numpy" in added and "urllc_mc" in added
+    allowed = set(sys.stdlib_module_names) | {"numpy", "urllc_mc", "cython_runtime"}
+    assert [m for m in added if m not in allowed and not m.startswith("_cython_")] == []
 
 
 # ---------------------------------------------------------------------------

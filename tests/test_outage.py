@@ -24,9 +24,6 @@ from urllc_mc.outage import (
     mc_outage,
     sc_outage,
     succ_first,
-    succ_retx_nack,
-    succ_retx_timeout,
-    succ_retx_total,
     success_mix,
 )
 
@@ -75,6 +72,20 @@ def test_profile_rejects_out_of_range():
         LinkBlerProfile(0.1, 1.2, 0.1, 0.1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "huge", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"]
+)
+def test_huge_int_probability_rejected_by_name(huge):
+    # an int past the float range is compared exactly and never printed
+    for i, name in enumerate(("p_m1", "p_d1", "p_m2", "p_d2", "p_c")):
+        probs = [0, 0, 0, 0, 0]
+        probs[i] = huge
+        with pytest.raises(DomainError, match=f"{name} .*an int past the float range"):
+            LinkBlerProfile(*probs)
+    with pytest.raises(DomainError, match="p_d .*an int past the float range"):
+        chase_bler(ChaseModel.ZERO, huge)
+
+
 def test_profile_rejects_combining_worse_than_single():
     with pytest.raises(DomainError):
         LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.2)
@@ -102,39 +113,41 @@ def test_succ_first_examples():
     ) == pytest.approx(0.935476, abs=5e-7)
 
 
-def test_succ_retx_timeout_examples():
-    assert succ_retx_timeout(LinkBlerProfile(0, 0.5, 0.2, 0.3, 0.1)) == 0.0
-    assert succ_retx_timeout(LinkBlerProfile(0.01, 0.5, 0.01, 0.1, 0.1)) == (
-        pytest.approx(0.008910, abs=1e-12)
-    )
-    assert succ_retx_timeout(LinkBlerProfile(1, 1, 1, 1, 1)) == 0.0
+def _retx(profile: LinkBlerProfile) -> float:
+    """Retransmission success over both paths, from the breakdown."""
+    bd = sc_outage(profile)
+    return bd.p_succ_timeout_retx + bd.p_succ_nack_retx
 
 
-def test_succ_retx_nack_examples():
-    assert succ_retx_nack(LinkBlerProfile(0.2, 0.3, 0.1, 0.3, 0.3)) == 0.0
-    assert succ_retx_nack(LinkBlerProfile(0.01, 0.1, 0.01, 0.1, 0.01)) == (
-        pytest.approx(0.99 * 0.99 * 0.09, abs=1e-12)
-    )
+def test_sc_outage_timeout_leaf_examples():
+    def timeout(*probs):
+        return sc_outage(LinkBlerProfile(*probs)).p_succ_timeout_retx
+
+    assert timeout(0, 0.5, 0.2, 0.3, 0.1) == 0.0
+    assert timeout(0.01, 0.5, 0.01, 0.1, 0.1) == pytest.approx(0.008910, abs=1e-12)
+    assert timeout(1, 1, 1, 1, 1) == 0.0
+
+
+def test_sc_outage_nack_leaf_examples():
+    def nack(*probs):
+        return sc_outage(LinkBlerProfile(*probs)).p_succ_nack_retx
+
+    assert nack(0.2, 0.3, 0.1, 0.3, 0.3) == 0.0
+    assert nack(0.01, 0.1, 0.01, 0.1, 0.01) == pytest.approx(0.99 * 0.99 * 0.09, abs=1e-12)
     # perfect metadata and perfect combining recover every data failure
     for p in (0.05, 0.3, 0.7):
-        assert succ_retx_nack(LinkBlerProfile(0, p, 0, p, 0)) == pytest.approx(
-            p, abs=1e-15
-        )
+        assert nack(0, p, 0, p, 0) == pytest.approx(p, abs=1e-15)
 
 
-def test_succ_retx_total_examples():
+def test_sc_outage_retx_total_examples():
     for p in (0.05, 0.3, 0.7):
-        assert succ_retx_total(LinkBlerProfile(0, p, 0, p, 0)) == pytest.approx(
-            p, abs=1e-15
-        )
+        assert _retx(LinkBlerProfile(0, p, 0, p, 0)) == pytest.approx(p, abs=1e-15)
     p = 0.0328
-    assert succ_retx_total(LinkBlerProfile(p, p, p, p, 0)) == pytest.approx(
+    assert _retx(LinkBlerProfile(p, p, p, p, 0)) == pytest.approx(
         2 * p * (1 - p) ** 2, abs=1e-15
     )
-    assert succ_retx_total(LinkBlerProfile(p, p, p, p, 0)) == pytest.approx(
-        0.061367215104, abs=1e-12
-    )
-    assert succ_retx_total(LinkBlerProfile(0, 0, 0, 0, 0)) == 0.0
+    assert _retx(LinkBlerProfile(p, p, p, p, 0)) == pytest.approx(0.061367215104, abs=1e-12)
+    assert _retx(LinkBlerProfile(0, 0, 0, 0, 0)) == 0.0
 
 
 _prob = st.floats(0.0, 1.0)
@@ -149,11 +162,12 @@ def _profiles(draw) -> LinkBlerProfile:
 
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(_profiles())
-def test_succ_retx_total_matches_summed_form(profile):
-    total = succ_retx_total(profile)
-    assert total == pytest.approx(
-        succ_retx_timeout(profile) + succ_retx_nack(profile), abs=1e-15
-    )
+def test_sc_outage_leaves_partition_the_round(profile):
+    # p_out takes the factored retransmission total, the leaves its two
+    # paths; the two forms agree, so the four fields sum to one
+    bd = sc_outage(profile)
+    total = bd.p_succ_first + bd.p_succ_timeout_retx + bd.p_succ_nack_retx + bd.p_out
+    assert total == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +318,7 @@ def test_success_mix_matches_outcome_enumeration():
             prob = 1.0
             for profile, cls in zip(profiles, outcome):
                 bd = sc_outage(profile)
-                prob *= (bd.p_succ_first, succ_retx_total(profile), bd.p_out)[cls]
+                prob *= (bd.p_succ_first, _retx(profile), bd.p_out)[cls]
             expected[outcome.count(0), outcome.count(1)] += prob
         assert np.allclose(success_mix(profiles[:m]), expected, rtol=0.0, atol=1e-15)
 
@@ -314,6 +328,29 @@ def test_success_mix_matches_outcome_enumeration():
 def test_success_mix_outage_cell_is_mc_outage(profiles):
     # the same products in the same order, so equal bit for bit
     assert success_mix(profiles)[0, 0] == mc_outage(profiles)
+
+
+def _factored_mix(profiles) -> np.ndarray:
+    """The mix with each link's retransmission term in the factored form
+    (1 - p_m2) * (p_m1 * (1 - p_d2) + (1 - p_m1) * (p_d1 - p_c))."""
+    mix = np.zeros((len(profiles) + 1,) * 2)
+    mix[0, 0] = 1.0
+    for p in profiles:
+        retx = (1.0 - p.p_m2) * (p.p_m1 * (1.0 - p.p_d2) + (1.0 - p.p_m1) * (p.p_d1 - p.p_c))
+        bd = sc_outage(p)
+        step = mix * bd.p_out
+        step[1:] += mix[:-1] * bd.p_succ_first
+        step[:, 1:] += mix[:, :-1] * retx
+        mix = step
+    return mix
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_profiles(), min_size=1, max_size=6))
+def test_success_mix_matches_factored_retx_total(profiles):
+    # the summed leaves move a cell by a few ulp at most
+    got = success_mix(profiles)
+    assert np.max(np.abs(got - _factored_mix(profiles))) <= 1e-15
 
 
 def test_success_mix_row_sums_are_binomial_over_equal_links():

@@ -70,6 +70,21 @@ def test_usage_domain():
         usage_mc(0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["1e400", "1e5000"])
+def test_usage_rejects_huge_ints_by_name(huge):
+    # exact comparisons: no float conversion overflows, no message prints the int
+    with pytest.raises(DomainError, match="channel uses .*an int past the float range"):
+        usage_sc(huge, 0.5)
+    with pytest.raises(DomainError, match="channel uses .*an int past the float range"):
+        usage_mc(2, huge, 0.5)
+    with pytest.raises(DomainError, match="p_succ_first .*an int past the float range"):
+        usage_sc(1.0, huge)
+    with pytest.raises(DomainError, match="m must .*an int past the float range"):
+        usage_mc(huge, 1.0, 0.5)
+    with pytest.raises(DomainError, match="channel uses must be positive and finite"):
+        usage_sc(math.inf, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # usage distribution: the exact success mix's row sums
 
