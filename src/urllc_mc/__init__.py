@@ -38,7 +38,6 @@ from .resources import (
     normalized_usage,
     usage_at_reliability,
     usage_at_solution,
-    usage_mc,
     usage_sc,
 )
 from .solver import (
@@ -105,6 +104,5 @@ __all__ = [
     "tti_duration_ms",
     "usage_at_reliability",
     "usage_at_solution",
-    "usage_mc",
     "usage_sc",
 ]

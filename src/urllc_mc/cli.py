@@ -15,20 +15,20 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import (
-    MAX_NODES,
-    ScenarioConfig,
-    SweepScale,
-    SweepSpec,
-    SweepVariable,
-    load_scenario,
-)
+from .config import ScenarioConfig, SweepScale, SweepSpec, SweepVariable, load_scenario
 from .errors import DomainError, UrllcMcError, ValidationError
 from .fbl import FblContext, db_to_linear
 from .outage import ChaseModel, mc_outage, sc_outage
 from .resources import normalized_usage, usage_at_reliability, usage_at_solution
 from .sim import latency_quantile, simulate_run, tti_duration_ms
-from .solver import BlerPolicy, PolicyKind, build_profile, link_profiles, solve_bler
+from .solver import (
+    MAX_NODES,
+    BlerPolicy,
+    PolicyKind,
+    build_profile,
+    link_profiles,
+    solve_bler,
+)
 
 Rows = Tuple[List[str], List[list]]
 

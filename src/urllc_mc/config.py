@@ -9,22 +9,16 @@ broadcasts to all nodes.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Optional, Tuple
 
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError, shown
 from .fbl import FblContext, db_to_linear
 from .outage import ChaseModel
-from .sim import Numerology
-from .solver import BlerPolicy, PolicyKind
-
-# Most duplicating links a scenario or an m sweep may use. The paper
-# evaluates m <= 3 and the benchmark sweeps to 8; past about m = 40 the
-# solver cannot bracket even a 1e-12 outage target.
-MAX_NODES = 64
+from .sim import MAX_TRIALS, Numerology
+from .solver import MAX_NODES, BlerPolicy, PolicyKind
 
 # Most points of a sweep grid; the benchmark's p_d sweep uses 20,001.
 MAX_SWEEP_POINTS = 1_000_000
@@ -51,8 +45,9 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         for name, value in (("start", self.start), ("stop", self.stop)):
-            if not math.isfinite(value):
-                raise ValidationError(f"sweep {name} must be finite, got {value!r}")
+            # an exact comparison, so an int too large for a float fails too
+            if not abs(value) <= sys.float_info.max:
+                raise ValidationError(f"sweep {name} must be finite, got {shown(value)}")
         if not self.start < self.stop:
             raise ValidationError(
                 f"sweep start must be below stop, got [{self.start!r}, {self.stop!r}]"
@@ -226,6 +221,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if p_d is not None:
         _require(0.0 < p_d < 1.0, "p_d", f"must be in (0, 1), got {p_d!r}")
     _at_least(values, 1, "trials")
+    trials = values["trials"]
+    _require(trials <= MAX_TRIALS, "trials", f"must be <= {MAX_TRIALS}, got {trials!r}")
     _at_least(values, 0, "seed")
     q = values["latency_quantile"]
     _require(0.0 < q <= 1.0, "latency_quantile", f"must be in (0, 1], got {q!r}")

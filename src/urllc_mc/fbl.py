@@ -25,8 +25,9 @@ DISPERSION_LIMIT = 1.0 / math.log(2.0) ** 2
 
 def q_func(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
-    if not math.isfinite(x):
-        raise DomainError(f"q_func argument must be finite, got {x!r}")
+    # an exact comparison, so an int too large for a float fails too
+    if not abs(x) <= sys.float_info.max:
+        raise DomainError(f"q_func argument must be finite, got {shown(x)}")
     return 0.5 * math.erfc(x / _SQRT2)
 
 
@@ -49,8 +50,9 @@ def q_inv(p: float) -> float:
 
 def shannon_capacity(sinr_linear: float) -> float:
     """AWGN capacity C = log2(1 + sinr) in bits per channel use."""
-    if not (math.isfinite(sinr_linear) and sinr_linear > 0.0):
-        raise DomainError(f"sinr_linear must be positive, got {sinr_linear!r}")
+    # an exact comparison, so an int too large for a float fails too
+    if not 0.0 < sinr_linear <= sys.float_info.max:
+        raise DomainError(f"sinr_linear must be positive, got {shown(sinr_linear)}")
     return math.log2(1.0 + sinr_linear)
 
 
@@ -61,8 +63,8 @@ def channel_dispersion(sinr_linear: float) -> float:
     positive SINR (squared information units per channel use); in double
     precision it rounds to that limit from about 81 dB on.
     """
-    if not (math.isfinite(sinr_linear) and sinr_linear > 0.0):
-        raise DomainError(f"sinr_linear must be positive, got {sinr_linear!r}")
+    if not 0.0 < sinr_linear <= sys.float_info.max:
+        raise DomainError(f"sinr_linear must be positive, got {shown(sinr_linear)}")
     try:
         return DISPERSION_LIMIT * (1.0 - 1.0 / (1.0 + sinr_linear) ** 2)
     except OverflowError:
@@ -147,8 +149,9 @@ def achieved_bler(ctx: FblContext, channel_uses: float) -> float:
     Inverse of :func:`channel_use` on its valid domain; strictly
     decreasing in ``channel_uses``.
     """
-    if not channel_uses > 0.0:
-        raise DomainError(f"channel_uses must be positive, got {shown(channel_uses)}")
+    # an exact comparison, so an int too large for a float fails too
+    if not 0.0 < channel_uses <= sys.float_info.max:
+        raise DomainError(f"channel_uses must be positive and finite, got {shown(channel_uses)}")
     arg = (channel_uses * ctx.capacity - ctx.payload_bits) / math.sqrt(
         channel_uses * ctx.dispersion
     )

@@ -5,7 +5,7 @@ transmission fails, even if another link already delivered the packet,
 so a duplicated transmission uses m + k transmissions when k links miss
 the first try. The distribution of k is the reversed row sums of the
 success mix (``outage.success_mix``); the expected usage needs only the
-per-link first-try probability.
+per-link first-try probability, and ``usage_sc`` is its one formula.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, ValidationError, shown
 from .fbl import FblContext, channel_use
@@ -59,53 +59,38 @@ def usage_sc(r: float, p_succ_first: float) -> float:
     return (2.0 - p_succ_first) * r
 
 
-def usage_mc(m: int, r: float, p_succ_first: float) -> float:
-    """Expected channel uses over m duplicating links."""
+def normalized_usage(m: int, profile: LinkBlerProfile) -> float:
+    """Expected usage over m links sharing ``profile``, in multiples of one
+    transmission's resources: m * usage_sc(1, p_succ_first)."""
     if not (isinstance(m, int) and 1 <= m <= sys.float_info.max):
         raise DomainError(
             f"m must be a positive integer within the float range, got {shown(m)}"
         )
-    return m * usage_sc(r, p_succ_first)
-
-
-def normalized_usage(m: int, profile: LinkBlerProfile) -> float:
-    """Expected usage over m links in multiples of one transmission's
-    resources."""
-    return usage_mc(m, 1.0, succ_first(profile))
-
-
-def _per_link(f: Callable[[FblContext], float], contexts: Sequence[FblContext]) -> List[float]:
-    """``[f(c) for c in contexts]``, with one call of ``f`` per run of equal
-    adjacent contexts (identity, then value), as ``solver.link_profiles``
-    shares profiles."""
-    values: List[float] = []
-    for i, c in enumerate(contexts):
-        if i and (c is contexts[i - 1] or c == contexts[i - 1]):
-            values.append(values[-1])
-        else:
-            values.append(f(c))
-    return values
+    return m * usage_sc(1.0, succ_first(profile))
 
 
 def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],
                       metadata_bits: Optional[int] = None) -> UsageReport:
     """Size a transmission at a solve over the links ``contexts``, one per
     node: the finite-blocklength channel use at ``result.p_d`` plus the
-    expected retransmissions, summed node-wise. A solve holds at other
-    SINRs only if its chase model reads none (``ChaseModel.reads_sinr``).
+    expected retransmissions, summed node-wise. Each link is sized on its
+    own, equal links too: a ``channel_use`` call costs about 1 us, and only
+    ``solver.link_profiles`` shares work between equal links. A solve
+    holds at other SINRs only if its chase model reads none
+    (``ChaseModel.reads_sinr``).
     """
     if contexts is None or len(contexts) != result.m_nodes:
         raise ValidationError(f"usage_at_solution needs the {result.m_nodes} solved links")
-    uses = _per_link(lambda c: channel_use(c, result.p_d), contexts)
+    uses = [channel_use(c, result.p_d) for c in contexts]
     # first-try success depends only on the BLER targets, shared by all nodes
     p1 = (1.0 - result.p_m) * (1.0 - result.p_d)
     r_sum = math.fsum(uses)
     meta_use = None
     if metadata_bits is not None:
-        meta_use = math.fsum(_per_link(
-            lambda c: channel_use(FblContext(metadata_bits, c.sinr_linear), result.p_m),
-            contexts,
-        )) / len(contexts)
+        meta_use = math.fsum(
+            channel_use(FblContext(metadata_bits, c.sinr_linear), result.p_m)
+            for c in contexts
+        ) / len(contexts)
     return UsageReport(
         bler_target=result.p_d,
         achieved_outage=result.achieved_outage,

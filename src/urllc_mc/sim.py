@@ -56,9 +56,13 @@ from .outage import LinkBlerProfile
 # Layout of the random stream; any change to the draws bumps it.
 STREAM_VERSION = 3
 
-# Small enough that a batch's draws (8 bytes per trial and link) and the
-# first-try mask stay in a core's L2 cache for the usual m <= 3.
-DEFAULT_BATCH_SIZE = 1 << 14
+# Trials per batch: small enough that a batch's draws (8 bytes per trial
+# and link) and the first-try mask stay in a core's L2 cache for the usual
+# m <= 3. The tallies do not depend on it.
+BATCH_SIZE = 1 << 14
+
+# Most trials a run may hold: the limit of its int64 tallies.
+MAX_TRIALS = 2**63 - 1
 
 # Most worker threads a run may use; each sums the tallies of its own
 # strided share of the batches, so memory does not grow with the run.
@@ -156,16 +160,23 @@ class SimAggregate:
     ``a`` links succeeded on the first try and ``b`` links on their
     retransmission; its reversed row sums count the trials in which
     exactly k links retransmitted, i.e. used m + k transmissions, since
-    the m - a links that missed the first try all retransmit. Tallies of
-    disjoint trial ranges merge by plain sums.
+    the m - a links that missed the first try all retransmit. The trial
+    and link counts are the mix's sum and shape, so they cannot disagree
+    with it. Tallies of disjoint trial ranges merge by plain sums.
     """
 
-    trials: int
     seed: int
-    m_nodes: int
     leaf_counts: np.ndarray  # (m, 4) int64
     success_mix: np.ndarray  # (m + 1, m + 1) int64
     stream_version = STREAM_VERSION  # a class attribute, not a field
+
+    @property
+    def trials(self) -> int:
+        return int(self.success_mix.sum())
+
+    @property
+    def m_nodes(self) -> int:
+        return self.success_mix.shape[0] - 1
 
     @property
     def n_success(self) -> int:
@@ -262,24 +273,25 @@ def simulate_run(
     profiles: Sequence[LinkBlerProfile],
     trials: int,
     seed: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     jobs: int = 1,
 ) -> SimAggregate:
     """Run ``trials`` independent HARQ rounds and tally the outcomes.
 
-    Counts accumulate as integers, so the aggregate is identical for any
-    ``batch_size``/``jobs`` split, and memory does not grow with
-    ``trials``.
+    The trials run in batches of ``BATCH_SIZE``, split over ``jobs``
+    threads. Counts accumulate as integers, so the aggregate is identical
+    for any ``jobs``, and memory does not grow with ``trials``.
     """
     if len(profiles) < 1:
         raise DomainError("at least one link profile is required")
-    if not (isinstance(trials, int) and trials >= 1):
-        raise ValidationError(f"trials must be a positive integer, got {shown(trials)}")
+    if not (isinstance(trials, int) and 1 <= trials <= MAX_TRIALS):
+        raise ValidationError(
+            f"trials must be a positive integer at most {MAX_TRIALS}, got {shown(trials)}"
+        )
     if not (isinstance(seed, int) and 0 <= seed < 2**128):
         # the seed is the 128-bit Philox key
         raise ValidationError(f"seed must be an integer in [0, 2**128), got {shown(seed)}")
-    if batch_size < 1 or jobs < 1:
-        raise ValidationError("batch_size and jobs must be positive")
+    if not (isinstance(jobs, int) and jobs >= 1):
+        raise ValidationError(f"jobs must be a positive integer, got {shown(jobs)}")
     if jobs > MAX_JOBS:
         raise ValidationError(f"jobs must be at most {MAX_JOBS}, got {shown(jobs)}")
     m = len(profiles)
@@ -290,13 +302,13 @@ def simulate_run(
         mix = np.zeros((m + 1, m + 1), dtype=np.int64)
         for start in share:
             batch_leaves, batch_mix = _run_batch(
-                thresholds, seed, start, min(batch_size, trials - start)
+                thresholds, seed, start, min(BATCH_SIZE, trials - start)
             )
             leaf_counts += batch_leaves
             mix += batch_mix
         return leaf_counts, mix
 
-    starts = range(0, trials, batch_size)
+    starts = range(0, trials, BATCH_SIZE)
     workers = min(jobs, len(starts))
     if workers == 1:
         leaf_counts, mix = tally(starts)
@@ -304,9 +316,7 @@ def simulate_run(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shares = list(pool.map(tally, (starts[w::workers] for w in range(workers))))
         leaf_counts, mix = (sum(parts) for parts in zip(*shares))
-    return SimAggregate(
-        trials=trials, seed=seed, m_nodes=m, leaf_counts=leaf_counts, success_mix=mix
-    )
+    return SimAggregate(seed=seed, leaf_counts=leaf_counts, success_mix=mix)
 
 
 def _latency_tail(

@@ -24,11 +24,7 @@ from urllc_mc.outage import (
     sc_outage,
     success_mix,
 )
-from urllc_mc.resources import (
-    normalized_usage,
-    usage_mc,
-    usage_sc,
-)
+from urllc_mc.resources import normalized_usage, usage_sc
 from urllc_mc.sim import (
     Numerology,
     latency_budget_check,
@@ -72,7 +68,7 @@ def test_criterion_2_table_mc_row():
     t0 = time.perf_counter()
     res = solve_bler(2, 1e-5, EQUAL, ZERO)
     r = channel_use(CTX_10DB, res.p_d)
-    usage = usage_mc(2, r, (1.0 - res.p_m) * (1.0 - res.p_d))
+    usage = 2 * usage_sc(r, (1.0 - res.p_m) * (1.0 - res.p_d))
     elapsed = time.perf_counter() - t0
     assert res.p_d * 100 == pytest.approx(3.28, abs=0.02)
     assert r == pytest.approx(80.88, abs=0.05)
@@ -129,8 +125,8 @@ def test_criterion_6_resource_savings_band():
         u_sc = usage_sc(
             channel_use(ctx, res_sc.p_d), (1 - res_sc.p_m) * (1 - res_sc.p_d)
         )
-        u_mc = usage_mc(
-            2, channel_use(ctx, res_mc.p_d), (1 - res_mc.p_m) * (1 - res_mc.p_d)
+        u_mc = 2 * usage_sc(
+            channel_use(ctx, res_mc.p_d), (1 - res_mc.p_m) * (1 - res_mc.p_d)
         )
         savings[sinr_db] = 1.0 - u_sc / u_mc
         assert 0.46 <= savings[sinr_db] <= 0.52

@@ -49,13 +49,12 @@ PUBLIC_NAMES = [
     "tti_duration_ms",
     "usage_at_reliability",
     "usage_at_solution",
-    "usage_mc",
     "usage_sc",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 44
     assert sorted(urllc_mc.__all__) == PUBLIC_NAMES
 
 

@@ -370,6 +370,13 @@ def test_out_of_domain_scenario_values_exit_code(config_path, capsys, overrides,
     assert f"VALIDATION_ERROR: {field}: " in capsys.readouterr().err
 
 
+def test_simulate_trials_bounded_by_name(config_path, capsys):
+    # more trials than the int64 tallies hold
+    code = main(["simulate", "--config", config_path(p_d=0.1, trials=10**30)])
+    assert code == 3
+    assert "VALIDATION_ERROR: trials: must be <= 9223372036854775807" in capsys.readouterr().err
+
+
 def test_simulate_jobs_bounded_before_any_thread(config_path, capsys):
     code = main(["simulate", "--config", config_path(p_d=0.1, trials=10), "--jobs", "65"])
     assert code == 3
@@ -508,3 +515,96 @@ def test_pretty_format_renders_header(config_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("scheme")
+
+
+# One digest per (document, command) pair in csv: the exit code, stdout and
+# stderr of the closed-form commands over six documents. The m sweep rejects
+# a document whose SINRs differ per node, and a fixed metadata BLER cannot
+# bracket the target at every m, so those digests pin the error instead.
+BATTERY_DOCUMENTS = {
+    "zero_m2": {"scheme": "MC", "m_nodes": 2, "sinr_db": 10, "p_d": 0.01},
+    "fbl_3": {"scheme": "MC", "m_nodes": 3, "sinr_db": [0, 5, 10],
+              "chase": "finite_blocklength", "p_d": 0.01},
+    "fbl_4": {"scheme": "MC", "m_nodes": 4, "sinr_db": [0, 5, 0, 5],
+              "chase": "finite_blocklength", "p_d": 0.01},
+    "sc": {"scheme": "SC", "sinr_db": 10, "p_d": 0.01},
+    "half_product_3": {"scheme": "MC", "m_nodes": 3, "sinr_db": 5, "policy": "half",
+                       "chase": "product", "p_d": 0.01},
+    "fixed_meta": {"scheme": "MC", "m_nodes": 2, "sinr_db": 10, "policy": "fixed_meta",
+                   "fixed_meta": 0.01, "report_metadata_use": True, "p_d": 0.1},
+}
+BATTERY_COMMANDS = {
+    "outage": ["outage"],
+    "solve": ["solve"],
+    "resource": ["resource"],
+    "sweep_p_d": ["sweep", "--variable", "p_d", "--start", "1e-4", "--stop", "0.1",
+                  "--points", "41", "--scale", "log10"],
+    "sweep_sinr": ["sweep", "--variable", "sinr_db", "--start", "-5", "--stop", "15",
+                   "--points", "21"],
+    "sweep_m": ["sweep", "--variable", "m", "--start", "1", "--stop", "4", "--points", "4"],
+}
+BATTERY_SHA256 = {
+    "fbl_3": {
+        "outage": "af24e324cea9e5a8bf79d4b36ec16127e6c2cb07952bd4b869ae4e83e81a0943",
+        "solve": "279d96d6e4103ff404873e544cc4bfa805f3b59dc17dbf736c7c62d71da4fc41",
+        "resource": "a64e8c9fc3773265bcbd1a44b6c154cdfc269a0032e7fbdea6f64a5cd6396f6b",
+        "sweep_p_d": "40ce2043b9c76a846b75b3ab1515ee1e03bdcdc700edf6cb9a10e8ef68765ad3",
+        "sweep_sinr": "4d34bca3ecae7c74fe9cd708f273c34179f26dd41bb2f696ca88935e65827047",
+        "sweep_m": "d8039d32ff2126379ffad38b06ffce83d0039a0e4a92750606c8e7188799615f",
+    },
+    "fbl_4": {
+        "outage": "d692eb98152ca7a4f9bb38c015b856dce4e1c6a99da248dc76abba3caed09ef3",
+        "solve": "a0a31c11342adec2d22a2e507aedf3324dfbc0735ff444ea23888ccb417a599e",
+        "resource": "d453a7a4c128b8c0652440b072ad01e11a85faf2c39c4c21162881ca9ee3f3f0",
+        "sweep_p_d": "611c0f52aa57b641e7a833f0cb37272afe01c3b6b62b6c28df10c7799ebcd8bf",
+        "sweep_sinr": "5e6fb85620a32bffd5c00e8c7590bfaf7a55b27180d7ba4a647f893809faa9ad",
+        "sweep_m": "21ede2366be7509a171005dff5c4f9d9dd25db72574a83226a2e523cdc75e6ec",
+    },
+    "fixed_meta": {
+        "outage": "301b11dfc4df62e00fd8a21c14f493918aed3dfa8930c78fd71869996c9ee045",
+        "solve": "5fcaa6a54f03fced8dd6760db22f610568cb83085d12f5540e40be1a2d6635cf",
+        "resource": "6ed4a95896af603da9920fe7e7581c911345f9420b98b717ddb34bbe943c79c3",
+        "sweep_p_d": "60648df5675c5de5c9d32144268f2b68fa33105c7b78b610a727ec2e2edb367d",
+        "sweep_sinr": "fc98a7db9664a8c23e5a3587399380cf88b138251dfdba316166c536d9d98715",
+        "sweep_m": "be613562a661d99f2760da69d939df146b6b662d1980911fdd08a6fcfbd07173",
+    },
+    "half_product_3": {
+        "outage": "14211b24f972f64f554e6e7fcfbffb801e5dcebac626dfe9ab9eb80146c846d9",
+        "solve": "2fa6d92fa588e06730e72dd5fb120a89dc08eb6ef370da2783cfdb9ec4840ac8",
+        "resource": "6576b27c42b47e4f1917f50b3a778019a6af981e3af8357a4bdad36705c50e9f",
+        "sweep_p_d": "3f18ce37224ba2d4944866a8eeb0761a64b800688104e424ed9659443b07215e",
+        "sweep_sinr": "62b037b83bb6ccfcf703cf75616bbbb66a448e18f3be852535ab478ad02a16db",
+        "sweep_m": "8e57e69017f053f2ed7d2660afbb6d117e67738e047485b02fcc0feff0499005",
+    },
+    "sc": {
+        "outage": "662a6ee979c763125d845121aafabbefc1fbd982292c8f5668a205ea093f8631",
+        "solve": "37901712770d6eb298fcd1bdeea621306c7be1cb7cf2d09c32ca9c8b00f47e56",
+        "resource": "d0ba97b2b301bb7deb72bb82bc3087eaceebb56a21a112050af7cd261c574b00",
+        "sweep_p_d": "ac38d8d028f34c5dcc45f90a46015a43daf104c68884d8843b6d7c47640ff209",
+        "sweep_sinr": "4ee40ea95ec6b06d7460a17fa9ca5be81a3022e8da55962f2353d2b706099970",
+        "sweep_m": "23d049668e8c0ef215d7c83c01ff9281b708ada3417071bc71e56f27adafaf0c",
+    },
+    "zero_m2": {
+        "outage": "04de4642ea83381f954ec315df914207176223d6df52e8032a955ca302489476",
+        "solve": "076f7e9702dece5332abad83a8de20d18b89796f672c6d6e0704655fd2b33965",
+        "resource": "bae85acf518d14fdb479b7320e17dc28d1a729f3872557bdf995cb90f7c9a1a6",
+        "sweep_p_d": "d1563bd4ca2967e6f02769203e3aa2e9829372f8131e2b045f4fa69bb98f44a8",
+        "sweep_sinr": "f5874bfbefb016dccfb1f708cce2f16e7f3d88702131e9e3e816005bc39d4c03",
+        "sweep_m": "23d049668e8c0ef215d7c83c01ff9281b708ada3417071bc71e56f27adafaf0c",
+    },
+}
+
+
+def _battery_digest(document: str, command: str, tmp_path, capsys) -> str:
+    path = tmp_path / f"{document}.json"
+    path.write_text(json.dumps({"target_outage": 1e-5, **BATTERY_DOCUMENTS[document]}))
+    code = main([*BATTERY_COMMANDS[command], "--config", str(path), "--format", "csv"])
+    out, err = capsys.readouterr()
+    return hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("document", sorted(BATTERY_DOCUMENTS))
+def test_closed_form_commands_bytes_are_pinned(document, tmp_path, capsys):
+    digests = {command: _battery_digest(document, command, tmp_path, capsys)
+               for command in BATTERY_COMMANDS}
+    assert digests == BATTERY_SHA256[document]

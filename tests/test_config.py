@@ -7,6 +7,7 @@ from dataclasses import MISSING, fields
 
 import pytest
 
+from urllc_mc import sim
 from urllc_mc.config import (
     MAX_NODES,
     MAX_SWEEP_POINTS,
@@ -214,6 +215,15 @@ def test_node_count_bounded_by_name(m_nodes):
         parse_scenario(_doc(scheme="MC", m_nodes=m_nodes))
 
 
+def test_trial_count_bounded_by_name():
+    # the limit of the simulator's int64 tallies
+    limit = sim.MAX_TRIALS
+    assert parse_scenario(_doc(trials=limit)).trials == limit
+    for trials in (limit + 1, 10**30):
+        with pytest.raises(ValidationError, match=f"trials: must be <= {limit}"):
+            parse_scenario(_doc(trials=trials))
+
+
 def test_contexts_built_from_sinrs():
     cfg = parse_scenario(_doc(scheme="MC", m_nodes=2, sinr_db=[0, 10]))
     contexts = cfg.contexts()
@@ -232,3 +242,11 @@ def test_sweep_spec_validation():
     SweepSpec(SweepVariable.P_D, 1e-4, 1e-1, MAX_SWEEP_POINTS)
     with pytest.raises(ValidationError, match="sweep points"):
         SweepSpec(SweepVariable.P_D, 1e-4, 1e-1, MAX_SWEEP_POINTS + 1)
+
+
+@pytest.mark.parametrize("huge", [-(10**400), 10**5000], ids=["-1e400", "1e5000"])
+def test_sweep_spec_rejects_huge_ints_by_name(huge):
+    with pytest.raises(ValidationError, match="sweep start must be finite, got an int past"):
+        SweepSpec(SweepVariable.P_D, huge, 0.5, 3)
+    with pytest.raises(ValidationError, match="sweep stop must be finite, got an int past"):
+        SweepSpec(SweepVariable.P_D, 0.1, huge, 3)

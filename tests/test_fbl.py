@@ -204,6 +204,24 @@ def test_context_validation():
         db_to_linear(1e300)
 
 
+@pytest.mark.parametrize(
+    "huge", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"]
+)
+@pytest.mark.parametrize(
+    "name, call",
+    [("q_func argument", q_func),
+     ("sinr_linear", shannon_capacity),
+     ("sinr_linear", channel_dispersion),
+     ("sinr_linear", lambda huge: FblContext(256, huge)),
+     ("channel_uses", lambda huge: achieved_bler(FblContext(256, 10.0), huge))],
+    ids=["q_func", "shannon_capacity", "channel_dispersion", "FblContext", "achieved_bler"],
+)
+def test_huge_ints_rejected_by_name(name, call, huge):
+    # exact comparisons: no float conversion overflows, no message prints the int
+    with pytest.raises(DomainError, match=f"{name} must .*an int past the float range"):
+        call(huge)
+
+
 # ---------------------------------------------------------------------------
 # channel_use / achieved_bler
 

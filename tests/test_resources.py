@@ -9,12 +9,11 @@ import pytest
 
 from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.fbl import FblContext, db_to_linear
-from urllc_mc.outage import ChaseModel, LinkBlerProfile, success_mix
+from urllc_mc.outage import ChaseModel, LinkBlerProfile, succ_first, success_mix
 from urllc_mc.resources import (
     UsageReport,
     normalized_usage,
     usage_at_reliability,
-    usage_mc,
     usage_sc,
 )
 from urllc_mc.solver import BlerPolicy, PolicyKind
@@ -37,27 +36,30 @@ def test_usage_sc_table_point():
     assert usage_sc(85.14, p1) == pytest.approx(85.44, abs=0.05)
 
 
-def test_usage_mc_reduction_and_linearity():
+def test_normalized_usage_reduction_and_linearity():
     rng = np.random.default_rng(2)
     for _ in range(50):
         r = float(rng.uniform(1, 500))
-        p = float(rng.uniform(0, 1))
-        assert usage_mc(1, r, p) == usage_sc(r, p)
+        p_m, p_d = (float(p) for p in rng.uniform(0, 1, 2))
+        link = LinkBlerProfile(p_m, p_d, p_m, p_d, 0.0)
+        p = succ_first(link)
+        assert normalized_usage(1, link) == usage_sc(1.0, p)
+        assert usage_sc(r, p) == pytest.approx(r * usage_sc(1.0, p), rel=1e-15)
         for m in range(2, 7):
-            assert usage_mc(m, r, p) == pytest.approx(m * usage_sc(r, p), rel=1e-15)
+            assert normalized_usage(m, link) == pytest.approx(m * usage_sc(1.0, p), rel=1e-15)
 
 
-def test_usage_mc_reference_points():
-    assert usage_mc(2, 1.0, 0.891) == pytest.approx(2.218, abs=1e-12)
+def test_duplicated_usage_reference_points():
+    assert 2 * usage_sc(1.0, 0.891) == pytest.approx(2.218, abs=1e-12)
     # expected usage at the duplicated operating point; the mean-based
     # formula, not the figure-quoted 166.12 (documented discrepancy)
     p1 = (1 - 0.0328) ** 2
-    assert usage_mc(2, 80.88, p1) == pytest.approx(172.20, abs=0.05)
+    assert 2 * usage_sc(80.88, p1) == pytest.approx(172.20, abs=0.05)
 
 
 def test_usage_monotone_in_success_probability():
     ps = np.linspace(0, 1, 50)
-    vals = [usage_mc(3, 10.0, float(p)) for p in ps]
+    vals = [3 * usage_sc(10.0, float(p)) for p in ps]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -67,7 +69,7 @@ def test_usage_domain():
     with pytest.raises(DomainError):
         usage_sc(1.0, 1.5)
     with pytest.raises(DomainError):
-        usage_mc(0, 1.0, 0.5)
+        normalized_usage(0, LinkBlerProfile(0.5, 0.5, 0.5, 0.5, 0.0))
 
 
 @pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["1e400", "1e5000"])
@@ -75,12 +77,10 @@ def test_usage_rejects_huge_ints_by_name(huge):
     # exact comparisons: no float conversion overflows, no message prints the int
     with pytest.raises(DomainError, match="channel uses .*an int past the float range"):
         usage_sc(huge, 0.5)
-    with pytest.raises(DomainError, match="channel uses .*an int past the float range"):
-        usage_mc(2, huge, 0.5)
     with pytest.raises(DomainError, match="p_succ_first .*an int past the float range"):
         usage_sc(1.0, huge)
     with pytest.raises(DomainError, match="m must .*an int past the float range"):
-        usage_mc(huge, 1.0, 0.5)
+        normalized_usage(huge, LinkBlerProfile(0.5, 0.5, 0.5, 0.5, 0.0))
     with pytest.raises(DomainError, match="channel uses must be positive and finite"):
         usage_sc(math.inf, 0.5)
 
@@ -118,7 +118,7 @@ def test_distribution_mean_matches_expected_usage():
         r = float(rng.uniform(0.5, 300))
         p = float(rng.uniform(0, 1))
         mean = math.fsum(u * w for u, w in _usage_distribution(m, r, p))
-        assert mean == pytest.approx(usage_mc(m, r, p), rel=1e-12)
+        assert mean == pytest.approx(m * usage_sc(r, p), rel=1e-12)
 
 
 def test_distribution_three_links_reference_mean():

@@ -13,16 +13,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Philox
 
+from urllc_mc import sim
 from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.fbl import FblContext, db_to_linear
 from urllc_mc.outage import ChaseModel, LinkBlerProfile, sc_outage, success_mix
-from urllc_mc.resources import usage_mc
+from urllc_mc.resources import usage_sc
 from urllc_mc.sim import (
-    DEFAULT_BATCH_SIZE,
     MAX_JOBS,
     Numerology,
+    _run_batch,
     _threshold,
     _thresholds,
     latency_budget_check,
@@ -240,7 +243,7 @@ def test_mean_usage_matches_expected_usage():
     for m, seed in ((1, 31), (2, 32)):
         agg = simulate_run([profile] * m, n, seed=seed)
         mean, _ = agg.mean_usage()
-        expected = usage_mc(m, 1.0, sc_outage(profile).p_succ_first)
+        expected = m * usage_sc(1.0, sc_outage(profile).p_succ_first)
         # 4 sigma of the per-trial multiples spread
         sigma = math.sqrt(m * 0.891 * (1 - 0.891) / n)
         assert abs(mean - expected) <= 4 * sigma
@@ -352,15 +355,16 @@ def test_latency_cdf_of_exact_mix_matches_simulated(shared):
         assert abs(got - cdf) <= 4 * _half_width(cdf, successes)
 
 
-def test_peak_memory_does_not_grow_with_trials():
+def test_peak_memory_does_not_grow_with_trials(monkeypatch):
     profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
     batch = 4096
+    monkeypatch.setattr(sim, "BATCH_SIZE", batch)
     draw_bytes = batch * 2 * 8  # one 64-bit Philox output per link and trial
 
     def peak(batches: int) -> int:
         tracemalloc.start()
         try:
-            simulate_run([profile] * 2, batches * batch, seed=3, batch_size=batch)
+            simulate_run([profile] * 2, batches * batch, seed=3)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -369,14 +373,15 @@ def test_peak_memory_does_not_grow_with_trials():
     assert abs(peak(32) - peak(4)) < draw_bytes
 
 
-def test_parallel_peak_memory_does_not_grow_with_batches():
+def test_parallel_peak_memory_does_not_grow_with_batches(monkeypatch):
     # at jobs > 1 each worker sums its own share; no result waits per batch
     profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
+    monkeypatch.setattr(sim, "BATCH_SIZE", 16)
 
     def peak(batches: int) -> int:
         tracemalloc.start()
         try:
-            simulate_run([profile], batches * 16, seed=3, batch_size=16, jobs=2)
+            simulate_run([profile], batches * 16, seed=3, jobs=2)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -416,31 +421,87 @@ def test_estimate_validations():
     # before any pool exists
     with pytest.raises(ValidationError, match=f"jobs must be at most {MAX_JOBS}"):
         simulate_run([profile], 10, 5, jobs=MAX_JOBS + 1)
+    for jobs in (0, 1.5):
+        with pytest.raises(ValidationError, match="jobs must be a positive integer"):
+            simulate_run([profile], 10**5, 5, jobs=jobs)
     agg = simulate_run([profile], 10, 5)
     with pytest.raises(ValidationError):
         latency_quantile(agg.success_mix, DEFAULT, 0.0)
 
 
-def test_batch_size_invariance():
+def test_trials_bounded_by_the_int64_tallies():
+    profile = LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
+    # rejected by name before any batch range is built
+    for trials in (10**30, sim.MAX_TRIALS + 1, 10**400):
+        with pytest.raises(ValidationError, match="trials must be a positive integer at most"):
+            simulate_run([profile], trials, 5)
+    assert sim.MAX_TRIALS == np.iinfo(np.int64).max
+
+
+_prob = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _profile(draw) -> LinkBlerProfile:
+    p_m1, p_d1, p_m2, p_d2 = (draw(_prob) for _ in range(4))
+    # a fraction of min(p_d1, p_d2) never exceeds it, so the profile is valid
+    return LinkBlerProfile(p_m1, p_d1, p_m2, p_d2, draw(_prob) * min(p_d1, p_d2))
+
+
+@st.composite
+def _partitioned_runs(draw, m: int):
+    profiles = draw(st.lists(_profile(), min_size=m, max_size=m))
+    trials = draw(st.integers(1, 3_000))
+    # the batch starts: 0 and up to eight cuts inside [0, trials)
+    starts = draw(st.sets(st.integers(0, trials - 1), max_size=8)) | {0}
+    return profiles, trials, sorted(starts)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**128 - 1))
+def test_any_trial_partition_sums_to_the_run(m, data, seed):
+    # batches that start anywhere, mid Philox block included, tally the
+    # same trials as one run
+    profiles, trials, starts = data.draw(_partitioned_runs(m))
+    thresholds = [_thresholds(p) for p in profiles]
+    leaves = np.zeros((m, 4), dtype=np.int64)
+    mix = np.zeros((m + 1, m + 1), dtype=np.int64)
+    for start, stop in zip(starts, [*starts[1:], trials]):
+        batch_leaves, batch_mix = _run_batch(thresholds, seed, start, stop - start)
+        leaves += batch_leaves
+        mix += batch_mix
+    agg = simulate_run(profiles, trials, seed)
+    assert np.array_equal(agg.leaf_counts, leaves)
+    assert np.array_equal(agg.success_mix, mix)
+    assert agg.trials == trials and agg.m_nodes == m
+    for n in range(m):
+        assert agg.trials == agg.leaf_counts[n].sum()
+
+
+def test_batch_size_invariance(monkeypatch):
     profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
     # a trial reads m of a Philox block's four 64-bit outputs, so batches of
     # 3_333, 257 and 5 trials start mid-block for m = 1, 2 and 3, and an
     # m = 3 trial can straddle two blocks; m = 4 fills whole blocks
     for m in (1, 2, 3, 4):
-        base = simulate_run([profile] * m, 10_000, seed=99, batch_size=10_000)
+        monkeypatch.setattr(sim, "BATCH_SIZE", 10_000)
+        base = simulate_run([profile] * m, 10_000, seed=99)
         for bs in (1_000, 3_333, 257, 5):
-            agg = simulate_run([profile] * m, 10_000, seed=99, batch_size=bs)
+            monkeypatch.setattr(sim, "BATCH_SIZE", bs)
+            agg = simulate_run([profile] * m, 10_000, seed=99)
             assert agg.n_success == base.n_success
             assert np.array_equal(agg.leaf_counts, base.leaf_counts)
             assert agg.mean_usage() == base.mean_usage()
             assert np.array_equal(agg.success_mix, base.success_mix)
 
 
-def test_thread_count_invariance():
+def test_thread_count_invariance(monkeypatch):
     profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
+    monkeypatch.setattr(sim, "BATCH_SIZE", 4_095)
     for m in (1, 3):
-        one = simulate_run([profile] * m, 50_000, seed=123, batch_size=4_095, jobs=1)
-        four = simulate_run([profile] * m, 50_000, seed=123, batch_size=4_095, jobs=4)
+        one = simulate_run([profile] * m, 50_000, seed=123, jobs=1)
+        four = simulate_run([profile] * m, 50_000, seed=123, jobs=4)
         assert one.n_success == four.n_success
         assert np.array_equal(one.leaf_counts, four.leaf_counts)
         assert one.mean_usage() == four.mean_usage()
@@ -488,18 +549,20 @@ def _stream_tallies(profiles, trials, seed):
     return leaves, mix
 
 
-def test_stream_layout_is_pinned():
+def test_stream_layout_is_pinned(monkeypatch):
     profiles = [
         LinkBlerProfile(0.2, 0.3, 0.25, 0.4, 0.1),
         LinkBlerProfile(0.05, 0.5, 0.1, 0.2, 0.2),
         LinkBlerProfile(0.3, 0.1, 0.0, 0.6, 0.05),
     ]
     trials = 2_000
+    batch_sizes = (1, 3, 257, sim.BATCH_SIZE)
     for m in (1, 2, 3):
         leaves, mix = _stream_tallies(profiles[:m], trials, seed=2019 + m)
         assert (leaves > 0).all()  # every leaf of every link is reached
-        for bs in (1, 3, 257, DEFAULT_BATCH_SIZE):
-            agg = simulate_run(profiles[:m], trials, seed=2019 + m, batch_size=bs)
+        for bs in batch_sizes:
+            monkeypatch.setattr(sim, "BATCH_SIZE", bs)
+            agg = simulate_run(profiles[:m], trials, seed=2019 + m)
             assert np.array_equal(agg.leaf_counts, leaves)
             assert np.array_equal(agg.success_mix, mix)
 

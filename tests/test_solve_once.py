@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import urllc_mc.outage as outage_mod
-import urllc_mc.resources as resources_mod
 import urllc_mc.solver as solver_mod
 from urllc_mc.cli import main
 from urllc_mc.errors import ValidationError
@@ -185,18 +184,13 @@ def test_usage_at_solution_rejects_a_link_count_other_than_the_solve(solved_m, s
     assert usage_at_solution(solved, [ctx] * solved_m).m_nodes == solved_m
 
 
-def test_usage_at_solution_sizes_each_run_of_equal_adjacent_links_once(monkeypatch):
+def test_usage_at_solution_sums_the_links_sized_one_at_a_time():
     a, b = FblContext(256, db_to_linear(0.0)), FblContext(256, db_to_linear(9.0))
     contexts = [a, FblContext(256, a.sinr_linear), b, b, a]
     solved = solve_bler(5, 1e-5, EQUAL, ChaseModel.ZERO, contexts)
-    # the sums as sized one link at a time
     uses = [channel_use(c, solved.p_d) for c in contexts]
     meta = [channel_use(FblContext(128, c.sinr_linear), solved.p_m) for c in contexts]
-    sizings = _counting(monkeypatch, resources_mod, "channel_use")
     report = usage_at_solution(solved, contexts, metadata_bits=128)
-    # data, then metadata: a later repeat that is not adjacent is sized again
-    sized = [args[0].sinr_linear for args in sizings]
-    assert sized == [a.sinr_linear, b.sinr_linear, a.sinr_linear] * 2
     assert report.channel_use_single == math.fsum(uses) / 5
     p_first = (1.0 - solved.p_m) * (1.0 - solved.p_d)
     assert report.total_usage == (2.0 - p_first) * math.fsum(uses)

@@ -183,6 +183,13 @@ def test_solve_validations():
         solve_bler(1, 1e-13, EQUAL, ZERO)
 
 
+def test_solve_bounds_the_node_count():
+    limit = solver_mod.MAX_NODES
+    for m in (limit + 1, 10**400):
+        with pytest.raises(ValidationError, match=f"m must be a positive integer at most {limit}"):
+            solve_bler(m, 1e-5, EQUAL, ZERO)
+
+
 def test_solve_deterministic():
     a = solve_bler(2, 1e-5, EQUAL, ZERO)
     b = solve_bler(2, 1e-5, EQUAL, ZERO)
