@@ -36,7 +36,6 @@ from .outage import (
 from .resources import (
     UsageReport,
     normalized_usage,
-    usage_at_reliability,
     usage_at_solution,
     usage_sc,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "succ_first",
     "success_mix",
     "tti_duration_ms",
-    "usage_at_reliability",
     "usage_at_solution",
     "usage_sc",
 ]

@@ -19,7 +19,7 @@ from .config import ScenarioConfig, SweepScale, SweepSpec, SweepVariable, load_s
 from .errors import DomainError, UrllcMcError, ValidationError
 from .fbl import FblContext, db_to_linear
 from .outage import ChaseModel, mc_outage, sc_outage
-from .resources import normalized_usage, usage_at_reliability, usage_at_solution
+from .resources import normalized_usage, usage_at_solution
 from .sim import latency_quantile, simulate_run, tti_duration_ms
 from .solver import (
     MAX_NODES,
@@ -85,13 +85,14 @@ def cmd_solve(cfg: ScenarioConfig) -> Rows:
 
 def cmd_resource(cfg: ScenarioConfig) -> Rows:
     """Channel use and total expected usage at the outage target."""
-    report = usage_at_reliability(
-        cfg.m_nodes, cfg.target_outage, cfg.contexts(), cfg.policy, cfg.chase,
-        metadata_bits=cfg.metadata_bits if cfg.report_metadata_use else None,
+    contexts = cfg.contexts()
+    report = usage_at_solution(
+        solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase, contexts),
+        contexts, cfg.metadata_bits if cfg.report_metadata_use else None,
     )
     header = ["scheme", "m", "bler_target", "channel_use", "total_usage",
               "metadata_channel_use"]
-    rows = [[cfg.scheme, report.m_nodes, report.bler_target,
+    rows = [[cfg.scheme, report.solve.m_nodes, report.solve.p_d,
              report.channel_use_single, report.total_usage,
              report.metadata_channel_use]]
     return header, rows
@@ -170,7 +171,7 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
                                     cfg.chase, links)
             report = usage_at_solution(result, links)
             rows.append([
-                sinr_db, cfg.scheme, cfg.m_nodes, report.bler_target,
+                sinr_db, cfg.scheme, cfg.m_nodes, report.solve.p_d,
                 report.channel_use_single, report.total_usage,
             ])
         return header, rows
@@ -196,11 +197,12 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
             ms.append(m)
     rows = []
     for m in ms:
-        report = usage_at_reliability(
-            m, cfg.target_outage, [ctx] * m, cfg.policy, cfg.chase
+        links = [ctx] * m
+        report = usage_at_solution(
+            solve_bler(m, cfg.target_outage, cfg.policy, cfg.chase, links), links
         )
         rows.append([
-            m, "SC" if m == 1 else "MC", report.bler_target, report.achieved_outage,
+            m, "SC" if m == 1 else "MC", report.solve.p_d, report.solve.achieved_outage,
             report.channel_use_single, report.total_usage,
         ])
     return header, rows
@@ -254,15 +256,15 @@ def _reproduce_table2_fig5() -> Tuple[Rows, Rows]:
     for sinr_db in (0.0, 10.0):
         ctx = FblContext(_REPRO_PAYLOAD_BITS, db_to_linear(sinr_db))
         sized[sinr_db] = [usage_at_solution(res, [ctx] * m) for m, res in solved.items()]
-    fig5 = [[sinr_db, sc.bler_target, sc.channel_use_single, sc.total_usage,
-             mc.bler_target, mc.channel_use_single, mc.total_usage,
+    fig5 = [[sinr_db, sc.solve.p_d, sc.channel_use_single, sc.total_usage,
+             mc.solve.p_d, mc.channel_use_single, mc.total_usage,
              1.0 - sc.total_usage / mc.total_usage] for sinr_db, (sc, mc) in sized.items()]
     table2 = []
     for scheme, report in zip(("SC", "MC"), sized[10.0]):
         quoted = _REPRO_USAGE_QUOTED[scheme]
         # the quoted duplicated-scheme usage is not reproducible from the
         # expected-usage formula; flag it instead of guessing
-        table2.append([scheme, report.bler_target, report.channel_use_single,
+        table2.append([scheme, report.solve.p_d, report.channel_use_single,
                        report.total_usage, quoted, abs(report.total_usage - quoted) > 0.5])
     return (
         (["scheme", "bler_target", "channel_use", "usage_eq", "usage_paper",

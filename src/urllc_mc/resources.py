@@ -6,6 +6,11 @@ so a duplicated transmission uses m + k transmissions when k links miss
 the first try. The distribution of k is the reversed row sums of the
 success mix (``outage.success_mix``); the expected usage needs only the
 per-link first-try probability, and ``usage_sc`` is its one formula.
+
+Sizing is a step after solving: ``usage_at_solution`` sizes the links at
+a ``solver.SolveResult``, and the ``UsageReport`` it returns holds that
+solve, so a report says which BLER target, outage and iteration count it
+was sized at.
 """
 
 from __future__ import annotations
@@ -17,34 +22,32 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, ValidationError, shown
 from .fbl import FblContext, channel_use
-from .outage import ChaseModel, LinkBlerProfile, succ_first
-from .solver import BlerPolicy, SolveResult, solve_bler
+from .outage import LinkBlerProfile, succ_first
+from .solver import SolveResult
 
 
 @dataclass(frozen=True)
 class UsageReport:
-    """Dimensioning summary at a reliability target.
+    """Dimensioning summary at a solve.
 
-    ``channel_use_single`` is the per-transmission channel-use count
-    (node average when per-node SINRs differ); ``total_usage`` includes
-    the expected retransmissions over all links. ``achieved_outage`` is
-    the outage the solver reached at ``bler_target``. When requested, the
-    metadata's own channel-use count is reported alongside and is never
-    added into ``total_usage``.
+    ``solve`` is the solve the links were sized at: its BLER target
+    ``p_d``, the outage it reached and its link count. ``channel_use_single``
+    is the per-transmission channel-use count (node average when per-node
+    SINRs differ); ``total_usage`` includes the expected retransmissions
+    over all links. When requested, the metadata's own channel-use count
+    is reported alongside and is never added into ``total_usage``.
     """
 
-    bler_target: float
-    achieved_outage: float
+    solve: SolveResult
     channel_use_single: float
     total_usage: float
-    m_nodes: int
     metadata_channel_use: Optional[float] = None
 
     def __post_init__(self) -> None:
         slack = 1e-9 * self.channel_use_single
         if self.total_usage < self.channel_use_single - slack:
             raise DomainError("total usage cannot undercut a single transmission")
-        if self.total_usage < self.m_nodes * self.channel_use_single - slack:
+        if self.total_usage < self.solve.m_nodes * self.channel_use_single - slack:
             raise DomainError("total usage cannot undercut one transmission per node")
 
 
@@ -92,21 +95,8 @@ def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],
             for c in contexts
         ) / len(contexts)
     return UsageReport(
-        bler_target=result.p_d,
-        achieved_outage=result.achieved_outage,
+        solve=result,
         channel_use_single=r_sum / len(uses),
         total_usage=usage_sc(r_sum, p1),
-        m_nodes=result.m_nodes,
         metadata_channel_use=meta_use,
     )
-
-
-def usage_at_reliability(m: int, target_outage: float, contexts: Sequence[FblContext],
-                         policy: BlerPolicy, chase: ChaseModel,
-                         metadata_bits: Optional[int] = None) -> UsageReport:
-    """Dimension a transmission for a reliability target: solve the BLER
-    target over one link per context, then size at it (``usage_at_solution``)."""
-    if contexts is None:
-        raise ValidationError("usage_at_reliability requires one FblContext per link")
-    result = solve_bler(m, target_outage, policy, chase, contexts)
-    return usage_at_solution(result, contexts, metadata_bits)

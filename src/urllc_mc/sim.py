@@ -107,6 +107,10 @@ class Numerology:
         for name in ("t_up_ttis", "t_bp_initial_ttis"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
+        worst_ttis = _latency_offsets(self)[1] + 1.0  # latency_budget_check's worst case
+        if not math.isfinite(_ms_from_ttis(self, worst_ttis)):  # inf TTIs give inf ms
+            raise ValidationError("numerology: the worst-case latency must be finite in "
+                                  f"TTIs and in ms, got {worst_ttis!r} TTIs")
 
 
 def _ms_from_ttis(numerology: Numerology, ttis: float) -> float:

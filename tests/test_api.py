@@ -47,14 +47,13 @@ PUBLIC_NAMES = [
     "succ_first",
     "success_mix",
     "tti_duration_ms",
-    "usage_at_reliability",
     "usage_at_solution",
     "usage_sc",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
     assert sorted(urllc_mc.__all__) == PUBLIC_NAMES
 
 

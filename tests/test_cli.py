@@ -241,6 +241,8 @@ def test_sweep_rejects_non_finite_bounds_by_name(config_path, capsys, variable):
         ("m", "1", "1e9", "2", "m sweep value 1000000000 outside [1, 64]"),
         ("p_d", "1e-4", "0.1", "100000000000000000000", "sweep points must be at most"),
         ("p_d", "1e-4", "0.1", "1000001", "sweep points must be at most 1000000"),
+        # a BLER grid value of 1 or more
+        ("p_d", "0.5", "1.5", "3", "p_d sweep value 1.0 outside (0, 1)"),
     ],
 )
 def test_sweep_rejects_grid_values_outside_the_domain_by_name(
@@ -254,6 +256,28 @@ def test_sweep_rejects_grid_values_outside_the_domain_by_name(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"VALIDATION_ERROR: {message}" in captured.err
+
+
+def test_sweep_m_rejects_the_log_scale(config_path, capsys):
+    code = main([
+        "sweep", "--config", config_path(), "--variable", "m",
+        "--start", "1", "--stop", "4", "--points", "4", "--scale", "log10",
+    ])
+    assert code == 3
+    assert "VALIDATION_ERROR: m sweep supports only the linear scale" in capsys.readouterr().err
+
+
+def test_sweep_takes_a_negative_exponent_bound_in_the_equals_form(config_path, capsys):
+    # argparse reads "-1e1" after "--start" as an option, so a negative
+    # bound in exponent form goes in as "--start=-1e1"
+    config = config_path(scheme="MC")
+    sweep = ["sweep", "--config", config, "--variable", "sinr_db", "--stop", "10",
+             "--points", "5", "--format", "csv"]
+    assert main([*sweep, "--start", "-10"]) == 0
+    plain = capsys.readouterr()
+    assert main([*sweep, "--start=-1e1"]) == 0
+    assert capsys.readouterr() == plain
+    assert plain.out.splitlines()[1].startswith("-10,MC,2,")
 
 
 def test_sweep_sinr_usage_decreases(config_path, capsys):
@@ -362,7 +386,10 @@ def test_channel_use_overflow_exit_code(config_path, capsys, command, overrides)
     [({"scheme": "MC", "m_nodes": 65}, "m_nodes"),
      ({"scheme": "MC", "m_nodes": 10**30}, "m_nodes"),
      ({"sinr_db": -200}, "sinr_db"),
-     ({"sinr_db": 1e300}, "sinr_db")],
+     ({"sinr_db": 1e300}, "sinr_db"),
+     # finite timing whose worst-case latency overflows in ms or in TTIs
+     ({"numerology": {"scs_khz": 1e-310}}, "numerology"),
+     ({"numerology": {"t_tx_ttis": 1e308, "t_up_ttis": 1e308}}, "numerology")],
 )
 def test_out_of_domain_scenario_values_exit_code(config_path, capsys, overrides, field):
     code = main(["resource", "--config", config_path(**overrides)])

@@ -13,10 +13,10 @@ from urllc_mc.outage import ChaseModel, LinkBlerProfile, succ_first, success_mix
 from urllc_mc.resources import (
     UsageReport,
     normalized_usage,
-    usage_at_reliability,
+    usage_at_solution,
     usage_sc,
 )
-from urllc_mc.solver import BlerPolicy, PolicyKind
+from urllc_mc.solver import BlerPolicy, PolicyKind, SolveResult, solve_bler
 
 ZERO = ChaseModel.ZERO
 EQUAL = BlerPolicy(PolicyKind.EQUAL)
@@ -144,77 +144,81 @@ def test_normalized_usage_perfect_link():
 
 
 # ---------------------------------------------------------------------------
-# usage at a reliability target
+# usage at a solved reliability target
 
 
-def test_usage_at_reliability_sc_table_row():
+def test_usage_at_solution_sc_table_row():
     ctx = FblContext(256, db_to_linear(10.0))
-    report = usage_at_reliability(1, 1e-5, [ctx], EQUAL, ZERO)
-    assert report.bler_target == pytest.approx(0.001826, abs=2e-5)
+    report = usage_at_solution(solve_bler(1, 1e-5, EQUAL, ZERO, [ctx]), [ctx])
+    assert report.solve.p_d == pytest.approx(0.001826, abs=2e-5)
     assert report.channel_use_single == pytest.approx(85.14, abs=0.05)
     assert report.total_usage == pytest.approx(85.44, abs=0.10)
-    assert report.m_nodes == 1
+    assert report.solve.m_nodes == 1
     assert report.metadata_channel_use is None
 
 
-def test_usage_at_reliability_mc_table_row():
+def test_usage_at_solution_mc_table_row():
     ctx = FblContext(256, db_to_linear(10.0))
-    report = usage_at_reliability(2, 1e-5, [ctx] * 2, EQUAL, ZERO)
-    assert report.bler_target == pytest.approx(0.0328, abs=2e-4)
+    report = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, [ctx] * 2), [ctx] * 2)
+    assert report.solve.p_d == pytest.approx(0.0328, abs=2e-4)
     assert report.channel_use_single == pytest.approx(80.88, abs=0.05)
     assert report.total_usage == pytest.approx(172.20, abs=0.10)
 
 
-def test_usage_at_reliability_in_domain_at_loose_target():
+def test_usage_at_solution_in_domain_at_loose_target():
     ctx = FblContext(256, db_to_linear(10.0))
-    report = usage_at_reliability(1, 0.249, [ctx], EQUAL, ZERO)
+    report = usage_at_solution(solve_bler(1, 0.249, EQUAL, ZERO, [ctx]), [ctx])
     assert report.channel_use_single > ctx.payload_bits / ctx.capacity
 
 
-def test_usage_at_reliability_heterogeneous_nodes():
+def test_usage_at_solution_heterogeneous_nodes():
     contexts = [FblContext(256, db_to_linear(10.0)), FblContext(256, db_to_linear(0.0))]
-    report = usage_at_reliability(2, 1e-5, contexts, EQUAL, ZERO)
+    report = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, contexts), contexts)
     # same solved BLER as the homogeneous case (outage ignores SINR under
     # ideal link adaptation); usage sums the two per-node channel uses
-    r10 = usage_at_reliability(2, 1e-5, [contexts[0]] * 2, EQUAL, ZERO)
-    r0 = usage_at_reliability(2, 1e-5, [contexts[1]] * 2, EQUAL, ZERO)
-    assert report.bler_target == pytest.approx(r10.bler_target, rel=1e-12)
+    at10, at0 = [contexts[0]] * 2, [contexts[1]] * 2
+    r10 = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, at10), at10)
+    r0 = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, at0), at0)
+    assert report.solve.p_d == pytest.approx(r10.solve.p_d, rel=1e-12)
     assert report.total_usage == pytest.approx(
         (r10.total_usage + r0.total_usage) / 2, rel=1e-12
     )
 
 
-def test_usage_at_reliability_requires_contexts():
+def test_usage_at_solution_requires_contexts():
     with pytest.raises(ValidationError):
-        usage_at_reliability(1, 1e-5, None, EQUAL, ZERO)
+        usage_at_solution(solve_bler(1, 1e-5, EQUAL, ZERO, None), None)
 
 
-def test_usage_at_reliability_metadata_reported_separately():
+def test_usage_at_solution_metadata_reported_separately():
     ctx = FblContext(256, db_to_linear(10.0))
-    with_meta = usage_at_reliability(
-        1, 1e-5, [ctx], EQUAL, ZERO, metadata_bits=128
+    with_meta = usage_at_solution(
+        solve_bler(1, 1e-5, EQUAL, ZERO, [ctx]), [ctx], metadata_bits=128
     )
-    without = usage_at_reliability(1, 1e-5, [ctx], EQUAL, ZERO)
+    without = usage_at_solution(solve_bler(1, 1e-5, EQUAL, ZERO, [ctx]), [ctx])
     assert with_meta.metadata_channel_use is not None
     assert with_meta.metadata_channel_use > 0
     # never folded into the headline usage
     assert with_meta.total_usage == without.total_usage
 
 
-def test_usage_at_reliability_savings_band():
+def test_usage_at_solution_savings_band():
     # duplicated transmission costs roughly twice the single link even
     # after the BLER relaxation: savings in [46%, 52%] at 0 and 10 dB
     for sinr_db in (0.0, 10.0):
         ctx = FblContext(256, db_to_linear(sinr_db))
-        sc = usage_at_reliability(1, 1e-5, [ctx], EQUAL, ZERO)
-        mc = usage_at_reliability(2, 1e-5, [ctx] * 2, EQUAL, ZERO)
+        sc = usage_at_solution(solve_bler(1, 1e-5, EQUAL, ZERO, [ctx]), [ctx])
+        mc = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, [ctx] * 2), [ctx] * 2)
         savings = 1.0 - sc.total_usage / mc.total_usage
         assert 0.46 <= savings <= 0.52
         assert 0.49 <= sc.total_usage / mc.total_usage <= 0.54
 
 
 def test_usage_report_invariants():
+    def solved(m):
+        return SolveResult(p_d=0.01, p_m=0.01, achieved_outage=1e-5, iterations=1, m_nodes=m)
+
     with pytest.raises(DomainError):
-        UsageReport(0.01, 1e-5, 100.0, 99.0, 1)
+        UsageReport(solved(1), 100.0, 99.0)
     with pytest.raises(DomainError):
-        UsageReport(0.01, 1e-5, 100.0, 150.0, 2)
+        UsageReport(solved(2), 100.0, 150.0)

@@ -67,6 +67,20 @@ def test_numerology_validation():
         Numerology(symbols_per_tti=0)
     with pytest.raises(ValidationError):
         Numerology(t_up_ttis=-1)
+    with pytest.raises(ValidationError, match="t_tx_ttis must be positive"):
+        Numerology(t_tx_ttis=0)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"scs_khz": 1e-310}, {"scs_khz": 1e-320}, {"harq_rtt_ttis": 10**308},
+     {"t_tx_ttis": 1e308, "t_up_ttis": 1e308}],
+    ids=["ms-tiny-scs", "ms-subnormal-scs", "ms-huge-rtt", "ttis"],
+)
+def test_numerology_rejects_an_overflowing_worst_case(overrides):
+    # every field is finite, but the worst-case latency is not, in ms or in TTIs
+    with pytest.raises(ValidationError, match="numerology: the worst-case latency must be finite"):
+        Numerology(**overrides)
 
 
 @pytest.mark.parametrize(
@@ -98,6 +112,11 @@ def test_latency_budget_longer_minislot_does_not_fit():
 def test_latency_budget_huge_budget_fits():
     _, fits = latency_budget_check(DEFAULT, 1e9)
     assert fits
+
+
+def test_latency_budget_must_be_positive():
+    with pytest.raises(ValidationError, match="budget_ms must be positive"):
+        latency_budget_check(DEFAULT, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from urllc_mc.cli import main
 from urllc_mc.errors import ValidationError
 from urllc_mc.fbl import FblContext, channel_use, db_to_linear
 from urllc_mc.outage import ChaseModel, LinkBlerProfile, mc_outage, sc_outage
-from urllc_mc.resources import usage_at_reliability, usage_at_solution
+from urllc_mc.resources import usage_at_solution
 from urllc_mc.solver import (
     BlerPolicy,
     PolicyKind,
@@ -154,18 +154,6 @@ def test_only_finite_blocklength_combining_reads_the_sinr():
     assert [c for c in ChaseModel if c.reads_sinr] == [ChaseModel.FINITE_BLOCKLENGTH]
 
 
-@pytest.mark.parametrize("chase", list(ChaseModel))
-@pytest.mark.parametrize("sinr_db", [[10.0], [0.0, 0.0], [0.0, 5.0, 10.0], [3.0] * 4])
-@pytest.mark.parametrize("metadata_bits", [None, 128])
-def test_usage_at_solution_equals_usage_at_reliability(chase, sinr_db, metadata_bits):
-    m = len(sinr_db)
-    contexts = [FblContext(256, db_to_linear(s)) for s in sinr_db]
-    solved = solve_bler(m, 1e-5, HALF, chase, contexts)
-    assert usage_at_solution(solved, contexts, metadata_bits) == usage_at_reliability(
-        m, 1e-5, contexts, HALF, chase, metadata_bits
-    )
-
-
 def test_usage_at_solution_requires_contexts():
     solved = solve_bler(1, 1e-5, EQUAL, ChaseModel.ZERO)
     for contexts in (None, []):
@@ -181,20 +169,26 @@ def test_usage_at_solution_rejects_a_link_count_other_than_the_solve(solved_m, s
     assert solved.m_nodes == solved_m
     with pytest.raises(ValidationError, match=f"the {solved_m} solved links"):
         usage_at_solution(solved, [ctx] * sized_m)
-    assert usage_at_solution(solved, [ctx] * solved_m).m_nodes == solved_m
+    assert usage_at_solution(solved, [ctx] * solved_m).solve is solved
 
 
-def test_usage_at_solution_sums_the_links_sized_one_at_a_time():
-    a, b = FblContext(256, db_to_linear(0.0)), FblContext(256, db_to_linear(9.0))
-    contexts = [a, FblContext(256, a.sinr_linear), b, b, a]
-    solved = solve_bler(5, 1e-5, EQUAL, ChaseModel.ZERO, contexts)
+@pytest.mark.parametrize("chase", list(ChaseModel))
+@pytest.mark.parametrize("sinr_db", [[10.0], [0.0, 0.0], [0.0, 5.0, 10.0], [3.0] * 4,
+                                     [0.0, 0.0, 9.0, 9.0, 0.0]])
+@pytest.mark.parametrize("policy", [EQUAL, HALF])
+def test_usage_at_solution_sums_the_links_sized_one_at_a_time(chase, sinr_db, policy):
+    m = len(sinr_db)
+    contexts = [FblContext(256, db_to_linear(s)) for s in sinr_db]
+    solved = solve_bler(m, 1e-5, policy, chase, contexts)
     uses = [channel_use(c, solved.p_d) for c in contexts]
     meta = [channel_use(FblContext(128, c.sinr_linear), solved.p_m) for c in contexts]
     report = usage_at_solution(solved, contexts, metadata_bits=128)
-    assert report.channel_use_single == math.fsum(uses) / 5
+    assert report.solve is solved
+    assert report.channel_use_single == math.fsum(uses) / m
     p_first = (1.0 - solved.p_m) * (1.0 - solved.p_d)
     assert report.total_usage == (2.0 - p_first) * math.fsum(uses)
-    assert report.metadata_channel_use == math.fsum(meta) / 5
+    assert report.metadata_channel_use == math.fsum(meta) / m
+    assert usage_at_solution(solved, contexts).metadata_channel_use is None
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +203,7 @@ def _write(tmp_path, **doc):
 
 @pytest.mark.parametrize("chase", [c.value for c in ChaseModel])
 @pytest.mark.parametrize("m", [2, 3])
-def test_sinr_sweep_rows_equal_per_point_usage_at_reliability(tmp_path, capsys, chase, m):
+def test_sinr_sweep_rows_equal_a_solve_and_a_sizing_per_point(tmp_path, capsys, chase, m):
     config = _write(tmp_path, scheme="MC", m_nodes=m, sinr_db=10, target_outage=1e-5,
                     chase=chase)
     code = main(["sweep", "--config", config, "--variable", "sinr_db", "--start", "-5",
@@ -222,8 +216,9 @@ def test_sinr_sweep_rows_equal_per_point_usage_at_reliability(tmp_path, capsys, 
     for line, value in zip(lines[1:], grid):
         sinr_db = float(value)
         ctx = FblContext(256, db_to_linear(sinr_db))
-        report = usage_at_reliability(m, 1e-5, [ctx] * m, EQUAL, ChaseModel(chase))
-        expected = [f"{sinr_db:.9g}", "MC", str(m), f"{report.bler_target:.9g}",
+        links = [ctx] * m
+        report = usage_at_solution(solve_bler(m, 1e-5, EQUAL, ChaseModel(chase), links), links)
+        expected = [f"{sinr_db:.9g}", "MC", str(m), f"{report.solve.p_d:.9g}",
                     f"{report.channel_use_single:.9g}", f"{report.total_usage:.9g}"]
         assert line.split(",") == expected
 

@@ -171,6 +171,15 @@ def test_solve_non_monotone_detected(monkeypatch):
         solver_mod.solve_bler(1, 1e-5, EQUAL, ZERO)
 
 
+def test_solve_without_convergence_raises(monkeypatch):
+    def step(p_d, policy, chase, contexts):
+        return 0.0 if p_d < 1e-3 else 0.2  # brackets 1e-5 but never comes near it
+
+    monkeypatch.setattr(solver_mod, "outage_at", step)
+    with pytest.raises(SolverError, match="no convergence .* in 200 iterations"):
+        solver_mod.solve_bler(1, 1e-5, EQUAL, ZERO)
+
+
 def test_solve_validations():
     with pytest.raises(ValidationError, match="positive integer"):
         solve_bler(0, 1e-5, EQUAL, ZERO)
