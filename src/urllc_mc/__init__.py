@@ -35,7 +35,6 @@ from .outage import (
 )
 from .resources import (
     UsageReport,
-    normalized_usage,
     usage_at_solution,
     usage_sc,
 )
@@ -53,7 +52,7 @@ from .sim import (
     latency_cdf,
     latency_quantile,
     simulate_run,
-    tti_duration_ms,
+    ttis_to_ms,
 )
 from .config import ScenarioConfig, SweepScale, SweepSpec, SweepVariable, parse_scenario
 
@@ -90,7 +89,6 @@ __all__ = [
     "latency_quantile",
     "linear_to_db",
     "mc_outage",
-    "normalized_usage",
     "parse_scenario",
     "q_func",
     "q_inv",
@@ -100,7 +98,7 @@ __all__ = [
     "solve_bler",
     "succ_first",
     "success_mix",
-    "tti_duration_ms",
+    "ttis_to_ms",
     "usage_at_solution",
     "usage_sc",
 ]

@@ -18,9 +18,9 @@ import numpy as np
 from .config import ScenarioConfig, SweepScale, SweepSpec, SweepVariable, load_scenario
 from .errors import DomainError, UrllcMcError, ValidationError
 from .fbl import FblContext, db_to_linear
-from .outage import ChaseModel, mc_outage, sc_outage
-from .resources import normalized_usage, usage_at_solution
-from .sim import latency_quantile, simulate_run, tti_duration_ms
+from .outage import ChaseModel, mc_outage, sc_outage, succ_first
+from .resources import usage_at_solution, usage_sc
+from .sim import latency_quantile, simulate_run, ttis_to_ms
 from .solver import (
     MAX_NODES,
     BlerPolicy,
@@ -124,7 +124,7 @@ def cmd_simulate(cfg: ScenarioConfig, seed: int, jobs: int = 1) -> Rows:
         ["outage", *agg.outage(), agg.trials, agg.seed],
         ["mean_usage_multiples", *agg.mean_usage(), agg.trials, agg.seed],
         [f"latency_ttis_q{q}", latency, 0.0, agg.trials, agg.seed],
-        [f"latency_ms_q{q}", latency * tti_duration_ms(cfg.numerology), 0.0,
+        [f"latency_ms_q{q}", ttis_to_ms(cfg.numerology, latency), 0.0,
          agg.trials, agg.seed],
     ]
     return header, rows
@@ -150,7 +150,7 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
             rows.append([
                 p_d, cfg.scheme, cfg.m_nodes, _policy_label(cfg.policy),
                 mc_outage(profiles),
-                normalized_usage(cfg.m_nodes, profiles[0]),
+                usage_sc(cfg.m_nodes, succ_first(profiles[0])),
             ])
         return header, rows
 
@@ -242,7 +242,7 @@ def _reproduce_fig4() -> Rows:
     for scheme, m in (("SC", 1), ("MC", 2)):
         rows.append([
             scheme, m, profile.p_m1, profile.p_d1, mc_outage([profile] * m),
-            normalized_usage(m, profile),
+            usage_sc(m, succ_first(profile)),
         ])
     return header, rows
 

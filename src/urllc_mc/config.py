@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 from .errors import DomainError, ParseError, ValidationError, shown
 from .fbl import FblContext, db_to_linear
 from .outage import ChaseModel
-from .sim import MAX_TRIALS, Numerology
-from .solver import MAX_NODES, BlerPolicy, PolicyKind
+from .sim import MAX_SEED, MAX_TRIALS, Numerology
+from .solver import MAX_NODES, BlerPolicy
 
 # Most points of a sweep grid; the benchmark's p_d sweep uses 20,001.
 MAX_SWEEP_POINTS = 1_000_000
@@ -210,11 +210,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     _at_least(values, 1, "payload_bits", "metadata_bits")
 
     kind = _enum(doc, "policy", BlerPolicy.kind)  # the dataclass defaults
-    meta = _scalars(doc, BlerPolicy)
-    if kind is PolicyKind.FIXED_META:
-        _require(meta["fixed_meta"] is not None, "fixed_meta",
-                 "is required for the fixed_meta policy")
-    policy = BlerPolicy(kind, **meta)
+    policy = BlerPolicy(kind, **_scalars(doc, BlerPolicy))
     chase = _enum(doc, "chase", ScenarioConfig.chase)
 
     p_d = values["p_d"]
@@ -224,6 +220,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     trials = values["trials"]
     _require(trials <= MAX_TRIALS, "trials", f"must be <= {MAX_TRIALS}, got {trials!r}")
     _at_least(values, 0, "seed")
+    seed = values["seed"]
+    _require(seed <= MAX_SEED, "seed", f"must be <= {MAX_SEED}, got {seed!r}")
     q = values["latency_quantile"]
     _require(0.0 < q <= 1.0, "latency_quantile", f"must be in (0, 1], got {q!r}")
 
@@ -232,12 +230,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
     unknown = set(sub) - {f.name for f in fields(Numerology)}
     if unknown:
         raise ValidationError(f"numerology: unknown key {sorted(unknown)[0]!r}")
-    timing = _scalars(sub, Numerology)
-    _at_least(timing, 1, *(f.name for f in fields(Numerology) if f.type == "int"))
 
     cfg = ScenarioConfig(
         scheme=scheme, sinr_db_per_node=sinrs, policy=policy, chase=chase,
-        numerology=Numerology(**timing), **values,
+        numerology=Numerology(**_scalars(sub, Numerology)), **values,
     )
     try:  # a finite SINR can still overflow or give a zero capacity
         cfg.contexts()

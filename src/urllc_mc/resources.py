@@ -5,7 +5,9 @@ transmission fails, even if another link already delivered the packet,
 so a duplicated transmission uses m + k transmissions when k links miss
 the first try. The distribution of k is the reversed row sums of the
 success mix (``outage.success_mix``); the expected usage needs only the
-per-link first-try probability, and ``usage_sc`` is its one formula.
+per-link first-try probability, and ``usage_sc`` is its one formula: m
+links sharing a profile use ``usage_sc(m, succ_first(profile))``
+transmissions in expectation (the paper's normalized usage, fig. 4).
 
 Sizing is a step after solving: ``usage_at_solution`` sizes the links at
 a ``solver.SolveResult``, and the ``UsageReport`` it returns holds that
@@ -22,7 +24,6 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, ValidationError, shown
 from .fbl import FblContext, channel_use
-from .outage import LinkBlerProfile, succ_first
 from .solver import SolveResult
 
 
@@ -60,16 +61,6 @@ def usage_sc(r: float, p_succ_first: float) -> float:
     if not 0.0 <= p_succ_first <= 1.0:
         raise DomainError(f"p_succ_first must be in [0, 1], got {shown(p_succ_first)}")
     return (2.0 - p_succ_first) * r
-
-
-def normalized_usage(m: int, profile: LinkBlerProfile) -> float:
-    """Expected usage over m links sharing ``profile``, in multiples of one
-    transmission's resources: m * usage_sc(1, p_succ_first)."""
-    if not (isinstance(m, int) and 1 <= m <= sys.float_info.max):
-        raise DomainError(
-            f"m must be a positive integer within the float range, got {shown(m)}"
-        )
-    return m * usage_sc(1.0, succ_first(profile))
 
 
 def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],

@@ -64,6 +64,9 @@ BATCH_SIZE = 1 << 14
 # Most trials a run may hold: the limit of its int64 tallies.
 MAX_TRIALS = 2**63 - 1
 
+# Largest seed: the seed is the 128-bit Philox key.
+MAX_SEED = 2**128 - 1
+
 # Most worker threads a run may use; each sums the tallies of its own
 # strided share of the batches, so memory does not grow with the run.
 MAX_JOBS = 64
@@ -108,20 +111,16 @@ class Numerology:
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
         worst_ttis = _latency_offsets(self)[1] + 1.0  # latency_budget_check's worst case
-        if not math.isfinite(_ms_from_ttis(self, worst_ttis)):  # inf TTIs give inf ms
+        if not math.isfinite(ttis_to_ms(self, worst_ttis)):  # inf TTIs give inf ms
             raise ValidationError("numerology: the worst-case latency must be finite in "
                                   f"TTIs and in ms, got {worst_ttis!r} TTIs")
 
 
-def _ms_from_ttis(numerology: Numerology, ttis: float) -> float:
+def ttis_to_ms(numerology: Numerology, ttis: float) -> float:
+    """``ttis`` TTIs in ms; one TTI lasts symbols_per_tti * (15 / scs_khz) / 14."""
     # grouped so that integer TTI totals come out exact (e.g. 7 TTIs at
     # 4 symbols / 30 kHz is exactly 1.0 ms)
     return (ttis * numerology.symbols_per_tti) * (15.0 / numerology.scs_khz) / 14.0
-
-
-def tti_duration_ms(numerology: Numerology) -> float:
-    """TTI length in ms: symbols_per_tti * (15 / scs_khz) / 14."""
-    return _ms_from_ttis(numerology, 1.0)
 
 
 def _latency_offsets(numerology: Numerology) -> Tuple[float, float]:
@@ -145,12 +144,13 @@ def latency_budget_check(numerology: Numerology, budget_ms: float) -> tuple[floa
 
     The worst case is the retransmission offset of ``_latency_offsets``
     plus a full TTI of frame alignment: the upper end of the latency
-    support, which ``latency_quantile`` returns at q = 1.
+    support, which ``latency_quantile`` returns at q = 1 when some trial
+    was delivered by retransmissions alone.
     """
     if not budget_ms > 0:
         raise ValidationError(f"budget_ms must be positive, got {shown(budget_ms)}")
     _, retx = _latency_offsets(numerology)
-    worst_ms = _ms_from_ttis(numerology, retx + 1.0)
+    worst_ms = ttis_to_ms(numerology, retx + 1.0)
     return worst_ms, worst_ms <= budget_ms
 
 
@@ -291,8 +291,7 @@ def simulate_run(
         raise ValidationError(
             f"trials must be a positive integer at most {MAX_TRIALS}, got {shown(trials)}"
         )
-    if not (isinstance(seed, int) and 0 <= seed < 2**128):
-        # the seed is the 128-bit Philox key
+    if not (isinstance(seed, int) and 0 <= seed <= MAX_SEED):
         raise ValidationError(f"seed must be an integer in [0, 2**128), got {shown(seed)}")
     if not (isinstance(jobs, int) and jobs >= 1):
         raise ValidationError(f"jobs must be a positive integer, got {shown(jobs)}")
@@ -361,15 +360,18 @@ def latency_cdf(mix: np.ndarray, numerology: Numerology, x: float,
 
 def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
                      shared_frame_alignment: bool = True) -> float:
-    """Smallest x in TTIs with ``latency_cdf(mix, ...) >= q``; NaN when the
+    """The q-quantile of the latency given success, in TTIs; NaN when the
     mix holds no success.
 
-    The frame alignment is integrated out exactly, so the only sampling
-    error is that of a counted mix, and no interval is attached.
-    Bisection runs to full double precision on the support
+    It is the smallest x, to full double precision, on the support
     [first-try offset, retransmission offset + 1] (``_latency_offsets``)
-    and compares the tail with (1 - q), so q = 1 yields exactly the upper
-    end of the support, the worst case of ``latency_budget_check``.
+    with ``_latency_tail(mix, ..., x) <= (1 - q) * successes``, which
+    avoids the cancellation of ``latency_cdf`` (it may read one ulp below
+    q there). At q = 1 that is the worst case of ``latency_budget_check``
+    if some trial was delivered by retransmissions alone (mix row a = 0;
+    with independent alignments over many links the tail may underflow just
+    short of it), and the first-try offset + 1 otherwise. The frame
+    alignment is integrated out exactly, so no interval is attached.
     """
     if not 0.0 < q <= 1.0:
         raise ValidationError(f"q must be in (0, 1], got {shown(q)}")
@@ -380,7 +382,7 @@ def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
     hi = retx + 1.0
     allowed = (1.0 - q) * successes
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = lo + 0.5 * (hi - lo)  # 0.5 * (lo + hi) overflows near the float limit
         if not lo < mid < hi:
             return hi
         if _latency_tail(mix, numerology, mid, shared_frame_alignment) <= allowed:

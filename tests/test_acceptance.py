@@ -22,15 +22,16 @@ from urllc_mc.outage import (
     LinkBlerProfile,
     mc_outage,
     sc_outage,
+    succ_first,
     success_mix,
 )
-from urllc_mc.resources import normalized_usage, usage_sc
+from urllc_mc.resources import usage_sc
 from urllc_mc.sim import (
     Numerology,
     latency_budget_check,
     latency_cdf,
     simulate_run,
-    tti_duration_ms,
+    ttis_to_ms,
 )
 from urllc_mc.solver import BlerPolicy, PolicyKind, solve_bler
 
@@ -108,8 +109,8 @@ def test_criterion_4_mc_product_law():
 
 def test_criterion_5_normalized_usage_points():
     profile = LinkBlerProfile(0.01, 0.1, 0.01, 0.1, 0.0)
-    sc = normalized_usage(1, profile)
-    mc = normalized_usage(2, profile)
+    sc = usage_sc(1, succ_first(profile))
+    mc = usage_sc(2, succ_first(profile))
     assert sc == pytest.approx(1.109, abs=0.001)
     assert mc == pytest.approx(2.218, abs=0.002)
     _report(5, f"normalized usage at 1%/10% BLERs: SC={sc:.3f}, MC={mc:.3f}")
@@ -196,7 +197,7 @@ def test_criterion_8_monte_carlo_oracle():
 
 def test_criterion_9_latency_budget_and_bands():
     numerology = Numerology(scs_khz=30.0, symbols_per_tti=4)
-    assert tti_duration_ms(numerology) == pytest.approx(1.0 / 7.0, rel=1e-15)
+    assert ttis_to_ms(numerology, 1.0) == pytest.approx(1.0 / 7.0, rel=1e-15)
     worst, fits = latency_budget_check(numerology, 1.0)
     assert worst == 1.0  # exactly one millisecond
     assert fits

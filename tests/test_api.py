@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     "latency_quantile",
     "linear_to_db",
     "mc_outage",
-    "normalized_usage",
     "parse_scenario",
     "q_func",
     "q_inv",
@@ -46,14 +45,14 @@ PUBLIC_NAMES = [
     "solve_bler",
     "succ_first",
     "success_mix",
-    "tti_duration_ms",
+    "ttis_to_ms",
     "usage_at_solution",
     "usage_sc",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 42
     assert sorted(urllc_mc.__all__) == PUBLIC_NAMES
 
 

@@ -19,9 +19,11 @@ import numpy as np
 import pytest
 
 import urllc_mc
-from urllc_mc.cli import main
+from urllc_mc.cli import cmd_simulate, main
+from urllc_mc.config import load_scenario
 from urllc_mc.fbl import FblContext, db_to_linear
 from urllc_mc.outage import ChaseModel, chase_bler
+from urllc_mc.sim import latency_budget_check
 from urllc_mc.solver import BlerPolicy, solve_bler
 
 
@@ -159,6 +161,33 @@ def test_simulate_seed_bounded_by_philox_key(config_path, capsys, via_flag):
         if code:
             err = capsys.readouterr().err
             assert "VALIDATION_ERROR" in err and "seed" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["outage"], ["solve"], ["resource"], ["simulate"],
+    ["sweep", "--variable", "p_d", "--start", "0.01", "--stop", "0.1", "--points", "2"],
+], ids=lambda argv: argv[0])
+def test_document_seed_bounded_on_every_command(config_path, capsys, command):
+    # a document's seed is checked when it is parsed, whether or not the
+    # command draws with it
+    for seed, code in ((2**128 - 1, 0), (2**128, 3)):
+        path = config_path(p_d=0.1, trials=10, seed=seed)
+        assert main([command[0], "--config", path, *command[1:]]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "VALIDATION_ERROR: seed: must be <=" in err
+
+
+def test_simulate_ms_row_is_the_budget_worst_case_at_quantile_one(config_path):
+    # one TTIs-to-ms conversion: the q = 1 row is latency_budget_check's
+    # worst case to the last bit, not only to the 9 printed digits
+    cfg = load_scenario(config_path(
+        p_d=0.1, trials=2000, latency_quantile=1,
+        numerology={"t_up_ttis": 0, "harq_rtt_ttis": 7, "symbols_per_tti": 2, "scs_khz": 15},
+    ))
+    _, rows = cmd_simulate(cfg, cfg.seed)
+    assert rows[3][0] == "latency_ms_q1"
+    assert rows[3][1] == latency_budget_check(cfg.numerology, 1.0)[0]
 
 
 def test_simulate_seed_override_changes_stream(config_path, capsys):

@@ -156,6 +156,9 @@ def test_numerology_schema_follows_the_dataclass():
     for name in NUMEROLOGY_INTS:
         with pytest.raises(ValidationError, match=f"{name}: must be an integer"):
             parse_scenario(_doc(numerology={name: "4"}))
+        # the minimum is Numerology's own check
+        with pytest.raises(ValidationError, match=f"{name} must be a positive integer"):
+            parse_scenario(_doc(numerology={name: 0}))
     # every type is checked before any range
     with pytest.raises(ValidationError, match="scs_khz: must be a number"):
         parse_scenario(_doc(numerology={"harq_rtt_ttis": 0, "scs_khz": "x"}))

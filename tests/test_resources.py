@@ -10,12 +10,7 @@ import pytest
 from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.fbl import FblContext, db_to_linear
 from urllc_mc.outage import ChaseModel, LinkBlerProfile, succ_first, success_mix
-from urllc_mc.resources import (
-    UsageReport,
-    normalized_usage,
-    usage_at_solution,
-    usage_sc,
-)
+from urllc_mc.resources import UsageReport, usage_at_solution, usage_sc
 from urllc_mc.solver import BlerPolicy, PolicyKind, SolveResult, solve_bler
 
 ZERO = ChaseModel.ZERO
@@ -43,10 +38,10 @@ def test_normalized_usage_reduction_and_linearity():
         p_m, p_d = (float(p) for p in rng.uniform(0, 1, 2))
         link = LinkBlerProfile(p_m, p_d, p_m, p_d, 0.0)
         p = succ_first(link)
-        assert normalized_usage(1, link) == usage_sc(1.0, p)
         assert usage_sc(r, p) == pytest.approx(r * usage_sc(1.0, p), rel=1e-15)
-        for m in range(2, 7):
-            assert normalized_usage(m, link) == pytest.approx(m * usage_sc(1.0, p), rel=1e-15)
+        for m in range(1, 7):
+            # bit for bit: IEEE products commute
+            assert usage_sc(m, p) == m * usage_sc(1.0, p)
 
 
 def test_duplicated_usage_reference_points():
@@ -68,8 +63,6 @@ def test_usage_domain():
         usage_sc(0.0, 0.5)
     with pytest.raises(DomainError):
         usage_sc(1.0, 1.5)
-    with pytest.raises(DomainError):
-        normalized_usage(0, LinkBlerProfile(0.5, 0.5, 0.5, 0.5, 0.0))
 
 
 @pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["1e400", "1e5000"])
@@ -79,8 +72,6 @@ def test_usage_rejects_huge_ints_by_name(huge):
         usage_sc(huge, 0.5)
     with pytest.raises(DomainError, match="p_succ_first .*an int past the float range"):
         usage_sc(1.0, huge)
-    with pytest.raises(DomainError, match="m must .*an int past the float range"):
-        normalized_usage(huge, LinkBlerProfile(0.5, 0.5, 0.5, 0.5, 0.0))
     with pytest.raises(DomainError, match="channel uses must be positive and finite"):
         usage_sc(math.inf, 0.5)
 
@@ -132,15 +123,15 @@ def test_distribution_three_links_reference_mean():
 
 def test_normalized_usage_fig4_points():
     profile = LinkBlerProfile(0.01, 0.1, 0.01, 0.1, 0)
-    assert normalized_usage(1, profile) == pytest.approx(1.109, abs=1e-12)
-    assert normalized_usage(2, profile) == pytest.approx(2.218, abs=1e-12)
+    assert usage_sc(1, succ_first(profile)) == pytest.approx(1.109, abs=1e-12)
+    assert usage_sc(2, succ_first(profile)) == pytest.approx(2.218, abs=1e-12)
 
 
 def test_normalized_usage_perfect_link():
     perfect = LinkBlerProfile(0, 0, 0, 0, 0)
-    assert normalized_usage(1, perfect) == 1.0
+    assert usage_sc(1, succ_first(perfect)) == 1.0
     for m in range(1, 5):
-        assert normalized_usage(m, perfect) == float(m)
+        assert usage_sc(m, succ_first(perfect)) == float(m)
 
 
 # ---------------------------------------------------------------------------

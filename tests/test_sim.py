@@ -32,7 +32,7 @@ from urllc_mc.sim import (
     latency_cdf,
     latency_quantile,
     simulate_run,
-    tti_duration_ms,
+    ttis_to_ms,
 )
 from urllc_mc.solver import BlerPolicy, PolicyKind, link_profiles
 
@@ -51,11 +51,11 @@ def _within_ci(count: int, n: int, p: float) -> bool:
 
 
 def test_tti_duration_reference_values():
-    assert tti_duration_ms(Numerology(scs_khz=30, symbols_per_tti=4)) == pytest.approx(
+    assert ttis_to_ms(Numerology(scs_khz=30, symbols_per_tti=4), 1.0) == pytest.approx(
         1.0 / 7.0, rel=1e-15
     )
-    assert tti_duration_ms(Numerology(scs_khz=30, symbols_per_tti=14)) == 0.5
-    assert tti_duration_ms(Numerology(scs_khz=30, symbols_per_tti=2)) == pytest.approx(
+    assert ttis_to_ms(Numerology(scs_khz=30, symbols_per_tti=14), 1.0) == 0.5
+    assert ttis_to_ms(Numerology(scs_khz=30, symbols_per_tti=2), 1.0) == pytest.approx(
         1.0 / 14.0, rel=1e-15
     )
 
@@ -103,7 +103,7 @@ def test_latency_budget_default_fits_exactly():
 
 def test_latency_budget_longer_minislot_does_not_fit():
     seven_sym = Numerology(scs_khz=30, symbols_per_tti=7)
-    assert tti_duration_ms(seven_sym) == 0.25
+    assert ttis_to_ms(seven_sym, 1.0) == 0.25
     worst, fits = latency_budget_check(seven_sym, 1.0)
     assert worst == pytest.approx(1.75, rel=1e-15)
     assert not fits
@@ -295,6 +295,25 @@ def test_latency_quantile_forced_retransmission():
     assert latency_quantile(agg.success_mix, DEFAULT, 1.0) == 7.0  # the supremum, 7 TTIs = 1 ms
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_latency_quantile_one_without_a_lone_retransmission(shared):
+    # every trial has a first-try success, so the latest delivery ends the
+    # first-try band [2, 3), short of the support's 7 TTIs
+    perfect, slow = LinkBlerProfile(0, 0, 0, 0, 0), LinkBlerProfile(1, 0, 0, 0, 0)
+    for mix in (success_mix([perfect]), success_mix([perfect] * 2),
+                simulate_run([perfect, slow], 20, seed=5).success_mix):
+        assert latency_quantile(mix, DEFAULT, 1.0, shared) == 3.0
+
+
+def test_latency_quantile_bisects_near_the_float_limit():
+    # lo + hi overflows to inf here; lo + 0.5 * (hi - lo) does not
+    numerology = Numerology(symbols_per_tti=1, scs_khz=15, t_tx_ttis=9e307,
+                            harq_rtt_ttis=int(8e307))
+    first, _ = sim._latency_offsets(numerology)
+    mix = success_mix([LinkBlerProfile(0, 0, 0, 0, 0)])
+    assert latency_quantile(mix, numerology, 0.5) == math.nextafter(first, math.inf)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("t_bp", [0, 1, 5])
@@ -307,7 +326,7 @@ def test_latency_support_ends_at_the_budget_worst_case(t_bp, shared, m):
     retx = numerology.harq_rtt_ttis + first
     assert latency_quantile(agg.success_mix, numerology, 1.0, shared) == retx + 1.0
     worst_ms, _ = latency_budget_check(numerology, 1.0)
-    assert (retx + 1.0) * tti_duration_ms(numerology) == pytest.approx(worst_ms, rel=1e-12)
+    assert ttis_to_ms(numerology, retx + 1.0) == worst_ms
     assert latency_cdf(agg.success_mix, numerology, first, shared) == 0.0
     band_end = latency_cdf(agg.success_mix, numerology, first + 1.0, shared)
     assert 0.0 < band_end < 1.0
