@@ -18,7 +18,6 @@ from .fbl import (
     channel_dispersion,
     channel_use,
     db_to_linear,
-    linear_to_db,
     q_func,
     q_inv,
     shannon_capacity,
@@ -87,7 +86,6 @@ __all__ = [
     "latency_budget_check",
     "latency_cdf",
     "latency_quantile",
-    "linear_to_db",
     "mc_outage",
     "parse_scenario",
     "q_func",

@@ -20,6 +20,11 @@ from .errors import DomainError, ValidationError, shown
 from .fbl import FblContext, achieved_bler, channel_use
 
 
+# Exact types of the common case: a value of either type in [0, 1] needs no
+# further check (bool, a subclass of int, is not one of them).
+_PLAIN = (float, int)
+
+
 def _check_prob(name: str, value) -> None:
     # the chained comparison rejects NaN and +-inf, and compares ints exactly
     ok = isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
@@ -43,6 +48,13 @@ class LinkBlerProfile:
     p_c: float
 
     def __post_init__(self) -> None:
+        p_m1, p_d1, p_m2, p_d2, p_c = self.p_m1, self.p_d1, self.p_m2, self.p_d2, self.p_c
+        # the common case in one expression; the checks below name the culprit
+        if (type(p_m1) in _PLAIN and type(p_d1) in _PLAIN and type(p_m2) in _PLAIN
+                and type(p_d2) in _PLAIN and type(p_c) in _PLAIN
+                and 0.0 <= p_m1 <= 1.0 and 0.0 <= p_d1 <= 1.0 and 0.0 <= p_m2 <= 1.0
+                and 0.0 <= p_c <= p_d1 and p_c <= p_d2 <= 1.0):
+            return
         for name in ("p_m1", "p_d1", "p_m2", "p_d2", "p_c"):
             _check_prob(name, getattr(self, name))
         if self.p_c > self.p_d1 or self.p_c > self.p_d2:
@@ -159,7 +171,8 @@ def chase_bler(
     equal-power copies, same payload, over the channel uses that ``ctx``
     needs for a single copy at ``p_d``; requires ``ctx``.
     """
-    _check_prob("p_d", p_d)
+    if not (type(p_d) in _PLAIN and 0.0 <= p_d <= 1.0):
+        _check_prob("p_d", p_d)
     if model is ChaseModel.ZERO:
         return 0.0
     if model is ChaseModel.PRODUCT:

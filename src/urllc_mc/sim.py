@@ -367,11 +367,11 @@ def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
     [first-try offset, retransmission offset + 1] (``_latency_offsets``)
     with ``_latency_tail(mix, ..., x) <= (1 - q) * successes``, which
     avoids the cancellation of ``latency_cdf`` (it may read one ulp below
-    q there). At q = 1 that is the worst case of ``latency_budget_check``
-    if some trial was delivered by retransmissions alone (mix row a = 0;
-    with independent alignments over many links the tail may underflow just
-    short of it), and the first-try offset + 1 otherwise. The frame
-    alignment is integrated out exactly, so no interval is attached.
+    q there). At q = 1 it is the support's end, taken without a bisection:
+    the worst case of ``latency_budget_check`` if some trial was delivered
+    by retransmissions alone (mix row a = 0), and the first-try offset + 1
+    otherwise. The frame alignment is integrated out exactly, so no
+    interval is attached.
     """
     if not 0.0 < q <= 1.0:
         raise ValidationError(f"q must be in (0, 1], got {shown(q)}")
@@ -379,6 +379,8 @@ def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
     if successes == 0:
         return math.nan
     lo, retx = _latency_offsets(numerology)
+    if q == 1.0:
+        return retx + 1.0 if mix[0, 1:].any() else lo + 1.0
     hi = retx + 1.0
     allowed = (1.0 - q) * successes
     while True:

@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "latency_budget_check",
     "latency_cdf",
     "latency_quantile",
-    "linear_to_db",
     "mc_outage",
     "parse_scenario",
     "q_func",
@@ -52,7 +51,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 42
+    assert len(PUBLIC_NAMES) == 41
     assert sorted(urllc_mc.__all__) == PUBLIC_NAMES
 
 

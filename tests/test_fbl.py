@@ -21,7 +21,6 @@ from urllc_mc.fbl import (
     channel_dispersion,
     channel_use,
     db_to_linear,
-    linear_to_db,
     q_func,
     q_inv,
     shannon_capacity,
@@ -168,11 +167,7 @@ def test_db_conversions():
     assert db_to_linear(3.0) == pytest.approx(1.9952623149688796, rel=1e-12)
     rng = np.random.default_rng(7)
     for x in rng.uniform(-40.0, 40.0, 50):
-        assert linear_to_db(db_to_linear(float(x))) == pytest.approx(
-            float(x), rel=1e-12, abs=1e-12
-        )
-    with pytest.raises(DomainError):
-        linear_to_db(0.0)
+        assert db_to_linear(float(x)) == pytest.approx(10.0 ** (float(x) / 10.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +195,38 @@ def test_context_validation():
         FblContext(payload_bits=10**400, sinr_linear=10.0)
     with pytest.raises(DomainError, match="payload_bits"):
         FblContext(payload_bits=10**5000, sinr_linear=10.0)
+    with pytest.raises(DomainError, match="payload_bits"):
+        FblContext(payload_bits=-(10**400), sinr_linear=10.0)
+    # bool is an int subclass, but not a payload size
+    with pytest.raises(DomainError, match="payload_bits must be a positive integer, got True"):
+        FblContext(payload_bits=True, sinr_linear=10.0)
     with pytest.raises(DomainError, match="finite"):
         db_to_linear(1e300)
+
+
+# huge ints are fed to both fields by the tests around this one
+BAD_CONTEXT_VALUES = {
+    "payload_bits": [math.nan, math.inf, -math.inf, True, -0.1, 1.0000001, 0, 2.0],
+    "sinr_linear": [math.nan, math.inf, -math.inf, -0.1, 0.0],
+}
+
+
+@pytest.mark.parametrize(
+    "name, bad", [(name, bad) for name, values in BAD_CONTEXT_VALUES.items() for bad in values]
+)
+def test_bad_context_value_rejected_by_name(name, bad):
+    # the one-expression check of the common case falls through to the
+    # per-name checks, which keep their exception and field name
+    fields = {"payload_bits": 256, "sinr_linear": 10.0, name: bad}
+    with pytest.raises(DomainError, match=name):
+        FblContext(**fields)
+
+
+@pytest.mark.parametrize("fields", [(1, 10.0), (256, 10), (256, np.float64(10.0))])
+def test_context_accepts_ints_and_numpy_sinr(fields):
+    ctx = FblContext(*fields)
+    assert (ctx.payload_bits, ctx.sinr_linear) == fields
+    assert ctx.capacity == shannon_capacity(fields[1])
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,37 @@ def test_huge_int_probability_rejected_by_name(huge):
         chase_bler(ChaseModel.ZERO, huge)
 
 
+PROB_FIELDS = ("p_m1", "p_d1", "p_m2", "p_d2", "p_c")
+# a profile that passes with any one field replaced by 0, 1 or 0.5
+VALID_PROBS = (0.5, 1.0, 0.5, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, -0.1, 1.0000001])
+def test_bad_probability_rejected_by_name(bad):
+    # the one-expression check of the common case must reject all that the
+    # per-name checks reject, with their exception and field name (huge ints:
+    # the test above)
+    for i, name in enumerate(PROB_FIELDS):
+        probs = list(VALID_PROBS)
+        probs[i] = bad
+        with pytest.raises(DomainError, match=f"{name} must be a probability"):
+            LinkBlerProfile(*probs)
+    for model in ChaseModel:
+        with pytest.raises(DomainError, match="p_d must be a probability"):
+            chase_bler(model, bad, FblContext(256, 10.0))
+
+
+@pytest.mark.parametrize("good", [np.float64(0.5), 0, 1], ids=["float64", "0", "1"])
+def test_plain_and_numpy_probabilities_accepted(good):
+    # nor may it narrow what is accepted
+    for i, name in enumerate(PROB_FIELDS):
+        probs = list(VALID_PROBS)
+        probs[i] = good
+        assert getattr(LinkBlerProfile(*probs), name) == good
+    assert chase_bler(ChaseModel.ZERO, good) == 0.0
+    assert chase_bler(ChaseModel.PRODUCT, good) == good * good
+
+
 def test_profile_rejects_combining_worse_than_single():
     with pytest.raises(DomainError):
         LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.2)

@@ -305,6 +305,16 @@ def test_latency_quantile_one_without_a_lone_retransmission(shared):
         assert latency_quantile(mix, DEFAULT, 1.0, shared) == 3.0
 
 
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("cell, end", [((0, 64), 7.0), ((64, 0), 3.0)])
+def test_latency_quantile_one_is_the_support_end_over_many_links(cell, end, shared):
+    # 64 links: with independent alignments the tail's 64th powers underflow
+    # just short of the end, so q = 1 must not be found by bisecting the tail
+    mix = np.zeros((65, 65))
+    mix[cell] = 1.0
+    assert latency_quantile(mix, DEFAULT, 1.0, shared) == end
+
+
 def test_latency_quantile_bisects_near_the_float_limit():
     # lo + hi overflows to inf here; lo + 0.5 * (hi - lo) does not
     numerology = Numerology(symbols_per_tti=1, scs_khz=15, t_tx_ttis=9e307,
