@@ -97,15 +97,15 @@ class FblContext:
     dispersion: float = field(init=False)
 
     def __post_init__(self) -> None:
-        bits = self.payload_bits
-        # the common case in one expression; the checks below name the culprit
-        if not (type(bits) is int and 1 <= bits <= sys.float_info.max):
-            if not (isinstance(bits, int) and not isinstance(bits, bool) and bits >= 1):
-                raise DomainError(f"payload_bits must be a positive integer, got {shown(bits)}")
-            # an exact comparison, so an int too large for a float fails too (its
-            # repr may exceed the int-to-str digit limit, so it is not printed)
-            if not bits <= sys.float_info.max:
-                raise DomainError("payload_bits must be within the float range")
+        # an exact type test, so bool (an int subclass) is rejected too
+        if not (type(self.payload_bits) is int and self.payload_bits >= 1):
+            raise DomainError(
+                f"payload_bits must be a positive integer, got {shown(self.payload_bits)}"
+            )
+        # an exact comparison, so an int too large for a float fails too (its
+        # repr may exceed the int-to-str digit limit, so it is not printed)
+        if not self.payload_bits <= sys.float_info.max:
+            raise DomainError("payload_bits must be within the float range")
         capacity = shannon_capacity(self.sinr_linear)
         if capacity == 0.0:
             raise DomainError(

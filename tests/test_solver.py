@@ -7,14 +7,12 @@ high-precision roots of that polynomial (frozen below).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 import urllc_mc.solver as solver_mod
 from urllc_mc.errors import DomainError, SolverError, ValidationError
-from urllc_mc.fbl import FblContext, db_to_linear
+from urllc_mc.fbl import FblContext
 from urllc_mc.outage import (
     ChaseModel,
     chase_bler,
@@ -25,9 +23,7 @@ from urllc_mc.outage import (
 from urllc_mc.solver import (
     BlerPolicy,
     PolicyKind,
-    SolveResult,
     build_profile,
-    outage_at,
     solve_bler,
 )
 
@@ -207,83 +203,3 @@ def test_solve_deterministic():
     a = solve_bler(2, 1e-5, EQUAL, ZERO)
     b = solve_bler(2, 1e-5, EQUAL, ZERO)
     assert a == b
-
-
-# ---------------------------------------------------------------------------
-# the replayed bisection
-
-
-def _plain_bisection(m, target, policy, chase, contexts):
-    """solve_bler as it was before the replay: every midpoint evaluated."""
-    lo_p, hi_p = solver_mod.P_D_BRACKET
-    f_lo = outage_at(lo_p, policy, chase, contexts)
-    f_hi = outage_at(hi_p, policy, chase, contexts)
-    if f_lo > f_hi or not f_lo <= target <= f_hi:
-        raise SolverError("NON_MONOTONE or NO_BRACKET")
-    tol = 1e-3 * target
-    lo_log, hi_log = math.log10(lo_p), math.log10(hi_p)
-    for iteration in range(1, solver_mod.MAX_ITERATIONS + 1):
-        mid_log = 0.5 * (lo_log + hi_log)
-        p_d = 10.0**mid_log
-        f = outage_at(p_d, policy, chase, contexts)
-        if abs(f - target) <= tol:
-            return SolveResult(p_d, policy.meta_bler(p_d), f, iteration, m)
-        if f >= target:
-            hi_log = mid_log
-        else:
-            lo_log = mid_log
-    raise SolverError("no convergence")
-
-
-def _assert_replay_equals_plain(m, target, policy, chase, contexts):
-    try:
-        expected = _plain_bisection(m, target, policy, chase, contexts)
-    except SolverError:
-        with pytest.raises(SolverError):
-            solve_bler(m, target, policy, chase, contexts)
-        return False
-    assert solve_bler(m, target, policy, chase, contexts) == expected
-    return True
-
-
-REPLAY_TARGETS = (1e-11, 3.7e-9, 1e-7, 1e-5, 2.5e-3, 0.2)
-REPLAY_POLICIES = (EQUAL, BlerPolicy(PolicyKind.HALF), BlerPolicy(PolicyKind.FIXED_META, 1e-3))
-PER_NODE_SINR_DB = (0.0, 5.0, 10.0, 25.0, -5.0, 17.5, 2.5, 10.0)
-
-
-@pytest.mark.parametrize("chase", list(ChaseModel))
-@pytest.mark.parametrize("m", range(1, 9))
-def test_replay_equals_plain_bisection(m, chase):
-    equal = [FblContext(256, db_to_linear(10.0))] * m
-    per_node = [FblContext(256, db_to_linear(s)) for s in PER_NODE_SINR_DB[:m]]
-    solved = 0
-    for target in REPLAY_TARGETS:
-        for policy in REPLAY_POLICIES:
-            for contexts in (equal, per_node):
-                solved += _assert_replay_equals_plain(m, target, policy, chase, contexts)
-    assert solved >= 18  # the fixed-meta floor leaves some targets unreachable
-
-
-@pytest.mark.parametrize("sinr_db", [-5.0, 10.0, 25.0])
-def test_replay_equals_plain_bisection_on_the_sinr_sweep(sinr_db):
-    # the benchmark's finite-blocklength SINR sweep solves at m = 2
-    links = [FblContext(256, db_to_linear(sinr_db))] * 2
-    assert _assert_replay_equals_plain(2, 1e-5, EQUAL, ChaseModel.FINITE_BLOCKLENGTH, links)
-
-
-@pytest.mark.parametrize("chase", [ZERO, ChaseModel.FINITE_BLOCKLENGTH])
-@pytest.mark.parametrize("m", [1, 2])
-def test_table2_solve_takes_at_most_ten_evaluations(monkeypatch, m, chase):
-    # the plain bisection evaluated 15 (SC) and 17 (MC2) outages here
-    links = [FblContext(256, db_to_linear(10.0))] * m
-    calls = []
-    original = solver_mod.outage_at
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(solver_mod, "outage_at", counted)
-    result = solve_bler(m, 1e-5, EQUAL, chase, links)
-    assert len(calls) <= 10
-    assert result.iterations == (13 if m == 1 else 15)
