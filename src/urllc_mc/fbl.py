@@ -50,8 +50,8 @@ def q_inv(p: float) -> float:
 
 def shannon_capacity(sinr_linear: float) -> float:
     """AWGN capacity C = log2(1 + sinr) in bits per channel use."""
-    # an exact comparison, so an int too large for a float fails too
-    if not 0.0 < sinr_linear <= sys.float_info.max:
+    # exact tests, so a bool or an int too large for a float fails too
+    if type(sinr_linear) is bool or not 0.0 < sinr_linear <= sys.float_info.max:
         raise DomainError(f"sinr_linear must be positive, got {shown(sinr_linear)}")
     return math.log2(1.0 + sinr_linear)
 
@@ -63,7 +63,7 @@ def channel_dispersion(sinr_linear: float) -> float:
     positive SINR (squared information units per channel use); in double
     precision it rounds to that limit from about 81 dB on.
     """
-    if not 0.0 < sinr_linear <= sys.float_info.max:
+    if type(sinr_linear) is bool or not 0.0 < sinr_linear <= sys.float_info.max:
         raise DomainError(f"sinr_linear must be positive, got {shown(sinr_linear)}")
     try:
         return DISPERSION_LIMIT * (1.0 - 1.0 / (1.0 + sinr_linear) ** 2)
@@ -141,12 +141,16 @@ def achieved_bler(ctx: FblContext, channel_uses: float) -> float:
     """BLER achieved when the payload is sent over ``channel_uses`` uses.
 
     Inverse of :func:`channel_use` on its valid domain; strictly
-    decreasing in ``channel_uses``.
+    decreasing in ``channel_uses``. The value is computed by ``_bler``,
+    which ``outage.chase_bler`` calls too.
     """
     # an exact comparison, so an int too large for a float fails too
     if not 0.0 < channel_uses <= sys.float_info.max:
         raise DomainError(f"channel_uses must be positive and finite, got {shown(channel_uses)}")
-    arg = (channel_uses * ctx.capacity - ctx.payload_bits) / math.sqrt(
-        channel_uses * ctx.dispersion
-    )
+    return _bler(ctx.payload_bits, ctx.capacity, ctx.dispersion, channel_uses)
+
+
+def _bler(payload_bits: int, capacity: float, dispersion: float, channel_uses: float) -> float:
+    # normal approximation at checked inputs: the one place it is written
+    arg = (channel_uses * capacity - payload_bits) / math.sqrt(channel_uses * dispersion)
     return q_func(arg)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError, shown
-from .fbl import FblContext, achieved_bler, channel_use
+from .fbl import FblContext, _bler, channel_dispersion, channel_use, shannon_capacity
 
 
 # Exact types of the common case: a value of either type in [0, 1] needs no
@@ -95,6 +95,13 @@ def succ_first(profile: LinkBlerProfile) -> float:
     return (1.0 - profile.p_m1) * (1.0 - profile.p_d1)
 
 
+def _link_outage(p: LinkBlerProfile) -> float:
+    # the one place p_out is written: one minus the first-try success and
+    # the factored sum of the two retransmission paths
+    p2 = (1.0 - p.p_m2) * (p.p_m1 * (1.0 - p.p_d2) + (1.0 - p.p_m1) * (p.p_d1 - p.p_c))
+    return max(0.0, 1.0 - succ_first(p) - p2)
+
+
 def sc_outage(profile: LinkBlerProfile) -> OutageBreakdown:
     """Full per-link outage breakdown for at most one retransmission.
 
@@ -102,19 +109,17 @@ def sc_outage(profile: LinkBlerProfile) -> OutageBreakdown:
     combining is possible because the first copy could not be identified.
     On the NACK path the combined decode fails with the conditional
     probability p_c / p_d1 given the first data decode failed, which
-    contracts to the (p_d1 - p_c) factor. The outage takes the factored
-    sum of the two retransmission paths.
+    contracts to the (p_d1 - p_c) factor. ``p_out`` is computed by
+    ``_link_outage``, which ``mc_outage`` calls too.
     """
     p_m1, p_d1, p_m2, p_d2, p_c = (
         profile.p_m1, profile.p_d1, profile.p_m2, profile.p_d2, profile.p_c
     )
-    p1 = succ_first(profile)
-    p2 = (1.0 - p_m2) * (p_m1 * (1.0 - p_d2) + (1.0 - p_m1) * (p_d1 - p_c))
     return OutageBreakdown(
-        p_succ_first=p1,
+        p_succ_first=succ_first(profile),
         p_succ_timeout_retx=p_m1 * (1.0 - p_m2) * (1.0 - p_d2),
         p_succ_nack_retx=(1.0 - p_m1) * (1.0 - p_m2) * (p_d1 - p_c),
-        p_out=max(0.0, 1.0 - p1 - p2),
+        p_out=_link_outage(profile),
     )
 
 
@@ -123,15 +128,16 @@ def mc_outage(profiles: Sequence[LinkBlerProfile]) -> float:
 
     The copies are decoded independently and never combined across
     links, so the packet is lost only if every link's own HARQ round
-    fails. A link holding the previous link's profile object reuses its
-    ``sc_outage``; the product still takes one factor per link, in order.
+    fails. Each factor is ``sc_outage(profile).p_out``, computed by its
+    ``_link_outage`` alone; a link holding the previous link's profile
+    object reuses it, and the product takes one factor per link, in order.
     """
     if len(profiles) < 1:
         raise DomainError("at least one link profile is required")
     out, last = 1.0, None
     for profile in profiles:
         if profile is not last:
-            p_out, last = sc_outage(profile).p_out, profile
+            p_out, last = _link_outage(profile), profile
         out *= p_out
     return out
 
@@ -169,7 +175,9 @@ def chase_bler(
     only if both copies would fail independently. FINITE_BLOCKLENGTH:
     re-evaluate the block error rate at the summed SINR of the two
     equal-power copies, same payload, over the channel uses that ``ctx``
-    needs for a single copy at ``p_d``; requires ``ctx``.
+    needs for a single copy at ``p_d``; requires ``ctx``. That BLER is
+    computed by ``fbl._bler``, as in ``achieved_bler``, from the capacity
+    and dispersion at the summed SINR; no context is built for it.
     """
     _check_prob("p_d", p_d)
     if model is ChaseModel.ZERO:
@@ -178,5 +186,6 @@ def chase_bler(
         return p_d * p_d
     if ctx is None:
         raise ValidationError("FINITE_BLOCKLENGTH chase model requires an FblContext")
-    combined = FblContext(ctx.payload_bits, 2.0 * ctx.sinr_linear)
-    return achieved_bler(combined, channel_use(ctx, p_d))
+    sinr = 2.0 * ctx.sinr_linear
+    capacity, dispersion = shannon_capacity(sinr), channel_dispersion(sinr)
+    return _bler(ctx.payload_bits, capacity, dispersion, channel_use(ctx, p_d))

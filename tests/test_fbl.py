@@ -197,6 +197,11 @@ def test_context_validation():
     # bool is an int subclass, but not a payload size
     with pytest.raises(DomainError, match="payload_bits must be a positive integer, got True"):
         FblContext(payload_bits=True, sinr_linear=10.0)
+    # nor a SINR: both derived quantities reject it, so the context does too
+    for flag in (True, False):
+        for call in (shannon_capacity, channel_dispersion, lambda s: FblContext(256, s)):
+            with pytest.raises(DomainError, match=f"sinr_linear must be positive, got {flag}"):
+                call(flag)
     with pytest.raises(DomainError, match="finite"):
         db_to_linear(1e300)
 
@@ -204,7 +209,7 @@ def test_context_validation():
 # huge ints are fed to both fields by the tests around this one
 BAD_CONTEXT_VALUES = {
     "payload_bits": [math.nan, math.inf, -math.inf, True, -0.1, 1.0000001, 0, 2.0],
-    "sinr_linear": [math.nan, math.inf, -math.inf, -0.1, 0.0],
+    "sinr_linear": [math.nan, math.inf, -math.inf, True, -0.1, 0.0],
 }
 
 

@@ -7,8 +7,10 @@ to 1e-14.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urllc_mc.errors import DomainError, ValidationError
-from urllc_mc.fbl import FblContext, achieved_bler, channel_use
+from urllc_mc.fbl import FblContext, achieved_bler, channel_use, db_to_linear
 from urllc_mc.outage import (
     ChaseModel,
     LinkBlerProfile,
@@ -328,6 +330,19 @@ def test_mc_outage_heterogeneous_product():
     )
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_profiles(), min_size=1, max_size=4), st.data())
+def test_mc_outage_is_the_in_order_product_of_sc_outage(drawn, data):
+    # links drawn from the profiles and equal copies of them, so runs of one
+    # object, equal distinct objects and unequal links all occur
+    pool = drawn + [dataclasses.replace(p) for p in drawn]
+    links = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    expected = 1.0
+    for profile in links:
+        expected *= sc_outage(profile).p_out
+    assert mc_outage(links) == expected
+
+
 def test_mc_outage_empty_rejected():
     with pytest.raises(DomainError):
         mc_outage([])
@@ -417,6 +432,38 @@ def test_chase_finite_blocklength():
     p_c = chase_bler(ChaseModel.FINITE_BLOCKLENGTH, 0.0328, ctx)
     assert 0.0 < p_c < 1e-9
     assert p_c == achieved_bler(FblContext(256, 20.0), channel_use(ctx, 0.0328))
+
+
+def _summed_sinr_bler(ctx, p_d):
+    """The combined BLER as a context built at the summed SINR gives it."""
+    return achieved_bler(FblContext(ctx.payload_bits, 2.0 * ctx.sinr_linear), channel_use(ctx, p_d))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 10**5),
+    st.floats(-20.0, 80.0),
+    st.floats(math.log(1e-9), math.log(0.4999)).map(math.exp),
+)
+def test_chase_finite_blocklength_is_the_summed_sinr_bler(bits, sinr_db, p_d):
+    ctx = FblContext(bits, db_to_linear(sinr_db))
+    assert chase_bler(ChaseModel.FINITE_BLOCKLENGTH, p_d, ctx) == _summed_sinr_bler(ctx, p_d)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 10**5),
+    st.floats(sys.float_info.max / 2, sys.float_info.max, exclude_min=True),
+    st.floats(1e-9, 0.4999),
+)
+def test_chase_finite_blocklength_overflow_is_rejected_as_by_a_context(bits, sinr, p_d):
+    # the summed SINR overflows to inf: the same error as building its context
+    ctx = FblContext(bits, sinr)
+    with pytest.raises(DomainError) as built:
+        _summed_sinr_bler(ctx, p_d)
+    with pytest.raises(DomainError) as direct:
+        chase_bler(ChaseModel.FINITE_BLOCKLENGTH, p_d, ctx)
+    assert str(direct.value) == str(built.value) == "sinr_linear must be positive, got inf"
 
 
 def test_chase_finite_blocklength_requires_context():

@@ -1,7 +1,7 @@
 """Solve once, size many: the closed-form layer shares work and not results.
 
 A link equal to the one before it shares that link's profile and its
-``sc_outage``, sizing is a separate step from solving, and a SINR sweep
+outage factor, sizing is a separate step from solving, and a SINR sweep
 solves once unless the chase model reads the SINR. Every test here
 compares with ``==``: the shared work must give exactly the numbers of
 the one-link-at-a-time computation it replaces.
@@ -116,12 +116,15 @@ def test_mc_outage_of_repeated_profile_is_the_sequential_product(m, monkeypatch)
         expected = 1.0
         for _ in range(m):
             expected *= p_out
-        evaluations = _counting(monkeypatch, outage_mod, "sc_outage")
+        # one per-link outage evaluation per run of one profile object
+        evaluations = _counting(monkeypatch, outage_mod, "_link_outage")
         assert mc_outage([profile] * m) == expected
-        assert len(evaluations) == 1
-        monkeypatch.undo()
+        assert evaluations == [(profile,)]
         # equal by value but distinct objects: evaluated per link, same product
+        evaluations.clear()
         assert mc_outage([LinkBlerProfile(p, p, p, p, p * p) for _ in range(m)]) == expected
+        assert len(evaluations) == m
+        monkeypatch.undo()
 
 
 def test_mc_outage_keeps_link_order_over_distinct_profiles():
