@@ -48,7 +48,6 @@ from .sim import (
     Numerology,
     SimAggregate,
     latency_budget_check,
-    latency_cdf,
     latency_quantile,
     simulate_run,
     ttis_to_ms,
@@ -84,7 +83,6 @@ __all__ = [
     "channel_use",
     "db_to_linear",
     "latency_budget_check",
-    "latency_cdf",
     "latency_quantile",
     "mc_outage",
     "parse_scenario",

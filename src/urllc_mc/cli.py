@@ -18,17 +18,10 @@ import numpy as np
 from .config import ScenarioConfig, SweepScale, SweepSpec, SweepVariable, load_scenario
 from .errors import DomainError, UrllcMcError, ValidationError
 from .fbl import FblContext, db_to_linear
-from .outage import ChaseModel, mc_outage, sc_outage, succ_first
+from .outage import MAX_NODES, ChaseModel, mc_outage, sc_outage, succ_first
 from .resources import usage_at_solution, usage_sc
 from .sim import latency_quantile, simulate_run, ttis_to_ms
-from .solver import (
-    MAX_NODES,
-    BlerPolicy,
-    PolicyKind,
-    build_profile,
-    link_profiles,
-    solve_bler,
-)
+from .solver import BlerPolicy, PolicyKind, build_profile, link_profiles, solve_bler
 
 Rows = Tuple[List[str], List[list]]
 
@@ -88,7 +81,7 @@ def cmd_resource(cfg: ScenarioConfig) -> Rows:
     contexts = cfg.contexts()
     report = usage_at_solution(
         solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase, contexts),
-        contexts, cfg.metadata_bits if cfg.report_metadata_use else None,
+        contexts, cfg.metadata_bits,
     )
     header = ["scheme", "m", "bler_target", "channel_use", "total_usage",
               "metadata_channel_use"]

@@ -16,9 +16,9 @@ from typing import Optional, Tuple
 
 from .errors import DomainError, ParseError, ValidationError, shown
 from .fbl import FblContext, db_to_linear
-from .outage import ChaseModel
+from .outage import MAX_NODES, ChaseModel
 from .sim import MAX_SEED, MAX_TRIALS, Numerology
-from .solver import MAX_NODES, BlerPolicy
+from .solver import BlerPolicy
 
 # Most points of a sweep grid; the benchmark's p_d sweep uses 20,001.
 MAX_SWEEP_POINTS = 1_000_000
@@ -45,8 +45,8 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         for name, value in (("start", self.start), ("stop", self.stop)):
-            # an exact comparison, so an int too large for a float fails too
-            if not abs(value) <= sys.float_info.max:
+            # exact tests, so a bool or an int too large for a float fails too
+            if type(value) is bool or not abs(value) <= sys.float_info.max:
                 raise ValidationError(f"sweep {name} must be finite, got {shown(value)}")
         if not self.start < self.stop:
             raise ValidationError(
@@ -74,7 +74,7 @@ class ScenarioConfig:
     sinr_db_per_node: Tuple[float, ...]
     target_outage: float
     payload_bits: int = 256
-    metadata_bits: int = 128  # informational; never folded into channel use
+    metadata_bits: Optional[int] = None  # reported by resource, never added to channel use
     policy: BlerPolicy = field(default_factory=BlerPolicy)
     chase: ChaseModel = ChaseModel.ZERO
     p_d: Optional[float] = None
@@ -83,7 +83,6 @@ class ScenarioConfig:
     latency_quantile: float = 0.99
     numerology: Numerology = field(default_factory=Numerology)
     shared_frame_alignment: bool = True
-    report_metadata_use: bool = False
 
     def contexts(self) -> list[FblContext]:
         """Per-node finite-blocklength contexts from the configured SINRs."""
@@ -124,14 +123,14 @@ def _scalars(doc: dict, schema) -> dict:
     modules postpone annotations), or else its default (MISSING if none)."""
     values = {}
     for f in fields(schema):
-        if f.type not in ("int", "float", "Optional[float]", "bool"):
+        if f.type not in ("int", "Optional[int]", "float", "Optional[float]", "bool"):
             continue
         value = values[f.name] = doc.get(f.name, f.default)
         if f.name not in doc:
             continue
         if f.type == "bool":
             _require(isinstance(value, bool), f.name, f"must be a boolean, got {value!r}")
-        elif f.type == "int":
+        elif f.type in ("int", "Optional[int]"):
             _require(
                 isinstance(value, int) and not isinstance(value, bool),
                 f.name,
@@ -157,8 +156,9 @@ def _enum(doc: dict, key: str, default: Enum) -> Enum:
 
 
 def _at_least(values: dict, minimum: int, *names: str) -> None:
-    for name in names:
-        _require(values[name] >= minimum, name, f"must be >= {minimum}, got {values[name]!r}")
+    for name in names:  # an absent optional field (None) has no minimum
+        value = values[name]
+        _require(value is None or value >= minimum, name, f"must be >= {minimum}, got {value!r}")
 
 
 def parse_scenario(text: str) -> ScenarioConfig:

@@ -25,8 +25,8 @@ DISPERSION_LIMIT = 1.0 / math.log(2.0) ** 2
 
 def q_func(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
-    # an exact comparison, so an int too large for a float fails too
-    if not abs(x) <= sys.float_info.max:
+    # exact tests, so a bool or an int too large for a float fails too
+    if type(x) is bool or not abs(x) <= sys.float_info.max:
         raise DomainError(f"q_func argument must be finite, got {shown(x)}")
     return 0.5 * math.erfc(x / _SQRT2)
 
@@ -75,6 +75,8 @@ def channel_dispersion(sinr_linear: float) -> float:
 
 def db_to_linear(x_db: float) -> float:
     """Convert a dB power ratio to linear scale."""
+    if type(x_db) is bool:
+        raise DomainError(f"x_db must be a number, got {x_db!r}")
     try:
         return 10.0 ** (x_db / 10.0)
     except OverflowError:
@@ -144,8 +146,8 @@ def achieved_bler(ctx: FblContext, channel_uses: float) -> float:
     decreasing in ``channel_uses``. The value is computed by ``_bler``,
     which ``outage.chase_bler`` calls too.
     """
-    # an exact comparison, so an int too large for a float fails too
-    if not 0.0 < channel_uses <= sys.float_info.max:
+    # exact tests, so a bool or an int too large for a float fails too
+    if type(channel_uses) is bool or not 0.0 < channel_uses <= sys.float_info.max:
         raise DomainError(f"channel_uses must be positive and finite, got {shown(channel_uses)}")
     return _bler(ctx.payload_bits, ctx.capacity, ctx.dispersion, channel_uses)
 

@@ -19,6 +19,11 @@ import numpy as np
 from .errors import DomainError, ValidationError, shown
 from .fbl import FblContext, _bler, channel_dispersion, channel_use, shannon_capacity
 
+# Most duplicating links a solve, a scenario, an m sweep, a simulation or an
+# exact success mix may use. The paper evaluates m <= 3 and the benchmark
+# sweeps to 8; past about m = 40 the solver cannot bracket even a 1e-12
+# outage target.
+MAX_NODES = 64
 
 # Exact types of the common case: a value of either type in [0, 1] needs no
 # further check (bool, a subclass of int, is not one of them).
@@ -90,6 +95,17 @@ class OutageBreakdown:
     p_out: float
 
 
+def _link_count(profiles: Sequence[LinkBlerProfile]) -> int:
+    """The number of links, at least one and at most ``MAX_NODES``, checked
+    before a run or a mix builds anything per link."""
+    m = len(profiles)
+    if m < 1:
+        raise DomainError("at least one link profile is required")
+    if m > MAX_NODES:
+        raise ValidationError(f"at most {MAX_NODES} link profiles are allowed, got {m}")
+    return m
+
+
 def succ_first(profile: LinkBlerProfile) -> float:
     """Probability that metadata and data decode on the first attempt."""
     return (1.0 - profile.p_m1) * (1.0 - profile.p_d1)
@@ -152,9 +168,7 @@ def success_mix(profiles: Sequence[LinkBlerProfile]) -> np.ndarray:
     as its outage factor plus the shifted success terms, so cell (0, 0)
     takes the products of ``mc_outage`` and equals it bit for bit.
     """
-    if len(profiles) < 1:
-        raise DomainError("at least one link profile is required")
-    m = len(profiles)
+    m = _link_count(profiles)
     mix = np.zeros((m + 1, m + 1))
     mix[0, 0] = 1.0
     for profile in profiles:

@@ -55,10 +55,10 @@ class UsageReport:
 def usage_sc(r: float, p_succ_first: float) -> float:
     """Expected channel uses of a single link: r plus r more when the
     first transmission fails, i.e. (2 - p_succ_first) * r."""
-    # exact comparisons, so an int too large for a float fails too
-    if not 0.0 < r <= sys.float_info.max:
+    # exact tests, so a bool or an int too large for a float fails too
+    if type(r) is bool or not 0.0 < r <= sys.float_info.max:
         raise DomainError(f"channel uses must be positive and finite, got {shown(r)}")
-    if not 0.0 <= p_succ_first <= 1.0:
+    if type(p_succ_first) is bool or not 0.0 <= p_succ_first <= 1.0:
         raise DomainError(f"p_succ_first must be in [0, 1], got {shown(p_succ_first)}")
     return (2.0 - p_succ_first) * r
 

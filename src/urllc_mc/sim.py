@@ -27,7 +27,7 @@ of its probability, below the solver's 1e-9 lower bracket; probabilities
 0 and 1 are exact.
 
 Estimates read the tallies: ``SimAggregate.outage`` and ``mean_usage``
-directly, the latency functions a success mix (``agg.success_mix``, or
+directly, ``latency_quantile`` a success mix (``agg.success_mix``, or
 the exact ``outage.success_mix``) with the numerology and the
 frame-alignment mode. Frame alignment is uniform on [0, 1) TTI and
 moves only the latency, so it is not drawn: latency quantiles come from
@@ -50,8 +50,8 @@ from typing import Sequence, Tuple
 import numpy as np
 from numpy.random import Philox
 
-from .errors import DomainError, ValidationError, shown
-from .outage import LinkBlerProfile
+from .errors import ValidationError, shown
+from .outage import LinkBlerProfile, _link_count
 
 # Layout of the random stream; any change to the draws bumps it.
 STREAM_VERSION = 3
@@ -93,14 +93,15 @@ class Numerology:
     def __post_init__(self) -> None:
         for name in ("scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis"):
             value = getattr(self, name)
-            # an exact comparison, so an int too large for a float fails too
-            if not abs(value) <= sys.float_info.max:
+            # exact tests, so a bool or an int too large for a float fails too
+            if type(value) is bool or not abs(value) <= sys.float_info.max:
                 raise ValidationError(f"{name} must be finite, got {shown(value)}")
         if not self.scs_khz > 0:
             raise ValidationError(f"scs_khz must be positive, got {self.scs_khz!r}")
         for name in ("symbols_per_tti", "harq_rtt_ttis"):
             value = getattr(self, name)
-            if not (isinstance(value, int) and 1 <= value <= sys.float_info.max):
+            if type(value) is bool or not (isinstance(value, int)
+                                           and 1 <= value <= sys.float_info.max):
                 raise ValidationError(
                     f"{name} must be a positive integer within the float range, "
                     f"got {shown(value)}"
@@ -147,7 +148,7 @@ def latency_budget_check(numerology: Numerology, budget_ms: float) -> tuple[floa
     support, which ``latency_quantile`` returns at q = 1 when some trial
     was delivered by retransmissions alone.
     """
-    if not budget_ms > 0:
+    if type(budget_ms) is bool or not budget_ms > 0:
         raise ValidationError(f"budget_ms must be positive, got {shown(budget_ms)}")
     _, retx = _latency_offsets(numerology)
     worst_ms = ttis_to_ms(numerology, retx + 1.0)
@@ -172,7 +173,6 @@ class SimAggregate:
     seed: int
     leaf_counts: np.ndarray  # (m, 4) int64
     success_mix: np.ndarray  # (m + 1, m + 1) int64
-    stream_version = STREAM_VERSION  # a class attribute, not a field
 
     @property
     def trials(self) -> int:
@@ -285,19 +285,17 @@ def simulate_run(
     threads. Counts accumulate as integers, so the aggregate is identical
     for any ``jobs``, and memory does not grow with ``trials``.
     """
-    if len(profiles) < 1:
-        raise DomainError("at least one link profile is required")
-    if not (isinstance(trials, int) and 1 <= trials <= MAX_TRIALS):
+    m = _link_count(profiles)
+    if type(trials) is bool or not (isinstance(trials, int) and 1 <= trials <= MAX_TRIALS):
         raise ValidationError(
             f"trials must be a positive integer at most {MAX_TRIALS}, got {shown(trials)}"
         )
-    if not (isinstance(seed, int) and 0 <= seed <= MAX_SEED):
+    if type(seed) is bool or not (isinstance(seed, int) and 0 <= seed <= MAX_SEED):
         raise ValidationError(f"seed must be an integer in [0, 2**128), got {shown(seed)}")
-    if not (isinstance(jobs, int) and jobs >= 1):
+    if type(jobs) is bool or not (isinstance(jobs, int) and jobs >= 1):
         raise ValidationError(f"jobs must be a positive integer, got {shown(jobs)}")
     if jobs > MAX_JOBS:
         raise ValidationError(f"jobs must be at most {MAX_JOBS}, got {shown(jobs)}")
-    m = len(profiles)
     thresholds = [_thresholds(p) for p in profiles]
 
     def tally(share: range) -> Tuple[np.ndarray, np.ndarray]:
@@ -348,16 +346,6 @@ def _latency_tail(
     return float(np.sum(mix * late))
 
 
-def latency_cdf(mix: np.ndarray, numerology: Numerology, x: float,
-                shared_frame_alignment: bool = True) -> float:
-    """P(latency <= ``x`` TTIs | success), exact given the success mix
-    (counted or exact); NaN when the mix holds no success."""
-    successes = float(mix.sum() - mix[0, 0])  # all but the outage cell
-    if successes == 0:
-        return math.nan
-    return 1.0 - _latency_tail(mix, numerology, x, shared_frame_alignment) / successes
-
-
 def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
                      shared_frame_alignment: bool = True) -> float:
     """The q-quantile of the latency given success, in TTIs; NaN when the
@@ -365,17 +353,17 @@ def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
 
     It is the smallest x, to full double precision, on the support
     [first-try offset, retransmission offset + 1] (``_latency_offsets``)
-    with ``_latency_tail(mix, ..., x) <= (1 - q) * successes``, which
-    avoids the cancellation of ``latency_cdf`` (it may read one ulp below
-    q there). At q = 1 it is the support's end, taken without a bisection:
-    the worst case of ``latency_budget_check`` if some trial was delivered
-    by retransmissions alone (mix row a = 0), and the first-try offset + 1
+    with ``_latency_tail(mix, ..., x) <= (1 - q) * successes``; comparing
+    the tail mass itself avoids the cancellation of 1 - tail / successes.
+    At q = 1 it is the support's end, taken without a bisection: the worst
+    case of ``latency_budget_check`` if some trial was delivered by
+    retransmissions alone (mix row a = 0), and the first-try offset + 1
     otherwise. The frame alignment is integrated out exactly, so no
     interval is attached.
     """
-    if not 0.0 < q <= 1.0:
+    if type(q) is bool or not 0.0 < q <= 1.0:
         raise ValidationError(f"q must be in (0, 1], got {shown(q)}")
-    successes = float(mix.sum() - mix[0, 0])
+    successes = float(mix.sum() - mix[0, 0])  # all but the outage cell
     if successes == 0:
         return math.nan
     lo, retx = _latency_offsets(numerology)

@@ -15,15 +15,10 @@ from typing import List, Optional, Sequence
 
 from .errors import DomainError, SolverError, ValidationError, shown
 from .fbl import FblContext
-from .outage import ChaseModel, LinkBlerProfile, chase_bler, mc_outage
+from .outage import MAX_NODES, ChaseModel, LinkBlerProfile, chase_bler, mc_outage
 
 P_D_BRACKET = (1e-9, 0.4999)  # upper end stays inside the channel-use domain
 MAX_ITERATIONS = 200
-
-# Most duplicating links a solve, a scenario or an m sweep may use. The
-# paper evaluates m <= 3 and the benchmark sweeps to 8; past about m = 40
-# the solver cannot bracket even a 1e-12 outage target.
-MAX_NODES = 64
 
 
 class PolicyKind(Enum):
@@ -131,7 +126,7 @@ def solve_bler(
     digits) within at most 200 iterations. Ties on an exact midpoint hit
     resolve toward the lower half.
     """
-    if not (isinstance(m, int) and 1 <= m <= MAX_NODES):
+    if type(m) is bool or not (isinstance(m, int) and 1 <= m <= MAX_NODES):
         raise ValidationError(f"m must be a positive integer at most {MAX_NODES}, got {shown(m)}")
     contexts = [None] * m if contexts is None else list(contexts)
     if len(contexts) != m:

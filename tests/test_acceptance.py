@@ -28,8 +28,8 @@ from urllc_mc.outage import (
 from urllc_mc.resources import usage_sc
 from urllc_mc.sim import (
     Numerology,
+    _latency_tail,
     latency_budget_check,
-    latency_cdf,
     simulate_run,
     ttis_to_ms,
 )
@@ -203,12 +203,16 @@ def test_criterion_9_latency_budget_and_bands():
     assert fits
     profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
     agg = simulate_run([profile], 200_000, seed=909)
-    mix = agg.success_mix
-    first_band = latency_cdf(mix, numerology, 3.0)
-    assert latency_cdf(mix, numerology, 2.0) == 0.0
-    assert latency_cdf(mix, numerology, 6.0) == first_band  # no mass between the bands
-    assert latency_cdf(mix, numerology, 7.0) == 1.0
-    assert 0.0 < first_band < 1.0  # mass in both bands
+    mix, successes = agg.success_mix, agg.n_success
+
+    def tail(x):  # success mass later than x TTIs
+        return _latency_tail(mix, numerology, x, True)
+
+    retx_band = tail(3.0)
+    assert tail(2.0) == successes
+    assert tail(6.0) == retx_band  # no mass between the bands
+    assert tail(7.0) == 0.0
+    assert 0.0 < retx_band < successes  # mass in both bands
     _report(9, "worst case exactly 1.000 ms; latency CDF mass confined to "
                "[2,3] U [6,7] TTIs")
 

@@ -3,7 +3,28 @@ is added or removed only by editing the list below."""
 
 from __future__ import annotations
 
+import pytest
+
 import urllc_mc
+from urllc_mc import (
+    BlerPolicy,
+    ChaseModel,
+    FblContext,
+    LinkBlerProfile,
+    Numerology,
+    SweepSpec,
+    SweepVariable,
+    UrllcMcError,
+    achieved_bler,
+    db_to_linear,
+    latency_budget_check,
+    latency_quantile,
+    q_func,
+    simulate_run,
+    solve_bler,
+    success_mix,
+    usage_sc,
+)
 
 PUBLIC_NAMES = [
     "BlerPolicy",
@@ -32,7 +53,6 @@ PUBLIC_NAMES = [
     "chase_bler",
     "db_to_linear",
     "latency_budget_check",
-    "latency_cdf",
     "latency_quantile",
     "mc_outage",
     "parse_scenario",
@@ -51,10 +71,47 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
     assert sorted(urllc_mc.__all__) == PUBLIC_NAMES
 
 
 def test_every_public_name_resolves():
     for name in urllc_mc.__all__:
         assert getattr(urllc_mc, name) is not None, name
+
+
+PERFECT = LinkBlerProfile(0, 0, 0, 0, 0)
+
+# (the name the error gives, a call with the bool in that argument)
+BOOL_ARGUMENTS = {
+    "solve_bler.m": ("m must", lambda b: solve_bler(b, 1e-5, BlerPolicy(), ChaseModel.ZERO)),
+    "simulate_run.trials": ("trials", lambda b: simulate_run([PERFECT], b, 1)),
+    "simulate_run.seed": ("seed", lambda b: simulate_run([PERFECT], 10, b)),
+    "simulate_run.jobs": ("jobs", lambda b: simulate_run([PERFECT], 10, 1, jobs=b)),
+    **{f"Numerology.{name}": (name, lambda b, name=name: Numerology(**{name: b}))
+       for name in ("scs_khz", "symbols_per_tti", "harq_rtt_ttis", "t_up_ttis",
+                    "t_tx_ttis", "t_bp_initial_ttis")},
+    "usage_sc.r": ("channel uses", lambda b: usage_sc(b, 0.5)),
+    "usage_sc.p_succ_first": ("p_succ_first", lambda b: usage_sc(2, b)),
+    "latency_quantile.q": ("q must", lambda b: latency_quantile(
+        success_mix([PERFECT]), Numerology(), b)),
+    "latency_budget_check.budget_ms": ("budget_ms", lambda b: latency_budget_check(
+        Numerology(), b)),
+    "achieved_bler.channel_uses": ("channel_uses", lambda b: achieved_bler(
+        FblContext(256, 10.0), b)),
+    "q_func.x": ("q_func argument", q_func),
+    "db_to_linear.x_db": ("x_db", db_to_linear),
+    "SweepSpec.start": ("sweep start", lambda b: SweepSpec(
+        SweepVariable.SINR_DB, start=b, stop=2.0, points=3)),
+    "SweepSpec.stop": ("sweep stop", lambda b: SweepSpec(
+        SweepVariable.SINR_DB, start=-1.0, stop=b, points=3)),
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("argument", sorted(BOOL_ARGUMENTS))
+def test_numeric_arguments_reject_bool_by_name(argument, flag):
+    # bool is an int subclass, so only an exact type test tells it apart
+    name, call = BOOL_ARGUMENTS[argument]
+    with pytest.raises(UrllcMcError, match=f"{name}.*{flag}"):
+        call(flag)

@@ -85,12 +85,34 @@ def test_resource_prints_configured_scheme(config_path, capsys):
 
 def test_resource_with_metadata_report(config_path, capsys):
     code = main([
-        "resource", "--config", config_path(report_metadata_use=True),
+        "resource", "--config", config_path(metadata_bits=128),
         "--format", "csv",
     ])
     assert code == 0
     row = _rows(capsys.readouterr().out)[0]
     assert float(row["metadata_channel_use"]) > 0
+
+
+@pytest.mark.parametrize("overrides, filled", [({}, False), ({"metadata_bits": 128}, True)])
+def test_metadata_channel_use_reported_iff_metadata_bits_given(config_path, capsys,
+                                                               overrides, filled):
+    code = main([
+        "resource", "--config", config_path(scheme="MC", **overrides), "--format", "csv",
+    ])
+    assert code == 0
+    cell = _rows(capsys.readouterr().out)[0]["metadata_channel_use"]
+    assert (float(cell) > 0) if filled else cell == ""
+
+
+def test_report_metadata_use_is_rejected_by_name(config_path, capsys):
+    # giving metadata_bits is the request; there is no separate switch
+    code = main([
+        "resource", "--config", config_path(metadata_bits=128, report_metadata_use=True),
+    ])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "VALIDATION_ERROR: unknown key 'report_metadata_use'" in err
 
 
 def test_outage_breakdown_at_fixed_bler(config_path, capsys):
@@ -397,7 +419,7 @@ def test_integer_beyond_float_range_exit_code(config_path, capsys):
 @pytest.mark.parametrize(
     "command, overrides",
     [(["resource"], {"payload_bits": 10**308}),
-     (["resource"], {"metadata_bits": 10**308, "report_metadata_use": True}),
+     (["resource"], {"metadata_bits": 10**308}),
      (["sweep", "--variable", "sinr_db", "--start", "0", "--stop", "10", "--points", "3"],
       {"payload_bits": 10**308})],
 )
@@ -587,7 +609,7 @@ BATTERY_DOCUMENTS = {
     "half_product_3": {"scheme": "MC", "m_nodes": 3, "sinr_db": 5, "policy": "half",
                        "chase": "product", "p_d": 0.01},
     "fixed_meta": {"scheme": "MC", "m_nodes": 2, "sinr_db": 10, "policy": "fixed_meta",
-                   "fixed_meta": 0.01, "report_metadata_use": True, "p_d": 0.1},
+                   "fixed_meta": 0.01, "metadata_bits": 128, "p_d": 0.1},
 }
 BATTERY_COMMANDS = {
     "outage": ["outage"],

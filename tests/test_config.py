@@ -41,7 +41,7 @@ def test_minimal_document_gets_defaults():
     assert cfg.sinr_db_per_node == (10.0,)
     assert cfg.target_outage == 1e-5
     assert cfg.payload_bits == 256
-    assert cfg.metadata_bits == 128
+    assert cfg.metadata_bits is None
     assert cfg.policy.kind is PolicyKind.EQUAL
     assert cfg.chase is ChaseModel.ZERO
     assert cfg.p_d is None

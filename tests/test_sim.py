@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 
-from urllc_mc import sim
+from urllc_mc import sim, solver
 from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.fbl import FblContext, db_to_linear
-from urllc_mc.outage import ChaseModel, LinkBlerProfile, sc_outage, success_mix
+from urllc_mc.outage import MAX_NODES, ChaseModel, LinkBlerProfile, sc_outage, success_mix
 from urllc_mc.resources import usage_sc
 from urllc_mc.sim import (
     MAX_JOBS,
@@ -29,7 +29,6 @@ from urllc_mc.sim import (
     _threshold,
     _thresholds,
     latency_budget_check,
-    latency_cdf,
     latency_quantile,
     simulate_run,
     ttis_to_ms,
@@ -39,6 +38,12 @@ from urllc_mc.solver import BlerPolicy, PolicyKind, link_profiles
 Z_9999 = 3.8906  # two-sided 99.99% normal quantile
 
 DEFAULT = Numerology()
+
+
+def _tail(mix: np.ndarray, x: float, numerology: Numerology = DEFAULT,
+          shared: bool = True) -> float:
+    """Success mass of ``mix`` whose latency exceeds ``x`` TTIs."""
+    return sim._latency_tail(mix, numerology, x, shared)
 
 
 def _within_ci(count: int, n: int, p: float) -> bool:
@@ -130,7 +135,7 @@ def test_sc_trial_perfect_link():
     assert agg.mean_usage() == (1.0, 0.0)  # one transmission each
     # t_fa in [0,1) + tx + up
     mix = agg.success_mix
-    assert latency_cdf(mix, DEFAULT, 2.0) == 0.0 and latency_cdf(mix, DEFAULT, 3.0) == 1.0
+    assert _tail(mix, 2.0) == 20 and _tail(mix, 3.0) == 0.0
 
 
 def test_sc_trial_forced_timeout_path():
@@ -140,7 +145,7 @@ def test_sc_trial_forced_timeout_path():
     assert agg.mean_usage() == (2.0, 0.0)
     # t_fa + rtt 4 + tx + up
     mix = agg.success_mix
-    assert latency_cdf(mix, DEFAULT, 6.0) == 0.0 and latency_cdf(mix, DEFAULT, 7.0) == 1.0
+    assert _tail(mix, 6.0) == 20 and _tail(mix, 7.0) == 0.0
 
 
 def test_sc_trial_forced_nack_path():
@@ -150,7 +155,7 @@ def test_sc_trial_forced_nack_path():
     assert agg.leaf_counts[0].tolist() == [0, 0, 20, 0]
     assert agg.mean_usage() == (2.0, 0.0)
     mix = agg.success_mix
-    assert latency_cdf(mix, DEFAULT, 6.0) == 0.0 and latency_cdf(mix, DEFAULT, 7.0) == 1.0
+    assert _tail(mix, 6.0) == 20 and _tail(mix, 7.0) == 0.0
 
 
 def test_sc_trial_certain_outage():
@@ -161,7 +166,7 @@ def test_sc_trial_certain_outage():
     assert math.isnan(latency_quantile(agg.success_mix, DEFAULT, 0.99))
     exact = success_mix([LinkBlerProfile(1, 1, 1, 1, 1)] * 2)  # and the exact mix
     assert exact[0, 0] == 1.0
-    assert math.isnan(latency_cdf(exact, DEFAULT, 3.0))
+    assert _tail(exact, 3.0) == 0.0  # no success mass at all
     assert math.isnan(latency_quantile(exact, DEFAULT, 0.99))
 
 
@@ -177,13 +182,26 @@ def test_mc_trial_takes_first_received_copy():
     slow = LinkBlerProfile(1, 0, 0, 0, 0)
     agg = simulate_run([fast, slow], 20, seed=5)
     assert agg.n_success == 20 and agg.success_mix[1, 1] == 20
-    assert latency_cdf(agg.success_mix, DEFAULT, 3.0) == 1.0  # the fast copy always wins
+    assert _tail(agg.success_mix, 3.0) == 0.0  # the fast copy always wins
     assert agg.mean_usage() == (3.0, 0.0)  # 1 + 2 each, no cross-link cancel
 
 
 def test_mc_trial_rejects_empty():
     with pytest.raises(DomainError):
         simulate_run([], 10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "build", [success_mix, lambda profiles: simulate_run(profiles, 10, seed=0).success_mix],
+    ids=["success_mix", "simulate_run"],
+)
+def test_link_count_is_bounded_by_max_nodes(build):
+    # the bound of solve_bler and the scenario, now owned by the outage module
+    assert MAX_NODES == solver.MAX_NODES == 64
+    profile = LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
+    assert build([profile] * MAX_NODES).shape == (MAX_NODES + 1, MAX_NODES + 1)
+    with pytest.raises(ValidationError, match=f"at most {MAX_NODES} link profiles .*got 65"):
+        build([profile] * (MAX_NODES + 1))
 
 
 def test_trial_with_unreachable_nack_branch_is_fine():
@@ -282,11 +300,12 @@ def test_usage_histogram_matches_binomial_distribution():
 def test_latency_bands_default_numerology():
     profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
     agg = simulate_run([profile], 10**5, seed=55)
-    first_band = latency_cdf(agg.success_mix, DEFAULT, 3.0)
-    assert latency_cdf(agg.success_mix, DEFAULT, 2.0) == 0.0
-    assert latency_cdf(agg.success_mix, DEFAULT, 6.0) == first_band  # nothing between the bands
-    assert latency_cdf(agg.success_mix, DEFAULT, 7.0) == 1.0
-    assert 0.0 < first_band < 1.0
+    mix, successes = agg.success_mix, agg.n_success
+    retx_band = _tail(mix, 3.0)
+    assert _tail(mix, 2.0) == successes
+    assert _tail(mix, 6.0) == retx_band  # nothing between the bands
+    assert _tail(mix, 7.0) == 0.0
+    assert 0.0 < retx_band < successes
 
 
 def test_latency_quantile_forced_retransmission():
@@ -337,11 +356,12 @@ def test_latency_support_ends_at_the_budget_worst_case(t_bp, shared, m):
     assert latency_quantile(agg.success_mix, numerology, 1.0, shared) == retx + 1.0
     worst_ms, _ = latency_budget_check(numerology, 1.0)
     assert ttis_to_ms(numerology, retx + 1.0) == worst_ms
-    assert latency_cdf(agg.success_mix, numerology, first, shared) == 0.0
-    band_end = latency_cdf(agg.success_mix, numerology, first + 1.0, shared)
-    assert 0.0 < band_end < 1.0
+    mix, successes = agg.success_mix, agg.n_success
+    assert _tail(mix, first, numerology, shared) == successes
+    retx_band = _tail(mix, first + 1.0, numerology, shared)
+    assert 0.0 < retx_band < successes
     for x in np.linspace(first + 1.0, retx, 7):
-        assert latency_cdf(agg.success_mix, numerology, float(x), shared) == band_end
+        assert _tail(mix, float(x), numerology, shared) == retx_band
 
 
 def test_latency_quantile_matches_analytic_mixture():
@@ -389,18 +409,21 @@ def test_exact_mix_matches_simulated_mix(chase):
 
 
 @pytest.mark.parametrize("shared", [True, False])
-def test_latency_cdf_of_exact_mix_matches_simulated(shared):
+def test_latency_tail_of_exact_mix_matches_simulated(shared):
     n = 10**6
     profiles = _per_node_profiles(2, ChaseModel.FINITE_BLOCKLENGTH)
     counted = simulate_run(profiles, n, seed=611).success_mix
     exact = success_mix(profiles)
     successes = n - int(counted[0, 0])
+
+    def late(mix, x):  # P(latency > x | success)
+        return _tail(mix, x, DEFAULT, shared) / float(mix.sum() - mix[0, 0])
+
     # inside the first-try band [2, 3) and the retransmission band [6, 7)
     for x in (2.1, 2.5, 2.9, 6.1, 6.5, 6.9):
-        cdf = latency_cdf(exact, DEFAULT, x, shared)
-        assert 0.0 < cdf < 1.0
-        got = latency_cdf(counted, DEFAULT, x, shared)
-        assert abs(got - cdf) <= 4 * _half_width(cdf, successes)
+        p = late(exact, x)
+        assert 0.0 < p < 1.0
+        assert abs(late(counted, x) - p) <= 4 * _half_width(p, successes)
 
 
 def test_peak_memory_does_not_grow_with_trials(monkeypatch):
