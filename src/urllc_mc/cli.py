@@ -57,7 +57,7 @@ def cmd_outage(cfg: ScenarioConfig) -> Rows:
     for node, profile in enumerate(profiles, start=1):
         bd = sc_outage(profile)
         rows.append([
-            cfg.scheme, cfg.m_nodes, node, profile.p_d1, profile.p_m1, profile.p_c,
+            cfg.scheme, cfg.m_nodes, node, profile.p_d, profile.p_m, profile.p_c,
             bd.p_succ_first, bd.p_succ_timeout_retx, bd.p_succ_nack_retx,
             bd.p_out, total,
         ])
@@ -234,7 +234,7 @@ def _reproduce_fig4() -> Rows:
     rows = []
     for scheme, m in (("SC", 1), ("MC", 2)):
         rows.append([
-            scheme, m, profile.p_m1, profile.p_d1, mc_outage([profile] * m),
+            scheme, m, profile.p_m, profile.p_d, mc_outage([profile] * m),
             usage_sc(m, succ_first(profile)),
         ])
     return header, rows

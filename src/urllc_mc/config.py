@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Optional, Tuple
 
-from .errors import DomainError, ParseError, ValidationError, shown
+from .errors import BOOL_TYPES, DomainError, ParseError, ValidationError, shown
 from .fbl import FblContext, db_to_linear
 from .outage import MAX_NODES, ChaseModel
 from .sim import MAX_SEED, MAX_TRIALS, Numerology
@@ -46,7 +46,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         for name, value in (("start", self.start), ("stop", self.stop)):
             # exact tests, so a bool or an int too large for a float fails too
-            if type(value) is bool or not abs(value) <= sys.float_info.max:
+            if type(value) in BOOL_TYPES or not abs(value) <= sys.float_info.max:
                 raise ValidationError(f"sweep {name} must be finite, got {shown(value)}")
         if not self.start < self.stop:
             raise ValidationError(

@@ -2,6 +2,8 @@
 
 import sys
 
+import numpy as np
+
 
 class UrllcMcError(Exception):
     """Base class for all toolkit errors."""
@@ -37,6 +39,11 @@ class DomainError(UrllcMcError, ValueError):
 
     exit_code = 5
     code = "DOMAIN_ERROR"
+
+
+# Python's and numpy's bool, which numeric arguments reject by exact type
+# (bool is an int subclass; numpy's passes range checks as 0 or 1).
+BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 def shown(value: object) -> str:

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .errors import DomainError, shown
+from .errors import BOOL_TYPES, DomainError, shown
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -26,7 +26,7 @@ DISPERSION_LIMIT = 1.0 / math.log(2.0) ** 2
 def q_func(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
     # exact tests, so a bool or an int too large for a float fails too
-    if type(x) is bool or not abs(x) <= sys.float_info.max:
+    if type(x) in BOOL_TYPES or not abs(x) <= sys.float_info.max:
         raise DomainError(f"q_func argument must be finite, got {shown(x)}")
     return 0.5 * math.erfc(x / _SQRT2)
 
@@ -51,7 +51,7 @@ def q_inv(p: float) -> float:
 def shannon_capacity(sinr_linear: float) -> float:
     """AWGN capacity C = log2(1 + sinr) in bits per channel use."""
     # exact tests, so a bool or an int too large for a float fails too
-    if type(sinr_linear) is bool or not 0.0 < sinr_linear <= sys.float_info.max:
+    if type(sinr_linear) in BOOL_TYPES or not 0.0 < sinr_linear <= sys.float_info.max:
         raise DomainError(f"sinr_linear must be positive, got {shown(sinr_linear)}")
     return math.log2(1.0 + sinr_linear)
 
@@ -63,7 +63,7 @@ def channel_dispersion(sinr_linear: float) -> float:
     positive SINR (squared information units per channel use); in double
     precision it rounds to that limit from about 81 dB on.
     """
-    if type(sinr_linear) is bool or not 0.0 < sinr_linear <= sys.float_info.max:
+    if type(sinr_linear) in BOOL_TYPES or not 0.0 < sinr_linear <= sys.float_info.max:
         raise DomainError(f"sinr_linear must be positive, got {shown(sinr_linear)}")
     try:
         return DISPERSION_LIMIT * (1.0 - 1.0 / (1.0 + sinr_linear) ** 2)
@@ -75,7 +75,7 @@ def channel_dispersion(sinr_linear: float) -> float:
 
 def db_to_linear(x_db: float) -> float:
     """Convert a dB power ratio to linear scale."""
-    if type(x_db) is bool:
+    if type(x_db) in BOOL_TYPES:
         raise DomainError(f"x_db must be a number, got {x_db!r}")
     try:
         return 10.0 ** (x_db / 10.0)
@@ -147,7 +147,7 @@ def achieved_bler(ctx: FblContext, channel_uses: float) -> float:
     which ``outage.chase_bler`` calls too.
     """
     # exact tests, so a bool or an int too large for a float fails too
-    if type(channel_uses) is bool or not 0.0 < channel_uses <= sys.float_info.max:
+    if type(channel_uses) in BOOL_TYPES or not 0.0 < channel_uses <= sys.float_info.max:
         raise DomainError(f"channel_uses must be positive and finite, got {shown(channel_uses)}")
     return _bler(ctx.payload_bits, ctx.capacity, ctx.dispersion, channel_uses)
 

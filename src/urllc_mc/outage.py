@@ -39,33 +39,30 @@ def _check_prob(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class LinkBlerProfile:
-    """The five error probabilities of one link.
+    """The three error probabilities of one link.
 
-    Metadata and data block error rates for the first and second
-    transmission, plus the data error probability after Chase combining.
-    Combining can only help, so p_c may not exceed p_d1 or p_d2.
+    Metadata and data block error rates, held equal across the initial
+    transmission and the retransmission (the time between them is short),
+    plus the data error probability after Chase combining. Combining can
+    only help, so p_c may not exceed p_d.
     """
 
-    p_m1: float
-    p_d1: float
-    p_m2: float
-    p_d2: float
+    p_m: float
+    p_d: float
     p_c: float
 
     def __post_init__(self) -> None:
-        p_m1, p_d1, p_m2, p_d2, p_c = self.p_m1, self.p_d1, self.p_m2, self.p_d2, self.p_c
+        p_m, p_d, p_c = self.p_m, self.p_d, self.p_c
         # the common case in one expression; the checks below name the culprit
-        if (type(p_m1) in _PLAIN and type(p_d1) in _PLAIN and type(p_m2) in _PLAIN
-                and type(p_d2) in _PLAIN and type(p_c) in _PLAIN
-                and 0.0 <= p_m1 <= 1.0 and 0.0 <= p_d1 <= 1.0 and 0.0 <= p_m2 <= 1.0
-                and 0.0 <= p_c <= p_d1 and p_c <= p_d2 <= 1.0):
+        if (type(p_m) in _PLAIN and type(p_d) in _PLAIN and type(p_c) in _PLAIN
+                and 0.0 <= p_m <= 1.0 and 0.0 <= p_c <= p_d <= 1.0):
             return
-        for name in ("p_m1", "p_d1", "p_m2", "p_d2", "p_c"):
+        for name in ("p_m", "p_d", "p_c"):
             _check_prob(name, getattr(self, name))
-        if self.p_c > self.p_d1 or self.p_c > self.p_d2:
+        if self.p_c > self.p_d:
             raise DomainError(
                 f"post-combining error p_c={self.p_c!r} must not exceed the "
-                f"single-transmission data BLERs ({self.p_d1!r}, {self.p_d2!r})"
+                f"single-transmission data BLER p_d={self.p_d!r}"
             )
 
 
@@ -108,13 +105,13 @@ def _link_count(profiles: Sequence[LinkBlerProfile]) -> int:
 
 def succ_first(profile: LinkBlerProfile) -> float:
     """Probability that metadata and data decode on the first attempt."""
-    return (1.0 - profile.p_m1) * (1.0 - profile.p_d1)
+    return (1.0 - profile.p_m) * (1.0 - profile.p_d)
 
 
 def _link_outage(p: LinkBlerProfile) -> float:
     # the one place p_out is written: one minus the first-try success and
     # the factored sum of the two retransmission paths
-    p2 = (1.0 - p.p_m2) * (p.p_m1 * (1.0 - p.p_d2) + (1.0 - p.p_m1) * (p.p_d1 - p.p_c))
+    p2 = (1.0 - p.p_m) * (p.p_m * (1.0 - p.p_d) + (1.0 - p.p_m) * (p.p_d - p.p_c))
     return max(0.0, 1.0 - succ_first(p) - p2)
 
 
@@ -124,17 +121,15 @@ def sc_outage(profile: LinkBlerProfile) -> OutageBreakdown:
     The timeout path is reached when the first metadata is lost; no
     combining is possible because the first copy could not be identified.
     On the NACK path the combined decode fails with the conditional
-    probability p_c / p_d1 given the first data decode failed, which
-    contracts to the (p_d1 - p_c) factor. ``p_out`` is computed by
+    probability p_c / p_d given the first data decode failed, which
+    contracts to the (p_d - p_c) factor. ``p_out`` is computed by
     ``_link_outage``, which ``mc_outage`` calls too.
     """
-    p_m1, p_d1, p_m2, p_d2, p_c = (
-        profile.p_m1, profile.p_d1, profile.p_m2, profile.p_d2, profile.p_c
-    )
+    p_m, p_d, p_c = profile.p_m, profile.p_d, profile.p_c
     return OutageBreakdown(
         p_succ_first=succ_first(profile),
-        p_succ_timeout_retx=p_m1 * (1.0 - p_m2) * (1.0 - p_d2),
-        p_succ_nack_retx=(1.0 - p_m1) * (1.0 - p_m2) * (p_d1 - p_c),
+        p_succ_timeout_retx=p_m * (1.0 - p_m) * (1.0 - p_d),
+        p_succ_nack_retx=(1.0 - p_m) * (1.0 - p_m) * (p_d - p_c),
         p_out=_link_outage(profile),
     )
 

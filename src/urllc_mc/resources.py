@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DomainError, ValidationError, shown
+from .errors import BOOL_TYPES, DomainError, ValidationError, shown
 from .fbl import FblContext, channel_use
 from .solver import SolveResult
 
@@ -56,9 +56,9 @@ def usage_sc(r: float, p_succ_first: float) -> float:
     """Expected channel uses of a single link: r plus r more when the
     first transmission fails, i.e. (2 - p_succ_first) * r."""
     # exact tests, so a bool or an int too large for a float fails too
-    if type(r) is bool or not 0.0 < r <= sys.float_info.max:
+    if type(r) in BOOL_TYPES or not 0.0 < r <= sys.float_info.max:
         raise DomainError(f"channel uses must be positive and finite, got {shown(r)}")
-    if type(p_succ_first) is bool or not 0.0 <= p_succ_first <= 1.0:
+    if type(p_succ_first) in BOOL_TYPES or not 0.0 <= p_succ_first <= 1.0:
         raise DomainError(f"p_succ_first must be in [0, 1], got {shown(p_succ_first)}")
     return (2.0 - p_succ_first) * r
 

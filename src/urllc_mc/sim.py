@@ -13,16 +13,17 @@ Random stream (``STREAM_VERSION`` 3): each HARQ attempt of a link reads
 one uint32 word, split into bands by cumulative integer thresholds
 computed in exact rational arithmetic: the attempt's metadata decode
 fails below floor(p_m * 2**32), its data decode in [floor(p_m * 2**32),
-floor((p_m + (1 - p_m) * p_d) * 2**32)), and it succeeds above. The
-second attempt's metadata decode fails with p_m2, its data decode with
-p_d2 on the timeout path and with p_c / p_d1 (given the first data
-decode failed) on the NACK path. Trial i of an m-link run reads the
-64-bit outputs m * i .. m * i + m - 1 of Philox4x64 keyed by the seed;
-link n takes uint32 words 2n (first attempt) and 2n + 1 (second attempt)
-of that row, the little-endian halves of output n. Being counter-based,
-the stream lets a batch start at any trial, mid-block included, so any
-batch size or worker count sees the same words for the same trial and
-gives bit-identical tallies. Every band is within 2**-32 (about 2.3e-10)
+floor((p_m + (1 - p_m) * p_d) * 2**32)), and it succeeds above. A
+timeout retransmission reuses the first attempt's bands; a NACK
+retransmission, whose combined decode fails with p_c / p_d given that
+the first data decode failed, fails below
+floor((p_m + (1 - p_m) * p_c / p_d) * 2**32). Trial i of an m-link run
+reads the 64-bit outputs m * i .. m * i + m - 1 of Philox4x64 keyed by
+the seed; link n takes uint32 words 2n (first attempt) and 2n + 1
+(second attempt) of that row, the little-endian halves of output n.
+Being counter-based, the stream lets a batch start at any trial,
+mid-block included, so any batch size or worker count sees the same
+words for the same trial and gives bit-identical tallies. Every band is within 2**-32 (about 2.3e-10)
 of its probability, below the solver's 1e-9 lower bracket; probabilities
 0 and 1 are exact.
 
@@ -50,7 +51,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from numpy.random import Philox
 
-from .errors import ValidationError, shown
+from .errors import BOOL_TYPES, ValidationError, shown
 from .outage import LinkBlerProfile, _link_count
 
 # Layout of the random stream; any change to the draws bumps it.
@@ -94,14 +95,14 @@ class Numerology:
         for name in ("scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis"):
             value = getattr(self, name)
             # exact tests, so a bool or an int too large for a float fails too
-            if type(value) is bool or not abs(value) <= sys.float_info.max:
+            if type(value) in BOOL_TYPES or not abs(value) <= sys.float_info.max:
                 raise ValidationError(f"{name} must be finite, got {shown(value)}")
         if not self.scs_khz > 0:
             raise ValidationError(f"scs_khz must be positive, got {self.scs_khz!r}")
         for name in ("symbols_per_tti", "harq_rtt_ttis"):
             value = getattr(self, name)
-            if type(value) is bool or not (isinstance(value, int)
-                                           and 1 <= value <= sys.float_info.max):
+            if type(value) in BOOL_TYPES or not (isinstance(value, int)
+                                                 and 1 <= value <= sys.float_info.max):
                 raise ValidationError(
                     f"{name} must be a positive integer within the float range, "
                     f"got {shown(value)}"
@@ -148,7 +149,7 @@ def latency_budget_check(numerology: Numerology, budget_ms: float) -> tuple[floa
     support, which ``latency_quantile`` returns at q = 1 when some trial
     was delivered by retransmissions alone.
     """
-    if type(budget_ms) is bool or not budget_ms > 0:
+    if type(budget_ms) in BOOL_TYPES or not budget_ms > 0:
         raise ValidationError(f"budget_ms must be positive, got {shown(budget_ms)}")
     _, retx = _latency_offsets(numerology)
     worst_ms = ttis_to_ms(numerology, retx + 1.0)
@@ -210,27 +211,24 @@ def _threshold(p: float | Fraction) -> int:
     return math.floor(p * 2**32)
 
 
-def _thresholds(profile: LinkBlerProfile) -> Tuple[int, int, int, int]:
-    """A link's thresholds, in exact rational arithmetic: its first word
-    fails the metadata decode below the first and the data decode below
-    the second; its second word fails the retransmission below the third
-    on the timeout path and below the fourth on the NACK path."""
-    p_m1, p_d1, p_m2, p_d2, p_c = (
-        Fraction(p) for p in (profile.p_m1, profile.p_d1, profile.p_m2, profile.p_d2, profile.p_c)
-    )
+def _thresholds(profile: LinkBlerProfile) -> Tuple[int, int, int]:
+    """A link's thresholds, in exact rational arithmetic: an attempt's word
+    fails the metadata decode below the first and the attempt below the
+    second, which a timeout retransmission shares; a NACK retransmission
+    fails below the third."""
+    p_m, p_d, p_c = (Fraction(p) for p in (profile.p_m, profile.p_d, profile.p_c))
     # the combined decode after a NACK fails with the conditional
-    # probability p_c / p_d1 given that the first data decode failed
-    cond_fail = p_c / p_d1 if p_d1 > 0 else Fraction(0)
+    # probability p_c / p_d given that the first data decode failed
+    cond_fail = p_c / p_d if p_d > 0 else Fraction(0)
     return (
-        _threshold(p_m1),
-        _threshold(p_m1 + (1 - p_m1) * p_d1),
-        _threshold(p_m2 + (1 - p_m2) * p_d2),
-        _threshold(p_m2 + (1 - p_m2) * cond_fail),
+        _threshold(p_m),
+        _threshold(p_m + (1 - p_m) * p_d),
+        _threshold(p_m + (1 - p_m) * cond_fail),
     )
 
 
 def _run_batch(
-    thresholds: Sequence[Tuple[int, int, int, int]],
+    thresholds: Sequence[Tuple[int, int, int]],
     seed: int,
     start: int,
     count: int,
@@ -254,11 +252,11 @@ def _run_batch(
     cell_dtype = np.min_scalar_type((m + 1) ** 2 - 1)
     first_ok = np.zeros(rows.size, dtype=cell_dtype)
     retx_ok = np.zeros(rows.size, dtype=cell_dtype)
-    for n, (t_meta1, t_fail1, t_timeout, t_nack) in enumerate(thresholds):
+    for n, (t_meta, t_fail, t_nack) in enumerate(thresholds):
         word1, word2 = u[:, 2 * n][rows], u[:, 2 * n + 1][rows]
-        first = word1 >= t_fail1
-        meta1_fail = word1 < t_meta1
-        timeout = meta1_fail & (word2 >= t_timeout)
+        first = word1 >= t_fail
+        meta1_fail = word1 < t_meta
+        timeout = meta1_fail & (word2 >= t_fail)
         nack = ~(first | meta1_fail) & (word2 >= t_nack)
         n_first = all_first + np.count_nonzero(first)
         n_timeout = np.count_nonzero(timeout)
@@ -286,13 +284,13 @@ def simulate_run(
     for any ``jobs``, and memory does not grow with ``trials``.
     """
     m = _link_count(profiles)
-    if type(trials) is bool or not (isinstance(trials, int) and 1 <= trials <= MAX_TRIALS):
+    if type(trials) in BOOL_TYPES or not (isinstance(trials, int) and 1 <= trials <= MAX_TRIALS):
         raise ValidationError(
             f"trials must be a positive integer at most {MAX_TRIALS}, got {shown(trials)}"
         )
-    if type(seed) is bool or not (isinstance(seed, int) and 0 <= seed <= MAX_SEED):
+    if type(seed) in BOOL_TYPES or not (isinstance(seed, int) and 0 <= seed <= MAX_SEED):
         raise ValidationError(f"seed must be an integer in [0, 2**128), got {shown(seed)}")
-    if type(jobs) is bool or not (isinstance(jobs, int) and jobs >= 1):
+    if type(jobs) in BOOL_TYPES or not (isinstance(jobs, int) and jobs >= 1):
         raise ValidationError(f"jobs must be a positive integer, got {shown(jobs)}")
     if jobs > MAX_JOBS:
         raise ValidationError(f"jobs must be at most {MAX_JOBS}, got {shown(jobs)}")
@@ -361,7 +359,7 @@ def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
     otherwise. The frame alignment is integrated out exactly, so no
     interval is attached.
     """
-    if type(q) is bool or not 0.0 < q <= 1.0:
+    if type(q) in BOOL_TYPES or not 0.0 < q <= 1.0:
         raise ValidationError(f"q must be in (0, 1], got {shown(q)}")
     successes = float(mix.sum() - mix[0, 0])  # all but the outage cell
     if successes == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
 
-from .errors import DomainError, SolverError, ValidationError, shown
+from .errors import BOOL_TYPES, DomainError, SolverError, ValidationError, shown
 from .fbl import FblContext
 from .outage import MAX_NODES, ChaseModel, LinkBlerProfile, chase_bler, mc_outage
 
@@ -69,16 +69,14 @@ def build_profile(
 ) -> LinkBlerProfile:
     """Link profile at a candidate data BLER.
 
-    BLER targets are held equal across the initial transmission and the
-    retransmission (the time between them is short). ``ctx`` is the
-    link's own context, needed only by the FINITE_BLOCKLENGTH chase
-    model.
+    ``ctx`` is the link's own context, needed only by the
+    FINITE_BLOCKLENGTH chase model.
     """
     if not 0.0 < p_d < 1.0:
         raise DomainError(f"p_d must be in (0, 1), got {shown(p_d)}")
     p_m = policy.meta_bler(p_d)
     p_c = chase_bler(chase, p_d, ctx)
-    return LinkBlerProfile(p_m1=p_m, p_d1=p_d, p_m2=p_m, p_d2=p_d, p_c=p_c)
+    return LinkBlerProfile(p_m=p_m, p_d=p_d, p_c=p_c)
 
 
 def link_profiles(
@@ -126,7 +124,7 @@ def solve_bler(
     digits) within at most 200 iterations. Ties on an exact midpoint hit
     resolve toward the lower half.
     """
-    if type(m) is bool or not (isinstance(m, int) and 1 <= m <= MAX_NODES):
+    if type(m) in BOOL_TYPES or not (isinstance(m, int) and 1 <= m <= MAX_NODES):
         raise ValidationError(f"m must be a positive integer at most {MAX_NODES}, got {shown(m)}")
     contexts = [None] * m if contexts is None else list(contexts)
     if len(contexts) != m:

@@ -85,10 +85,10 @@ def test_criterion_3_symmetric_closed_form():
     rng = np.random.default_rng(303)
     for p in rng.uniform(0.0, 1.0, 100):
         p = float(p)
-        got = sc_outage(LinkBlerProfile(p, p, p, p, 0.0)).p_out
+        got = sc_outage(LinkBlerProfile(p, p, 0.0)).p_out
         assert got == pytest.approx(3 * p**2 - 2 * p**3, abs=1e-14)
     p = 0.1826 / 100
-    value = sc_outage(LinkBlerProfile(p, p, p, p, 0.0)).p_out
+    value = sc_outage(LinkBlerProfile(p, p, 0.0)).p_out
     assert value == pytest.approx(1.00e-5, rel=0.01)
     _report(3, f"3p^2-2p^3 closed form holds; outage({p:.4%})={value:.3e}")
 
@@ -97,18 +97,18 @@ def test_criterion_4_mc_product_law():
     rng = np.random.default_rng(404)
     for _ in range(25):
         p = float(rng.uniform(1e-3, 0.4))
-        profile = LinkBlerProfile(p, p, p, p, 0.0)
+        profile = LinkBlerProfile(p, p, 0.0)
         single = sc_outage(profile).p_out
         for k in range(1, 5):
             assert mc_outage([profile] * k) == pytest.approx(single**k, rel=1e-13)
     p = 0.0328
-    duo = mc_outage([LinkBlerProfile(p, p, p, p, 0.0)] * 2)
+    duo = mc_outage([LinkBlerProfile(p, p, 0.0)] * 2)
     assert duo == pytest.approx(1.0e-5, rel=0.02)
     _report(4, f"product law to 1e-13 for k=1..4; outage^2({p:.2%})={duo:.3e}")
 
 
 def test_criterion_5_normalized_usage_points():
-    profile = LinkBlerProfile(0.01, 0.1, 0.01, 0.1, 0.0)
+    profile = LinkBlerProfile(0.01, 0.1, 0.0)
     sc = usage_sc(1, succ_first(profile))
     mc = usage_sc(2, succ_first(profile))
     assert sc == pytest.approx(1.109, abs=0.001)
@@ -163,11 +163,8 @@ def test_criterion_8_monte_carlo_oracle():
     n = 10**6
     checks = 0
     for _ in range(20):
-        p_m1, p_d1, p_m2, p_d2, p_c_raw = rng.uniform(5e-3, 0.3, 5)
-        p_c = min(float(p_c_raw), float(p_d1), float(p_d2))
-        profile = LinkBlerProfile(
-            float(p_m1), float(p_d1), float(p_m2), float(p_d2), p_c
-        )
+        p_m, p_d, p_c_raw = rng.uniform(5e-3, 0.3, 3)
+        profile = LinkBlerProfile(float(p_m), float(p_d), min(float(p_c_raw), float(p_d)))
         bd = sc_outage(profile)
 
         agg = simulate_run([profile], n, seed=int(rng.integers(1 << 30)))
@@ -201,7 +198,7 @@ def test_criterion_9_latency_budget_and_bands():
     worst, fits = latency_budget_check(numerology, 1.0)
     assert worst == 1.0  # exactly one millisecond
     assert fits
-    profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
+    profile = LinkBlerProfile(0.3, 0.3, 0.0)
     agg = simulate_run([profile], 200_000, seed=909)
     mix, successes = agg.success_mix, agg.n_success
 

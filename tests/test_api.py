@@ -3,6 +3,7 @@ is added or removed only by editing the list below."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import urllc_mc
@@ -16,10 +17,12 @@ from urllc_mc import (
     SweepVariable,
     UrllcMcError,
     achieved_bler,
+    channel_dispersion,
     db_to_linear,
     latency_budget_check,
     latency_quantile,
     q_func,
+    shannon_capacity,
     simulate_run,
     solve_bler,
     success_mix,
@@ -80,7 +83,7 @@ def test_every_public_name_resolves():
         assert getattr(urllc_mc, name) is not None, name
 
 
-PERFECT = LinkBlerProfile(0, 0, 0, 0, 0)
+PERFECT = LinkBlerProfile(0, 0, 0)
 
 # (the name the error gives, a call with the bool in that argument)
 BOOL_ARGUMENTS = {
@@ -100,6 +103,8 @@ BOOL_ARGUMENTS = {
     "achieved_bler.channel_uses": ("channel_uses", lambda b: achieved_bler(
         FblContext(256, 10.0), b)),
     "q_func.x": ("q_func argument", q_func),
+    "shannon_capacity.sinr_linear": ("sinr_linear", shannon_capacity),
+    "channel_dispersion.sinr_linear": ("sinr_linear", channel_dispersion),
     "db_to_linear.x_db": ("x_db", db_to_linear),
     "SweepSpec.start": ("sweep start", lambda b: SweepSpec(
         SweepVariable.SINR_DB, start=b, stop=2.0, points=3)),
@@ -108,10 +113,12 @@ BOOL_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_],
+                         ids=["True", "False", "np.True_", "np.False_"])
 @pytest.mark.parametrize("argument", sorted(BOOL_ARGUMENTS))
 def test_numeric_arguments_reject_bool_by_name(argument, flag):
-    # bool is an int subclass, so only an exact type test tells it apart
+    # bool is an int subclass and numpy's bool compares as 0 or 1, so only
+    # an exact type test against errors.BOOL_TYPES tells them apart
     name, call = BOOL_ARGUMENTS[argument]
     with pytest.raises(UrllcMcError, match=f"{name}.*{flag}"):
         call(flag)

@@ -36,17 +36,18 @@ def _enumerate_leaves(p: LinkBlerProfile) -> dict:
     Leaves: first-try success; timeout path (first metadata lost) with
     retransmission success/failure; NACK path (first data lost) with
     second metadata success and a combined decode that fails with the
-    conditional probability p_c/p_d1, or second metadata loss.
+    conditional probability p_c/p_d, or second metadata loss. Both
+    attempts use the link's p_m and p_d.
     """
-    cond_fail = p.p_c / p.p_d1 if p.p_d1 > 0 else 0.0
+    cond_fail = p.p_c / p.p_d if p.p_d > 0 else 0.0
     leaves = {
-        "succ_first": (1 - p.p_m1) * (1 - p.p_d1),
-        "to_succ": p.p_m1 * (1 - p.p_m2) * (1 - p.p_d2),
-        "to_fail_meta": p.p_m1 * p.p_m2,
-        "to_fail_data": p.p_m1 * (1 - p.p_m2) * p.p_d2,
-        "nr_succ": (1 - p.p_m1) * p.p_d1 * (1 - p.p_m2) * (1 - cond_fail),
-        "nr_fail_meta": (1 - p.p_m1) * p.p_d1 * p.p_m2,
-        "nr_fail_combine": (1 - p.p_m1) * p.p_d1 * (1 - p.p_m2) * cond_fail,
+        "succ_first": (1 - p.p_m) * (1 - p.p_d),
+        "to_succ": p.p_m * (1 - p.p_m) * (1 - p.p_d),
+        "to_fail_meta": p.p_m * p.p_m,
+        "to_fail_data": p.p_m * (1 - p.p_m) * p.p_d,
+        "nr_succ": (1 - p.p_m) * p.p_d * (1 - p.p_m) * (1 - cond_fail),
+        "nr_fail_meta": (1 - p.p_m) * p.p_d * p.p_m,
+        "nr_fail_combine": (1 - p.p_m) * p.p_d * (1 - p.p_m) * cond_fail,
     }
     assert sum(leaves.values()) == pytest.approx(1.0, abs=1e-12)
     return leaves
@@ -56,10 +57,8 @@ def _random_profiles(n: int, seed: int) -> list[LinkBlerProfile]:
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        p_m1, p_m2 = rng.uniform(0, 1, 2)
-        p_d1, p_d2 = rng.uniform(0, 1, 2)
-        p_c = rng.uniform(0, min(p_d1, p_d2))
-        out.append(LinkBlerProfile(p_m1, p_d1, p_m2, p_d2, p_c))
+        p_m, p_d = rng.uniform(0, 1, 2)
+        out.append(LinkBlerProfile(p_m, p_d, rng.uniform(0, p_d)))
     return out
 
 
@@ -69,9 +68,9 @@ def _random_profiles(n: int, seed: int) -> list[LinkBlerProfile]:
 
 def test_profile_rejects_out_of_range():
     with pytest.raises(DomainError):
-        LinkBlerProfile(-0.1, 0.1, 0.1, 0.1, 0.0)
+        LinkBlerProfile(-0.1, 0.1, 0.0)
     with pytest.raises(DomainError):
-        LinkBlerProfile(0.1, 1.2, 0.1, 0.1, 0.0)
+        LinkBlerProfile(0.1, 1.2, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -79,8 +78,8 @@ def test_profile_rejects_out_of_range():
 )
 def test_huge_int_probability_rejected_by_name(huge):
     # an int past the float range is compared exactly and never printed
-    for i, name in enumerate(("p_m1", "p_d1", "p_m2", "p_d2", "p_c")):
-        probs = [0, 0, 0, 0, 0]
+    for i, name in enumerate(("p_m", "p_d", "p_c")):
+        probs = [0, 0, 0]
         probs[i] = huge
         with pytest.raises(DomainError, match=f"{name} .*an int past the float range"):
             LinkBlerProfile(*probs)
@@ -88,12 +87,14 @@ def test_huge_int_probability_rejected_by_name(huge):
         chase_bler(ChaseModel.ZERO, huge)
 
 
-PROB_FIELDS = ("p_m1", "p_d1", "p_m2", "p_d2", "p_c")
+PROB_FIELDS = ("p_m", "p_d", "p_c")
 # a profile that passes with any one field replaced by 0, 1 or 0.5
-VALID_PROBS = (0.5, 1.0, 0.5, 1.0, 0.0)
+VALID_PROBS = (0.5, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, -0.1, 1.0000001])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, True, np.True_, -0.1, 1.0000001]
+)
 def test_bad_probability_rejected_by_name(bad):
     # LinkBlerProfile's one-expression check of the common case must reject
     # all that the per-name checks reject, with their exception and field
@@ -121,15 +122,15 @@ def test_plain_and_numpy_probabilities_accepted(good):
 
 def test_profile_rejects_combining_worse_than_single():
     with pytest.raises(DomainError):
-        LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.2)
-    with pytest.raises(DomainError):
-        LinkBlerProfile(0.1, 0.3, 0.1, 0.1, 0.2)
+        LinkBlerProfile(0.1, 0.1, 0.2)
+    with pytest.raises(DomainError, match="p_c=0.1 must not exceed .* p_d=0.0"):
+        LinkBlerProfile(0.1, 0.0, 0.1)
 
 
 def test_profile_allows_equality_and_degenerate_values():
-    LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.1)
-    LinkBlerProfile(1.0, 1.0, 1.0, 1.0, 1.0)
-    LinkBlerProfile(0.0, 0.0, 0.0, 0.0, 0.0)
+    LinkBlerProfile(0.1, 0.1, 0.1)
+    LinkBlerProfile(1.0, 1.0, 1.0)
+    LinkBlerProfile(0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +138,9 @@ def test_profile_allows_equality_and_degenerate_values():
 
 
 def test_succ_first_examples():
-    assert succ_first(LinkBlerProfile(0, 0, 0, 0, 0)) == 1.0
-    assert succ_first(LinkBlerProfile(0.01, 0.1, 0.01, 0.1, 0)) == pytest.approx(
-        0.891, abs=1e-12
-    )
-    assert succ_first(
-        LinkBlerProfile(0.0328, 0.0328, 0.0328, 0.0328, 0)
-    ) == pytest.approx(0.935476, abs=5e-7)
+    assert succ_first(LinkBlerProfile(0, 0, 0)) == 1.0
+    assert succ_first(LinkBlerProfile(0.01, 0.1, 0)) == pytest.approx(0.891, abs=1e-12)
+    assert succ_first(LinkBlerProfile(0.0328, 0.0328, 0)) == pytest.approx(0.935476, abs=5e-7)
 
 
 def _retx(profile: LinkBlerProfile) -> float:
@@ -156,31 +153,29 @@ def test_sc_outage_timeout_leaf_examples():
     def timeout(*probs):
         return sc_outage(LinkBlerProfile(*probs)).p_succ_timeout_retx
 
-    assert timeout(0, 0.5, 0.2, 0.3, 0.1) == 0.0
-    assert timeout(0.01, 0.5, 0.01, 0.1, 0.1) == pytest.approx(0.008910, abs=1e-12)
-    assert timeout(1, 1, 1, 1, 1) == 0.0
+    assert timeout(0, 0.5, 0.1) == 0.0
+    assert timeout(0.01, 0.1, 0.1) == pytest.approx(0.008910, abs=1e-12)
+    assert timeout(1, 1, 1) == 0.0
 
 
 def test_sc_outage_nack_leaf_examples():
     def nack(*probs):
         return sc_outage(LinkBlerProfile(*probs)).p_succ_nack_retx
 
-    assert nack(0.2, 0.3, 0.1, 0.3, 0.3) == 0.0
-    assert nack(0.01, 0.1, 0.01, 0.1, 0.01) == pytest.approx(0.99 * 0.99 * 0.09, abs=1e-12)
+    assert nack(0.2, 0.3, 0.3) == 0.0
+    assert nack(0.01, 0.1, 0.01) == pytest.approx(0.99 * 0.99 * 0.09, abs=1e-12)
     # perfect metadata and perfect combining recover every data failure
     for p in (0.05, 0.3, 0.7):
-        assert nack(0, p, 0, p, 0) == pytest.approx(p, abs=1e-15)
+        assert nack(0, p, 0) == pytest.approx(p, abs=1e-15)
 
 
 def test_sc_outage_retx_total_examples():
     for p in (0.05, 0.3, 0.7):
-        assert _retx(LinkBlerProfile(0, p, 0, p, 0)) == pytest.approx(p, abs=1e-15)
+        assert _retx(LinkBlerProfile(0, p, 0)) == pytest.approx(p, abs=1e-15)
     p = 0.0328
-    assert _retx(LinkBlerProfile(p, p, p, p, 0)) == pytest.approx(
-        2 * p * (1 - p) ** 2, abs=1e-15
-    )
-    assert _retx(LinkBlerProfile(p, p, p, p, 0)) == pytest.approx(0.061367215104, abs=1e-12)
-    assert _retx(LinkBlerProfile(0, 0, 0, 0, 0)) == 0.0
+    assert _retx(LinkBlerProfile(p, p, 0)) == pytest.approx(2 * p * (1 - p) ** 2, abs=1e-15)
+    assert _retx(LinkBlerProfile(p, p, 0)) == pytest.approx(0.061367215104, abs=1e-12)
+    assert _retx(LinkBlerProfile(0, 0, 0)) == 0.0
 
 
 _prob = st.floats(0.0, 1.0)
@@ -188,9 +183,9 @@ _prob = st.floats(0.0, 1.0)
 
 @st.composite
 def _profiles(draw) -> LinkBlerProfile:
-    p_m1, p_d1, p_m2, p_d2 = (draw(_prob) for _ in range(4))
-    # a fraction of min(p_d1, p_d2) never exceeds it, so the profile is valid
-    return LinkBlerProfile(p_m1, p_d1, p_m2, p_d2, draw(_prob) * min(p_d1, p_d2))
+    p_m, p_d = draw(_prob), draw(_prob)
+    # a fraction of p_d never exceeds it, so the profile is valid
+    return LinkBlerProfile(p_m, p_d, draw(_prob) * p_d)
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
@@ -212,18 +207,18 @@ def test_sc_outage_symmetric_closed_form():
     rng = np.random.default_rng(5)
     for p in rng.uniform(0, 1, 100):
         p = float(p)
-        got = sc_outage(LinkBlerProfile(p, p, p, p, 0)).p_out
+        got = sc_outage(LinkBlerProfile(p, p, 0)).p_out
         assert got == pytest.approx(3 * p**2 - 2 * p**3, abs=1e-14)
 
 
 def test_sc_outage_operating_points():
-    out = sc_outage(LinkBlerProfile(1.826e-3, 1.826e-3, 1.826e-3, 1.826e-3, 0)).p_out
+    out = sc_outage(LinkBlerProfile(1.826e-3, 1.826e-3, 0)).p_out
     assert out == pytest.approx(1.0e-5, rel=1e-2)
-    out = sc_outage(LinkBlerProfile(0.0328, 0.0328, 0.0328, 0.0328, 0)).p_out
+    out = sc_outage(LinkBlerProfile(0.0328, 0.0328, 0)).p_out
     assert out == pytest.approx(3.156944896e-3, rel=1e-9)
     assert out == pytest.approx(3.16e-3, rel=2e-3)
     assert out**2 == pytest.approx(1.0e-5, rel=2e-2)
-    assert sc_outage(LinkBlerProfile(1, 1, 1, 1, 1)).p_out == 1.0
+    assert sc_outage(LinkBlerProfile(1, 1, 1)).p_out == 1.0
 
 
 def test_sc_outage_matches_event_tree_enumeration():
@@ -243,26 +238,19 @@ def test_breakdown_partition_sums_to_one():
     # probability partition over a large random sample
     rng = np.random.default_rng(101)
     n = 1_000_000
-    p_m1 = rng.uniform(0, 1, n)
-    p_d1 = rng.uniform(0, 1, n)
-    p_m2 = rng.uniform(0, 1, n)
-    p_d2 = rng.uniform(0, 1, n)
-    p_c = rng.uniform(0, 1, n) * np.minimum(p_d1, p_d2)
+    p_m = rng.uniform(0, 1, n)
+    p_d = rng.uniform(0, 1, n)
+    p_c = rng.uniform(0, 1, n) * p_d
     # vectorized mirror of the four breakdown fields
-    s1 = (1 - p_m1) * (1 - p_d1)
-    s_to = p_m1 * (1 - p_m2) * (1 - p_d2)
-    s_nr = (1 - p_m1) * (1 - p_m2) * (p_d1 - p_c)
-    s2 = (1 - p_m2) * (p_m1 * (1 - p_d2) + (1 - p_m1) * (p_d1 - p_c))
+    s1 = (1 - p_m) * (1 - p_d)
+    s_to = p_m * (1 - p_m) * (1 - p_d)
+    s_nr = (1 - p_m) * (1 - p_m) * (p_d - p_c)
+    s2 = (1 - p_m) * (p_m * (1 - p_d) + (1 - p_m) * (p_d - p_c))
     total = s1 + s_to + s_nr + np.maximum(0.0, 1.0 - s1 - s2)
     assert np.max(np.abs(total - 1.0)) <= 1e-12
     # spot-check the scalar implementation agrees with the vector mirror
     for i in rng.integers(0, n, 200):
-        bd = sc_outage(
-            LinkBlerProfile(
-                float(p_m1[i]), float(p_d1[i]), float(p_m2[i]), float(p_d2[i]),
-                float(p_c[i]),
-            )
-        )
+        bd = sc_outage(LinkBlerProfile(float(p_m[i]), float(p_d[i]), float(p_c[i])))
         assert (
             bd.p_succ_first
             + bd.p_succ_timeout_retx
@@ -274,19 +262,19 @@ def test_breakdown_partition_sums_to_one():
 
 
 def test_sc_outage_monotone_in_each_error_probability():
-    base = dict(p_m1=0.05, p_d1=0.2, p_m2=0.05, p_d2=0.2, p_c=0.02)
+    base = dict(p_m=0.05, p_d=0.2, p_c=0.02)
     grid = np.linspace(0.0, 1.0, 21)
-    for name in ("p_m1", "p_m2", "p_d2"):
+    for name in ("p_m", "p_d"):
         vals = []
         for x in grid:
             kw = dict(base)
             kw[name] = float(x)
-            if kw["p_c"] > min(kw["p_d1"], kw["p_d2"]):
+            if kw["p_c"] > kw["p_d"]:
                 continue
             vals.append(sc_outage(LinkBlerProfile(**kw)).p_out)
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
     vals = []
-    for x in np.linspace(0.0, base["p_d1"], 21):
+    for x in np.linspace(0.0, base["p_d"], 21):
         kw = dict(base)
         kw["p_c"] = float(x)
         vals.append(sc_outage(LinkBlerProfile(**kw)).p_out)
@@ -298,7 +286,7 @@ def test_sc_outage_monotone_in_each_error_probability():
 
 
 def test_mc_outage_single_link_reduces_to_sc():
-    profile = LinkBlerProfile(0.05, 0.2, 0.05, 0.2, 0.02)
+    profile = LinkBlerProfile(0.05, 0.2, 0.02)
     assert mc_outage([profile]) == sc_outage(profile).p_out
 
 
@@ -316,15 +304,15 @@ def test_mc_outage_product_law():
 def test_mc_outage_identical_cube():
     # three identical links, each at 1e-2 per-link outage
     p = 0.0582  # 3p^2 - 2p^3 close to 1e-2 but value below is what matters
-    single = sc_outage(LinkBlerProfile(p, p, p, p, 0)).p_out
-    assert mc_outage([LinkBlerProfile(p, p, p, p, 0)] * 3) == pytest.approx(
+    single = sc_outage(LinkBlerProfile(p, p, 0)).p_out
+    assert mc_outage([LinkBlerProfile(p, p, 0)] * 3) == pytest.approx(
         single**3, rel=1e-13
     )
 
 
 def test_mc_outage_heterogeneous_product():
-    a = LinkBlerProfile(0.03, 0.03, 0.03, 0.03, 0)
-    b = LinkBlerProfile(0.0582, 0.0582, 0.0582, 0.0582, 0)
+    a = LinkBlerProfile(0.03, 0.03, 0)
+    b = LinkBlerProfile(0.0582, 0.0582, 0)
     assert mc_outage([a, b]) == pytest.approx(
         sc_outage(a).p_out * sc_outage(b).p_out, rel=1e-13
     )
@@ -378,11 +366,11 @@ def test_success_mix_outage_cell_is_mc_outage(profiles):
 
 def _factored_mix(profiles) -> np.ndarray:
     """The mix with each link's retransmission term in the factored form
-    (1 - p_m2) * (p_m1 * (1 - p_d2) + (1 - p_m1) * (p_d1 - p_c))."""
+    (1 - p_m) * (p_m * (1 - p_d) + (1 - p_m) * (p_d - p_c))."""
     mix = np.zeros((len(profiles) + 1,) * 2)
     mix[0, 0] = 1.0
     for p in profiles:
-        retx = (1.0 - p.p_m2) * (p.p_m1 * (1.0 - p.p_d2) + (1.0 - p.p_m1) * (p.p_d1 - p.p_c))
+        retx = (1.0 - p.p_m) * (p.p_m * (1.0 - p.p_d) + (1.0 - p.p_m) * (p.p_d - p.p_c))
         bd = sc_outage(p)
         step = mix * bd.p_out
         step[1:] += mix[:-1] * bd.p_succ_first

@@ -36,7 +36,7 @@ def test_normalized_usage_reduction_and_linearity():
     for _ in range(50):
         r = float(rng.uniform(1, 500))
         p_m, p_d = (float(p) for p in rng.uniform(0, 1, 2))
-        link = LinkBlerProfile(p_m, p_d, p_m, p_d, 0.0)
+        link = LinkBlerProfile(p_m, p_d, 0.0)
         p = succ_first(link)
         assert usage_sc(r, p) == pytest.approx(r * usage_sc(1.0, p), rel=1e-15)
         for m in range(1, 7):
@@ -85,7 +85,7 @@ def _usage_distribution(m: int, r: float, p_succ_first: float) -> list:
     when k links miss the first try, weighted by the reversed row sums of
     the exact success mix."""
     p_fail = 1.0 - p_succ_first
-    link = LinkBlerProfile(p_m1=0.0, p_d1=p_fail, p_m2=0.0, p_d2=p_fail, p_c=0.0)
+    link = LinkBlerProfile(p_m=0.0, p_d=p_fail, p_c=0.0)
     weights = success_mix([link] * m).sum(axis=1)[::-1]
     return [((m + k) * r, float(w)) for k, w in enumerate(weights)]
 
@@ -122,13 +122,13 @@ def test_distribution_three_links_reference_mean():
 
 
 def test_normalized_usage_fig4_points():
-    profile = LinkBlerProfile(0.01, 0.1, 0.01, 0.1, 0)
+    profile = LinkBlerProfile(0.01, 0.1, 0)
     assert usage_sc(1, succ_first(profile)) == pytest.approx(1.109, abs=1e-12)
     assert usage_sc(2, succ_first(profile)) == pytest.approx(2.218, abs=1e-12)
 
 
 def test_normalized_usage_perfect_link():
-    perfect = LinkBlerProfile(0, 0, 0, 0, 0)
+    perfect = LinkBlerProfile(0, 0, 0)
     assert usage_sc(1, succ_first(perfect)) == 1.0
     for m in range(1, 5):
         assert usage_sc(m, succ_first(perfect)) == float(m)

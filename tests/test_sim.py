@@ -129,7 +129,7 @@ def test_latency_budget_must_be_positive():
 
 
 def test_sc_trial_perfect_link():
-    agg = simulate_run([LinkBlerProfile(0, 0, 0, 0, 0)], 20, seed=0)
+    agg = simulate_run([LinkBlerProfile(0, 0, 0)], 20, seed=0)
     assert agg.n_success == 20
     assert agg.leaf_counts[0].tolist() == [20, 0, 0, 0]  # no retransmission
     assert agg.mean_usage() == (1.0, 0.0)  # one transmission each
@@ -139,9 +139,14 @@ def test_sc_trial_perfect_link():
 
 
 def test_sc_trial_forced_timeout_path():
-    agg = simulate_run([LinkBlerProfile(1, 0, 0, 0, 0)], 20, seed=1)
+    # both attempts share p_m, so p_m = 1 loses the retransmission's metadata
+    # too and no 0/1 profile forces a timeout success (test_stream_layout_is_pinned
+    # reaches that leaf); a retransmission on the NACK path lands in the same band
+    lost = simulate_run([LinkBlerProfile(1, 0, 0)], 20, seed=1)
+    assert lost.leaf_counts[0].tolist() == [0, 0, 0, 20]
+    agg = simulate_run([LinkBlerProfile(0, 1, 0)], 20, seed=1)
     assert agg.n_success == 20
-    assert agg.leaf_counts[0].tolist() == [0, 20, 0, 0]
+    assert agg.leaf_counts[0].tolist() == [0, 0, 20, 0]
     assert agg.mean_usage() == (2.0, 0.0)
     # t_fa + rtt 4 + tx + up
     mix = agg.success_mix
@@ -150,7 +155,7 @@ def test_sc_trial_forced_timeout_path():
 
 def test_sc_trial_forced_nack_path():
     # data always fails, combining saves
-    agg = simulate_run([LinkBlerProfile(0, 1, 0, 0, 0)], 20, seed=2)
+    agg = simulate_run([LinkBlerProfile(0, 1, 0)], 20, seed=2)
     assert agg.n_success == 20
     assert agg.leaf_counts[0].tolist() == [0, 0, 20, 0]
     assert agg.mean_usage() == (2.0, 0.0)
@@ -159,27 +164,27 @@ def test_sc_trial_forced_nack_path():
 
 
 def test_sc_trial_certain_outage():
-    agg = simulate_run([LinkBlerProfile(1, 1, 1, 1, 1)], 20, seed=3)
+    agg = simulate_run([LinkBlerProfile(1, 1, 1)], 20, seed=3)
     assert agg.n_success == 0
     assert agg.leaf_counts[0].tolist() == [0, 0, 0, 20]
     assert agg.mean_usage() == (2.0, 0.0)
     assert math.isnan(latency_quantile(agg.success_mix, DEFAULT, 0.99))
-    exact = success_mix([LinkBlerProfile(1, 1, 1, 1, 1)] * 2)  # and the exact mix
+    exact = success_mix([LinkBlerProfile(1, 1, 1)] * 2)  # and the exact mix
     assert exact[0, 0] == 1.0
     assert _tail(exact, 3.0) == 0.0  # no success mass at all
     assert math.isnan(latency_quantile(exact, DEFAULT, 0.99))
 
 
 def test_mc_trial_perfect_links():
-    agg = simulate_run([LinkBlerProfile(0, 0, 0, 0, 0)] * 2, 20, seed=4)
+    agg = simulate_run([LinkBlerProfile(0, 0, 0)] * 2, 20, seed=4)
     assert agg.n_success == 20 and agg.success_mix[2, 0] == 20
     assert agg.mean_usage() == (2.0, 0.0)
 
 
 def test_mc_trial_takes_first_received_copy():
     # one link always succeeds first-try, one always needs the retx
-    fast = LinkBlerProfile(0, 0, 0, 0, 0)
-    slow = LinkBlerProfile(1, 0, 0, 0, 0)
+    fast = LinkBlerProfile(0, 0, 0)
+    slow = LinkBlerProfile(0, 1, 0)
     agg = simulate_run([fast, slow], 20, seed=5)
     assert agg.n_success == 20 and agg.success_mix[1, 1] == 20
     assert _tail(agg.success_mix, 3.0) == 0.0  # the fast copy always wins
@@ -198,19 +203,19 @@ def test_mc_trial_rejects_empty():
 def test_link_count_is_bounded_by_max_nodes(build):
     # the bound of solve_bler and the scenario, now owned by the outage module
     assert MAX_NODES == solver.MAX_NODES == 64
-    profile = LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
+    profile = LinkBlerProfile(0.1, 0.1, 0.0)
     assert build([profile] * MAX_NODES).shape == (MAX_NODES + 1, MAX_NODES + 1)
     with pytest.raises(ValidationError, match=f"at most {MAX_NODES} link profiles .*got 65"):
         build([profile] * (MAX_NODES + 1))
 
 
 def test_trial_with_unreachable_nack_branch_is_fine():
-    # p_d1 = 0 with p_c = 0: the NACK branch never fires, nothing to define
-    agg = simulate_run([LinkBlerProfile(0.0, 0.0, 0.1, 0.5, 0.0)], 20, seed=0)
+    # p_d = 0 with p_c = 0: the NACK branch never fires, nothing to define
+    agg = simulate_run([LinkBlerProfile(0.0, 0.0, 0.0)], 20, seed=0)
     assert agg.n_success == 20
-    # p_c > 0 with p_d1 = 0 cannot even be built as a profile
+    # p_c > 0 with p_d = 0 cannot even be built as a profile
     with pytest.raises(DomainError):
-        LinkBlerProfile(0.1, 0.0, 0.1, 0.5, 0.1)
+        LinkBlerProfile(0.1, 0.0, 0.1)
 
 
 def test_event_threshold_bound():
@@ -230,8 +235,8 @@ def test_attempt_bands_within_two_to_the_minus_32():
     pairs = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.00183, 0.00183),
              *rng.uniform(0, 1, (500, 2)).tolist()]
     for p_m, p_d in pairs:
-        t_meta, t_fail, t_timeout, t_nack = _thresholds(LinkBlerProfile(p_m, p_d, p_m, p_d, 0.0))
-        assert t_timeout == t_fail and t_nack == t_meta  # p_c = 0: combining always decodes
+        t_meta, t_fail, t_nack = _thresholds(LinkBlerProfile(p_m, p_d, 0.0))
+        assert t_nack == t_meta  # p_c = 0: combining always decodes
         p_m, p_d = Fraction(p_m), Fraction(p_d)
         bands = (t_meta, t_fail - t_meta, 2**32 - t_fail)
         targets = (p_m, (1 - p_m) * p_d, (1 - p_m) * (1 - p_d))
@@ -244,7 +249,7 @@ def test_attempt_bands_within_two_to_the_minus_32():
 
 
 def test_sc_outage_and_leaf_frequencies_match_closed_form():
-    profile = LinkBlerProfile(0.0328, 0.0328, 0.0328, 0.0328, 0.0)
+    profile = LinkBlerProfile(0.0328, 0.0328, 0.0)
     n = 10**7
     agg = simulate_run([profile], n, seed=1001)
     bd = sc_outage(profile)
@@ -258,7 +263,7 @@ def test_sc_outage_and_leaf_frequencies_match_closed_form():
 
 
 def test_sc_outage_with_partial_combining():
-    profile = LinkBlerProfile(0.02, 0.2, 0.02, 0.2, 0.08)
+    profile = LinkBlerProfile(0.02, 0.2, 0.08)
     n = 10**6
     agg = simulate_run([profile], n, seed=77)
     bd = sc_outage(profile)
@@ -267,7 +272,7 @@ def test_sc_outage_with_partial_combining():
 
 
 def test_mc_outage_matches_product_of_closed_forms():
-    profile = LinkBlerProfile(0.0328, 0.0328, 0.0328, 0.0328, 0.0)
+    profile = LinkBlerProfile(0.0328, 0.0328, 0.0)
     n = 10**7
     agg = simulate_run([profile] * 2, n, seed=2002)
     p_out = sc_outage(profile).p_out ** 2
@@ -275,7 +280,7 @@ def test_mc_outage_matches_product_of_closed_forms():
 
 
 def test_mean_usage_matches_expected_usage():
-    profile = LinkBlerProfile(0.01, 0.1, 0.01, 0.1, 0.0)
+    profile = LinkBlerProfile(0.01, 0.1, 0.0)
     n = 10**6
     for m, seed in ((1, 31), (2, 32)):
         agg = simulate_run([profile] * m, n, seed=seed)
@@ -287,7 +292,7 @@ def test_mean_usage_matches_expected_usage():
 
 
 def test_usage_histogram_matches_binomial_distribution():
-    profile = LinkBlerProfile(0.05, 0.1, 0.05, 0.1, 0.0)
+    profile = LinkBlerProfile(0.05, 0.1, 0.0)
     m, n = 3, 10**6
     agg = simulate_run([profile] * m, n, seed=404)
     # [k]: k links retransmit, counted and exact
@@ -298,7 +303,7 @@ def test_usage_histogram_matches_binomial_distribution():
 
 
 def test_latency_bands_default_numerology():
-    profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
+    profile = LinkBlerProfile(0.3, 0.3, 0.0)
     agg = simulate_run([profile], 10**5, seed=55)
     mix, successes = agg.success_mix, agg.n_success
     retx_band = _tail(mix, 3.0)
@@ -309,7 +314,7 @@ def test_latency_bands_default_numerology():
 
 
 def test_latency_quantile_forced_retransmission():
-    profile = LinkBlerProfile(0, 1, 0, 0, 0)  # every trial retransmits
+    profile = LinkBlerProfile(0, 1, 0)  # every trial retransmits
     agg = simulate_run([profile], 10**5, seed=7)
     assert latency_quantile(agg.success_mix, DEFAULT, 1.0) == 7.0  # the supremum, 7 TTIs = 1 ms
 
@@ -318,7 +323,7 @@ def test_latency_quantile_forced_retransmission():
 def test_latency_quantile_one_without_a_lone_retransmission(shared):
     # every trial has a first-try success, so the latest delivery ends the
     # first-try band [2, 3), short of the support's 7 TTIs
-    perfect, slow = LinkBlerProfile(0, 0, 0, 0, 0), LinkBlerProfile(1, 0, 0, 0, 0)
+    perfect, slow = LinkBlerProfile(0, 0, 0), LinkBlerProfile(0, 1, 0)
     for mix in (success_mix([perfect]), success_mix([perfect] * 2),
                 simulate_run([perfect, slow], 20, seed=5).success_mix):
         assert latency_quantile(mix, DEFAULT, 1.0, shared) == 3.0
@@ -339,7 +344,7 @@ def test_latency_quantile_bisects_near_the_float_limit():
     numerology = Numerology(symbols_per_tti=1, scs_khz=15, t_tx_ttis=9e307,
                             harq_rtt_ttis=int(8e307))
     first, _ = sim._latency_offsets(numerology)
-    mix = success_mix([LinkBlerProfile(0, 0, 0, 0, 0)])
+    mix = success_mix([LinkBlerProfile(0, 0, 0)])
     assert latency_quantile(mix, numerology, 0.5) == math.nextafter(first, math.inf)
 
 
@@ -350,7 +355,7 @@ def test_latency_support_ends_at_the_budget_worst_case(t_bp, shared, m):
     # the initial buffering delay precedes the first transmission, so it
     # delays the retransmission as well
     numerology = Numerology(t_bp_initial_ttis=t_bp)
-    agg = simulate_run([LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)] * m, 10**4, seed=58)
+    agg = simulate_run([LinkBlerProfile(0.3, 0.3, 0.0)] * m, 10**4, seed=58)
     first = t_bp + numerology.t_tx_ttis + numerology.t_up_ttis
     retx = numerology.harq_rtt_ttis + first
     assert latency_quantile(agg.success_mix, numerology, 1.0, shared) == retx + 1.0
@@ -366,14 +371,14 @@ def test_latency_support_ends_at_the_budget_worst_case(t_bp, shared, m):
 
 def test_latency_quantile_matches_analytic_mixture():
     # shared alignment, one link: a mixture of U[2, 3) and U[6, 7)
-    profile = LinkBlerProfile(0.3, 0.3, 0.3, 0.3, 0.0)
+    profile = LinkBlerProfile(0.3, 0.3, 0.0)
     agg = simulate_run([profile], 10**5, seed=56)
     w_first = agg.success_mix[1, 0] / agg.n_success
     # independent alignment, two links that both succeed first-try (or
     # both on the retransmission): offset + min(U1, U2)
     pairs = [
-        (offset, simulate_run([LinkBlerProfile(p_m1, 0, 0, 0, 0)] * 2, 100, seed=57))
-        for offset, p_m1 in ((2.0, 0), (6.0, 1))
+        (offset, simulate_run([LinkBlerProfile(0, p_d, 0)] * 2, 100, seed=57))
+        for offset, p_d in ((2.0, 0), (6.0, 1))
     ]
     for q in (1e-6, 0.01, 0.25, 0.5, 0.7, 0.9, 0.99, 0.999999):
         mixture = 2.0 + q / w_first if q <= w_first else 6.0 + (q - w_first) / (1.0 - w_first)
@@ -427,7 +432,7 @@ def test_latency_tail_of_exact_mix_matches_simulated(shared):
 
 
 def test_peak_memory_does_not_grow_with_trials(monkeypatch):
-    profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
+    profile = LinkBlerProfile(0.2, 0.2, 0.1)
     batch = 4096
     monkeypatch.setattr(sim, "BATCH_SIZE", batch)
     draw_bytes = batch * 2 * 8  # one 64-bit Philox output per link and trial
@@ -446,7 +451,7 @@ def test_peak_memory_does_not_grow_with_trials(monkeypatch):
 
 def test_parallel_peak_memory_does_not_grow_with_batches(monkeypatch):
     # at jobs > 1 each worker sums its own share; no result waits per batch
-    profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
+    profile = LinkBlerProfile(0.2, 0.2, 0.1)
     monkeypatch.setattr(sim, "BATCH_SIZE", 16)
 
     def peak(batches: int) -> int:
@@ -465,13 +470,13 @@ def test_parallel_peak_memory_does_not_grow_with_batches(monkeypatch):
 
 
 def test_estimate_outage_trivial():
-    agg = simulate_run([LinkBlerProfile(0, 0, 0, 0, 0)], 1000, seed=5)
+    agg = simulate_run([LinkBlerProfile(0, 0, 0)], 1000, seed=5)
     assert agg.outage() == (0.0, 0.0)
     assert agg.trials == 1000 and agg.seed == 5
 
 
 def test_estimate_ci_formula():
-    profile = LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
+    profile = LinkBlerProfile(0.1, 0.1, 0.0)
     agg = simulate_run([profile], 10**5, 6)
     mean, ci = agg.outage()
     expected_ci = 1.96 * math.sqrt(mean * (1 - mean) / agg.trials)
@@ -479,7 +484,7 @@ def test_estimate_ci_formula():
 
 
 def test_estimate_validations():
-    profile = LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
+    profile = LinkBlerProfile(0.1, 0.1, 0.0)
     with pytest.raises(ValidationError):
         simulate_run([profile], 0, 5)
     with pytest.raises(ValidationError):
@@ -501,7 +506,7 @@ def test_estimate_validations():
 
 
 def test_trials_bounded_by_the_int64_tallies():
-    profile = LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
+    profile = LinkBlerProfile(0.1, 0.1, 0.0)
     # rejected by name before any batch range is built
     for trials in (10**30, sim.MAX_TRIALS + 1, 10**400):
         with pytest.raises(ValidationError, match="trials must be a positive integer at most"):
@@ -514,9 +519,9 @@ _prob = st.floats(0.0, 1.0)
 
 @st.composite
 def _profile(draw) -> LinkBlerProfile:
-    p_m1, p_d1, p_m2, p_d2 = (draw(_prob) for _ in range(4))
-    # a fraction of min(p_d1, p_d2) never exceeds it, so the profile is valid
-    return LinkBlerProfile(p_m1, p_d1, p_m2, p_d2, draw(_prob) * min(p_d1, p_d2))
+    p_m, p_d = draw(_prob), draw(_prob)
+    # a fraction of p_d never exceeds it, so the profile is valid
+    return LinkBlerProfile(p_m, p_d, draw(_prob) * p_d)
 
 
 @st.composite
@@ -551,7 +556,7 @@ def test_any_trial_partition_sums_to_the_run(m, data, seed):
 
 
 def test_batch_size_invariance(monkeypatch):
-    profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
+    profile = LinkBlerProfile(0.2, 0.2, 0.1)
     # a trial reads m of a Philox block's four 64-bit outputs, so batches of
     # 3_333, 257 and 5 trials start mid-block for m = 1, 2 and 3, and an
     # m = 3 trial can straddle two blocks; m = 4 fills whole blocks
@@ -568,7 +573,7 @@ def test_batch_size_invariance(monkeypatch):
 
 
 def test_thread_count_invariance(monkeypatch):
-    profile = LinkBlerProfile(0.2, 0.2, 0.2, 0.2, 0.1)
+    profile = LinkBlerProfile(0.2, 0.2, 0.1)
     monkeypatch.setattr(sim, "BATCH_SIZE", 4_095)
     for m in (1, 3):
         one = simulate_run([profile] * m, 50_000, seed=123, jobs=1)
@@ -584,7 +589,8 @@ def _stream_tallies(profiles, trials, seed):
     """Leaf counts and success mix rebuilt one trial at a time from the
     documented stream: trial i of an m-link run reads the uint32 words
     2m * i .. 2m * i + 2m - 1 of Philox(key=seed), and link n compares
-    words 2n and 2n + 1 with its attempts' band thresholds."""
+    words 2n and 2n + 1 with its attempts' band thresholds; a timeout
+    retransmission is a second attempt with the first one's bands."""
     m = len(profiles)
     words = Philox(key=seed).random_raw(m * trials).view(np.uint32).tolist()
 
@@ -594,10 +600,9 @@ def _stream_tallies(profiles, trials, seed):
 
     bands = [
         (
-            math.floor(p.p_m1 * 2**32),  # the first metadata decode fails below
-            fails_below(p.p_m1, p.p_d1),  # the first attempt fails below
-            fails_below(p.p_m2, p.p_d2),  # the timeout retransmission fails below
-            fails_below(p.p_m2, Fraction(p.p_c) / Fraction(p.p_d1)),  # the NACK one
+            math.floor(p.p_m * 2**32),  # the metadata decode fails below
+            fails_below(p.p_m, p.p_d),  # an attempt fails below
+            fails_below(p.p_m, Fraction(p.p_c) / Fraction(p.p_d)),  # the NACK one
         )
         for p in profiles
     ]
@@ -605,12 +610,12 @@ def _stream_tallies(profiles, trials, seed):
     mix = np.zeros((m + 1, m + 1), dtype=np.int64)
     for i in range(trials):
         first = retx = 0
-        for n, (meta1, attempt1, timeout, nack) in enumerate(bands):
+        for n, (meta, attempt, nack) in enumerate(bands):
             word1, word2 = words[2 * m * i + 2 * n], words[2 * m * i + 2 * n + 1]
-            if word1 >= attempt1:
+            if word1 >= attempt:
                 leaf = 0
-            elif word1 < meta1:
-                leaf = 1 if word2 >= timeout else 3
+            elif word1 < meta:
+                leaf = 1 if word2 >= attempt else 3
             else:
                 leaf = 2 if word2 >= nack else 3
             leaves[n, leaf] += 1
@@ -622,9 +627,9 @@ def _stream_tallies(profiles, trials, seed):
 
 def test_stream_layout_is_pinned(monkeypatch):
     profiles = [
-        LinkBlerProfile(0.2, 0.3, 0.25, 0.4, 0.1),
-        LinkBlerProfile(0.05, 0.5, 0.1, 0.2, 0.2),
-        LinkBlerProfile(0.3, 0.1, 0.0, 0.6, 0.05),
+        LinkBlerProfile(0.2, 0.3, 0.1),
+        LinkBlerProfile(0.1, 0.5, 0.2),
+        LinkBlerProfile(0.3, 0.1, 0.05),
     ]
     trials = 2_000
     batch_sizes = (1, 3, 257, sim.BATCH_SIZE)
@@ -639,7 +644,7 @@ def test_stream_layout_is_pinned(monkeypatch):
 
 
 def test_estimate_repeatable_bit_exact():
-    profile = LinkBlerProfile(0.05, 0.15, 0.05, 0.15, 0.02)
+    profile = LinkBlerProfile(0.05, 0.15, 0.02)
     a, b = (
         simulate_run([profile], 10**5, 2024).outage()
         for _ in range(2)
@@ -650,7 +655,7 @@ def test_estimate_repeatable_bit_exact():
 def test_shared_vs_independent_alignment_preserves_outage():
     # alignment sharing shifts only the latency distribution: it is no
     # input to the run, only to the latency estimate
-    profile = LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
+    profile = LinkBlerProfile(0.1, 0.1, 0.0)
     agg = simulate_run([profile] * 2, 10**5, seed=8)
     # the earliest of independent alignments is never later than a shared one
     for q in (0.1, 0.5, 0.9, 0.99, 0.9999, 1.0):

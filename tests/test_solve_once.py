@@ -111,7 +111,7 @@ def test_link_profiles_without_contexts_builds_once(monkeypatch):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_mc_outage_of_repeated_profile_is_the_sequential_product(m, monkeypatch):
     for p in (0.3, 0.0328, 0.00183, 0.2):
-        profile = LinkBlerProfile(p_m1=p, p_d1=p, p_m2=p, p_d2=p, p_c=p * p)
+        profile = LinkBlerProfile(p_m=p, p_d=p, p_c=p * p)
         p_out = sc_outage(profile).p_out
         expected = 1.0
         for _ in range(m):
@@ -122,15 +122,15 @@ def test_mc_outage_of_repeated_profile_is_the_sequential_product(m, monkeypatch)
         assert evaluations == [(profile,)]
         # equal by value but distinct objects: evaluated per link, same product
         evaluations.clear()
-        assert mc_outage([LinkBlerProfile(p, p, p, p, p * p) for _ in range(m)]) == expected
+        assert mc_outage([LinkBlerProfile(p, p, p * p) for _ in range(m)]) == expected
         assert len(evaluations) == m
         monkeypatch.undo()
 
 
 def test_mc_outage_keeps_link_order_over_distinct_profiles():
-    a = LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
-    b = LinkBlerProfile(0.3, 0.2, 0.3, 0.2, 0.04)
-    c = LinkBlerProfile(0.01, 0.07, 0.01, 0.07, 0.001)
+    a = LinkBlerProfile(0.1, 0.1, 0.0)
+    b = LinkBlerProfile(0.3, 0.2, 0.04)
+    c = LinkBlerProfile(0.01, 0.07, 0.001)
     links = [a, b, a, c, b, a]
     expected = 1.0
     for profile in links:

@@ -51,19 +51,19 @@ def test_policy_validation():
 
 def test_build_profile_equal_policy():
     profile = build_profile(0.1, EQUAL, ZERO)
-    assert profile == LinkBlerProfile(0.1, 0.1, 0.1, 0.1, 0.0)
+    assert profile == LinkBlerProfile(0.1, 0.1, 0.0)
 
 
 def test_build_profile_half_policy():
     profile = build_profile(0.1, BlerPolicy(PolicyKind.HALF), ZERO)
-    assert profile.p_m1 == profile.p_m2 == pytest.approx(0.05)
-    assert profile.p_d1 == profile.p_d2 == 0.1
+    assert profile.p_m == pytest.approx(0.05)
+    assert profile.p_d == 0.1
 
 
 def test_build_profile_fixed_meta_product_chase():
     policy = BlerPolicy(PolicyKind.FIXED_META, fixed_meta=0.01)
     profile = build_profile(0.1, policy, ChaseModel.PRODUCT)
-    assert profile.p_m1 == 0.01
+    assert profile.p_m == 0.01
     assert profile.p_c == pytest.approx(0.01, abs=1e-15)  # p_d^2
 
 
@@ -111,7 +111,7 @@ def test_solve_mc_reference_target():
 
 def test_solve_recovers_known_profile():
     p = 0.07
-    target = mc_outage([LinkBlerProfile(p, p, p, p, 0)] * 2)
+    target = mc_outage([LinkBlerProfile(p, p, 0)] * 2)
     res = solve_bler(2, target, EQUAL, ZERO)
     assert res.p_d == pytest.approx(p, rel=1e-3)
 
