@@ -173,10 +173,10 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
     # one SINR for all nodes
     if sweep.scale is not SweepScale.LINEAR:
         raise ValidationError("m sweep supports only the linear scale")
-    if len(set(cfg.sinr_db_per_node)) > 1:
+    if len(set(cfg.sinr_db)) > 1:
         raise ValidationError(
             "sinr_db: the m sweep needs one SINR for every node, got "
-            f"{list(cfg.sinr_db_per_node)!r}"
+            f"{list(cfg.sinr_db)!r}"
         )
     ctx = cfg.contexts()[0]
     header = ["m", "scheme", "bler_target", "achieved_outage", "channel_use",

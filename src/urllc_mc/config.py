@@ -71,7 +71,7 @@ class ScenarioConfig:
 
     scheme: str
     m_nodes: int
-    sinr_db_per_node: Tuple[float, ...]
+    sinr_db: Tuple[float, ...]
     target_outage: float
     payload_bits: int = 256
     metadata_bits: Optional[int] = None  # reported by resource, never added to channel use
@@ -88,13 +88,12 @@ class ScenarioConfig:
         """Per-node finite-blocklength contexts from the configured SINRs."""
         return [
             FblContext(self.payload_bits, db_to_linear(s))
-            for s in self.sinr_db_per_node
+            for s in self.sinr_db
         ]
 
 
-# a list or number of dB values stands for the per-node tuple, and the
-# fixed_meta policy's value sits beside "policy"
-_KEYS = {f.name for f in fields(ScenarioConfig)} - {"sinr_db_per_node"} | {"sinr_db", "fixed_meta"}
+# the fixed_meta policy's value sits beside "policy"
+_KEYS = {f.name for f in fields(ScenarioConfig)} | {"fixed_meta"}
 
 
 def _require(cond: bool, field_name: str, constraint: str):
@@ -172,7 +171,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # e.g. an integer literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # e.g. past the digit limit, or nested too deep
         raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
@@ -201,7 +200,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if len(sinrs) == 1:
         sinrs = sinrs * m_nodes
     _require(
-        len(sinrs) == m_nodes, "sinr_db_per_node", f"needs 1 or {m_nodes} entries, got {len(sinrs)}"
+        len(sinrs) == m_nodes, "sinr_db", f"needs 1 or {m_nodes} entries, got {len(sinrs)}"
     )
 
     target = values["target_outage"]
@@ -232,7 +231,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ValidationError(f"numerology: unknown key {sorted(unknown)[0]!r}")
 
     cfg = ScenarioConfig(
-        scheme=scheme, sinr_db_per_node=sinrs, policy=policy, chase=chase,
+        scheme=scheme, sinr_db=sinrs, policy=policy, chase=chase,
         numerology=Numerology(**_scalars(sub, Numerology)), **values,
     )
     try:  # a finite SINR can still overflow or give a zero capacity
@@ -244,4 +243,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 def load_scenario(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(str(exc)) from exc
+    return parse_scenario(text)

@@ -168,7 +168,9 @@ class SimAggregate:
     exactly k links retransmitted, i.e. used m + k transmissions, since
     the m - a links that missed the first try all retransmit. The trial
     and link counts are the mix's sum and shape, so they cannot disagree
-    with it. Tallies of disjoint trial ranges merge by plain sums.
+    with it. Tallies of disjoint trial ranges merge by plain sums. The
+    estimates read the tallies as exact Python integers, good up to
+    ``MAX_TRIALS``.
     """
 
     seed: int
@@ -197,11 +199,9 @@ class SimAggregate:
         """Mean usage in multiples of one transmission's channel uses, and
         its 95% half-width."""
         n, m = self.trials, self.m_nodes
-        counts = self.success_mix.sum(axis=1)[::-1]  # [k]: k links retransmitted
-        k = np.arange(m + 1)
-        mean = (m * n + int(np.sum(counts * k))) / n
-        values = m + k
-        total_sq = int(np.sum(values * values * counts))
+        counts = [int(c) for c in self.success_mix.sum(axis=1)[::-1]]  # [k]: k retransmitted
+        mean = sum((m + k) * c for k, c in enumerate(counts)) / n
+        total_sq = sum((m + k) ** 2 * c for k, c in enumerate(counts))
         var = max(0.0, total_sq / n - mean * mean)
         return mean, 1.96 * math.sqrt(var / n)
 

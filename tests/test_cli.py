@@ -372,6 +372,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "PARSE_ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'{"scheme": "SC", "target_outage": 1e-5, "sinr_db": 10, "x": "\xff"}',
+     "can't decode byte 0xff"),
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+    (b'\xef\xbb\xbf{"scheme": "SC", "target_outage": 1e-5, "sinr_db": 10}',
+     "Unexpected UTF-8 BOM"),
+], ids=["not-utf8", "nested", "bom"])
+def test_unreadable_document_is_a_parse_error(tmp_path, capsys, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main(["solve", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PARSE_ERROR: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_solver_error_exit_code(config_path, capsys):
     # fixed 1% metadata BLER floors the outage at 1e-4, above the target
     code = main([

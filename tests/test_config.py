@@ -38,7 +38,7 @@ def test_minimal_document_gets_defaults():
     cfg = parse_scenario(_doc())
     assert cfg.scheme == "SC"
     assert cfg.m_nodes == 1
-    assert cfg.sinr_db_per_node == (10.0,)
+    assert cfg.sinr_db == (10.0,)
     assert cfg.target_outage == 1e-5
     assert cfg.payload_bits == 256
     assert cfg.metadata_bits is None
@@ -60,17 +60,17 @@ def test_minimal_document_gets_defaults():
 def test_mc_defaults_to_two_nodes_with_broadcast_sinr():
     cfg = parse_scenario(_doc(scheme="MC"))
     assert cfg.m_nodes == 2
-    assert cfg.sinr_db_per_node == (10.0, 10.0)
+    assert cfg.sinr_db == (10.0, 10.0)
 
 
 def test_sinr_list_must_match_node_count():
-    with pytest.raises(ValidationError, match="sinr_db_per_node"):
+    with pytest.raises(ValidationError, match="^sinr_db: needs 1 or"):
         parse_scenario(_doc(scheme="MC", m_nodes=2, sinr_db=[10, 10, 10]))
 
 
 def test_sinr_single_entry_list_broadcasts():
     cfg = parse_scenario(_doc(scheme="MC", m_nodes=3, sinr_db=[5]))
-    assert cfg.sinr_db_per_node == (5.0, 5.0, 5.0)
+    assert cfg.sinr_db == (5.0, 5.0, 5.0)
 
 
 def test_unknown_key_rejected_by_name():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from urllc_mc.errors import DomainError, ValidationError
+from urllc_mc.errors import DomainError
 from urllc_mc.fbl import FblContext, db_to_linear
 from urllc_mc.outage import ChaseModel, LinkBlerProfile, succ_first, success_mix
 from urllc_mc.resources import UsageReport, usage_at_solution, usage_sc
@@ -174,11 +174,6 @@ def test_usage_at_solution_heterogeneous_nodes():
     assert report.total_usage == pytest.approx(
         (r10.total_usage + r0.total_usage) / 2, rel=1e-12
     )
-
-
-def test_usage_at_solution_requires_contexts():
-    with pytest.raises(ValidationError):
-        usage_at_solution(solve_bler(1, 1e-5, EQUAL, ZERO, None), None)
 
 
 def test_usage_at_solution_metadata_reported_separately():

@@ -242,6 +242,17 @@ def test_attempt_bands_within_two_to_the_minus_32():
         targets = (p_m, (1 - p_m) * p_d, (1 - p_m) * (1 - p_d))
         for width, target in zip(bands, targets):
             assert abs(Fraction(width, 2**32) - target) < Fraction(1, 2**32)
+    # partial combining, p_c = f * p_d: a NACK retransmission fails with
+    # the conditional probability p_c / p_d
+    draws = rng.uniform(0, 1, (500, 3))
+    draws[:, 1:] = 1 - draws[:, 1:]  # p_d and f in (0, 1]
+    for p_m, p_d, f in [(0.0, 1.0, 1.0), (1.0, 0.5, 0.5), (0.00183, 0.00183, 1e-3),
+                        *draws.tolist()]:
+        profile = LinkBlerProfile(p_m, p_d, f * p_d)
+        t_nack = _thresholds(profile)[2]
+        p_m, p_d, p_c = (Fraction(p) for p in (profile.p_m, profile.p_d, profile.p_c))
+        target = (1 - p_m) * (1 - p_c / p_d)
+        assert abs(Fraction(2**32 - t_nack, 2**32) - target) < Fraction(1, 2**32)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +300,18 @@ def test_mean_usage_matches_expected_usage():
         # 4 sigma of the per-trial multiples spread
         sigma = math.sqrt(m * 0.891 * (1 - 0.891) / n)
         assert abs(mean - expected) <= 4 * sigma
+
+
+def test_mean_usage_sums_tallies_past_int64():
+    # (m + k)**2 * count passes 2**63 - 1 although every tally fits
+    mix = np.zeros((2, 2), dtype=np.int64)
+    mix[0, 1] = mix[1, 0] = 2**61
+    agg = sim.SimAggregate(0, np.zeros((1, 4), dtype=np.int64), mix)
+    assert agg.mean_usage() == (1.5, 1.96 * math.sqrt(0.25 / 2**62))
+    mix = np.zeros((65, 65), dtype=np.int64)
+    mix[0, 64] = mix[64, 0] = 2**57
+    agg = sim.SimAggregate(0, np.zeros((64, 4), dtype=np.int64), mix)
+    assert agg.mean_usage() == (96.0, 1.96 * 32 / 2**29)
 
 
 def test_usage_histogram_matches_binomial_distribution():
