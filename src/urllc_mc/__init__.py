@@ -52,7 +52,7 @@ from .sim import (
     simulate_run,
     ttis_to_ms,
 )
-from .config import ScenarioConfig, SweepScale, SweepSpec, SweepVariable, parse_scenario
+from .config import ScenarioConfig, parse_scenario
 
 __version__ = "0.1.0"
 
@@ -70,9 +70,6 @@ __all__ = [
     "SimAggregate",
     "SolveResult",
     "SolverError",
-    "SweepScale",
-    "SweepSpec",
-    "SweepVariable",
     "UrllcMcError",
     "UsageReport",
     "ValidationError",

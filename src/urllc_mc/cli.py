@@ -1,6 +1,9 @@
 """Command-line front end: scenario commands, sweeps and one-command
 reproduction of the reference operating points.
 
+The sweep flags are checked here: argparse fixes their types and choices,
+``_sweep_grid`` the rest.
+
 Exit codes: 0 ok, 2 parse, 3 validation, 4 solver, 5 domain, 6 I/O.
 Output is deterministic: fixed row order, fixed number formatting
 (9 significant digits), so identical inputs give byte-identical output.
@@ -9,13 +12,14 @@ Output is deterministic: fixed row order, fixed number formatting
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ScenarioConfig, SweepScale, SweepSpec, SweepVariable, load_scenario
+from .config import ScenarioConfig, load_scenario
 from .errors import DomainError, UrllcMcError, ValidationError
 from .fbl import FblContext, db_to_linear
 from .outage import MAX_NODES, ChaseModel, mc_outage, sc_outage, succ_first
@@ -24,6 +28,9 @@ from .sim import latency_quantile, simulate_run, ttis_to_ms
 from .solver import BlerPolicy, PolicyKind, build_profile, link_profiles, solve_bler
 
 Rows = Tuple[List[str], List[list]]
+
+# Most points of a sweep grid; the benchmark's p_d sweep uses 20,001.
+MAX_SWEEP_POINTS = 1_000_000
 
 
 def _fmt(value) -> str:
@@ -123,19 +130,34 @@ def cmd_simulate(cfg: ScenarioConfig, seed: int, jobs: int = 1) -> Rows:
     return header, rows
 
 
-def _sweep_grid(sweep: SweepSpec) -> np.ndarray:
-    if sweep.scale is SweepScale.LOG10:
-        return np.logspace(np.log10(sweep.start), np.log10(sweep.stop), sweep.points)
-    return np.linspace(sweep.start, sweep.stop, sweep.points)
+def _sweep_grid(args) -> np.ndarray:
+    """The grid of the sweep flags, after the checks argparse cannot make:
+    it reads "inf", "nan" and "1e400" as floats."""
+    start, stop, points = args.start, args.stop, args.points
+    for name, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ValidationError(f"sweep {name} must be finite, got {value!r}")
+    if not start < stop:
+        raise ValidationError(f"sweep start must be below stop, got [{start!r}, {stop!r}]")
+    if points < 2:
+        raise ValidationError(f"sweep needs at least 2 points, got {points!r}")
+    if points > MAX_SWEEP_POINTS:
+        raise ValidationError(f"sweep points must be at most {MAX_SWEEP_POINTS}, got {points!r}")
+    if args.scale == "log10":
+        if start <= 0:
+            raise ValidationError("log-scale sweep requires start > 0")
+        return np.logspace(np.log10(start), np.log10(stop), points)
+    return np.linspace(start, stop, points)
 
 
-def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
-    """Evaluate the scenario along one swept variable."""
-    if sweep.variable is SweepVariable.P_D:
+def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
+    """Evaluate the scenario along the variable the sweep flags ``args`` name."""
+    grid = _sweep_grid(args)
+    if args.variable == "p_d":
         header = ["p_d", "scheme", "m", "policy", "outage", "normalized_usage"]
         contexts = cfg.contexts()
         rows = []
-        for value in _sweep_grid(sweep):
+        for value in grid:
             p_d = float(value)
             if not 0.0 < p_d < 1.0:
                 raise ValidationError(f"p_d sweep value {p_d!r} outside (0, 1)")
@@ -147,12 +169,12 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
             ])
         return header, rows
 
-    if sweep.variable is SweepVariable.SINR_DB:
+    if args.variable == "sinr_db":
         header = ["sinr_db", "scheme", "m", "bler_target", "channel_use",
                   "total_usage"]
         rows = []
         result = None
-        for value in _sweep_grid(sweep):
+        for value in grid:
             sinr_db = float(value)
             try:
                 ctx = FblContext(cfg.payload_bits, db_to_linear(sinr_db))
@@ -171,7 +193,7 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
 
     # node-count sweep: integer grid in [1, MAX_NODES], linear scale only,
     # one SINR for all nodes
-    if sweep.scale is not SweepScale.LINEAR:
+    if args.scale != "linear":
         raise ValidationError("m sweep supports only the linear scale")
     if len(set(cfg.sinr_db)) > 1:
         raise ValidationError(
@@ -182,7 +204,7 @@ def cmd_sweep(cfg: ScenarioConfig, sweep: SweepSpec) -> Rows:
     header = ["m", "scheme", "bler_target", "achieved_outage", "channel_use",
               "total_usage"]
     ms: List[int] = []
-    for value in _sweep_grid(sweep):
+    for value in grid:
         m = int(round(float(value)))
         if not 1 <= m <= MAX_NODES:
             raise ValidationError(f"m sweep value {m} outside [1, {MAX_NODES}]")
@@ -324,13 +346,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="simulation worker threads (results are identical)")
     sweep = sub.add_parser("sweep", parents=[scenario],
                            help="evaluate along a swept variable")
-    sweep.add_argument("--variable", required=True,
-                       choices=[v.value for v in SweepVariable])
+    sweep.add_argument("--variable", required=True, choices=("p_d", "sinr_db", "m"))
     sweep.add_argument("--start", type=float, required=True)
     sweep.add_argument("--stop", type=float, required=True)
     sweep.add_argument("--points", type=int, required=True)
-    sweep.add_argument("--scale", choices=[s.value for s in SweepScale],
-                       default="linear")
+    sweep.add_argument("--scale", choices=("linear", "log10"), default="linear")
     reproduce = sub.add_parser("reproduce",
                                help="write table2/fig3/fig4/fig5 CSVs to --out")
     reproduce.add_argument("--out", default="out", help="output directory")
@@ -361,14 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed = cfg.seed if args.seed is None else args.seed
             header, rows = cmd_simulate(cfg, seed, jobs=args.jobs)
         else:
-            spec = SweepSpec(
-                variable=SweepVariable(args.variable),
-                start=args.start,
-                stop=args.stop,
-                points=args.points,
-                scale=SweepScale(args.scale),
-            )
-            header, rows = cmd_sweep(cfg, spec)
+            header, rows = cmd_sweep(cfg, args)
     except UrllcMcError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code

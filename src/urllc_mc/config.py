@@ -14,52 +14,11 @@ from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Optional, Tuple
 
-from .errors import BOOL_TYPES, DomainError, ParseError, ValidationError, shown
+from .errors import DomainError, ParseError, ValidationError
 from .fbl import FblContext, db_to_linear
 from .outage import MAX_NODES, ChaseModel
 from .sim import MAX_SEED, MAX_TRIALS, Numerology
 from .solver import BlerPolicy
-
-# Most points of a sweep grid; the benchmark's p_d sweep uses 20,001.
-MAX_SWEEP_POINTS = 1_000_000
-
-
-class SweepVariable(Enum):
-    P_D = "p_d"
-    SINR_DB = "sinr_db"
-    M = "m"
-
-
-class SweepScale(Enum):
-    LINEAR = "linear"
-    LOG10 = "log10"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    variable: SweepVariable
-    start: float
-    stop: float
-    points: int
-    scale: SweepScale = SweepScale.LINEAR
-
-    def __post_init__(self) -> None:
-        for name, value in (("start", self.start), ("stop", self.stop)):
-            # exact tests, so a bool or an int too large for a float fails too
-            if type(value) in BOOL_TYPES or not abs(value) <= sys.float_info.max:
-                raise ValidationError(f"sweep {name} must be finite, got {shown(value)}")
-        if not self.start < self.stop:
-            raise ValidationError(
-                f"sweep start must be below stop, got [{self.start!r}, {self.stop!r}]"
-            )
-        if not (isinstance(self.points, int) and self.points >= 2):
-            raise ValidationError(f"sweep needs at least 2 points, got {self.points!r}")
-        if self.points > MAX_SWEEP_POINTS:
-            raise ValidationError(
-                f"sweep points must be at most {MAX_SWEEP_POINTS}, got {self.points!r}"
-            )
-        if self.scale is SweepScale.LOG10 and self.start <= 0:
-            raise ValidationError("log-scale sweep requires start > 0")
 
 
 @dataclass(frozen=True)

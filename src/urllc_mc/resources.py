@@ -81,6 +81,9 @@ def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],
     r_sum = math.fsum(uses)
     meta_use = None
     if metadata_bits is not None:
+        if not result.p_m < 0.5:  # channel_use sizes a BLER in (0, 0.5) only
+            raise DomainError(f"metadata_bits: cannot size the metadata at BLER "
+                              f"{result.p_m!r}, which must be below 0.5")
         meta_use = math.fsum(
             channel_use(FblContext(metadata_bits, c.sinr_linear), result.p_m)
             for c in contexts

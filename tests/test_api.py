@@ -13,8 +13,6 @@ from urllc_mc import (
     FblContext,
     LinkBlerProfile,
     Numerology,
-    SweepSpec,
-    SweepVariable,
     UrllcMcError,
     achieved_bler,
     channel_dispersion,
@@ -43,9 +41,6 @@ PUBLIC_NAMES = [
     "SimAggregate",
     "SolveResult",
     "SolverError",
-    "SweepScale",
-    "SweepSpec",
-    "SweepVariable",
     "UrllcMcError",
     "UsageReport",
     "ValidationError",
@@ -74,7 +69,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 37
     assert sorted(urllc_mc.__all__) == PUBLIC_NAMES
 
 
@@ -106,10 +101,6 @@ BOOL_ARGUMENTS = {
     "shannon_capacity.sinr_linear": ("sinr_linear", shannon_capacity),
     "channel_dispersion.sinr_linear": ("sinr_linear", channel_dispersion),
     "db_to_linear.x_db": ("x_db", db_to_linear),
-    "SweepSpec.start": ("sweep start", lambda b: SweepSpec(
-        SweepVariable.SINR_DB, start=b, stop=2.0, points=3)),
-    "SweepSpec.stop": ("sweep stop", lambda b: SweepSpec(
-        SweepVariable.SINR_DB, start=-1.0, stop=b, points=3)),
 }
 
 

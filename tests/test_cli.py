@@ -115,6 +115,17 @@ def test_report_metadata_use_is_rejected_by_name(config_path, capsys):
     assert "VALIDATION_ERROR: unknown key 'report_metadata_use'" in err
 
 
+def test_metadata_bler_past_the_sizable_range_names_metadata_bits(config_path, capsys):
+    # the solve succeeds; only a metadata BLER below 0.5 can be sized
+    code = main([
+        "resource", "--config", config_path(scheme="MC", target_outage=0.2, metadata_bits=64,
+                                            policy="fixed_meta", fixed_meta=0.6),
+    ])
+    assert code == 5
+    assert capsys.readouterr() == ("", "error: DOMAIN_ERROR: metadata_bits: cannot size "
+                                       "the metadata at BLER 0.6, which must be below 0.5\n")
+
+
 def test_outage_breakdown_at_fixed_bler(config_path, capsys):
     code = main([
         "outage", "--config", config_path(p_d=0.1, policy="fixed_meta",
@@ -281,6 +292,21 @@ def test_sweep_rejects_non_finite_bounds_by_name(config_path, capsys, variable):
         assert f"VALIDATION_ERROR: sweep {name} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("huge", ["-1e400", "1e5000"])
+def test_sweep_rejects_huge_bounds_by_name(config_path, capsys, huge):
+    # argparse reads a literal past the float range as an infinity; the
+    # equals form lets a negative one through as a value
+    inf = repr(float(huge))
+    for start, stop, name in (("0.1", huge, "stop"), (huge, "0.5", "start")):
+        code = main([
+            "sweep", "--config", config_path(), "--variable", "p_d",
+            f"--start={start}", f"--stop={stop}", "--points", "3",
+        ])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", f"error: VALIDATION_ERROR: sweep {name} must be finite, got {inf}\n")
+
+
 @pytest.mark.parametrize(
     "variable, start, stop, points, message",
     [
@@ -307,6 +333,40 @@ def test_sweep_rejects_grid_values_outside_the_domain_by_name(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"VALIDATION_ERROR: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--points", "1"], "sweep needs at least 2 points, got 1"),
+        (["--start", "0.1"], "sweep start must be below stop, got [0.1, 0.1]"),
+        (["--start", "0", "--scale", "log10"], "log-scale sweep requires start > 0"),
+        (["--points", "-3"], "sweep needs at least 2 points, got -3"),
+        (["--start", "0.2"], "sweep start must be below stop, got [0.2, 0.1]"),
+        (["--start", "-1", "--scale", "log10"], "log-scale sweep requires start > 0"),
+        (["--start", "0.1", "--points", "1"], "sweep start must be below stop, got [0.1, 0.1]"),
+    ],
+    ids=["one-point", "start-at-stop", "log-start-zero", "negative-points",
+         "start-above-stop", "log-start-negative", "bounds-before-points"],
+)
+def test_sweep_flags_argparse_accepts_are_rejected_by_name(config_path, capsys, flags,
+                                                          message):
+    # a later flag overrides an earlier one
+    code = main([
+        "sweep", "--config", config_path(), "--variable", "p_d",
+        "--start", "1e-4", "--stop", "0.1", "--points", "10", *flags,
+    ])
+    assert code == 3
+    assert capsys.readouterr() == ("", f"error: VALIDATION_ERROR: {message}\n")
+
+
+def test_sweep_takes_the_most_points(config_path, capsys):
+    code = main([
+        "sweep", "--config", config_path(), "--variable", "m",
+        "--start", "1", "--stop", "3", "--points", "1000000", "--format", "csv",
+    ])
+    assert code == 0
+    assert [r["m"] for r in _rows(capsys.readouterr().out)] == ["1", "2", "3"]
 
 
 def test_sweep_m_rejects_the_log_scale(config_path, capsys):

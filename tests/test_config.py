@@ -10,11 +10,7 @@ import pytest
 from urllc_mc import sim
 from urllc_mc.config import (
     MAX_NODES,
-    MAX_SWEEP_POINTS,
     ScenarioConfig,
-    SweepScale,
-    SweepSpec,
-    SweepVariable,
     parse_scenario,
 )
 from urllc_mc.errors import ParseError, ValidationError
@@ -232,24 +228,3 @@ def test_contexts_built_from_sinrs():
     contexts = cfg.contexts()
     assert contexts[0].sinr_linear == pytest.approx(1.0)
     assert contexts[1].sinr_linear == pytest.approx(10.0)
-
-
-def test_sweep_spec_validation():
-    SweepSpec(SweepVariable.P_D, 1e-4, 1e-1, 61, SweepScale.LOG10)
-    with pytest.raises(ValidationError):
-        SweepSpec(SweepVariable.P_D, 0.1, 0.1, 10)
-    with pytest.raises(ValidationError):
-        SweepSpec(SweepVariable.P_D, 1e-4, 1e-1, 1)
-    with pytest.raises(ValidationError):
-        SweepSpec(SweepVariable.P_D, 0.0, 1e-1, 10, SweepScale.LOG10)
-    SweepSpec(SweepVariable.P_D, 1e-4, 1e-1, MAX_SWEEP_POINTS)
-    with pytest.raises(ValidationError, match="sweep points"):
-        SweepSpec(SweepVariable.P_D, 1e-4, 1e-1, MAX_SWEEP_POINTS + 1)
-
-
-@pytest.mark.parametrize("huge", [-(10**400), 10**5000], ids=["-1e400", "1e5000"])
-def test_sweep_spec_rejects_huge_ints_by_name(huge):
-    with pytest.raises(ValidationError, match="sweep start must be finite, got an int past"):
-        SweepSpec(SweepVariable.P_D, huge, 0.5, 3)
-    with pytest.raises(ValidationError, match="sweep stop must be finite, got an int past"):
-        SweepSpec(SweepVariable.P_D, 0.1, huge, 3)

@@ -11,6 +11,8 @@ import dataclasses
 import itertools
 import math
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from urllc_mc.outage import (
     succ_first,
     success_mix,
 )
+from urllc_mc.sim import _thresholds
 
 
 def _enumerate_leaves(p: LinkBlerProfile) -> dict:
@@ -39,7 +42,7 @@ def _enumerate_leaves(p: LinkBlerProfile) -> dict:
     conditional probability p_c/p_d, or second metadata loss. Both
     attempts use the link's p_m and p_d.
     """
-    cond_fail = p.p_c / p.p_d if p.p_d > 0 else 0.0
+    cond_fail = p.p_c / p.p_d if p.p_d > 0 else 0  # an int keeps Fractions exact
     leaves = {
         "succ_first": (1 - p.p_m) * (1 - p.p_d),
         "to_succ": p.p_m * (1 - p.p_m) * (1 - p.p_d),
@@ -232,6 +235,39 @@ def test_sc_outage_matches_event_tree_enumeration():
         assert bd.p_succ_first == pytest.approx(leaves["succ_first"], abs=1e-14)
         assert bd.p_succ_timeout_retx == pytest.approx(leaves["to_succ"], abs=1e-14)
         assert bd.p_succ_nack_retx == pytest.approx(leaves["nr_succ"], abs=1e-14)
+
+
+def _exact(p_m, p_d, p_c) -> SimpleNamespace:
+    # a profile of Fractions, which LinkBlerProfile does not take
+    return SimpleNamespace(p_m=Fraction(p_m), p_d=Fraction(p_d), p_c=Fraction(p_c))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(_profiles())
+def test_simulator_samples_the_tree_exactly_at_its_effective_profile(profile):
+    # the law of one link's two uint32 words under the simulator's bands
+    w = 2**32
+    t_meta, t_fail, t_nack = _thresholds(profile)
+    law = {
+        "succ_first": Fraction(w - t_fail, w),
+        "to_succ": Fraction(t_meta * (w - t_fail), w**2),
+        "nr_succ": Fraction((t_fail - t_meta) * (w - t_nack), w**2),
+    }
+    if t_meta == w:  # every metadata decode fails; p_d' and p_c' go unread
+        effective = _exact(1, 0, 0)
+    else:
+        p_d = Fraction(t_fail - t_meta, w - t_meta)
+        effective = _exact(Fraction(t_meta, w), p_d,
+                           p_d * Fraction(t_nack - t_meta, w - t_meta))
+    exact, near = (
+        _enumerate_leaves(p)
+        for p in (effective, _exact(profile.p_m, profile.p_d, profile.p_c))
+    )
+    for leaves in (law, exact, near):  # outage is the rest
+        leaves["out"] = 1 - leaves["succ_first"] - leaves["to_succ"] - leaves["nr_succ"]
+    for leaf, p in law.items():
+        assert p == exact[leaf], leaf
+        assert abs(p - near[leaf]) <= Fraction(2, w), leaf
 
 
 def test_breakdown_partition_sums_to_one():
