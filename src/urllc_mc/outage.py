@@ -2,10 +2,11 @@
 
 Single link: first transmission, retransmission after a feedback timeout
 (metadata lost, no combining) and retransmission after a NACK (Chase
-combining with the first data copy). Duplicated transmission: product of
-the per-link outages, since every link runs its own independent HARQ
-round and copies are never combined across links. Its success mix holds
-every per-round distribution: outage, retransmissions and latency.
+combining with the first data copy), an event tree that ``_leaves``
+alone writes. Duplicated transmission: product of the per-link outages,
+since every link runs its own independent HARQ round and copies are
+never combined across links. Its success mix holds every per-round
+distribution: outage, retransmissions and latency.
 """
 
 from __future__ import annotations
@@ -103,35 +104,30 @@ def _link_count(profiles: Sequence[LinkBlerProfile]) -> int:
     return m
 
 
+def _leaves(p_m: float, p_d: float, p_c: float) -> tuple:
+    """A link's leaves in ``OutageBreakdown`` order: first-try, timeout and
+    NACK success, and outage, one minus the others in factored form and
+    clamped at 0. Floats (or ints) in, floats out; it runs on mpmath too."""
+    q_m, q_d = 1.0 - p_m, 1.0 - p_d
+    first = q_m * q_d
+    out = 1.0 - first - q_m * (p_m * q_d + q_m * (p_d - p_c))
+    return first, p_m * q_m * q_d, q_m * q_m * (p_d - p_c), out if out > 0.0 else 0.0
+
+
 def succ_first(profile: LinkBlerProfile) -> float:
     """Probability that metadata and data decode on the first attempt."""
-    return (1.0 - profile.p_m) * (1.0 - profile.p_d)
-
-
-def _link_outage(p: LinkBlerProfile) -> float:
-    # the one place p_out is written: one minus the first-try success and
-    # the factored sum of the two retransmission paths
-    p2 = (1.0 - p.p_m) * (p.p_m * (1.0 - p.p_d) + (1.0 - p.p_m) * (p.p_d - p.p_c))
-    return max(0.0, 1.0 - succ_first(p) - p2)
+    return _leaves(profile.p_m, profile.p_d, profile.p_c)[0]
 
 
 def sc_outage(profile: LinkBlerProfile) -> OutageBreakdown:
     """Full per-link outage breakdown for at most one retransmission.
 
-    The timeout path is reached when the first metadata is lost; no
-    combining is possible because the first copy could not be identified.
-    On the NACK path the combined decode fails with the conditional
-    probability p_c / p_d given the first data decode failed, which
-    contracts to the (p_d - p_c) factor. ``p_out`` is computed by
-    ``_link_outage``, which ``mc_outage`` calls too.
+    The timeout path follows a lost first metadata, with no combining as
+    the first copy cannot be identified. On the NACK path the combined
+    decode fails with probability p_c / p_d given a failed first data
+    decode, which contracts to the (p_d - p_c) factor.
     """
-    p_m, p_d, p_c = profile.p_m, profile.p_d, profile.p_c
-    return OutageBreakdown(
-        p_succ_first=succ_first(profile),
-        p_succ_timeout_retx=p_m * (1.0 - p_m) * (1.0 - p_d),
-        p_succ_nack_retx=(1.0 - p_m) * (1.0 - p_m) * (p_d - p_c),
-        p_out=_link_outage(profile),
-    )
+    return OutageBreakdown(*_leaves(profile.p_m, profile.p_d, profile.p_c))
 
 
 def mc_outage(profiles: Sequence[LinkBlerProfile]) -> float:
@@ -139,16 +135,15 @@ def mc_outage(profiles: Sequence[LinkBlerProfile]) -> float:
 
     The copies are decoded independently and never combined across
     links, so the packet is lost only if every link's own HARQ round
-    fails. Each factor is ``sc_outage(profile).p_out``, computed by its
-    ``_link_outage`` alone; a link holding the previous link's profile
-    object reuses it, and the product takes one factor per link, in order.
+    fails. A link holding the previous link's profile object reuses its
+    outage leaf; the product takes one factor per link, in order.
     """
     if len(profiles) < 1:
         raise DomainError("at least one link profile is required")
     out, last = 1.0, None
     for profile in profiles:
         if profile is not last:
-            p_out, last = _link_outage(profile), profile
+            p_out, last = _leaves(profile.p_m, profile.p_d, profile.p_c)[3], profile
         out *= p_out
     return out
 
@@ -184,7 +179,7 @@ def chase_bler(
     only if both copies would fail independently. FINITE_BLOCKLENGTH:
     re-evaluate the block error rate at the summed SINR of the two
     equal-power copies, same payload, over the channel uses that ``ctx``
-    needs for a single copy at ``p_d``; requires ``ctx``. That BLER is
+    needs for a single copy at ``p_d`` < 0.5; requires ``ctx``. That BLER is
     computed by ``fbl._bler``, as in ``achieved_bler``, from the capacity
     and dispersion at the summed SINR; no context is built for it.
     """
@@ -195,6 +190,8 @@ def chase_bler(
         return p_d * p_d
     if ctx is None:
         raise ValidationError("FINITE_BLOCKLENGTH chase model requires an FblContext")
+    if not 0.0 < p_d < 0.5:  # the BLER range that channel_use sizes
+        raise DomainError(f"p_d: finite_blocklength chase needs a BLER in (0, 0.5), got {p_d!r}")
     sinr = 2.0 * ctx.sinr_linear
     capacity, dispersion = shannon_capacity(sinr), channel_dispersion(sinr)
     return _bler(ctx.payload_bits, capacity, dispersion, channel_use(ctx, p_d))

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import BOOL_TYPES, DomainError, ValidationError, shown
 from .fbl import FblContext, channel_use
+from .outage import _leaves
 from .solver import SolveResult
 
 
@@ -76,8 +77,8 @@ def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],
     if contexts is None or len(contexts) != result.m_nodes:
         raise ValidationError(f"usage_at_solution needs the {result.m_nodes} solved links")
     uses = [channel_use(c, result.p_d) for c in contexts]
-    # first-try success depends only on the BLER targets, shared by all nodes
-    p1 = (1.0 - result.p_m) * (1.0 - result.p_d)
+    # the first-try leaf reads only the BLER targets (no p_c), shared by all nodes
+    p1 = _leaves(result.p_m, result.p_d, 0.0)[0]
     r_sum = math.fsum(uses)
     meta_use = None
     if metadata_bits is not None:

@@ -110,8 +110,8 @@ class Numerology:
         if not self.t_tx_ttis > 0:
             raise ValidationError(f"t_tx_ttis must be positive, got {self.t_tx_ttis!r}")
         for name in ("t_up_ttis", "t_bp_initial_ttis"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
+            if (value := getattr(self, name)) < 0:
+                raise ValidationError(f"{name} must be nonnegative, got {shown(value)}")
         worst_ttis = _latency_offsets(self)[1] + 1.0  # latency_budget_check's worst case
         if not math.isfinite(ttis_to_ms(self, worst_ttis)):  # inf TTIs give inf ms
             raise ValidationError("numerology: the worst-case latency must be finite in "

@@ -126,6 +126,32 @@ def test_metadata_bler_past_the_sizable_range_names_metadata_bits(config_path, c
                                        "the metadata at BLER 0.6, which must be below 0.5\n")
 
 
+@pytest.mark.parametrize(
+    "command, p_d",
+    [(["outage"], 0.6), (["simulate"], 0.6),
+     (["sweep", "--variable", "p_d", "--start", "0.1", "--stop", "0.9", "--points", "5"], 0.5)],
+    ids=["outage", "simulate", "sweep"],
+)
+def test_finite_blocklength_data_bler_past_the_sizable_range_names_p_d(
+        config_path, capsys, command, p_d):
+    # the combined BLER is evaluated over the channel uses of one copy at p_d
+    doc = {"scheme": "MC", "chase": "finite_blocklength"}
+    if command[0] != "sweep":  # a sweep sets p_d itself
+        doc["p_d"] = p_d
+    code = main([*command, "--config", config_path(**doc)])
+    assert code == 5
+    assert capsys.readouterr() == ("", "error: DOMAIN_ERROR: p_d: finite_blocklength chase "
+                                       f"needs a BLER in (0, 0.5), got {p_d!r}\n")
+
+
+@pytest.mark.parametrize("name", ["t_up_ttis", "t_bp_initial_ttis"])
+def test_negative_numerology_delay_names_its_value(config_path, capsys, name):
+    code = main(["solve", "--config", config_path(scheme="MC", numerology={name: -1})])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", f"error: VALIDATION_ERROR: {name} must be nonnegative, got -1.0\n")
+
+
 def test_outage_breakdown_at_fixed_bler(config_path, capsys):
     code = main([
         "outage", "--config", config_path(p_d=0.1, policy="fixed_meta",

@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from urllc_mc.fbl import FblContext, achieved_bler, channel_use, db_to_linear
 from urllc_mc.outage import (
     ChaseModel,
     LinkBlerProfile,
+    _leaves,
     chase_bler,
     mc_outage,
     sc_outage,
@@ -268,6 +270,12 @@ def test_simulator_samples_the_tree_exactly_at_its_effective_profile(profile):
     for leaf, p in law.items():
         assert p == exact[leaf], leaf
         assert abs(p - near[leaf]) <= Fraction(2, w), leaf
+    # the package's own leaves, run at 60 digits at the effective profile, in the law's order
+    with mp.workdps(60):
+        ours = _leaves(*(mp.mpf(x.numerator) / x.denominator
+                         for x in (effective.p_m, effective.p_d, effective.p_c)))
+        assert all(abs(v - mp.mpf(p.numerator) / p.denominator) <= 1e-50
+                   for v, p in zip(ours, law.values())), (ours, law)
 
 
 def test_breakdown_partition_sums_to_one():

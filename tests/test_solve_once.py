@@ -117,9 +117,9 @@ def test_mc_outage_of_repeated_profile_is_the_sequential_product(m, monkeypatch)
         for _ in range(m):
             expected *= p_out
         # one per-link outage evaluation per run of one profile object
-        evaluations = _counting(monkeypatch, outage_mod, "_link_outage")
+        evaluations = _counting(monkeypatch, outage_mod, "_leaves")
         assert mc_outage([profile] * m) == expected
-        assert evaluations == [(profile,)]
+        assert evaluations == [(profile.p_m, profile.p_d, profile.p_c)]
         # equal by value but distinct objects: evaluated per link, same product
         evaluations.clear()
         assert mc_outage([LinkBlerProfile(p, p, p * p) for _ in range(m)]) == expected
