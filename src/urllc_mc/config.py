@@ -9,12 +9,11 @@ broadcasts to all nodes.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Optional, Tuple
 
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError, integer, real
 from .fbl import FblContext, db_to_linear
 from .outage import MAX_NODES, ChaseModel
 from .sim import MAX_SEED, MAX_TRIALS, Numerology
@@ -63,15 +62,9 @@ def _require(cond: bool, field_name: str, constraint: str):
 def _number(value, field_name: str) -> float:
     """A JSON number as a finite float; NaN, infinities and integers too
     large for a float are rejected by field name."""
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        field_name,
-        f"must be a number, got {value!r}",
-    )
-    # an exact comparison, so an int too large for a float fails too
-    _require(
-        abs(value) <= sys.float_info.max, field_name, f"must be finite, got {value!r}"
-    )
+    _require(integer(value) or isinstance(value, float), field_name,
+             f"must be a number, got {value!r}")
+    _require(real(value), field_name, f"must be finite, got {value!r}")
     return float(value)
 
 
@@ -89,11 +82,7 @@ def _scalars(doc: dict, schema) -> dict:
         if f.type == "bool":
             _require(isinstance(value, bool), f.name, f"must be a boolean, got {value!r}")
         elif f.type in ("int", "Optional[int]"):
-            _require(
-                isinstance(value, int) and not isinstance(value, bool),
-                f.name,
-                f"must be an integer, got {value!r}",
-            )
+            _require(integer(value), f.name, f"must be an integer, got {value!r}")
             _number(value, f.name)  # rejects an int too large for a float
         else:
             values[f.name] = _number(value, f.name)

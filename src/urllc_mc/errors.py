@@ -1,8 +1,8 @@
-"""Exception types shared across the toolkit, with their CLI exit and error codes."""
+"""Exception types shared across the toolkit, with their CLI exit and error
+codes, and the one test of what a numeric argument may be."""
 
+import math
 import sys
-
-import numpy as np
 
 
 class UrllcMcError(Exception):
@@ -41,15 +41,32 @@ class DomainError(UrllcMcError, ValueError):
     code = "DOMAIN_ERROR"
 
 
-# Python's and numpy's bool, which numeric arguments reject by exact type
-# (bool is an int subclass; numpy's passes range checks as 0 or 1).
-BOOL_TYPES = frozenset((bool, np.bool_))
+def integer(value: object) -> bool:
+    """An int that is not a bool (numpy's integers are not ints)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def real(value: object) -> bool:
+    """A finite Python int or float: numpy's float64, a float subclass,
+    counts; a bool, a str, numpy's float32 and int64, a Fraction or an int
+    past the float range does not. Every numeric argument is checked as
+    ``real(x) and <range>`` or ``integer(x) and <range>``."""
+    if type(value) is float:  # the common case; NaN and +-inf give NaN
+        return value - value == 0.0
+    if isinstance(value, float):
+        return math.isfinite(value)
+    # compared exactly, so an int past the float range is never converted
+    return integer(value) and abs(value) <= sys.float_info.max
 
 
 def shown(value: object) -> str:
-    """``repr(value)`` for an error message. An int past the float range is
-    described instead: no check accepts one, and its repr may exceed the
-    int-to-str digit limit."""
-    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
-        return "an int past the float range"
-    return repr(value)
+    """``repr(value)`` for an error message. A value of a type that ``real``
+    refuses is marked so, since a range message would misread it; an int
+    past the float range is described instead, as its repr may exceed the
+    int-to-str digit limit. None, an absent value, is shown plain."""
+    if integer(value):
+        return repr(value) if real(value) else "an int past the float range"
+    if isinstance(value, float) or value is None:
+        return repr(value)
+    name = type(value).__name__
+    return f"{value!r}, {'an' if name[0] in 'aeiou' else 'a'} {name}, not a Python int or float"

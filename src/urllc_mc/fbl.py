@@ -9,11 +9,10 @@ All functions are pure and scalar.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .errors import BOOL_TYPES, DomainError, shown
+from .errors import DomainError, integer, real, shown
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -25,8 +24,7 @@ DISPERSION_LIMIT = 1.0 / math.log(2.0) ** 2
 
 def q_func(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
-    # exact tests, so a bool or an int too large for a float fails too
-    if type(x) in BOOL_TYPES or not abs(x) <= sys.float_info.max:
+    if not real(x):
         raise DomainError(f"q_func argument must be finite, got {shown(x)}")
     return 0.5 * math.erfc(x / _SQRT2)
 
@@ -39,7 +37,7 @@ def q_inv(p: float) -> float:
     q_func/q_inv roundtrip below 1e-12 relative error over p in
     [1e-12, 1 - 1e-12].
     """
-    if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
+    if not (real(p) and 0.0 < p < 1.0):
         raise DomainError(f"q_inv argument must be in (0, 1), got {shown(p)}")
     x = -_STANDARD_NORMAL.inv_cdf(p)
     pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
@@ -50,8 +48,7 @@ def q_inv(p: float) -> float:
 
 def shannon_capacity(sinr_linear: float) -> float:
     """AWGN capacity C = log2(1 + sinr) in bits per channel use."""
-    # exact tests, so a bool or an int too large for a float fails too
-    if type(sinr_linear) in BOOL_TYPES or not 0.0 < sinr_linear <= sys.float_info.max:
+    if not (real(sinr_linear) and sinr_linear > 0.0):
         raise DomainError(f"sinr_linear must be positive, got {shown(sinr_linear)}")
     return math.log2(1.0 + sinr_linear)
 
@@ -63,7 +60,7 @@ def channel_dispersion(sinr_linear: float) -> float:
     positive SINR (squared information units per channel use); in double
     precision it rounds to that limit from about 81 dB on.
     """
-    if type(sinr_linear) in BOOL_TYPES or not 0.0 < sinr_linear <= sys.float_info.max:
+    if not (real(sinr_linear) and sinr_linear > 0.0):
         raise DomainError(f"sinr_linear must be positive, got {shown(sinr_linear)}")
     try:
         return DISPERSION_LIMIT * (1.0 - 1.0 / (1.0 + sinr_linear) ** 2)
@@ -75,8 +72,8 @@ def channel_dispersion(sinr_linear: float) -> float:
 
 def db_to_linear(x_db: float) -> float:
     """Convert a dB power ratio to linear scale."""
-    if type(x_db) in BOOL_TYPES:
-        raise DomainError(f"x_db must be a number, got {x_db!r}")
+    if not real(x_db):
+        raise DomainError(f"x_db must be a finite number, got {shown(x_db)}")
     try:
         return 10.0 ** (x_db / 10.0)
     except OverflowError:
@@ -99,15 +96,9 @@ class FblContext:
     dispersion: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # an exact type test, so bool (an int subclass) is rejected too
-        if not (type(self.payload_bits) is int and self.payload_bits >= 1):
-            raise DomainError(
-                f"payload_bits must be a positive integer, got {shown(self.payload_bits)}"
-            )
-        # an exact comparison, so an int too large for a float fails too (its
-        # repr may exceed the int-to-str digit limit, so it is not printed)
-        if not self.payload_bits <= sys.float_info.max:
-            raise DomainError("payload_bits must be within the float range")
+        bits = self.payload_bits
+        if not (integer(bits) and real(bits) and bits >= 1):
+            raise DomainError(f"payload_bits must be a positive integer, got {shown(bits)}")
         capacity = shannon_capacity(self.sinr_linear)
         if capacity == 0.0:
             raise DomainError(
@@ -125,7 +116,7 @@ def channel_use(ctx: FblContext, bler: float) -> float:
     nonnegative and the positive-root selection holds; R is real-valued
     (no rounding to resource blocks).
     """
-    if not (isinstance(bler, (int, float)) and 0.0 < bler < 0.5):
+    if not (real(bler) and 0.0 < bler < 0.5):
         raise DomainError(f"bler must be in (0, 0.5), got {shown(bler)}")
     qi = q_inv(bler)
     c = ctx.capacity
@@ -146,8 +137,7 @@ def achieved_bler(ctx: FblContext, channel_uses: float) -> float:
     decreasing in ``channel_uses``. The value is computed by ``_bler``,
     which ``outage.chase_bler`` calls too.
     """
-    # exact tests, so a bool or an int too large for a float fails too
-    if type(channel_uses) in BOOL_TYPES or not 0.0 < channel_uses <= sys.float_info.max:
+    if not (real(channel_uses) and channel_uses > 0.0):
         raise DomainError(f"channel_uses must be positive and finite, got {shown(channel_uses)}")
     return _bler(ctx.payload_bits, ctx.capacity, ctx.dispersion, channel_uses)
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, shown
+from .errors import DomainError, ValidationError, real, shown
 from .fbl import FblContext, _bler, channel_dispersion, channel_use, shannon_capacity
 
 # Most duplicating links a solve, a scenario, an m sweep, a simulation or an
@@ -32,9 +32,7 @@ _PLAIN = (float, int)
 
 
 def _check_prob(name: str, value) -> None:
-    # the chained comparison rejects NaN and +-inf, and compares ints exactly
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
-    if not ok:
+    if not (real(value) and 0.0 <= value <= 1.0):
         raise DomainError(f"{name} must be a probability in [0, 1], got {shown(value)}")
 
 

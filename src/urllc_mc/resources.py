@@ -18,11 +18,10 @@ was sized at.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import BOOL_TYPES, DomainError, ValidationError, shown
+from .errors import DomainError, ValidationError, real, shown
 from .fbl import FblContext, channel_use
 from .outage import _leaves
 from .solver import SolveResult
@@ -56,10 +55,9 @@ class UsageReport:
 def usage_sc(r: float, p_succ_first: float) -> float:
     """Expected channel uses of a single link: r plus r more when the
     first transmission fails, i.e. (2 - p_succ_first) * r."""
-    # exact tests, so a bool or an int too large for a float fails too
-    if type(r) in BOOL_TYPES or not 0.0 < r <= sys.float_info.max:
+    if not (real(r) and r > 0.0):
         raise DomainError(f"channel uses must be positive and finite, got {shown(r)}")
-    if type(p_succ_first) in BOOL_TYPES or not 0.0 <= p_succ_first <= 1.0:
+    if not (real(p_succ_first) and 0.0 <= p_succ_first <= 1.0):
         raise DomainError(f"p_succ_first must be in [0, 1], got {shown(p_succ_first)}")
     return (2.0 - p_succ_first) * r
 

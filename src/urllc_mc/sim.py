@@ -42,7 +42,6 @@ intervals are meaningful, not at the 1e-5 operating points.
 from __future__ import annotations
 
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +50,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from numpy.random import Philox
 
-from .errors import BOOL_TYPES, ValidationError, shown
+from .errors import ValidationError, integer, real, shown
 from .outage import LinkBlerProfile, _link_count
 
 # Layout of the random stream; any change to the draws bumps it.
@@ -93,16 +92,12 @@ class Numerology:
 
     def __post_init__(self) -> None:
         for name in ("scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis"):
-            value = getattr(self, name)
-            # exact tests, so a bool or an int too large for a float fails too
-            if type(value) in BOOL_TYPES or not abs(value) <= sys.float_info.max:
+            if not real(value := getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {shown(value)}")
         if not self.scs_khz > 0:
             raise ValidationError(f"scs_khz must be positive, got {self.scs_khz!r}")
         for name in ("symbols_per_tti", "harq_rtt_ttis"):
-            value = getattr(self, name)
-            if type(value) in BOOL_TYPES or not (isinstance(value, int)
-                                                 and 1 <= value <= sys.float_info.max):
+            if not (integer(value := getattr(self, name)) and real(value) and value >= 1):
                 raise ValidationError(
                     f"{name} must be a positive integer within the float range, "
                     f"got {shown(value)}"
@@ -149,8 +144,8 @@ def latency_budget_check(numerology: Numerology, budget_ms: float) -> tuple[floa
     support, which ``latency_quantile`` returns at q = 1 when some trial
     was delivered by retransmissions alone.
     """
-    if type(budget_ms) in BOOL_TYPES or not budget_ms > 0:
-        raise ValidationError(f"budget_ms must be positive, got {shown(budget_ms)}")
+    if not (real(budget_ms) and budget_ms > 0):
+        raise ValidationError(f"budget_ms must be positive and finite, got {shown(budget_ms)}")
     _, retx = _latency_offsets(numerology)
     worst_ms = ttis_to_ms(numerology, retx + 1.0)
     return worst_ms, worst_ms <= budget_ms
@@ -284,13 +279,13 @@ def simulate_run(
     for any ``jobs``, and memory does not grow with ``trials``.
     """
     m = _link_count(profiles)
-    if type(trials) in BOOL_TYPES or not (isinstance(trials, int) and 1 <= trials <= MAX_TRIALS):
+    if not (integer(trials) and 1 <= trials <= MAX_TRIALS):
         raise ValidationError(
             f"trials must be a positive integer at most {MAX_TRIALS}, got {shown(trials)}"
         )
-    if type(seed) in BOOL_TYPES or not (isinstance(seed, int) and 0 <= seed <= MAX_SEED):
+    if not (integer(seed) and 0 <= seed <= MAX_SEED):
         raise ValidationError(f"seed must be an integer in [0, 2**128), got {shown(seed)}")
-    if type(jobs) in BOOL_TYPES or not (isinstance(jobs, int) and jobs >= 1):
+    if not (integer(jobs) and jobs >= 1):
         raise ValidationError(f"jobs must be a positive integer, got {shown(jobs)}")
     if jobs > MAX_JOBS:
         raise ValidationError(f"jobs must be at most {MAX_JOBS}, got {shown(jobs)}")
@@ -359,7 +354,7 @@ def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
     otherwise. The frame alignment is integrated out exactly, so no
     interval is attached.
     """
-    if type(q) in BOOL_TYPES or not 0.0 < q <= 1.0:
+    if not (real(q) and 0.0 < q <= 1.0):
         raise ValidationError(f"q must be in (0, 1], got {shown(q)}")
     successes = float(mix.sum() - mix[0, 0])  # all but the outage cell
     if successes == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
 
-from .errors import BOOL_TYPES, DomainError, SolverError, ValidationError, shown
+from .errors import DomainError, SolverError, ValidationError, integer, real, shown
 from .fbl import FblContext
 from .outage import MAX_NODES, ChaseModel, LinkBlerProfile, chase_bler, mc_outage
 
@@ -36,7 +36,7 @@ class BlerPolicy:
 
     def __post_init__(self) -> None:
         if self.kind is PolicyKind.FIXED_META:
-            if self.fixed_meta is None or not 0.0 < self.fixed_meta < 1.0:
+            if not (real(self.fixed_meta) and 0.0 < self.fixed_meta < 1.0):
                 raise ValidationError(
                     f"FIXED_META policy requires fixed_meta in (0, 1), "
                     f"got {shown(self.fixed_meta)}"
@@ -72,7 +72,7 @@ def build_profile(
     ``ctx`` is the link's own context, needed only by the
     FINITE_BLOCKLENGTH chase model.
     """
-    if not 0.0 < p_d < 1.0:
+    if not (real(p_d) and 0.0 < p_d < 1.0):
         raise DomainError(f"p_d must be in (0, 1), got {shown(p_d)}")
     p_m = policy.meta_bler(p_d)
     p_c = chase_bler(chase, p_d, ctx)
@@ -124,12 +124,12 @@ def solve_bler(
     digits) within at most 200 iterations. Ties on an exact midpoint hit
     resolve toward the lower half.
     """
-    if type(m) in BOOL_TYPES or not (isinstance(m, int) and 1 <= m <= MAX_NODES):
+    if not (integer(m) and 1 <= m <= MAX_NODES):
         raise ValidationError(f"m must be a positive integer at most {MAX_NODES}, got {shown(m)}")
     contexts = [None] * m if contexts is None else list(contexts)
     if len(contexts) != m:
         raise ValidationError(f"expected {m} per-node contexts, got {len(contexts)}")
-    if not 1e-12 < target < 0.25:
+    if not (real(target) and 1e-12 < target < 0.25):
         raise DomainError(f"target outage must be in (1e-12, 0.25), got {shown(target)}")
 
     lo_p, hi_p = P_D_BRACKET

@@ -3,6 +3,11 @@ is added or removed only by editing the list below."""
 
 from __future__ import annotations
 
+import math
+import re
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,22 +15,29 @@ import urllc_mc
 from urllc_mc import (
     BlerPolicy,
     ChaseModel,
+    DomainError,
     FblContext,
     LinkBlerProfile,
     Numerology,
+    PolicyKind,
     UrllcMcError,
     achieved_bler,
+    build_profile,
     channel_dispersion,
+    channel_use,
+    chase_bler,
     db_to_linear,
     latency_budget_check,
     latency_quantile,
     q_func,
+    q_inv,
     shannon_capacity,
     simulate_run,
     solve_bler,
     success_mix,
     usage_sc,
 )
+from urllc_mc.errors import integer, real
 
 PUBLIC_NAMES = [
     "BlerPolicy",
@@ -79,37 +91,109 @@ def test_every_public_name_resolves():
 
 
 PERFECT = LinkBlerProfile(0, 0, 0)
+CTX = FblContext(256, 10.0)
 
-# (the name the error gives, a call with the bool in that argument)
-BOOL_ARGUMENTS = {
-    "solve_bler.m": ("m must", lambda b: solve_bler(b, 1e-5, BlerPolicy(), ChaseModel.ZERO)),
-    "simulate_run.trials": ("trials", lambda b: simulate_run([PERFECT], b, 1)),
-    "simulate_run.seed": ("seed", lambda b: simulate_run([PERFECT], 10, b)),
-    "simulate_run.jobs": ("jobs", lambda b: simulate_run([PERFECT], 10, 1, jobs=b)),
-    **{f"Numerology.{name}": (name, lambda b, name=name: Numerology(**{name: b}))
-       for name in ("scs_khz", "symbols_per_tti", "harq_rtt_ttis", "t_up_ttis",
-                    "t_tx_ttis", "t_bp_initial_ttis")},
-    "usage_sc.r": ("channel uses", lambda b: usage_sc(b, 0.5)),
-    "usage_sc.p_succ_first": ("p_succ_first", lambda b: usage_sc(2, b)),
-    "latency_quantile.q": ("q must", lambda b: latency_quantile(
+# (the name the error gives, an in-range value, a call with the argument in
+# question set); the in-range value is an int exactly for an integer argument
+NUMERIC_ARGUMENTS = {
+    "solve_bler.m": ("m must", 2, lambda b: solve_bler(b, 1e-5, BlerPolicy(), ChaseModel.ZERO)),
+    "solve_bler.target": ("target outage", 1e-5, lambda b: solve_bler(
+        2, b, BlerPolicy(), ChaseModel.ZERO)),
+    "simulate_run.trials": ("trials", 10, lambda b: simulate_run([PERFECT], b, 1)),
+    "simulate_run.seed": ("seed", 1, lambda b: simulate_run([PERFECT], 10, b)),
+    "simulate_run.jobs": ("jobs", 1, lambda b: simulate_run([PERFECT], 10, 1, jobs=b)),
+    **{f"Numerology.{name}": (name, good, lambda b, name=name: Numerology(**{name: b}))
+       for name, good in (("scs_khz", 30.0), ("symbols_per_tti", 4), ("harq_rtt_ttis", 4),
+                          ("t_up_ttis", 1.0), ("t_tx_ttis", 1.0), ("t_bp_initial_ttis", 0.0))},
+    "usage_sc.r": ("channel uses", 2.0, lambda b: usage_sc(b, 0.5)),
+    "usage_sc.p_succ_first": ("p_succ_first", 0.5, lambda b: usage_sc(2, b)),
+    "latency_quantile.q": ("q must", 0.99, lambda b: latency_quantile(
         success_mix([PERFECT]), Numerology(), b)),
-    "latency_budget_check.budget_ms": ("budget_ms", lambda b: latency_budget_check(
+    "latency_budget_check.budget_ms": ("budget_ms", 1.0, lambda b: latency_budget_check(
         Numerology(), b)),
-    "achieved_bler.channel_uses": ("channel_uses", lambda b: achieved_bler(
-        FblContext(256, 10.0), b)),
-    "q_func.x": ("q_func argument", q_func),
-    "shannon_capacity.sinr_linear": ("sinr_linear", shannon_capacity),
-    "channel_dispersion.sinr_linear": ("sinr_linear", channel_dispersion),
-    "db_to_linear.x_db": ("x_db", db_to_linear),
+    "achieved_bler.channel_uses": ("channel_uses", 500.0, lambda b: achieved_bler(CTX, b)),
+    "q_func.x": ("q_func argument", 0.5, q_func),
+    "q_inv.p": ("q_inv argument", 0.1, q_inv),
+    "shannon_capacity.sinr_linear": ("sinr_linear", 10.0, shannon_capacity),
+    "channel_dispersion.sinr_linear": ("sinr_linear", 10.0, channel_dispersion),
+    "db_to_linear.x_db": ("x_db", 10.0, db_to_linear),
+    "FblContext.payload_bits": ("payload_bits", 256, lambda b: FblContext(b, 10.0)),
+    "FblContext.sinr_linear": ("sinr_linear", 10.0, lambda b: FblContext(256, b)),
+    "channel_use.bler": ("bler must", 0.1, lambda b: channel_use(CTX, b)),
+    "LinkBlerProfile.p_m": ("p_m", 0.1, lambda b: LinkBlerProfile(b, 0.2, 0.05)),
+    "LinkBlerProfile.p_d": ("p_d", 0.1, lambda b: LinkBlerProfile(0.1, b, 0.05)),
+    "LinkBlerProfile.p_c": ("p_c", 0.1, lambda b: LinkBlerProfile(0.1, 0.2, b)),
+    "chase_bler.p_d": ("p_d", 0.1, lambda b: chase_bler(ChaseModel.PRODUCT, b)),
+    "build_profile.p_d": ("p_d", 0.1, lambda b: build_profile(
+        b, BlerPolicy(), ChaseModel.ZERO)),
+    "BlerPolicy.fixed_meta": ("fixed_meta", 0.1, lambda b: BlerPolicy(
+        PolicyKind.FIXED_META, b)),
 }
 
 
 @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_],
                          ids=["True", "False", "np.True_", "np.False_"])
-@pytest.mark.parametrize("argument", sorted(BOOL_ARGUMENTS))
+@pytest.mark.parametrize("argument", sorted(NUMERIC_ARGUMENTS))
 def test_numeric_arguments_reject_bool_by_name(argument, flag):
     # bool is an int subclass and numpy's bool compares as 0 or 1, so only
-    # an exact type test against errors.BOOL_TYPES tells them apart
-    name, call = BOOL_ARGUMENTS[argument]
+    # errors.real and errors.integer, which refuse both, tell them apart
+    name, _, call = NUMERIC_ARGUMENTS[argument]
     with pytest.raises(UrllcMcError, match=f"{name}.*{flag}"):
         call(flag)
+
+
+def _bad_values(good):
+    """Values of a type that errors.real refuses, each the in-range ``good``
+    but for its type, and a float32 infinity; numpy's int64 too for an
+    integer argument."""
+    bad = [str(good), np.float32(good), np.float32("inf"), Fraction(str(good)), Decimal(str(good))]
+    return bad + [np.int64(good)] if isinstance(good, int) else bad
+
+
+BAD_VALUES = [(argument, bad) for argument, (_, good, _) in sorted(NUMERIC_ARGUMENTS.items())
+              for bad in _bad_values(good)]
+
+
+@pytest.mark.parametrize("argument, bad", BAD_VALUES,
+                         ids=[f"{a}-{type(b).__name__}-{b}" for a, b in BAD_VALUES])
+def test_numeric_arguments_reject_other_types_by_name(argument, bad):
+    # no TypeError from a comparison and no numpy cast warning (warnings are
+    # errors under the test configuration): the error names the argument and
+    # marks the value's type
+    name, _, call = NUMERIC_ARGUMENTS[argument]
+    with pytest.raises(
+        UrllcMcError, match=f"{name}.*, an? {type(bad).__name__}, not a Python int or float"
+    ):
+        call(bad)
+
+
+@pytest.mark.parametrize("argument, bad, message", [
+    ("db_to_linear.x_db", math.inf, "x_db must be a finite number, got inf"),
+    ("db_to_linear.x_db", -math.inf, "x_db must be a finite number, got -inf"),
+    ("db_to_linear.x_db", math.nan, "x_db must be a finite number, got nan"),
+    ("latency_budget_check.budget_ms", math.inf, "budget_ms must be positive and finite, got inf"),
+])
+def test_non_finite_numbers_rejected_by_name(argument, bad, message):
+    with pytest.raises(UrllcMcError, match=f"^{re.escape(message)}$"):
+        NUMERIC_ARGUMENTS[argument][2](bad)
+
+
+def test_a_refused_type_is_marked_in_the_message():
+    # without the mark, "must be in (0, 1), got 0.1" would misread the range
+    value = np.float32(0.1)
+    with pytest.raises(DomainError) as info:
+        q_inv(value)
+    assert str(info.value) == (
+        f"q_inv argument must be in (0, 1), got {value!r}, a float32, not a Python int or float"
+    )
+
+
+@pytest.mark.parametrize("value, is_real, is_integer", [
+    (0.1, True, False), (-3, True, True), (np.float64(2.5), True, False),
+    (10**308, True, True), (10**309, False, True), (math.inf, False, False),
+    (math.nan, False, False), (np.float64("nan"), False, False), (True, False, False),
+    (np.True_, False, False), (np.float32(0.5), False, False), (np.int64(3), False, False),
+    (Fraction(1, 2), False, False), ("1", False, False), (None, False, False),
+])
+def test_real_and_integer(value, is_real, is_integer):
+    assert (real(value), integer(value)) == (is_real, is_integer)
