@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ScenarioConfig, load_scenario
 from .errors import DomainError, UrllcMcError, ValidationError
-from .fbl import FblContext, db_to_linear
+from .fbl import FblContext, channel_use, db_to_linear
 from .outage import MAX_NODES, ChaseModel, mc_outage, sc_outage, succ_first
 from .resources import usage_at_solution, usage_sc
 from .sim import latency_quantile, simulate_run, ttis_to_ms
@@ -84,17 +84,23 @@ def cmd_solve(cfg: ScenarioConfig) -> Rows:
 
 
 def cmd_resource(cfg: ScenarioConfig) -> Rows:
-    """Channel use and total expected usage at the outage target."""
+    """Channel use and total expected usage at the outage target, and given
+    ``metadata_bits`` the metadata's node-average channel use, never in the total."""
     contexts = cfg.contexts()
-    report = usage_at_solution(
-        solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase, contexts),
-        contexts, cfg.metadata_bits,
-    )
+    report = usage_at_solution(solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy,
+                                          cfg.chase, contexts), contexts)
+    meta_use = None
+    if cfg.metadata_bits is not None:
+        p_m = report.solve.p_m
+        if not p_m < 0.5:  # channel_use sizes a BLER in (0, 0.5) only
+            raise DomainError(f"metadata_bits: cannot size the metadata at BLER "
+                              f"{p_m!r}, which must be below 0.5")
+        meta_use = math.fsum(channel_use(FblContext(cfg.metadata_bits, c.sinr_linear), p_m)
+                             for c in contexts) / len(contexts)
     header = ["scheme", "m", "bler_target", "channel_use", "total_usage",
               "metadata_channel_use"]
     rows = [[cfg.scheme, report.solve.m_nodes, report.solve.p_d,
-             report.channel_use_single, report.total_usage,
-             report.metadata_channel_use]]
+             report.channel_use_single, report.total_usage, meta_use]]
     return header, rows
 
 
@@ -118,14 +124,15 @@ def cmd_simulate(cfg: ScenarioConfig, seed: int, jobs: int = 1) -> Rows:
     latency = latency_quantile(
         agg.success_mix, cfg.numerology, cfg.latency_quantile, cfg.shared_frame_alignment
     )
+    # NaN: nothing was delivered, in TTIs or in ms
+    latency_ms = latency if math.isnan(latency) else ttis_to_ms(cfg.numerology, latency)
     q = f"{cfg.latency_quantile:g}"
     header = ["metric", "value", "ci_half_width_95", "trials", "seed"]
     rows = [
         ["outage", *agg.outage(), agg.trials, agg.seed],
         ["mean_usage_multiples", *agg.mean_usage(), agg.trials, agg.seed],
         [f"latency_ttis_q{q}", latency, 0.0, agg.trials, agg.seed],
-        [f"latency_ms_q{q}", ttis_to_ms(cfg.numerology, latency), 0.0,
-         agg.trials, agg.seed],
+        [f"latency_ms_q{q}", latency_ms, 0.0, agg.trials, agg.seed],
     ]
     return header, rows
 

@@ -136,8 +136,7 @@ def mc_outage(profiles: Sequence[LinkBlerProfile]) -> float:
     fails. A link holding the previous link's profile object reuses its
     outage leaf; the product takes one factor per link, in order.
     """
-    if len(profiles) < 1:
-        raise DomainError("at least one link profile is required")
+    _link_count(profiles)
     out, last = 1.0, None
     for profile in profiles:
         if profile is not last:

@@ -12,14 +12,15 @@ transmissions in expectation (the paper's normalized usage, fig. 4).
 Sizing is a step after solving: ``usage_at_solution`` sizes the links at
 a ``solver.SolveResult``, and the ``UsageReport`` it returns holds that
 solve, so a report says which BLER target, outage and iteration count it
-was sized at.
+was sized at. It sizes the data alone: the paper prices duplication by the
+channel uses of the duplicated data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError, ValidationError, real, shown
 from .fbl import FblContext, channel_use
@@ -35,14 +36,12 @@ class UsageReport:
     ``p_d``, the outage it reached and its link count. ``channel_use_single``
     is the per-transmission channel-use count (node average when per-node
     SINRs differ); ``total_usage`` includes the expected retransmissions
-    over all links. When requested, the metadata's own channel-use count
-    is reported alongside and is never added into ``total_usage``.
+    over all links. Both count the data's channel uses only.
     """
 
     solve: SolveResult
     channel_use_single: float
     total_usage: float
-    metadata_channel_use: Optional[float] = None
 
     def __post_init__(self) -> None:
         slack = 1e-9 * self.channel_use_single
@@ -62,8 +61,7 @@ def usage_sc(r: float, p_succ_first: float) -> float:
     return (2.0 - p_succ_first) * r
 
 
-def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],
-                      metadata_bits: Optional[int] = None) -> UsageReport:
+def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext]) -> UsageReport:
     """Size a transmission at a solve over the links ``contexts``, one per
     node: the finite-blocklength channel use at ``result.p_d`` plus the
     expected retransmissions, summed node-wise. Each link is sized on its
@@ -78,18 +76,8 @@ def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext],
     # the first-try leaf reads only the BLER targets (no p_c), shared by all nodes
     p1 = _leaves(result.p_m, result.p_d, 0.0)[0]
     r_sum = math.fsum(uses)
-    meta_use = None
-    if metadata_bits is not None:
-        if not result.p_m < 0.5:  # channel_use sizes a BLER in (0, 0.5) only
-            raise DomainError(f"metadata_bits: cannot size the metadata at BLER "
-                              f"{result.p_m!r}, which must be below 0.5")
-        meta_use = math.fsum(
-            channel_use(FblContext(metadata_bits, c.sinr_linear), result.p_m)
-            for c in contexts
-        ) / len(contexts)
     return UsageReport(
         solve=result,
         channel_use_single=r_sum / len(uses),
         total_usage=usage_sc(r_sum, p1),
-        metadata_channel_use=meta_use,
     )

@@ -108,16 +108,19 @@ class Numerology:
             if (value := getattr(self, name)) < 0:
                 raise ValidationError(f"{name} must be nonnegative, got {shown(value)}")
         worst_ttis = _latency_offsets(self)[1] + 1.0  # latency_budget_check's worst case
-        if not math.isfinite(ttis_to_ms(self, worst_ttis)):  # inf TTIs give inf ms
+        if not (math.isfinite(worst_ttis) and math.isfinite(ttis_to_ms(self, worst_ttis))):
             raise ValidationError("numerology: the worst-case latency must be finite in "
                                   f"TTIs and in ms, got {worst_ttis!r} TTIs")
 
 
 def ttis_to_ms(numerology: Numerology, ttis: float) -> float:
     """``ttis`` TTIs in ms; one TTI lasts symbols_per_tti * (15 / scs_khz) / 14."""
+    if not real(ttis):
+        raise ValidationError(f"ttis must be finite, got {shown(ttis)}")
     # grouped so that integer TTI totals come out exact (e.g. 7 TTIs at
-    # 4 symbols / 30 kHz is exactly 1.0 ms)
-    return (ttis * numerology.symbols_per_tti) * (15.0 / numerology.scs_khz) / 14.0
+    # 4 symbols / 30 kHz is exactly 1.0 ms); float() so that a huge int
+    # overflows to inf, as a float does, rather than raising
+    return (float(ttis) * numerology.symbols_per_tti) * (15.0 / numerology.scs_khz) / 14.0
 
 
 def _latency_offsets(numerology: Numerology) -> Tuple[float, float]:

@@ -3,8 +3,10 @@ is added or removed only by editing the list below."""
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
+from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from urllc_mc import (
     Numerology,
     PolicyKind,
     UrllcMcError,
+    UsageReport,
     achieved_bler,
     build_profile,
     channel_dispersion,
@@ -35,6 +38,8 @@ from urllc_mc import (
     simulate_run,
     solve_bler,
     success_mix,
+    ttis_to_ms,
+    usage_at_solution,
     usage_sc,
 )
 from urllc_mc.errors import integer, real
@@ -90,6 +95,13 @@ def test_every_public_name_resolves():
         assert getattr(urllc_mc, name) is not None, name
 
 
+def test_sizing_surface_is_pinned():
+    # sizing sizes the data; the metadata column belongs to the resource command
+    assert list(inspect.signature(usage_at_solution).parameters) == ["result", "contexts"]
+    assert [f.name for f in fields(UsageReport)] == ["solve", "channel_use_single",
+                                                    "total_usage"]
+
+
 PERFECT = LinkBlerProfile(0, 0, 0)
 CTX = FblContext(256, 10.0)
 
@@ -111,6 +123,7 @@ NUMERIC_ARGUMENTS = {
         success_mix([PERFECT]), Numerology(), b)),
     "latency_budget_check.budget_ms": ("budget_ms", 1.0, lambda b: latency_budget_check(
         Numerology(), b)),
+    "ttis_to_ms.ttis": ("ttis", 7.0, lambda b: ttis_to_ms(Numerology(), b)),
     "achieved_bler.channel_uses": ("channel_uses", 500.0, lambda b: achieved_bler(CTX, b)),
     "q_func.x": ("q_func argument", 0.5, q_func),
     "q_inv.p": ("q_inv argument", 0.1, q_inv),
@@ -172,6 +185,8 @@ def test_numeric_arguments_reject_other_types_by_name(argument, bad):
     ("db_to_linear.x_db", -math.inf, "x_db must be a finite number, got -inf"),
     ("db_to_linear.x_db", math.nan, "x_db must be a finite number, got nan"),
     ("latency_budget_check.budget_ms", math.inf, "budget_ms must be positive and finite, got inf"),
+    ("ttis_to_ms.ttis", math.nan, "ttis must be finite, got nan"),
+    ("ttis_to_ms.ttis", math.inf, "ttis must be finite, got inf"),
 ])
 def test_non_finite_numbers_rejected_by_name(argument, bad, message):
     with pytest.raises(UrllcMcError, match=f"^{re.escape(message)}$"):

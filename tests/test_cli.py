@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,9 +20,9 @@ import numpy as np
 import pytest
 
 import urllc_mc
-from urllc_mc.cli import cmd_simulate, main
+from urllc_mc.cli import _fmt, cmd_simulate, main
 from urllc_mc.config import load_scenario
-from urllc_mc.fbl import FblContext, db_to_linear
+from urllc_mc.fbl import FblContext, channel_use, db_to_linear
 from urllc_mc.outage import ChaseModel, chase_bler
 from urllc_mc.sim import latency_budget_check
 from urllc_mc.solver import BlerPolicy, solve_bler
@@ -124,6 +125,32 @@ def test_metadata_bler_past_the_sizable_range_names_metadata_bits(config_path, c
     assert code == 5
     assert capsys.readouterr() == ("", "error: DOMAIN_ERROR: metadata_bits: cannot size "
                                        "the metadata at BLER 0.6, which must be below 0.5\n")
+
+
+@pytest.mark.parametrize("doc", [
+    {"scheme": "MC", "m_nodes": 3, "sinr_db": [0, 5, 10], "chase": "finite_blocklength",
+     "policy": "half"},
+    {"scheme": "MC", "m_nodes": 2, "sinr_db": 10, "policy": "half"},
+], ids=["per_node_sinr", "equal_links"])
+def test_metadata_channel_use_is_the_node_average_beside_the_data_cells(config_path, capsys,
+                                                                         doc):
+    # resource sizes the metadata itself, at the solved metadata BLER (half
+    # the data BLER here); the data cells are those of the same document
+    # without metadata_bits
+    rows = []
+    for extra in ({}, {"metadata_bits": 128}):
+        path = config_path(**doc, **extra)
+        assert main(["resource", "--config", path, "--format", "csv"]) == 0
+        rows.append(_rows(capsys.readouterr().out)[0])
+    plain, with_meta = rows
+    cfg = load_scenario(config_path(**doc))
+    p_m = solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase,
+                     cfg.contexts()).p_m
+    meta = [channel_use(FblContext(128, c.sinr_linear), p_m) for c in cfg.contexts()]
+    assert with_meta["metadata_channel_use"] == _fmt(math.fsum(meta) / cfg.m_nodes)
+    assert plain["metadata_channel_use"] == ""
+    for column in ("bler_target", "channel_use", "total_usage"):
+        assert with_meta[column] == plain[column]
 
 
 @pytest.mark.parametrize(
@@ -247,6 +274,15 @@ def test_simulate_ms_row_is_the_budget_worst_case_at_quantile_one(config_path):
     _, rows = cmd_simulate(cfg, cfg.seed)
     assert rows[3][0] == "latency_ms_q1"
     assert rows[3][1] == latency_budget_check(cfg.numerology, 1.0)[0]
+
+
+def test_simulate_prints_nan_latency_when_nothing_is_delivered(config_path, capsys):
+    # ttis_to_ms refuses NaN, so the ms row passes it on without converting
+    assert main(["simulate", "--config", config_path(p_d=0.999999, trials=10),
+                 "--format", "csv"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert rows[0]["value"] == "1"
+    assert [r["value"] for r in rows[2:]] == ["nan", "nan"]
 
 
 def test_simulate_seed_override_changes_stream(config_path, capsys):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.fbl import FblContext, achieved_bler, channel_use, db_to_linear
 from urllc_mc.outage import (
+    MAX_NODES,
     ChaseModel,
     LinkBlerProfile,
     _leaves,
@@ -376,10 +377,19 @@ def test_mc_outage_is_the_in_order_product_of_sc_outage(drawn, data):
 
 
 def test_mc_outage_empty_rejected():
-    with pytest.raises(DomainError):
-        mc_outage([])
-    with pytest.raises(DomainError):
-        success_mix([])
+    for build in (mc_outage, success_mix):
+        with pytest.raises(DomainError, match="^at least one link profile is required$"):
+            build([])
+
+
+def test_mc_outage_link_count_is_bounded_like_success_mix():
+    # mc_outage is success_mix's cell (0, 0), so both take the same lists
+    profile = LinkBlerProfile(0.1, 0.1, 0.0)
+    assert mc_outage([profile] * MAX_NODES) == success_mix([profile] * MAX_NODES)[0, 0]
+    for build in (mc_outage, success_mix):
+        with pytest.raises(ValidationError) as info:
+            build([profile] * (MAX_NODES + 1))
+        assert str(info.value) == "at most 64 link profiles are allowed, got 65"
 
 
 # ---------------------------------------------------------------------------

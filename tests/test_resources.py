@@ -145,7 +145,6 @@ def test_usage_at_solution_sc_table_row():
     assert report.channel_use_single == pytest.approx(85.14, abs=0.05)
     assert report.total_usage == pytest.approx(85.44, abs=0.10)
     assert report.solve.m_nodes == 1
-    assert report.metadata_channel_use is None
 
 
 def test_usage_at_solution_mc_table_row():
@@ -174,18 +173,6 @@ def test_usage_at_solution_heterogeneous_nodes():
     assert report.total_usage == pytest.approx(
         (r10.total_usage + r0.total_usage) / 2, rel=1e-12
     )
-
-
-def test_usage_at_solution_metadata_reported_separately():
-    ctx = FblContext(256, db_to_linear(10.0))
-    with_meta = usage_at_solution(
-        solve_bler(1, 1e-5, EQUAL, ZERO, [ctx]), [ctx], metadata_bits=128
-    )
-    without = usage_at_solution(solve_bler(1, 1e-5, EQUAL, ZERO, [ctx]), [ctx])
-    assert with_meta.metadata_channel_use is not None
-    assert with_meta.metadata_channel_use > 0
-    # never folded into the headline usage
-    assert with_meta.total_usage == without.total_usage
 
 
 def test_usage_at_solution_savings_band():

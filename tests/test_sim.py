@@ -63,6 +63,9 @@ def test_tti_duration_reference_values():
     assert ttis_to_ms(Numerology(scs_khz=30, symbols_per_tti=2), 1.0) == pytest.approx(
         1.0 / 14.0, rel=1e-15
     )
+    # an int TTI count reads as the float it equals, a huge one included
+    assert ttis_to_ms(Numerology(), 7) == ttis_to_ms(Numerology(), 7.0) == 1.0
+    assert ttis_to_ms(Numerology(), 10**308) == ttis_to_ms(Numerology(), 1e308) == math.inf
 
 
 def test_numerology_validation():

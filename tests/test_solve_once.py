@@ -184,14 +184,11 @@ def test_usage_at_solution_sums_the_links_sized_one_at_a_time(chase, sinr_db, po
     contexts = [FblContext(256, db_to_linear(s)) for s in sinr_db]
     solved = solve_bler(m, 1e-5, policy, chase, contexts)
     uses = [channel_use(c, solved.p_d) for c in contexts]
-    meta = [channel_use(FblContext(128, c.sinr_linear), solved.p_m) for c in contexts]
-    report = usage_at_solution(solved, contexts, metadata_bits=128)
+    report = usage_at_solution(solved, contexts)
     assert report.solve is solved
     assert report.channel_use_single == math.fsum(uses) / m
     p_first = (1.0 - solved.p_m) * (1.0 - solved.p_d)
     assert report.total_usage == (2.0 - p_first) * math.fsum(uses)
-    assert report.metadata_channel_use == math.fsum(meta) / m
-    assert usage_at_solution(solved, contexts).metadata_channel_use is None
 
 
 # ---------------------------------------------------------------------------
