@@ -21,11 +21,13 @@ floor((p_m + (1 - p_m) * p_c / p_d) * 2**32). Trial i of an m-link run
 reads the 64-bit outputs m * i .. m * i + m - 1 of Philox4x64 keyed by
 the seed; link n takes uint32 words 2n (first attempt) and 2n + 1
 (second attempt) of that row, the little-endian halves of output n.
-Being counter-based, the stream lets a batch start at any trial,
-mid-block included, so any batch size or worker count sees the same
-words for the same trial and gives bit-identical tallies. Every band is within 2**-32 (about 2.3e-10)
-of its probability, below the solver's 1e-9 lower bracket; probabilities
-0 and 1 are exact.
+Being counter-based, the stream can be positioned at any trial,
+mid-block included: each worker thread positions its own generator once,
+at the first trial of its contiguous share of the batches, and reads the
+batches in order. So any batch size or worker count sees the same words
+for the same trial and gives bit-identical tallies. Every band is within
+2**-32 (about 2.3e-10) of its probability, below the solver's 1e-9 lower
+bracket; probabilities 0 and 1 are exact.
 
 Estimates read the tallies: ``SimAggregate.outage`` and ``mean_usage``
 directly, ``latency_quantile`` a success mix (``agg.success_mix``, or
@@ -68,7 +70,7 @@ MAX_TRIALS = 2**63 - 1
 MAX_SEED = 2**128 - 1
 
 # Most worker threads a run may use; each sums the tallies of its own
-# strided share of the batches, so memory does not grow with the run.
+# contiguous share of the batches, so memory does not grow with the run.
 MAX_JOBS = 64
 
 
@@ -134,8 +136,10 @@ def _latency_offsets(numerology: Numerology) -> Tuple[float, float]:
     first-try band [first, first + 1) ends.
     """
     n = numerology
-    first = n.t_bp_initial_ttis + n.t_tx_ttis + n.t_up_ttis
-    retx = n.harq_rtt_ttis + n.t_tx_ttis + n.t_up_ttis + n.t_bp_initial_ttis
+    # summed in float, so that ints past the float range once summed give
+    # inf, as floats do, rather than raising
+    first = float(n.t_bp_initial_ttis) + n.t_tx_ttis + n.t_up_ttis
+    retx = float(n.harq_rtt_ttis) + n.t_tx_ttis + n.t_up_ttis + n.t_bp_initial_ttis
     return first, retx
 
 
@@ -225,19 +229,25 @@ def _thresholds(profile: LinkBlerProfile) -> Tuple[int, int, int]:
     )
 
 
-def _run_batch(
-    thresholds: Sequence[Tuple[int, int, int]],
-    seed: int,
-    start: int,
-    count: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Leaf counts and success mix of trials [start, start + count)."""
-    m = len(thresholds)
+def _stream(seed: int, m: int, start: int) -> Philox:
+    """The seed's Philox stream positioned at trial ``start`` of an m-link
+    run: its next 64-bit output is output m * start of the stream."""
     bits = Philox(key=seed)
-    # four 64-bit outputs per Philox block; a batch may start mid-block
+    # four 64-bit outputs per Philox block; a trial may start mid-block
     blocks, skip = divmod(m * start, 4)
     bits.advance(blocks)
-    u = bits.random_raw(skip + m * count)[skip:].view(np.uint32).reshape(count, 2 * m)
+    bits.random_raw(skip)
+    return bits
+
+
+def _tally(
+    thresholds: Sequence[Tuple[int, int, int]], raw: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Leaf counts and success mix of the trials whose draws are ``raw``,
+    m 64-bit outputs per trial (``_stream``)."""
+    m = len(thresholds)
+    count = raw.size // m
+    u = raw.view(np.uint32).reshape(count, 2 * m)
     # Only the trials in which some link missed its first try read further;
     # the others are first-try successes on every link, mix cell (m, 0).
     missed = u[:, 0] < thresholds[0][1]
@@ -277,9 +287,12 @@ def simulate_run(
 ) -> SimAggregate:
     """Run ``trials`` independent HARQ rounds and tally the outcomes.
 
-    The trials run in batches of ``BATCH_SIZE``, split over ``jobs``
-    threads. Counts accumulate as integers, so the aggregate is identical
-    for any ``jobs``, and memory does not grow with ``trials``.
+    The trials run in batches of ``BATCH_SIZE``, split at whole batches
+    into one contiguous share per thread, up to ``jobs`` threads. Each
+    thread positions its own stream once, at its share's first trial, and
+    reads its batches in order. Counts accumulate as integers, so the
+    aggregate is identical for any ``jobs``, and memory does not grow with
+    ``trials``.
     """
     m = _link_count(profiles)
     if not (integer(trials) and 1 <= trials <= MAX_TRIALS):
@@ -295,12 +308,12 @@ def simulate_run(
     thresholds = [_thresholds(p) for p in profiles]
 
     def tally(share: range) -> Tuple[np.ndarray, np.ndarray]:
+        bits = _stream(seed, m, share[0])
         leaf_counts = np.zeros((m, 4), dtype=np.int64)
         mix = np.zeros((m + 1, m + 1), dtype=np.int64)
         for start in share:
-            batch_leaves, batch_mix = _run_batch(
-                thresholds, seed, start, min(BATCH_SIZE, trials - start)
-            )
+            count = min(BATCH_SIZE, trials - start)
+            batch_leaves, batch_mix = _tally(thresholds, bits.random_raw(m * count))
             leaf_counts += batch_leaves
             mix += batch_mix
         return leaf_counts, mix
@@ -310,9 +323,11 @@ def simulate_run(
     if workers == 1:
         leaf_counts, mix = tally(starts)
     else:
+        n = len(starts)
+        shares = (starts[n * w // workers:n * (w + 1) // workers] for w in range(workers))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            shares = list(pool.map(tally, (starts[w::workers] for w in range(workers))))
-        leaf_counts, mix = (sum(parts) for parts in zip(*shares))
+            parts = list(pool.map(tally, shares))
+        leaf_counts, mix = (sum(tallies) for tallies in zip(*parts))
     return SimAggregate(seed=seed, leaf_counts=leaf_counts, success_mix=mix)
 
 

@@ -25,7 +25,8 @@ from urllc_mc.resources import usage_sc
 from urllc_mc.sim import (
     MAX_JOBS,
     Numerology,
-    _run_batch,
+    _stream,
+    _tally,
     _threshold,
     _thresholds,
     latency_budget_check,
@@ -82,13 +83,23 @@ def test_numerology_validation():
 @pytest.mark.parametrize(
     "overrides",
     [{"scs_khz": 1e-310}, {"scs_khz": 1e-320}, {"harq_rtt_ttis": 10**308},
-     {"t_tx_ttis": 1e308, "t_up_ttis": 1e308}],
-    ids=["ms-tiny-scs", "ms-subnormal-scs", "ms-huge-rtt", "ttis"],
+     {"t_tx_ttis": 1e308, "t_up_ttis": 1e308}, {"t_tx_ttis": 10**308, "t_up_ttis": 10**308}],
+    ids=["ms-tiny-scs", "ms-subnormal-scs", "ms-huge-rtt", "ttis", "ttis-int"],
 )
 def test_numerology_rejects_an_overflowing_worst_case(overrides):
     # every field is finite, but the worst-case latency is not, in ms or in TTIs
     with pytest.raises(ValidationError, match="numerology: the worst-case latency must be finite"):
         Numerology(**overrides)
+
+
+def test_latency_offsets_are_float_sums():
+    # the offsets add the fields in float, so ints past the float range
+    # once summed overflow to inf rather than raising; in range they are
+    # the sums they always were
+    assert sim._latency_offsets(DEFAULT) == (2.0, 6.0)
+    numerology = Numerology(harq_rtt_ttis=8, t_up_ttis=0.5, t_tx_ttis=3, t_bp_initial_ttis=5)
+    assert sim._latency_offsets(numerology) == (8.5, 16.5)
+    assert all(type(o) is float for o in sim._latency_offsets(numerology))
 
 
 @pytest.mark.parametrize(
@@ -564,18 +575,22 @@ def _partitioned_runs(draw, m: int):
 @given(data=st.data(), seed=st.integers(0, 2**128 - 1))
 def test_any_trial_partition_sums_to_the_run(m, data, seed):
     # batches that start anywhere, mid Philox block included, tally the
-    # same trials as one run
+    # same trials as one run, whether each batch positions its own stream
+    # or one stream positioned at trial 0 is read batch after batch
     profiles, trials, starts = data.draw(_partitioned_runs(m))
     thresholds = [_thresholds(p) for p in profiles]
-    leaves = np.zeros((m, 4), dtype=np.int64)
-    mix = np.zeros((m + 1, m + 1), dtype=np.int64)
-    for start, stop in zip(starts, [*starts[1:], trials]):
-        batch_leaves, batch_mix = _run_batch(thresholds, seed, start, stop - start)
-        leaves += batch_leaves
-        mix += batch_mix
     agg = simulate_run(profiles, trials, seed)
-    assert np.array_equal(agg.leaf_counts, leaves)
-    assert np.array_equal(agg.success_mix, mix)
+    read_on = _stream(seed, m, 0)
+    for positioned in (True, False):
+        leaves = np.zeros((m, 4), dtype=np.int64)
+        mix = np.zeros((m + 1, m + 1), dtype=np.int64)
+        for start, stop in zip(starts, [*starts[1:], trials]):
+            bits = _stream(seed, m, start) if positioned else read_on
+            batch_leaves, batch_mix = _tally(thresholds, bits.random_raw(m * (stop - start)))
+            leaves += batch_leaves
+            mix += batch_mix
+        assert np.array_equal(agg.leaf_counts, leaves)
+        assert np.array_equal(agg.success_mix, mix)
     assert agg.trials == trials and agg.m_nodes == m
     for n in range(m):
         assert agg.trials == agg.leaf_counts[n].sum()
@@ -658,15 +673,39 @@ def test_stream_layout_is_pinned(monkeypatch):
         LinkBlerProfile(0.3, 0.1, 0.05),
     ]
     trials = 2_000
+    # odd batch sizes, so that at m = 3 the shares of jobs = 2 and 3 start
+    # mid Philox block: 257-trial batches at jobs = 3 cut at trials 514 and
+    # 1_285, outputs 1_542 and 3_855; 3-trial batches at jobs = 2 at trial
+    # 999, output 2_997
     batch_sizes = (1, 3, 257, sim.BATCH_SIZE)
     for m in (1, 2, 3):
         leaves, mix = _stream_tallies(profiles[:m], trials, seed=2019 + m)
         assert (leaves > 0).all()  # every leaf of every link is reached
         for bs in batch_sizes:
             monkeypatch.setattr(sim, "BATCH_SIZE", bs)
-            agg = simulate_run(profiles[:m], trials, seed=2019 + m)
-            assert np.array_equal(agg.leaf_counts, leaves)
-            assert np.array_equal(agg.success_mix, mix)
+            for jobs in (1, 2, 3):
+                agg = simulate_run(profiles[:m], trials, seed=2019 + m, jobs=jobs)
+                assert np.array_equal(agg.leaf_counts, leaves)
+                assert np.array_equal(agg.success_mix, mix)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_each_worker_positions_one_stream(monkeypatch, jobs):
+    # a worker positions its generator once, at its share's first trial, and
+    # reads its batches in order: one generator per worker, not per batch
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append(kwargs)
+        return Philox(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "Philox", counting_philox)
+    monkeypatch.setattr(sim, "BATCH_SIZE", 7)
+    profiles = [LinkBlerProfile(0.2, 0.3, 0.1)] * 3
+    for batches in (1, 2, 5, 12):
+        built.clear()
+        simulate_run(profiles, 7 * batches - 3, seed=9, jobs=jobs)
+        assert built == [{"key": 9}] * min(jobs, batches)
 
 
 def test_estimate_repeatable_bit_exact():
