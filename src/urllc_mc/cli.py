@@ -350,7 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="Monte Carlo estimates for the scenario")
     simulate.add_argument("--seed", type=int, help="override the configured seed")
     simulate.add_argument("--jobs", type=int, default=1,
-                          help="simulation worker threads (results are identical)")
+                          help="simulation worker threads; they draw in parallel and take "
+                               "turns to tally (results are identical)")
     sweep = sub.add_parser("sweep", parents=[scenario],
                            help="evaluate along a swept variable")
     sweep.add_argument("--variable", required=True, choices=("p_d", "sinr_db", "m"))

@@ -25,7 +25,13 @@ Being counter-based, the stream can be positioned at any trial,
 mid-block included: each worker thread positions its own generator once,
 at the first trial of its contiguous share of the batches, and reads the
 batches in order. So any batch size or worker count sees the same words
-for the same trial and gives bit-identical tallies. Every band is within
+for the same trial and gives bit-identical tallies. The workers draw side
+by side, since the Philox draw releases the GIL, but tally one at a time
+under one lock: a tally is some forty short numpy calls, and two workers
+tallying at once hand the GIL back and forth until both are slower than
+one. A tally gathers the trials in which some link missed its first try
+and reads only those further; when most trials miss, a run tallies every
+trial instead (dense), which skips the gather. Every band is within
 2**-32 (about 2.3e-10) of its probability, below the solver's 1e-9 lower
 bracket; probabilities 0 and 1 are exact.
 
@@ -44,6 +50,7 @@ intervals are meaningful, not at the 1e-5 operating points.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +78,8 @@ MAX_SEED = 2**128 - 1
 
 # Most worker threads a run may use; each sums the tallies of its own
 # contiguous share of the batches, so memory does not grow with the run.
+# Only the draws run in parallel; the tallies take turns under one lock,
+# so workers beyond those needed to keep one tally busy only wait.
 MAX_JOBS = 64
 
 
@@ -241,27 +250,39 @@ def _stream(seed: int, m: int, start: int) -> Philox:
 
 
 def _tally(
-    thresholds: Sequence[Tuple[int, int, int]], raw: np.ndarray
+    thresholds: Sequence[Tuple[int, int, int]], raw: np.ndarray, dense: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Leaf counts and success mix of the trials whose draws are ``raw``,
-    m 64-bit outputs per trial (``_stream``)."""
+    m 64-bit outputs per trial (``_stream``).
+
+    Sparse, the first tries of all links pick the trials in which some
+    link missed, and only those read further. Dense, every trial reads
+    further, from contiguous copies of each link's words; that is faster
+    when most trials miss some first try (``simulate_run``).
+    """
     m = len(thresholds)
     count = raw.size // m
     u = raw.view(np.uint32).reshape(count, 2 * m)
-    # Only the trials in which some link missed its first try read further;
-    # the others are first-try successes on every link, mix cell (m, 0).
-    missed = u[:, 0] < thresholds[0][1]
-    for n in range(1, m):
-        missed |= u[:, 2 * n] < thresholds[n][1]
-    rows = np.flatnonzero(missed)
-    all_first = count - rows.size
+    if dense:
+        all_first, read = 0, count
+    else:
+        # the trials in which no link missed its first try are first-try
+        # successes on every link, mix cell (m, 0)
+        missed = u[:, 0] < thresholds[0][1]
+        for n in range(1, m):
+            missed |= u[:, 2 * n] < thresholds[n][1]
+        rows = np.flatnonzero(missed)
+        all_first, read = count - rows.size, rows.size
     leaf_counts = np.empty((m, 4), dtype=np.int64)
     # per-trial success counts, then the mix cell a * (m + 1) + b
     cell_dtype = np.min_scalar_type((m + 1) ** 2 - 1)
-    first_ok = np.zeros(rows.size, dtype=cell_dtype)
-    retx_ok = np.zeros(rows.size, dtype=cell_dtype)
+    first_ok = np.zeros(read, dtype=cell_dtype)
+    retx_ok = np.zeros(read, dtype=cell_dtype)
     for n, (t_meta, t_fail, t_nack) in enumerate(thresholds):
-        word1, word2 = u[:, 2 * n][rows], u[:, 2 * n + 1][rows]
+        if dense:
+            word1, word2 = u[:, 2 * n].copy(), u[:, 2 * n + 1].copy()
+        else:
+            word1, word2 = u[:, 2 * n][rows], u[:, 2 * n + 1][rows]
         first = word1 >= t_fail
         meta1_fail = word1 < t_meta
         timeout = meta1_fail & (word2 >= t_fail)
@@ -290,9 +311,12 @@ def simulate_run(
     The trials run in batches of ``BATCH_SIZE``, split at whole batches
     into one contiguous share per thread, up to ``jobs`` threads. Each
     thread positions its own stream once, at its share's first trial, and
-    reads its batches in order. Counts accumulate as integers, so the
-    aggregate is identical for any ``jobs``, and memory does not grow with
-    ``trials``.
+    reads its batches in order. The threads draw in parallel and take
+    turns to tally, under one lock. A batch's draws are freed once it is
+    tallied, before the next batch is drawn. The run tallies dense when
+    the thresholds say that most trials miss some first try. Counts
+    accumulate as integers, so the aggregate is identical for any
+    ``jobs``, and memory does not grow with ``trials``.
     """
     m = _link_count(profiles)
     if not (integer(trials) and 1 <= trials <= MAX_TRIALS):
@@ -306,14 +330,23 @@ def simulate_run(
     if jobs > MAX_JOBS:
         raise ValidationError(f"jobs must be at most {MAX_JOBS}, got {shown(jobs)}")
     thresholds = [_thresholds(p) for p in profiles]
+    # tally every trial when most of them miss some first try
+    dense = math.prod(1 - t_fail / 2**32 for _, t_fail, _ in thresholds) < 0.5
+    # one worker tallies at a time while the others draw
+    tallying = threading.Lock()
+
+    def batch(bits: Philox, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        # the draws die when this returns, before the next batch's are made
+        raw = bits.random_raw(m * count)
+        with tallying:
+            return _tally(thresholds, raw, dense)
 
     def tally(share: range) -> Tuple[np.ndarray, np.ndarray]:
         bits = _stream(seed, m, share[0])
         leaf_counts = np.zeros((m, 4), dtype=np.int64)
         mix = np.zeros((m + 1, m + 1), dtype=np.int64)
         for start in share:
-            count = min(BATCH_SIZE, trials - start)
-            batch_leaves, batch_mix = _tally(thresholds, bits.random_raw(m * count))
+            batch_leaves, batch_mix = batch(bits, min(BATCH_SIZE, trials - start))
             leaf_counts += batch_leaves
             mix += batch_mix
         return leaf_counts, mix

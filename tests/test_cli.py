@@ -554,6 +554,13 @@ def test_integer_beyond_float_range_exit_code(config_path, capsys):
     assert "VALIDATION_ERROR: sinr_db: must be finite" in err
 
 
+def test_number_given_as_a_string_is_one_validation_line(config_path, capsys):
+    code = main(["solve", "--config", config_path(target_outage="1e-5")])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "error: VALIDATION_ERROR: target_outage: must be a number, got '1e-5'\n")
+
+
 @pytest.mark.parametrize(
     "command, overrides",
     [(["resource"], {"payload_bits": 10**308}),

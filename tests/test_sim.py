@@ -7,7 +7,11 @@ around them. Seeds are fixed, so these tests are deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -502,6 +506,26 @@ def test_parallel_peak_memory_does_not_grow_with_batches(monkeypatch):
     assert peak(4_000) <= 2 * peak(400)
 
 
+@pytest.mark.parametrize("profile, m", [
+    (LinkBlerProfile(0.05, 0.05, 0.01), 1),
+    (LinkBlerProfile(0.05, 0.05, 0.01), 2),
+    (LinkBlerProfile(0.05, 0.05, 0.01), 3),
+    (LinkBlerProfile(0.2, 0.2, 0.04), 3),  # 74% of the trials miss: dense
+])
+def test_peak_memory_holds_one_batch_of_draws(profile, m):
+    # a batch's draws are freed before the next batch's are made; holding
+    # the previous ones alive across the next draw reaches two batches
+    draw_bytes = 8 * m * sim.BATCH_SIZE
+    simulate_run([profile] * m, sim.BATCH_SIZE, seed=1)  # warm up
+    tracemalloc.start()
+    try:
+        simulate_run([profile] * m, 4 * sim.BATCH_SIZE + 5, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * draw_bytes
+
+
 # ---------------------------------------------------------------------------
 # estimates and determinism
 
@@ -576,17 +600,19 @@ def _partitioned_runs(draw, m: int):
 def test_any_trial_partition_sums_to_the_run(m, data, seed):
     # batches that start anywhere, mid Philox block included, tally the
     # same trials as one run, whether each batch positions its own stream
-    # or one stream positioned at trial 0 is read batch after batch
+    # or one stream positioned at trial 0 is read batch after batch, and
+    # whether the misses are gathered first (sparse) or not (dense)
     profiles, trials, starts = data.draw(_partitioned_runs(m))
     thresholds = [_thresholds(p) for p in profiles]
     agg = simulate_run(profiles, trials, seed)
-    read_on = _stream(seed, m, 0)
-    for positioned in (True, False):
+    for positioned, dense in itertools.product((True, False), repeat=2):
+        read_on = _stream(seed, m, 0)
         leaves = np.zeros((m, 4), dtype=np.int64)
         mix = np.zeros((m + 1, m + 1), dtype=np.int64)
         for start, stop in zip(starts, [*starts[1:], trials]):
             bits = _stream(seed, m, start) if positioned else read_on
-            batch_leaves, batch_mix = _tally(thresholds, bits.random_raw(m * (stop - start)))
+            raw = bits.random_raw(m * (stop - start))
+            batch_leaves, batch_mix = _tally(thresholds, raw, dense)
             leaves += batch_leaves
             mix += batch_mix
         assert np.array_equal(agg.leaf_counts, leaves)
@@ -678,6 +704,16 @@ def test_stream_layout_is_pinned(monkeypatch):
     # 1_285, outputs 1_542 and 3_855; 3-trial batches at jobs = 2 at trial
     # 999, output 2_997
     batch_sizes = (1, 3, 257, sim.BATCH_SIZE)
+    # m = 1 misses a first try in 44% of the trials and tallies sparse,
+    # m = 2 and 3 in 75% and 84% and tally dense: both modes are pinned
+    modes = {}
+    tally = sim._tally
+
+    def recorded(thresholds, raw, dense):
+        modes.setdefault(len(thresholds), set()).add(dense)
+        return tally(thresholds, raw, dense)
+
+    monkeypatch.setattr(sim, "_tally", recorded)
     for m in (1, 2, 3):
         leaves, mix = _stream_tallies(profiles[:m], trials, seed=2019 + m)
         assert (leaves > 0).all()  # every leaf of every link is reached
@@ -687,6 +723,7 @@ def test_stream_layout_is_pinned(monkeypatch):
                 agg = simulate_run(profiles[:m], trials, seed=2019 + m, jobs=jobs)
                 assert np.array_equal(agg.leaf_counts, leaves)
                 assert np.array_equal(agg.success_mix, mix)
+    assert modes == {1: {False}, 2: {True}, 3: {True}}
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
@@ -706,6 +743,42 @@ def test_each_worker_positions_one_stream(monkeypatch, jobs):
         built.clear()
         simulate_run(profiles, 7 * batches - 3, seed=9, jobs=jobs)
         assert built == [{"key": 9}] * min(jobs, batches)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_one_worker_tallies_at_a_time(monkeypatch, jobs):
+    # the workers draw side by side but take turns to tally, so that their
+    # many short numpy calls do not pass the GIL back and forth
+    active = most = 0
+    counting = threading.Lock()
+    tally = sim._tally
+
+    def watched(*args):
+        nonlocal active, most
+        with counting:
+            active += 1
+            most = max(most, active)
+        try:
+            time.sleep(0.001)  # lets another worker in, if nothing stops it
+            return tally(*args)
+        finally:
+            with counting:
+                active -= 1
+
+    monkeypatch.setattr(sim, "_tally", watched)
+    monkeypatch.setattr(sim, "BATCH_SIZE", 64)
+    profiles = [LinkBlerProfile(0.2, 0.3, 0.1)] * 2
+    one = simulate_run(profiles, 64 * 24 - 5, seed=4, jobs=1)
+    most = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        agg = simulate_run(profiles, 64 * 24 - 5, seed=4, jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert most == 1
+    assert np.array_equal(agg.leaf_counts, one.leaf_counts)
+    assert np.array_equal(agg.success_mix, one.success_mix)
 
 
 def test_estimate_repeatable_bit_exact():
