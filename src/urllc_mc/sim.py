@@ -76,10 +76,10 @@ MAX_TRIALS = 2**63 - 1
 # Largest seed: the seed is the 128-bit Philox key.
 MAX_SEED = 2**128 - 1
 
-# Most worker threads a run may use; each sums the tallies of its own
-# contiguous share of the batches, so memory does not grow with the run.
-# Only the draws run in parallel; the tallies take turns under one lock,
-# so workers beyond those needed to keep one tally busy only wait.
+# Most worker threads a run may use; each draws its own contiguous share
+# of the batches and adds them into the run's one pair of tables under one
+# lock, so memory does not grow with the run. Only the draws run in
+# parallel, so workers beyond those needed to keep one tally busy only wait.
 MAX_JOBS = 64
 
 
@@ -249,11 +249,11 @@ def _stream(seed: int, m: int, start: int) -> Philox:
     return bits
 
 
-def _tally(
-    thresholds: Sequence[Tuple[int, int, int]], raw: np.ndarray, dense: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Leaf counts and success mix of the trials whose draws are ``raw``,
-    m 64-bit outputs per trial (``_stream``).
+def _tally(thresholds: Sequence[Tuple[int, int, int]], raw: np.ndarray, dense: bool,
+           leaf_counts: np.ndarray, mix: np.ndarray) -> None:
+    """Add the leaf counts and success mix of the trials whose draws are
+    ``raw``, m 64-bit outputs per trial (``_stream``), into the run's
+    ``leaf_counts`` and ``mix`` in place; the caller holds the tally lock.
 
     Sparse, the first tries of all links pick the trials in which some
     link missed, and only those read further. Dense, every trial reads
@@ -273,7 +273,6 @@ def _tally(
             missed |= u[:, 2 * n] < thresholds[n][1]
         rows = np.flatnonzero(missed)
         all_first, read = count - rows.size, rows.size
-    leaf_counts = np.empty((m, 4), dtype=np.int64)
     # per-trial success counts, then the mix cell a * (m + 1) + b
     cell_dtype = np.min_scalar_type((m + 1) ** 2 - 1)
     first_ok = np.zeros(read, dtype=cell_dtype)
@@ -290,14 +289,13 @@ def _tally(
         n_first = all_first + np.count_nonzero(first)
         n_timeout = np.count_nonzero(timeout)
         n_nack = np.count_nonzero(nack)
-        leaf_counts[n] = (n_first, n_timeout, n_nack, count - n_first - n_timeout - n_nack)
+        leaf_counts[n] += (n_first, n_timeout, n_nack, count - n_first - n_timeout - n_nack)
         first_ok += first
         retx_ok += timeout | nack
     first_ok *= m + 1
     first_ok += retx_ok
-    mix = np.bincount(first_ok, minlength=(m + 1) ** 2)
-    mix[m * (m + 1)] += all_first
-    return leaf_counts, mix.reshape(m + 1, m + 1)
+    mix += np.bincount(first_ok, minlength=(m + 1) ** 2).reshape(m + 1, m + 1)
+    mix[m, 0] += all_first
 
 
 def simulate_run(
@@ -312,11 +310,12 @@ def simulate_run(
     into one contiguous share per thread, up to ``jobs`` threads. Each
     thread positions its own stream once, at its share's first trial, and
     reads its batches in order. The threads draw in parallel and take
-    turns to tally, under one lock. A batch's draws are freed once it is
-    tallied, before the next batch is drawn. The run tallies dense when
-    the thresholds say that most trials miss some first try. Counts
-    accumulate as integers, so the aggregate is identical for any
-    ``jobs``, and memory does not grow with ``trials``.
+    turns, under one lock, to add each batch into the run's one pair of
+    tables. A batch's draws are freed once it is tallied, before the next
+    batch is drawn. The run tallies dense when the thresholds say that
+    most trials miss some first try. Counts accumulate as integers, so
+    the aggregate is identical for any ``jobs``, and memory does not grow
+    with ``trials``.
     """
     m = _link_count(profiles)
     if not (integer(trials) and 1 <= trials <= MAX_TRIALS):
@@ -332,35 +331,28 @@ def simulate_run(
     thresholds = [_thresholds(p) for p in profiles]
     # tally every trial when most of them miss some first try
     dense = math.prod(1 - t_fail / 2**32 for _, t_fail, _ in thresholds) < 0.5
+    leaf_counts = np.zeros((m, 4), dtype=np.int64)
+    mix = np.zeros((m + 1, m + 1), dtype=np.int64)
     # one worker tallies at a time while the others draw
     tallying = threading.Lock()
 
-    def batch(bits: Philox, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        # the draws die when this returns, before the next batch's are made
-        raw = bits.random_raw(m * count)
-        with tallying:
-            return _tally(thresholds, raw, dense)
-
-    def tally(share: range) -> Tuple[np.ndarray, np.ndarray]:
+    def work(share: range) -> None:
         bits = _stream(seed, m, share[0])
-        leaf_counts = np.zeros((m, 4), dtype=np.int64)
-        mix = np.zeros((m + 1, m + 1), dtype=np.int64)
         for start in share:
-            batch_leaves, batch_mix = batch(bits, min(BATCH_SIZE, trials - start))
-            leaf_counts += batch_leaves
-            mix += batch_mix
-        return leaf_counts, mix
+            raw = bits.random_raw(m * min(BATCH_SIZE, trials - start))
+            with tallying:
+                _tally(thresholds, raw, dense, leaf_counts, mix)
+            del raw  # freed before the next batch is drawn
 
     starts = range(0, trials, BATCH_SIZE)
     workers = min(jobs, len(starts))
     if workers == 1:
-        leaf_counts, mix = tally(starts)
+        work(starts)
     else:
         n = len(starts)
         shares = (starts[n * w // workers:n * (w + 1) // workers] for w in range(workers))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(tally, shares))
-        leaf_counts, mix = (sum(tallies) for tallies in zip(*parts))
+            list(pool.map(work, shares))
     return SimAggregate(seed=seed, leaf_counts=leaf_counts, success_mix=mix)
 
 

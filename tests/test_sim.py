@@ -491,7 +491,8 @@ def test_peak_memory_does_not_grow_with_trials(monkeypatch):
 
 
 def test_parallel_peak_memory_does_not_grow_with_batches(monkeypatch):
-    # at jobs > 1 each worker sums its own share; no result waits per batch
+    # at jobs > 1 the workers add into the run's one pair of tables; no
+    # result waits per batch
     profile = LinkBlerProfile(0.2, 0.2, 0.1)
     monkeypatch.setattr(sim, "BATCH_SIZE", 16)
 
@@ -554,8 +555,7 @@ def test_estimate_validations():
     with pytest.raises(ValidationError, match="seed"):
         simulate_run([profile], 10, 2**128)
     assert simulate_run([profile], 10, 2**128 - 1).seed == 2**128 - 1
-    # every batch is submitted at once, so the thread count is bounded
-    # before any pool exists
+    # MAX_JOBS is checked before any pool is built
     with pytest.raises(ValidationError, match=f"jobs must be at most {MAX_JOBS}"):
         simulate_run([profile], 10, 5, jobs=MAX_JOBS + 1)
     for jobs in (0, 1.5):
@@ -612,9 +612,7 @@ def test_any_trial_partition_sums_to_the_run(m, data, seed):
         for start, stop in zip(starts, [*starts[1:], trials]):
             bits = _stream(seed, m, start) if positioned else read_on
             raw = bits.random_raw(m * (stop - start))
-            batch_leaves, batch_mix = _tally(thresholds, raw, dense)
-            leaves += batch_leaves
-            mix += batch_mix
+            _tally(thresholds, raw, dense, leaves, mix)
         assert np.array_equal(agg.leaf_counts, leaves)
         assert np.array_equal(agg.success_mix, mix)
     assert agg.trials == trials and agg.m_nodes == m
@@ -709,9 +707,9 @@ def test_stream_layout_is_pinned(monkeypatch):
     modes = {}
     tally = sim._tally
 
-    def recorded(thresholds, raw, dense):
+    def recorded(thresholds, raw, dense, *tables):
         modes.setdefault(len(thresholds), set()).add(dense)
-        return tally(thresholds, raw, dense)
+        return tally(thresholds, raw, dense, *tables)
 
     monkeypatch.setattr(sim, "_tally", recorded)
     for m in (1, 2, 3):
@@ -779,6 +777,56 @@ def test_one_worker_tallies_at_a_time(monkeypatch, jobs):
     assert most == 1
     assert np.array_equal(agg.leaf_counts, one.leaf_counts)
     assert np.array_equal(agg.success_mix, one.success_mix)
+
+
+def test_one_worker_run_starts_no_thread(monkeypatch):
+    # a one-thread pool raises the peak memory of a jobs=1 run, so one
+    # worker runs in the calling thread; more build one pool
+    pools = []
+    pool_class = sim.ThreadPoolExecutor
+
+    def recording_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return pool_class(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(sim, "BATCH_SIZE", 64)
+    profiles = [LinkBlerProfile(0.2, 0.3, 0.1)] * 2
+    trials = 64 * 6 - 5  # six batches
+    one = simulate_run(profiles, trials, seed=5, jobs=1)
+    assert pools == []
+    two = simulate_run(profiles, trials, seed=5, jobs=2)
+    assert pools == [{"max_workers": 2}]
+    assert np.array_equal(one.leaf_counts, two.leaf_counts)
+    assert np.array_equal(one.success_mix, two.success_mix)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_worker_error_reaches_the_caller(monkeypatch, jobs):
+    # an error in any worker leaves through simulate_run, and no worker
+    # thread outlives the run
+    monkeypatch.setattr(sim, "BATCH_SIZE", 64)
+    profiles = [LinkBlerProfile(0.2, 0.3, 0.1)] * 2
+    trials = 64 * 6  # six batches
+    expected = simulate_run(profiles, trials, seed=6)
+    calls = 0
+    tally = sim._tally
+
+    def failing(*args):
+        nonlocal calls
+        calls += 1  # under the tally lock
+        if calls == 3:
+            raise RuntimeError("third tally")
+        return tally(*args)
+
+    monkeypatch.setattr(sim, "_tally", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="third tally"):
+        simulate_run(profiles, trials, seed=6, jobs=jobs)
+    assert threading.active_count() == threads
+    agg = simulate_run(profiles, trials, seed=6, jobs=jobs)
+    assert np.array_equal(agg.leaf_counts, expected.leaf_counts)
+    assert np.array_equal(agg.success_mix, expected.success_mix)
 
 
 def test_estimate_repeatable_bit_exact():
