@@ -2,7 +2,9 @@
 reproduction of the reference operating points.
 
 The sweep flags are checked here: argparse fixes their types and choices,
-``_sweep_grid`` the rest.
+``_sweep_grid`` the rest. The grids are built in plain Python, so every
+command but ``simulate`` runs on the standard library; numpy loads with
+the simulator.
 
 Exit codes: 0 ok, 2 parse, 3 validation, 4 solver, 5 domain, 6 I/O.
 Output is deterministic: fixed row order, fixed number formatting
@@ -16,8 +18,6 @@ import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .config import ScenarioConfig, load_scenario
 from .errors import DomainError, UrllcMcError, ValidationError
@@ -137,7 +137,32 @@ def cmd_simulate(cfg: ScenarioConfig, seed: int, jobs: int = 1) -> Rows:
     return header, rows
 
 
-def _sweep_grid(args) -> np.ndarray:
+def _linspace(start: float, stop: float, n: int) -> List[float]:
+    """``numpy.linspace(start, stop, n).tolist()`` for n >= 2, value for
+    value: the same float operations in the same order."""
+    div, delta = n - 1, stop - start
+    step = delta / div
+    if step == 0:  # the step underflowed: scale each index first
+        head = [i / div * delta + start for i in range(div)]
+    else:
+        head = [i * step + start for i in range(div)]
+    return head + [stop]
+
+
+def _pow10(x: float) -> float:
+    """10 ** x, inf where it overflows, as ``numpy.power`` gives."""
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        return math.inf
+
+
+def _logspace(start: float, stop: float, n: int) -> List[float]:
+    """n points from 10 ** start to 10 ** stop, evenly spaced in the exponent."""
+    return [_pow10(x) for x in _linspace(start, stop, n)]
+
+
+def _sweep_grid(args) -> List[float]:
     """The grid of the sweep flags, after the checks argparse cannot make:
     it reads "inf", "nan" and "1e400" as floats."""
     start, stop, points = args.start, args.stop, args.points
@@ -153,8 +178,8 @@ def _sweep_grid(args) -> np.ndarray:
     if args.scale == "log10":
         if start <= 0:
             raise ValidationError("log-scale sweep requires start > 0")
-        return np.logspace(np.log10(start), np.log10(stop), points)
-    return np.linspace(start, stop, points)
+        return _logspace(math.log10(start), math.log10(stop), points)
+    return _linspace(start, stop, points)
 
 
 def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
@@ -164,8 +189,7 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
         header = ["p_d", "scheme", "m", "policy", "outage", "normalized_usage"]
         contexts = cfg.contexts()
         rows = []
-        for value in grid:
-            p_d = float(value)
+        for p_d in grid:
             if not 0.0 < p_d < 1.0:
                 raise ValidationError(f"p_d sweep value {p_d!r} outside (0, 1)")
             profiles = link_profiles(p_d, cfg.policy, cfg.chase, contexts)
@@ -181,8 +205,7 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
                   "total_usage"]
         rows = []
         result = None
-        for value in grid:
-            sinr_db = float(value)
+        for sinr_db in grid:
             try:
                 ctx = FblContext(cfg.payload_bits, db_to_linear(sinr_db))
             except DomainError as exc:
@@ -212,7 +235,7 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
               "total_usage"]
     ms: List[int] = []
     for value in grid:
-        m = int(round(float(value)))
+        m = round(value)
         if not 1 <= m <= MAX_NODES:
             raise ValidationError(f"m sweep value {m} outside [1, {MAX_NODES}]")
         if m not in ms:
@@ -245,10 +268,8 @@ def _reproduce_fig3() -> Rows:
         ("fixed_0.01", BlerPolicy(PolicyKind.FIXED_META, fixed_meta=0.01)),
     ]
     schemes = [("SC", 1), ("MC", 2), ("MC", 3)]
-    grid = np.logspace(-4, -1, 61)
     rows = []
-    for value in grid:
-        p_d = float(value)
+    for p_d in _logspace(-4.0, -1.0, 61):
         for label, policy in policies:
             profile = build_profile(p_d, policy, ChaseModel.ZERO)
             for scheme, m in schemes:

@@ -7,18 +7,22 @@ alone writes. Duplicated transmission: product of the per-link outages,
 since every link runs its own independent HARQ round and copies are
 never combined across links. Its success mix holds every per-round
 distribution: outage, retransmissions and latency.
+
+Only ``success_mix`` reads numpy, and imports it when called: the closed
+forms run on the standard library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DomainError, ValidationError, real, shown
 from .fbl import FblContext, _bler, channel_dispersion, channel_use, shannon_capacity
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Most duplicating links a solve, a scenario, an m sweep, a simulation or an
 # exact success mix may use. The paper evaluates m <= 3 and the benchmark
@@ -155,6 +159,8 @@ def success_mix(profiles: Sequence[LinkBlerProfile]) -> np.ndarray:
     as its outage factor plus the shifted success terms, so cell (0, 0)
     takes the products of ``mc_outage`` and equals it bit for bit.
     """
+    import numpy as np
+
     m = _link_count(profiles)
     mix = np.zeros((m + 1, m + 1))
     mix[0, 0] = 1.0

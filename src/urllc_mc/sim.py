@@ -45,22 +45,26 @@ the exact latency distribution given the mix, a conditional Monte Carlo
 
 Plain Monte Carlo only: validate at error rates where the binomial
 intervals are meaningful, not at the 1e-5 operating points.
+
+numpy, its Philox generator and the thread pool are imported by the
+functions that draw, tally or read a mix, not with the module, so the
+closed-form commands that import ``Numerology`` run without them.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
-
-import numpy as np
-from numpy.random import Philox
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .errors import ValidationError, integer, real, shown
 from .outage import LinkBlerProfile, _link_count
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.random import Philox
 
 # Layout of the random stream; any change to the draws bumps it.
 STREAM_VERSION = 3
@@ -241,6 +245,8 @@ def _thresholds(profile: LinkBlerProfile) -> Tuple[int, int, int]:
 def _stream(seed: int, m: int, start: int) -> Philox:
     """The seed's Philox stream positioned at trial ``start`` of an m-link
     run: its next 64-bit output is output m * start of the stream."""
+    from numpy.random import Philox
+
     bits = Philox(key=seed)
     # four 64-bit outputs per Philox block; a trial may start mid-block
     blocks, skip = divmod(m * start, 4)
@@ -260,6 +266,8 @@ def _tally(thresholds: Sequence[Tuple[int, int, int]], raw: np.ndarray, dense: b
     further, from contiguous copies of each link's words; that is faster
     when most trials miss some first try (``simulate_run``).
     """
+    import numpy as np
+
     m = len(thresholds)
     count = raw.size // m
     u = raw.view(np.uint32).reshape(count, 2 * m)
@@ -272,26 +280,27 @@ def _tally(thresholds: Sequence[Tuple[int, int, int]], raw: np.ndarray, dense: b
         for n in range(1, m):
             missed |= u[:, 2 * n] < thresholds[n][1]
         rows = np.flatnonzero(missed)
+        del missed  # freed before the links' words are copied
         all_first, read = count - rows.size, rows.size
     # per-trial success counts, then the mix cell a * (m + 1) + b
     cell_dtype = np.min_scalar_type((m + 1) ** 2 - 1)
     first_ok = np.zeros(read, dtype=cell_dtype)
     retx_ok = np.zeros(read, dtype=cell_dtype)
     for n, (t_meta, t_fail, t_nack) in enumerate(thresholds):
-        if dense:
-            word1, word2 = u[:, 2 * n].copy(), u[:, 2 * n + 1].copy()
-        else:
-            word1, word2 = u[:, 2 * n][rows], u[:, 2 * n + 1][rows]
-        first = word1 >= t_fail
-        meta1_fail = word1 < t_meta
-        timeout = meta1_fail & (word2 >= t_fail)
-        nack = ~(first | meta1_fail) & (word2 >= t_nack)
+        word = u[:, 2 * n].copy() if dense else u[:, 2 * n][rows]
+        first = word >= t_fail
+        meta1_fail = word < t_meta
+        word = u[:, 2 * n + 1].copy() if dense else u[:, 2 * n + 1][rows]
+        timeout = meta1_fail & (word >= t_fail)
+        nack = ~(first | meta1_fail) & (word >= t_nack)
         n_first = all_first + np.count_nonzero(first)
         n_timeout = np.count_nonzero(timeout)
         n_nack = np.count_nonzero(nack)
         leaf_counts[n] += (n_first, n_timeout, n_nack, count - n_first - n_timeout - n_nack)
         first_ok += first
         retx_ok += timeout | nack
+        # freed before the next link's are made, and the last before bincount
+        del word, first, meta1_fail, timeout, nack
     first_ok *= m + 1
     first_ok += retx_ok
     mix += np.bincount(first_ok, minlength=(m + 1) ** 2).reshape(m + 1, m + 1)
@@ -328,6 +337,8 @@ def simulate_run(
         raise ValidationError(f"jobs must be a positive integer, got {shown(jobs)}")
     if jobs > MAX_JOBS:
         raise ValidationError(f"jobs must be at most {MAX_JOBS}, got {shown(jobs)}")
+    import numpy as np
+
     thresholds = [_thresholds(p) for p in profiles]
     # tally every trial when most of them miss some first try
     dense = math.prod(1 - t_fail / 2**32 for _, t_fail, _ in thresholds) < 0.5
@@ -349,6 +360,8 @@ def simulate_run(
     if workers == 1:
         work(starts)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         n = len(starts)
         shares = (starts[n * w // workers:n * (w + 1) // workers] for w in range(workers))
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -369,6 +382,8 @@ def _latency_tail(
     with independent alignments P(L > x) = (1 - F(x - o1))^a
     (1 - F(x - o2))^b, where F is the uniform CDF.
     """
+    import numpy as np
+
     o1, o2 = _latency_offsets(numerology)
     late1 = 1.0 - min(max(x - o1, 0.0), 1.0)
     late2 = 1.0 - min(max(x - o2, 0.0), 1.0)

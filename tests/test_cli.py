@@ -18,9 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import urllc_mc
-from urllc_mc.cli import _fmt, cmd_simulate, main
+from urllc_mc.cli import _fmt, _linspace, _logspace, cmd_simulate, main
 from urllc_mc.config import load_scenario
 from urllc_mc.fbl import FblContext, channel_use, db_to_linear
 from urllc_mc.outage import ChaseModel, chase_bler
@@ -629,22 +631,112 @@ def test_subcommands_reject_flags_they_ignore(config_path, capsys):
         assert exc.value.code == 2
 
 
-def test_cli_import_loads_only_stdlib_and_numpy():
-    # the package declares only numpy: the Q-function pair comes from the
-    # standard library, and scipy, mpmath and hypothesis serve the
-    # benchmark's oracle and the tests; numpy's extensions register the
-    # Cython runtime modules
+def _probe(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this package."""
     src = Path(urllc_mc.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    probe = ("import sys; before = set(sys.modules); import urllc_mc.cli; "
-             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    added = ast.literal_eval(result.stdout)
-    assert "numpy" in added and "urllc_mc" in added
-    allowed = set(sys.stdlib_module_names) | {"numpy", "urllc_mc", "cython_runtime"}
-    assert [m for m in added if m not in allowed and not m.startswith("_cython_")] == []
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_only_stdlib():
+    # the package declares only numpy, and only the simulator and the exact
+    # success mix import it, when they run: the Q-function pair comes from
+    # the standard library, and scipy, mpmath and hypothesis serve the
+    # benchmark's oracle and the tests
+    added = ast.literal_eval(_probe(
+        "import sys; before = set(sys.modules); import urllc_mc.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))"))
+    assert [m for m in added if m not in sys.stdlib_module_names] == ["urllc_mc"]
+
+
+_SIMULATOR_MODULES = ("numpy", "numpy.random", "concurrent.futures")
+
+# Runs every closed-form command through cli.main in one process, then
+# simulate; prints which simulator modules were loaded after each.
+_COMMANDS_PROBE = """
+import os, sys
+from urllc_mc.cli import main
+
+config, out = sys.argv[1:]
+loaded = lambda: [m for m in %r if m in sys.modules]
+sweep = ["sweep", "--config", config, "--format", "csv"]
+for argv in (
+    ["outage", "--config", config],
+    ["solve", "--config", config],
+    ["resource", "--config", config],
+    [*sweep, "--variable", "p_d", "--start", "1e-4", "--stop", "0.1", "--points", "41",
+     "--scale", "log10"],
+    [*sweep, "--variable", "sinr_db", "--start", "-5", "--stop", "15", "--points", "21"],
+    [*sweep, "--variable", "m", "--start", "1", "--stop", "4", "--points", "4"],
+    ["reproduce", "--out", out],
+):
+    with open(os.devnull, "w") as sys.stdout:
+        assert main(argv) == 0, argv
+sys.stdout = sys.__stdout__
+print(loaded())
+with open(os.devnull, "w") as sys.stdout:
+    assert main(["simulate", "--config", config, "--jobs", "2"]) == 0
+sys.stdout = sys.__stdout__
+print(loaded())
+""" % (_SIMULATOR_MODULES,)
+
+
+def test_only_simulate_loads_numpy_and_the_thread_pool(tmp_path):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"scheme": "MC", "target_outage": 1e-5, "sinr_db": 10,
+                                  "p_d": 0.01, "trials": 20_000}))
+    closed_form, simulate = map(ast.literal_eval, _probe(
+        _COMMANDS_PROBE, str(config), str(tmp_path / "repro")).splitlines())
+    assert closed_form == []
+    assert simulate == list(_SIMULATOR_MODULES)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(values) -> list:  # sign, NaN and every bit count
+    return [float.hex(float(v)) for v in values]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FLOATS, _FLOATS, st.integers(2, 300))
+@example(0.0, 1e-323, 6)  # the step underflows to 0, yet 2 / 5 * 1e-323 does not
+@example(1.0, 1.0, 4)  # no range at all
+@example(-sys.float_info.max, sys.float_info.max, 5)  # the range overflows
+@example(sys.float_info.max, -sys.float_info.max, 2)
+@example(-1e-4, 0.1, 20_001)
+def test_linspace_repeats_numpy_value_for_value(start, stop, n):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.linspace(start, stop, n)
+    assert _bits(_linspace(start, stop, n)) == _bits(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-300, 300), st.floats(-300, 300), st.integers(2, 100))
+def test_log_grid_is_libm_pow_within_one_ulp_of_numpy(start, stop, n):
+    exponents = _linspace(start, stop, n)
+    grid = _logspace(start, stop, n)
+    assert grid == [10.0 ** x for x in exponents]
+    for value, reference in zip(grid, np.logspace(start, stop, n).tolist()):
+        assert abs(value - reference) <= math.ulp(reference)
+
+
+def test_log_grid_overflows_to_inf():
+    assert _logspace(300.0, 400.0, 3) == [1e300, math.inf, math.inf]
+    assert _logspace(-400.0, 0.0, 2) == [0.0, 1.0]
+
+
+def test_log_sweep_past_the_float_range_is_a_grid_value_error(config_path, capsys):
+    # 10 ** log10(max float) overflows; the point is inf, outside (0, 1)
+    code = main([
+        "sweep", "--config", config_path(), "--variable", "p_d", "--scale", "log10",
+        "--start", "0.5", "--stop", repr(sys.float_info.max), "--points", "2",
+    ])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "error: VALIDATION_ERROR: p_d sweep value inf outside (0, 1)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ around them. Seeds are fixed, so these tests are deterministic.
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import math
 import sys
@@ -504,6 +505,7 @@ def test_parallel_peak_memory_does_not_grow_with_batches(monkeypatch):
         finally:
             tracemalloc.stop()
 
+    simulate_run([profile], 2 * 16, seed=1, jobs=2)  # warm up: imports the thread pool
     assert peak(4_000) <= 2 * peak(400)
 
 
@@ -525,6 +527,25 @@ def test_peak_memory_holds_one_batch_of_draws(profile, m):
     finally:
         tracemalloc.stop()
     assert peak < 2 * draw_bytes
+
+
+def test_dense_tally_peaks_below_the_draws():
+    # each attempt's word copy is freed before the next is made, and a
+    # link's masks before the next link's
+    m = 3
+    thresholds = [sim._thresholds(LinkBlerProfile(0.2, 0.2, 0.04))] * m
+    raw = sim._stream(1, m, 0).random_raw(m * sim.BATCH_SIZE)
+    leaf_counts = np.zeros((m, 4), dtype=np.int64)
+    mix = np.zeros((m + 1, m + 1), dtype=np.int64)
+    sim._tally(thresholds, raw, True, leaf_counts, mix)  # warm up
+    tracemalloc.start()
+    try:
+        sim._tally(thresholds, raw, True, leaf_counts, mix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * raw.nbytes
+    assert mix.sum() == 2 * sim.BATCH_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +755,7 @@ def test_each_worker_positions_one_stream(monkeypatch, jobs):
         built.append(kwargs)
         return Philox(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "Philox", counting_philox)
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
     monkeypatch.setattr(sim, "BATCH_SIZE", 7)
     profiles = [LinkBlerProfile(0.2, 0.3, 0.1)] * 3
     for batches in (1, 2, 5, 12):
@@ -783,13 +804,13 @@ def test_one_worker_run_starts_no_thread(monkeypatch):
     # a one-thread pool raises the peak memory of a jobs=1 run, so one
     # worker runs in the calling thread; more build one pool
     pools = []
-    pool_class = sim.ThreadPoolExecutor
+    pool_class = concurrent.futures.ThreadPoolExecutor
 
     def recording_pool(*args, **kwargs):
         pools.append(kwargs)
         return pool_class(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(sim, "BATCH_SIZE", 64)
     profiles = [LinkBlerProfile(0.2, 0.3, 0.1)] * 2
     trials = 64 * 6 - 5  # six batches
