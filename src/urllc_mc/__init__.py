@@ -32,17 +32,15 @@ from .outage import (
     succ_first,
     success_mix,
 )
-from .resources import (
-    UsageReport,
-    usage_at_solution,
-    usage_sc,
-)
 from .solver import (
     BlerPolicy,
     PolicyKind,
     SolveResult,
+    UsageReport,
     build_profile,
     solve_bler,
+    usage_at_solution,
+    usage_sc,
 )
 from .sim import (
     Numerology,

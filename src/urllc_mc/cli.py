@@ -23,9 +23,16 @@ from .config import ScenarioConfig, load_scenario
 from .errors import DomainError, UrllcMcError, ValidationError
 from .fbl import FblContext, channel_use, db_to_linear
 from .outage import MAX_NODES, ChaseModel, mc_outage, sc_outage, succ_first
-from .resources import usage_at_solution, usage_sc
 from .sim import latency_quantile, simulate_run, ttis_to_ms
-from .solver import BlerPolicy, PolicyKind, build_profile, link_profiles, solve_bler
+from .solver import (
+    BlerPolicy,
+    PolicyKind,
+    build_profile,
+    link_profiles,
+    solve_bler,
+    usage_at_solution,
+    usage_sc,
+)
 
 Rows = Tuple[List[str], List[list]]
 
@@ -235,7 +242,7 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
               "total_usage"]
     ms: List[int] = []
     for value in grid:
-        m = round(value)
+        m = round(value) if math.isfinite(value) else value
         if not 1 <= m <= MAX_NODES:
             raise ValidationError(f"m sweep value {m} outside [1, {MAX_NODES}]")
         if m not in ms:

@@ -1,9 +1,19 @@
-"""Numerical inversion of the outage model.
+"""Dimensioning: numerical inversion of the outage model, then sizing.
 
 Finds the per-transmission data BLER target that achieves a requested
 end-to-end outage, with the metadata BLER linked to the data BLER by a
 policy. Bisection on a log axis: the outage spans many decades in the
 BLER and is monotone, so bisection is slow but certain.
+
+Sizing is the step after a solve: ``usage_at_solution`` prices a
+``SolveResult`` in channel uses, and sizes the data alone (the paper
+prices duplication by the channel uses of the duplicated data). Every
+link finishes its own retransmission when its first transmission fails,
+even if another link already delivered the packet, so a round uses m + k
+transmissions when k links miss the first try. The expected usage needs
+only the per-link first-try probability, and ``usage_sc`` is its one
+formula: m links sharing a profile use ``usage_sc(m, succ_first(profile))``
+transmissions in expectation (the paper's normalized usage, fig. 4).
 """
 
 from __future__ import annotations
@@ -14,8 +24,8 @@ from enum import Enum
 from typing import List, Optional, Sequence
 
 from .errors import DomainError, SolverError, ValidationError, integer, real, shown
-from .fbl import FblContext
-from .outage import MAX_NODES, ChaseModel, LinkBlerProfile, chase_bler, mc_outage
+from .fbl import FblContext, channel_use
+from .outage import MAX_NODES, ChaseModel, LinkBlerProfile, _leaves, chase_bler, mc_outage
 
 P_D_BRACKET = (1e-9, 0.4999)  # upper end stays inside the channel-use domain
 MAX_ITERATIONS = 200
@@ -167,4 +177,59 @@ def solve_bler(
     raise SolverError(
         f"no convergence to |outage - {target:.3e}| <= {tol:.3e} "
         f"in {MAX_ITERATIONS} iterations"
+    )
+
+
+@dataclass(frozen=True)
+class UsageReport:
+    """Dimensioning summary at a solve.
+
+    ``solve`` is the solve the links were sized at: its BLER target
+    ``p_d``, the outage it reached and its link count. ``channel_use_single``
+    is the per-transmission channel-use count (node average when per-node
+    SINRs differ); ``total_usage`` includes the expected retransmissions
+    over all links. Both count the data's channel uses only.
+    """
+
+    solve: SolveResult
+    channel_use_single: float
+    total_usage: float
+
+    def __post_init__(self) -> None:
+        slack = 1e-9 * self.channel_use_single
+        if self.total_usage < self.channel_use_single - slack:
+            raise DomainError("total usage cannot undercut a single transmission")
+        if self.total_usage < self.solve.m_nodes * self.channel_use_single - slack:
+            raise DomainError("total usage cannot undercut one transmission per node")
+
+
+def usage_sc(r: float, p_succ_first: float) -> float:
+    """Expected channel uses of a single link: r plus r more when the
+    first transmission fails, i.e. (2 - p_succ_first) * r."""
+    if not (real(r) and r > 0.0):
+        raise DomainError(f"channel uses must be positive and finite, got {shown(r)}")
+    if not (real(p_succ_first) and 0.0 <= p_succ_first <= 1.0):
+        raise DomainError(f"p_succ_first must be in [0, 1], got {shown(p_succ_first)}")
+    return (2.0 - p_succ_first) * r
+
+
+def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext]) -> UsageReport:
+    """Size a transmission at a solve over the links ``contexts``, one per
+    node: the finite-blocklength channel use at ``result.p_d`` plus the
+    expected retransmissions, summed node-wise. Each link is sized on its
+    own, equal links too: a ``channel_use`` call costs about 1 us, and only
+    ``solver.link_profiles`` shares work between equal links. A solve
+    holds at other SINRs only if its chase model reads none
+    (``ChaseModel.reads_sinr``).
+    """
+    if contexts is None or len(contexts) != result.m_nodes:
+        raise ValidationError(f"usage_at_solution needs the {result.m_nodes} solved links")
+    uses = [channel_use(c, result.p_d) for c in contexts]
+    # the first-try leaf reads only the BLER targets (no p_c), shared by all nodes
+    p1 = _leaves(result.p_m, result.p_d, 0.0)[0]
+    r_sum = math.fsum(uses)
+    return UsageReport(
+        solve=result,
+        channel_use_single=r_sum / len(uses),
+        total_usage=usage_sc(r_sum, p1),
     )

@@ -25,7 +25,7 @@ from urllc_mc.outage import (
     succ_first,
     success_mix,
 )
-from urllc_mc.resources import usage_sc
+from urllc_mc.solver import usage_sc
 from urllc_mc.sim import (
     Numerology,
     _latency_tail,

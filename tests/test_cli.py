@@ -739,6 +739,27 @@ def test_log_sweep_past_the_float_range_is_a_grid_value_error(config_path, capsy
         "", "error: VALIDATION_ERROR: p_d sweep value inf outside (0, 1)\n")
 
 
+@pytest.mark.parametrize(
+    "variable, message",
+    [
+        ("m", "m sweep value nan outside [1, 64]"),
+        ("p_d", "p_d sweep value nan outside (0, 1)"),
+        ("sinr_db", "sinr_db sweep value nan: x_db must be a finite number, got nan"),
+    ],
+)
+def test_linear_sweep_across_the_float_range_is_a_grid_value_error(config_path, capsys,
+                                                                   variable, message):
+    # stop - start overflows, so the first point is 0 * inf + start = nan;
+    # the m sweep names it instead of rounding it
+    huge = repr(sys.float_info.max)
+    code = main([
+        "sweep", "--config", config_path(), "--variable", variable,
+        f"--start=-{huge}", "--stop", huge, "--points", "3",
+    ])
+    assert code == 3
+    assert capsys.readouterr() == ("", f"error: VALIDATION_ERROR: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 

@@ -10,7 +10,7 @@ import pytest
 from urllc_mc.errors import DomainError
 from urllc_mc.fbl import FblContext, db_to_linear
 from urllc_mc.outage import ChaseModel, LinkBlerProfile, succ_first, success_mix
-from urllc_mc.resources import UsageReport, usage_at_solution, usage_sc
+from urllc_mc.solver import UsageReport, usage_at_solution, usage_sc
 from urllc_mc.solver import BlerPolicy, PolicyKind, SolveResult, solve_bler
 
 ZERO = ChaseModel.ZERO

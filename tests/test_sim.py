@@ -26,7 +26,7 @@ from urllc_mc import sim, solver
 from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.fbl import FblContext, db_to_linear
 from urllc_mc.outage import MAX_NODES, ChaseModel, LinkBlerProfile, sc_outage, success_mix
-from urllc_mc.resources import usage_sc
+from urllc_mc.solver import usage_sc
 from urllc_mc.sim import (
     MAX_JOBS,
     Numerology,

@@ -21,7 +21,7 @@ from urllc_mc.cli import main
 from urllc_mc.errors import ValidationError
 from urllc_mc.fbl import FblContext, channel_use, db_to_linear
 from urllc_mc.outage import ChaseModel, LinkBlerProfile, mc_outage, sc_outage
-from urllc_mc.resources import usage_at_solution
+from urllc_mc.solver import usage_at_solution
 from urllc_mc.solver import (
     BlerPolicy,
     PolicyKind,
