@@ -22,13 +22,14 @@ from typing import List, Optional, Sequence, Tuple
 from .config import ScenarioConfig, load_scenario
 from .errors import DomainError, UrllcMcError, ValidationError
 from .fbl import FblContext, channel_use, db_to_linear
-from .outage import MAX_NODES, ChaseModel, mc_outage, sc_outage, succ_first
+from .outage import MAX_NODES, ChaseModel, _leaves, mc_outage, sc_outage, succ_first
 from .sim import latency_quantile, simulate_run, ttis_to_ms
 from .solver import (
     BlerPolicy,
     PolicyKind,
     build_profile,
     link_profiles,
+    outage_at,
     solve_bler,
     usage_at_solution,
     usage_sc,
@@ -195,16 +196,15 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
     if args.variable == "p_d":
         header = ["p_d", "scheme", "m", "policy", "outage", "normalized_usage"]
         contexts = cfg.contexts()
+        label = _policy_label(cfg.policy)
         rows = []
         for p_d in grid:
             if not 0.0 < p_d < 1.0:
                 raise ValidationError(f"p_d sweep value {p_d!r} outside (0, 1)")
-            profiles = link_profiles(p_d, cfg.policy, cfg.chase, contexts)
-            rows.append([
-                p_d, cfg.scheme, cfg.m_nodes, _policy_label(cfg.policy),
-                mc_outage(profiles),
-                usage_sc(cfg.m_nodes, succ_first(profiles[0])),
-            ])
+            outage = outage_at(p_d, cfg.policy, cfg.chase, contexts)
+            p_first = _leaves(cfg.policy.meta_bler(p_d), p_d, 0.0)[0]  # reads no p_c
+            rows.append([p_d, cfg.scheme, cfg.m_nodes, label, outage,
+                         usage_sc(cfg.m_nodes, p_first)])
         return header, rows
 
     if args.variable == "sinr_db":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from statistics import NormalDist
 
 from .errors import DomainError, integer, real, shown
@@ -88,6 +89,8 @@ class FblContext:
     ``sinr_linear``; they are stored so repeated evaluations do not pay
     for the logs. A SINR so small that ``1 + sinr`` rounds to 1 gives a
     zero capacity, which no channel use can reach, and is rejected.
+    ``_two_copy`` is the pair at twice the SINR (two combined copies),
+    computed when first read and kept out of equality and ``repr``.
     """
 
     payload_bits: int
@@ -106,6 +109,12 @@ class FblContext:
             )
         object.__setattr__(self, "capacity", capacity)
         object.__setattr__(self, "dispersion", channel_dispersion(self.sinr_linear))
+
+    @cached_property
+    def _two_copy(self) -> tuple:
+        # raises, uncached, when twice the SINR overflows to inf
+        sinr = 2.0 * self.sinr_linear
+        return shannon_capacity(sinr), channel_dispersion(sinr)
 
 
 def channel_use(ctx: FblContext, bler: float) -> float:

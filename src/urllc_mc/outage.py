@@ -19,7 +19,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DomainError, ValidationError, real, shown
-from .fbl import FblContext, _bler, channel_dispersion, channel_use, shannon_capacity
+from .fbl import FblContext, _bler, channel_use
 
 if TYPE_CHECKING:
     import numpy as np
@@ -184,7 +184,8 @@ def chase_bler(
     equal-power copies, same payload, over the channel uses that ``ctx``
     needs for a single copy at ``p_d`` < 0.5; requires ``ctx``. That BLER is
     computed by ``fbl._bler``, as in ``achieved_bler``, from the capacity
-    and dispersion at the summed SINR; no context is built for it.
+    and dispersion at the summed SINR, which ``ctx`` computes once; no
+    context is built for it.
     """
     _check_prob("p_d", p_d)
     if model is ChaseModel.ZERO:
@@ -195,6 +196,5 @@ def chase_bler(
         raise ValidationError("FINITE_BLOCKLENGTH chase model requires an FblContext")
     if not 0.0 < p_d < 0.5:  # the BLER range that channel_use sizes
         raise DomainError(f"p_d: finite_blocklength chase needs a BLER in (0, 0.5), got {p_d!r}")
-    sinr = 2.0 * ctx.sinr_linear
-    capacity, dispersion = shannon_capacity(sinr), channel_dispersion(sinr)
+    capacity, dispersion = ctx._two_copy
     return _bler(ctx.payload_bits, capacity, dispersion, channel_use(ctx, p_d))

@@ -3,7 +3,9 @@
 Finds the per-transmission data BLER target that achieves a requested
 end-to-end outage, with the metadata BLER linked to the data BLER by a
 policy. Bisection on a log axis: the outage spans many decades in the
-BLER and is monotone, so bisection is slow but certain.
+BLER and is monotone, so bisection is slow but certain. Its steps call
+``outage_at``, which multiplies the links' outage leaves and builds no
+``LinkBlerProfile``; ``link_profiles`` builds them for the other commands.
 
 Sizing is the step after a solve: ``usage_at_solution`` prices a
 ``SolveResult`` in channel uses, and sizes the data alone (the paper
@@ -25,7 +27,7 @@ from typing import List, Optional, Sequence
 
 from .errors import DomainError, SolverError, ValidationError, integer, real, shown
 from .fbl import FblContext, channel_use
-from .outage import MAX_NODES, ChaseModel, LinkBlerProfile, _leaves, chase_bler, mc_outage
+from .outage import MAX_NODES, ChaseModel, LinkBlerProfile, _leaves, _link_count, chase_bler
 
 P_D_BRACKET = (1e-9, 0.4999)  # upper end stays inside the channel-use domain
 MAX_ITERATIONS = 200
@@ -112,8 +114,29 @@ def outage_at(
     chase: ChaseModel,
     contexts: Sequence[Optional[FblContext]],
 ) -> float:
-    """Forward outage over one link per context at a shared data BLER target."""
-    return mc_outage(link_profiles(p_d, policy, chase, contexts))
+    """Forward outage over one link per context at a shared data BLER target.
+
+    ``mc_outage(link_profiles(...))`` bit for bit, errors included, without
+    building the profiles: ``p_m`` is computed once, a link whose context
+    equals the previous link's reuses its outage factor, and the product
+    takes one factor per link, in order.
+    """
+    out = 1.0
+    for i, c in enumerate(contexts):
+        if not i:
+            if not (real(p_d) and 0.0 < p_d < 1.0):
+                raise DomainError(f"p_d must be in (0, 1), got {shown(p_d)}")
+            p_m = policy.meta_bler(p_d)
+        elif c is contexts[i - 1] or c == contexts[i - 1]:
+            out *= p_out
+            continue
+        p_c = chase_bler(chase, p_d, c)
+        if not 0.0 <= p_c <= p_d:
+            LinkBlerProfile(p_m=p_m, p_d=p_d, p_c=p_c)  # raises its error
+        p_out = _leaves(p_m, p_d, p_c)[3]
+        out *= p_out
+    _link_count(contexts)  # last, as mc_outage counts the built profiles
+    return out
 
 
 def solve_bler(
@@ -218,7 +241,7 @@ def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext]) -> Us
     node: the finite-blocklength channel use at ``result.p_d`` plus the
     expected retransmissions, summed node-wise. Each link is sized on its
     own, equal links too: a ``channel_use`` call costs about 1 us, and only
-    ``solver.link_profiles`` shares work between equal links. A solve
+    the outage evaluations share work between equal links. A solve
     holds at other SINRs only if its chase model reads none
     (``ChaseModel.reads_sinr``).
     """

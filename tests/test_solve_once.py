@@ -9,22 +9,29 @@ the one-link-at-a-time computation it replaces.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import urllc_mc.fbl as fbl_mod
 import urllc_mc.outage as outage_mod
 import urllc_mc.solver as solver_mod
 from urllc_mc.cli import main
-from urllc_mc.errors import ValidationError
+from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.fbl import FblContext, channel_use, db_to_linear
-from urllc_mc.outage import ChaseModel, LinkBlerProfile, mc_outage, sc_outage
+from urllc_mc.outage import ChaseModel, LinkBlerProfile, chase_bler, mc_outage, sc_outage
 from urllc_mc.solver import usage_at_solution
 from urllc_mc.solver import (
+    MAX_ITERATIONS,
+    P_D_BRACKET,
     BlerPolicy,
     PolicyKind,
+    SolveResult,
     build_profile,
     link_profiles,
     outage_at,
@@ -33,6 +40,8 @@ from urllc_mc.solver import (
 
 EQUAL = BlerPolicy(PolicyKind.EQUAL)
 HALF = BlerPolicy(PolicyKind.HALF)
+FIXED = BlerPolicy(PolicyKind.FIXED_META, fixed_meta=0.02)
+FBL = ChaseModel.FINITE_BLOCKLENGTH
 P_D_GRID = [float(p) for p in np.logspace(-6, np.log10(0.45), 23)]
 
 
@@ -136,6 +145,177 @@ def test_mc_outage_keeps_link_order_over_distinct_profiles():
     for profile in links:
         expected *= sc_outage(profile).p_out
     assert mc_outage(links) == expected
+
+
+# ---------------------------------------------------------------------------
+# one evaluation, no profile objects: outage_at is mc_outage(link_profiles(...))
+
+
+def _outcome(evaluate):
+    """A float's exact bits, or the type and message of what it raised."""
+    try:
+        value = evaluate()
+    except Exception as exc:  # compared by the caller, never swallowed
+        return type(exc), str(exc)
+    return type(value), value.hex()
+
+
+def _via_profiles(p_d, policy, chase, contexts):
+    return mc_outage(link_profiles(p_d, policy, chase, contexts))
+
+
+_SINR_POOL = [db_to_linear(s) for s in (-3.0, 0.0, 4.0, 10.0, 25.0)]
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(
+    policy=st.sampled_from([EQUAL, HALF, FIXED]),
+    chase=st.sampled_from(list(ChaseModel)),
+    links=st.lists(
+        st.tuples(st.sampled_from(range(len(_SINR_POOL))), st.booleans()),
+        min_size=1, max_size=8,
+    ),
+    log_p_d=st.floats(-9.0, math.log10(0.4999)),
+)
+def test_outage_at_is_the_outage_of_the_link_profiles_bit_for_bit(policy, chase, links, log_p_d):
+    # a small pool makes repeats, adjacent and not; a drawn flag swaps in an
+    # equal but distinct copy of the pool's context
+    pool = [FblContext(256, s) for s in _SINR_POOL]
+    contexts = [FblContext(256, pool[i].sinr_linear) if copy else pool[i] for i, copy in links]
+    p_d = 10.0**log_p_d
+    got = _outcome(lambda: outage_at(p_d, policy, chase, contexts))
+    assert got == _outcome(lambda: _via_profiles(p_d, policy, chase, contexts))
+    assert got[0] is float
+
+
+def _bisect_over_profiles(m, target, policy, chase, contexts):
+    """solve_bler's bisection, written out over mc_outage(link_profiles(...))."""
+    lo_log, hi_log = (math.log10(p) for p in P_D_BRACKET)
+    assert _via_profiles(P_D_BRACKET[0], policy, chase, contexts) <= target
+    assert target <= _via_profiles(P_D_BRACKET[1], policy, chase, contexts)
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        mid_log = 0.5 * (lo_log + hi_log)
+        p_d = 10.0**mid_log
+        f = _via_profiles(p_d, policy, chase, contexts)
+        if abs(f - target) <= 1e-3 * target:
+            return SolveResult(p_d, policy.meta_bler(p_d), f, iteration, m)
+        if f >= target:
+            hi_log = mid_log
+        else:
+            lo_log = mid_log
+    raise AssertionError("no convergence")
+
+
+@pytest.mark.parametrize("chase", list(ChaseModel))
+@pytest.mark.parametrize("policy", [EQUAL, HALF, FIXED])
+@pytest.mark.parametrize("sinr_db", [[10.0], [0.0, 0.0], [0.0, 5.0, 10.0], [3.0, 3.0, 7.0, 3.0]])
+@pytest.mark.parametrize("depth", [0.3, 0.55, 0.8])
+def test_solve_bler_equals_a_bisection_over_link_profiles(chase, policy, sinr_db, depth):
+    m = len(sinr_db)
+    contexts = [FblContext(256, db_to_linear(s)) for s in sinr_db]
+    # a target inside the reachable outage range, ``depth`` of the way up
+    # its log axis, and inside the range solve_bler accepts
+    f_lo, f_hi = (_via_profiles(p, policy, chase, contexts) for p in P_D_BRACKET)
+    target = min(max(f_lo ** (1.0 - depth) * f_hi**depth, 2e-12), 0.2)
+    assert solve_bler(m, target, policy, chase, contexts) == _bisect_over_profiles(
+        m, target, policy, chase, contexts
+    )
+
+
+_CTX = FblContext(256, db_to_linear(10.0))
+
+
+@pytest.mark.parametrize("p_d, chase, contexts", [
+    (0.1, ChaseModel.ZERO, []),
+    (0.1, FBL, []),
+    (float("nan"), FBL, []),
+    (0.1, ChaseModel.ZERO, [_CTX] * 65),
+    (0.1, FBL, [_CTX] * 65),
+    (0.0, ChaseModel.ZERO, [_CTX] * 2),
+    (1.0, ChaseModel.PRODUCT, [_CTX] * 2),
+    (float("nan"), FBL, [_CTX] * 2),
+    (True, ChaseModel.ZERO, [_CTX] * 2),
+    ("0.1", FBL, [_CTX] * 2),
+    (0.0, ChaseModel.ZERO, [_CTX] * 65),
+    (0.5, FBL, [_CTX] * 2),
+    (0.7, FBL, [_CTX, FblContext(256, 1.0)]),
+    (0.1, FBL, [None] * 2),
+    (0.1, FBL, [_CTX, None]),
+    (0.1, FBL, [None] * 65),
+    # twice this SINR overflows to inf: the context builds, the chase fails
+    (0.1, FBL, [FblContext(256, 1e308)] * 2),
+])
+def test_outage_at_raises_what_the_link_profiles_raise(p_d, chase, contexts):
+    got = _outcome(lambda: outage_at(p_d, EQUAL, chase, contexts))
+    assert got[0] in (DomainError, ValidationError)
+    assert got == _outcome(lambda: _via_profiles(p_d, EQUAL, chase, contexts))
+
+
+def test_outage_at_raises_the_profile_error_when_combining_would_hurt(monkeypatch):
+    # no chase model gives p_c > p_d; both paths read solver.chase_bler
+    monkeypatch.setattr(solver_mod, "chase_bler", lambda chase, p_d, ctx: 2.0 * p_d)
+    got = _outcome(lambda: outage_at(0.1, HALF, FBL, [_CTX] * 2))
+    assert got[0] is DomainError and "must not exceed" in got[1]
+    assert got == _outcome(lambda: _via_profiles(0.1, HALF, FBL, [_CTX] * 2))
+
+
+def _doubled_pairs(monkeypatch):
+    """Arguments of every shannon_capacity call, wherever it is looked up."""
+    calls = []
+    original = fbl_mod.shannon_capacity
+
+    def counted(sinr_linear):
+        calls.append(sinr_linear)
+        return original(sinr_linear)
+
+    monkeypatch.setattr(fbl_mod, "shannon_capacity", counted)
+    monkeypatch.setattr(outage_mod, "shannon_capacity", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_finite_blocklength_solve_builds_no_profile_and_one_pair_per_context(m, monkeypatch):
+    a, b = FblContext(256, db_to_linear(0.0)), FblContext(256, db_to_linear(9.0))
+    builds = _counting(monkeypatch, solver_mod, "build_profile")
+    capacities = _doubled_pairs(monkeypatch)
+    solve_bler(m, 1e-5, EQUAL, FBL, [a] * m)
+    assert builds == []
+    assert capacities == [2.0 * a.sinr_linear]
+    # a second solve over the same objects computes nothing again; a new
+    # context computes its own pair once, however many steps read it
+    solve_bler(m, 1e-5, EQUAL, FBL, [a] * m)
+    solve_bler(m + 1, 1e-5, EQUAL, FBL, [a] + [b] * m)
+    assert builds == []
+    assert capacities == [2.0 * a.sinr_linear, 2.0 * b.sinr_linear]
+
+
+def test_a_zero_chase_sinr_sweep_never_computes_the_doubled_pair(tmp_path, capsys, monkeypatch):
+    config = _write(tmp_path, scheme="MC", m_nodes=2, sinr_db=10, target_outage=1e-5,
+                    chase="zero")
+    capacities = _doubled_pairs(monkeypatch)
+    assert main(["sweep", "--config", config, "--variable", "sinr_db", "--start", "-5",
+                 "--stop", "25", "--points", "7"]) == 0
+    capsys.readouterr()
+    # capacities of the configured SINR's and the points' contexts, none at
+    # twice a SINR
+    points = [db_to_linear(float(v)) for v in np.linspace(-5.0, 25.0, 7)]
+    assert capacities[-7:] == points
+    assert set(capacities) == {db_to_linear(10.0), *points}
+
+
+def test_the_doubled_pair_leaves_context_equality_and_repr_alone():
+    read, fresh = FblContext(256, 10.0), FblContext(256, 10.0)
+    shown = repr(fresh)
+    chase_bler(FBL, 0.01, read)
+    assert [f.name for f in dataclasses.fields(read)] == [
+        "payload_bits", "sinr_linear", "capacity", "dispersion"
+    ]
+    assert repr(read) == shown == (
+        f"FblContext(payload_bits=256, sinr_linear=10.0, capacity={read.capacity!r}, "
+        f"dispersion={read.dispersion!r})"
+    )
+    assert read == fresh and hash(read) == hash(fresh)
+    assert read != FblContext(256, 20.0)
 
 
 # ---------------------------------------------------------------------------
