@@ -278,9 +278,9 @@ def _reproduce_fig3() -> Rows:
     rows = []
     for p_d in _logspace(-4.0, -1.0, 61):
         for label, policy in policies:
-            profile = build_profile(p_d, policy, ChaseModel.ZERO)
             for scheme, m in schemes:
-                rows.append([p_d, label, scheme, m, mc_outage([profile] * m)])
+                rows.append([p_d, label, scheme, m,
+                             outage_at(p_d, policy, ChaseModel.ZERO, [None] * m)])
     return header, rows
 
 

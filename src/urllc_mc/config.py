@@ -43,11 +43,12 @@ class ScenarioConfig:
     shared_frame_alignment: bool = True
 
     def contexts(self) -> list[FblContext]:
-        """Per-node finite-blocklength contexts from the configured SINRs."""
-        return [
-            FblContext(self.payload_bits, db_to_linear(s))
-            for s in self.sinr_db
-        ]
+        """Per-node finite-blocklength contexts from the configured SINRs:
+        one object per distinct SINR, handed to every node with that SINR,
+        so equal links are the same object."""
+        built = {s: FblContext(self.payload_bits, db_to_linear(s))
+                 for s in dict.fromkeys(self.sinr_db)}
+        return [built[s] for s in self.sinr_db]
 
 
 # the fixed_meta policy's value sits beside "policy"

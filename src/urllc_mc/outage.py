@@ -137,15 +137,12 @@ def mc_outage(profiles: Sequence[LinkBlerProfile]) -> float:
 
     The copies are decoded independently and never combined across
     links, so the packet is lost only if every link's own HARQ round
-    fails. A link holding the previous link's profile object reuses its
-    outage leaf; the product takes one factor per link, in order.
+    fails. The product takes one outage factor per link, in order.
     """
     _link_count(profiles)
-    out, last = 1.0, None
+    out = 1.0
     for profile in profiles:
-        if profile is not last:
-            p_out, last = _leaves(profile.p_m, profile.p_d, profile.p_c)[3], profile
-        out *= p_out
+        out *= _leaves(profile.p_m, profile.p_d, profile.p_c)[3]
     return out
 
 

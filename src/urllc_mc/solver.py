@@ -97,15 +97,8 @@ def link_profiles(
     chase: ChaseModel,
     contexts: Sequence[Optional[FblContext]],
 ) -> List[LinkBlerProfile]:
-    """One profile per link, in link order; a link whose context equals the
-    previous link's shares its profile (one comparison, no hashing, per link)."""
-    profiles: List[LinkBlerProfile] = []
-    for i, c in enumerate(contexts):
-        if i and (c is contexts[i - 1] or c == contexts[i - 1]):
-            profiles.append(profiles[-1])
-        else:
-            profiles.append(build_profile(p_d, policy, chase, c))
-    return profiles
+    """One profile per link, in link order, each built on its own."""
+    return [build_profile(p_d, policy, chase, c) for c in contexts]
 
 
 def outage_at(
@@ -118,8 +111,9 @@ def outage_at(
 
     ``mc_outage(link_profiles(...))`` bit for bit, errors included, without
     building the profiles: ``p_m`` is computed once, a link whose context
-    equals the previous link's reuses its outage factor, and the product
-    takes one factor per link, in order.
+    is the previous link's object reuses its outage factor, and the product
+    takes one factor per link, in order. No other code reuses work across
+    links, and ``ScenarioConfig.contexts()`` makes equal links one object.
     """
     out = 1.0
     for i, c in enumerate(contexts):
@@ -127,7 +121,7 @@ def outage_at(
             if not (real(p_d) and 0.0 < p_d < 1.0):
                 raise DomainError(f"p_d must be in (0, 1), got {shown(p_d)}")
             p_m = policy.meta_bler(p_d)
-        elif c is contexts[i - 1] or c == contexts[i - 1]:
+        elif c is contexts[i - 1]:
             out *= p_out
             continue
         p_c = chase_bler(chase, p_d, c)
@@ -241,9 +235,8 @@ def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext]) -> Us
     node: the finite-blocklength channel use at ``result.p_d`` plus the
     expected retransmissions, summed node-wise. Each link is sized on its
     own, equal links too: a ``channel_use`` call costs about 1 us, and only
-    the outage evaluations share work between equal links. A solve
-    holds at other SINRs only if its chase model reads none
-    (``ChaseModel.reads_sinr``).
+    ``outage_at`` reuses work across links. A solve holds at other SINRs
+    only if its chase model reads none (``ChaseModel.reads_sinr``).
     """
     if contexts is None or len(contexts) != result.m_nodes:
         raise ValidationError(f"usage_at_solution needs the {result.m_nodes} solved links")

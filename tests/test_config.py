@@ -187,7 +187,8 @@ HUGE = 10**400  # a JSON integer beyond the float range
        ({"payload_bits": HUGE}, "payload_bits")]
     # finite in dB, but beyond the float range in linear scale
     + [({"sinr_db": 1e300}, "sinr_db"),
-       ({"scheme": "MC", "sinr_db": [10, 1e300]}, "sinr_db")],
+       ({"scheme": "MC", "sinr_db": [10, 1e300]}, "sinr_db"),
+       ({"scheme": "MC", "m_nodes": 3, "sinr_db": [10, 4000, 10]}, "sinr_db")],
 )
 def test_non_finite_numbers_rejected_by_name(overrides, field):
     # json.loads accepts NaN, Infinity and integers too large for a float,

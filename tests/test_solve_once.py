@@ -1,8 +1,9 @@
 """Solve once, size many: the closed-form layer shares work and not results.
 
-A link equal to the one before it shares that link's profile and its
-outage factor, sizing is a separate step from solving, and a SINR sweep
-solves once unless the chase model reads the SINR. Every test here
+A scenario's equal links are one context object, ``outage_at`` reuses a
+link's outage factor along a run of that object and no other code reuses
+work across links, sizing is a separate step from solving, and a SINR
+sweep solves once unless the chase model reads the SINR. Every test here
 compares with ``==``: the shared work must give exactly the numbers of
 the one-link-at-a-time computation it replaces.
 """
@@ -22,6 +23,7 @@ import urllc_mc.fbl as fbl_mod
 import urllc_mc.outage as outage_mod
 import urllc_mc.solver as solver_mod
 from urllc_mc.cli import main
+from urllc_mc.config import parse_scenario
 from urllc_mc.errors import DomainError, ValidationError
 from urllc_mc.fbl import FblContext, channel_use, db_to_linear
 from urllc_mc.outage import ChaseModel, LinkBlerProfile, chase_bler, mc_outage, sc_outage
@@ -67,13 +69,53 @@ def _counting(monkeypatch, module, name):
 
 
 # ---------------------------------------------------------------------------
-# equal adjacent links once
+# equal links are one object, and outage_at alone reuses along it
+
+
+@pytest.mark.parametrize("sinr_db, groups", [
+    (10, [0, 0, 0]),
+    ([0, 5, 0], [0, 1, 0]),
+    ([0.0, -0.0], [0, 0]),  # both are 1.0 in linear scale
+])
+def test_scenario_contexts_are_one_object_per_distinct_sinr(sinr_db, groups):
+    cfg = parse_scenario(json.dumps(
+        {"scheme": "MC", "m_nodes": len(groups), "sinr_db": sinr_db, "target_outage": 1e-5}
+    ))
+    contexts = cfg.contexts()
+    for ctx, g in zip(contexts, groups):
+        assert [ctx is other for other in contexts] == [g == h for h in groups]
+    for ctx, s in zip(contexts, cfg.sinr_db):
+        assert ctx == FblContext(cfg.payload_bits, db_to_linear(s))
+
+
+_A, _B = FblContext(256, db_to_linear(0.0)), FblContext(256, db_to_linear(9.0))
+
+
+@pytest.mark.parametrize("links, evaluated", [
+    *(([_A] * m, [_A]) for m in range(1, 5)),
+    ([_A, _B, _B, _A], [_A, _B, _A]),
+])
+def test_outage_at_evaluates_the_chase_once_per_run_of_one_object(links, evaluated, monkeypatch):
+    calls = _counting(monkeypatch, solver_mod, "chase_bler")
+    outage_at(0.01, EQUAL, FBL, links)
+    assert [args[2] for args in calls] == evaluated
+
+
+def test_a_p_d_sweep_evaluates_one_chase_per_point(tmp_path, capsys, monkeypatch):
+    # config's one object per SINR reaches the solver's reuse end to end
+    config = _write(tmp_path, scheme="MC", m_nodes=2, sinr_db=10, target_outage=1e-5,
+                    chase="finite_blocklength")
+    calls = _counting(monkeypatch, solver_mod, "chase_bler")
+    assert main(["sweep", "--config", config, "--variable", "p_d", "--start", "1e-6",
+                 "--stop", "0.1", "--points", "11", "--scale", "log10"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 11
 
 
 @pytest.mark.parametrize("chase", list(ChaseModel))
 @pytest.mark.parametrize("m", range(1, 9))
 def test_outage_at_over_equal_distinct_contexts_matches_per_link_product(chase, m):
-    # equal by value, distinct objects: what ScenarioConfig.contexts() returns
+    # equal by value, distinct objects: what a library caller may pass
     contexts = [FblContext(256, db_to_linear(4.0)) for _ in range(m)]
     assert len({id(c) for c in contexts}) == m
     for policy in (EQUAL, HALF):
@@ -93,58 +135,30 @@ def test_outage_at_over_per_node_sinrs_matches_per_link_product(chase, sinr_db):
         )
 
 
-def test_link_profiles_shares_a_build_along_equal_adjacent_links(monkeypatch):
+def test_link_profiles_builds_one_profile_per_link():
     a, b = FblContext(256, db_to_linear(0.0)), FblContext(256, db_to_linear(9.0))
-    contexts = [a, FblContext(256, a.sinr_linear), b, b, a]
-    builds = _counting(monkeypatch, solver_mod, "build_profile")
-    profiles = link_profiles(0.05, EQUAL, ChaseModel.FINITE_BLOCKLENGTH, contexts)
-    # a link equal to the one before it reuses its build; a later repeat
-    # that is not adjacent is built again
-    assert [args[3] for args in builds] == [a, b, a]
-    assert profiles == [
-        build_profile(0.05, EQUAL, ChaseModel.FINITE_BLOCKLENGTH, c) for c in contexts
-    ]
-    assert profiles[0] is profiles[1]
-    assert profiles[2] is profiles[3]
-    assert profiles[4] == profiles[0] and profiles[4] is not profiles[0]
-    assert profiles[0] != profiles[2]
-
-
-def test_link_profiles_without_contexts_builds_once(monkeypatch):
-    builds = _counting(monkeypatch, solver_mod, "build_profile")
-    profiles = link_profiles(0.01, EQUAL, ChaseModel.ZERO, [None] * 4)
-    assert len(builds) == 1
-    assert profiles == [build_profile(0.01, EQUAL, ChaseModel.ZERO)] * 4
-
-
-@pytest.mark.parametrize("m", range(1, 9))
-def test_mc_outage_of_repeated_profile_is_the_sequential_product(m, monkeypatch):
-    for p in (0.3, 0.0328, 0.00183, 0.2):
-        profile = LinkBlerProfile(p_m=p, p_d=p, p_c=p * p)
-        p_out = sc_outage(profile).p_out
-        expected = 1.0
-        for _ in range(m):
-            expected *= p_out
-        # one per-link outage evaluation per run of one profile object
-        evaluations = _counting(monkeypatch, outage_mod, "_leaves")
-        assert mc_outage([profile] * m) == expected
-        assert evaluations == [(profile.p_m, profile.p_d, profile.p_c)]
-        # equal by value but distinct objects: evaluated per link, same product
-        evaluations.clear()
-        assert mc_outage([LinkBlerProfile(p, p, p * p) for _ in range(m)]) == expected
-        assert len(evaluations) == m
-        monkeypatch.undo()
+    for chase, contexts in ((FBL, [a, FblContext(256, a.sinr_linear), b, b, a]),
+                            (ChaseModel.ZERO, [None] * 4)):
+        assert link_profiles(0.05, EQUAL, chase, contexts) == [
+            build_profile(0.05, EQUAL, chase, c) for c in contexts
+        ]
 
 
 def test_mc_outage_keeps_link_order_over_distinct_profiles():
     a = LinkBlerProfile(0.1, 0.1, 0.0)
     b = LinkBlerProfile(0.3, 0.2, 0.04)
     c = LinkBlerProfile(0.01, 0.07, 0.001)
-    links = [a, b, a, c, b, a]
-    expected = 1.0
-    for profile in links:
-        expected *= sc_outage(profile).p_out
-    assert mc_outage(links) == expected
+    inputs = [[a, b, a, c, b, a]]
+    for p in (0.3, 0.0328, 0.00183, 0.2):
+        profile = LinkBlerProfile(p_m=p, p_d=p, p_c=p * p)
+        for m in range(1, 9):
+            # repeated, and equal by value but distinct objects
+            inputs += [[profile] * m, [LinkBlerProfile(p, p, p * p) for _ in range(m)]]
+    for links in inputs:
+        expected = 1.0
+        for profile in links:
+            expected *= sc_outage(profile).p_out
+        assert mc_outage(links) == expected
 
 
 # ---------------------------------------------------------------------------
