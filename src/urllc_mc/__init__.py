@@ -29,7 +29,6 @@ from .outage import (
     chase_bler,
     mc_outage,
     sc_outage,
-    succ_first,
     success_mix,
 )
 from .solver import (
@@ -87,7 +86,6 @@ __all__ = [
     "shannon_capacity",
     "simulate_run",
     "solve_bler",
-    "succ_first",
     "success_mix",
     "ttis_to_ms",
     "usage_at_solution",

@@ -22,13 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 from .config import ScenarioConfig, load_scenario
 from .errors import DomainError, UrllcMcError, ValidationError
 from .fbl import FblContext, channel_use, db_to_linear
-from .outage import MAX_NODES, ChaseModel, _leaves, mc_outage, sc_outage, succ_first
+from .outage import MAX_NODES, ChaseModel, _leaves, mc_outage, sc_outage
 from .sim import latency_quantile, simulate_run, ttis_to_ms
 from .solver import (
     BlerPolicy,
     PolicyKind,
     build_profile,
-    link_profiles,
     outage_at,
     solve_bler,
     usage_at_solution,
@@ -61,7 +60,7 @@ def cmd_outage(cfg: ScenarioConfig) -> Rows:
     """Closed-form outage breakdown at the configured data BLER."""
     if cfg.p_d is None:
         raise ValidationError("p_d: is required for the outage command")
-    profiles = link_profiles(cfg.p_d, cfg.policy, cfg.chase, cfg.contexts())
+    profiles = [build_profile(cfg.p_d, cfg.policy, cfg.chase, c) for c in cfg.contexts()]
     total = mc_outage(profiles)
     header = [
         "scheme", "m", "node", "p_d", "p_m", "p_c",
@@ -112,22 +111,18 @@ def cmd_resource(cfg: ScenarioConfig) -> Rows:
     return header, rows
 
 
-def _simulation_profiles(cfg: ScenarioConfig):
-    contexts = cfg.contexts()
-    p_d = cfg.p_d
-    if p_d is None:
-        p_d = solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase,
-                         contexts).p_d
-    return link_profiles(p_d, cfg.policy, cfg.chase, contexts)
-
-
 def cmd_simulate(cfg: ScenarioConfig, seed: int, jobs: int = 1) -> Rows:
     """Monte Carlo estimates for the configured scenario, drawn with ``seed``.
 
     Simulates at the configured p_d when given, otherwise at the solved
     BLER target.
     """
-    profiles = _simulation_profiles(cfg)
+    contexts = cfg.contexts()
+    p_d = cfg.p_d
+    if p_d is None:
+        p_d = solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase,
+                         contexts).p_d
+    profiles = [build_profile(p_d, cfg.policy, cfg.chase, c) for c in contexts]
     agg = simulate_run(profiles, cfg.trials, seed, jobs=jobs)
     latency = latency_quantile(
         agg.success_mix, cfg.numerology, cfg.latency_quantile, cfg.shared_frame_alignment
@@ -292,7 +287,7 @@ def _reproduce_fig4() -> Rows:
     for scheme, m in (("SC", 1), ("MC", 2)):
         rows.append([
             scheme, m, profile.p_m, profile.p_d, mc_outage([profile] * m),
-            usage_sc(m, succ_first(profile)),
+            usage_sc(m, sc_outage(profile).p_succ_first),
         ])
     return header, rows
 

@@ -30,11 +30,6 @@ if TYPE_CHECKING:
 # outage target.
 MAX_NODES = 64
 
-# Exact types of the common case: a value of either type in [0, 1] needs no
-# further check (bool, a subclass of int, is not one of them).
-_PLAIN = (float, int)
-
-
 def _check_prob(name: str, value) -> None:
     if not (real(value) and 0.0 <= value <= 1.0):
         raise DomainError(f"{name} must be a probability in [0, 1], got {shown(value)}")
@@ -55,11 +50,6 @@ class LinkBlerProfile:
     p_c: float
 
     def __post_init__(self) -> None:
-        p_m, p_d, p_c = self.p_m, self.p_d, self.p_c
-        # the common case in one expression; the checks below name the culprit
-        if (type(p_m) in _PLAIN and type(p_d) in _PLAIN and type(p_c) in _PLAIN
-                and 0.0 <= p_m <= 1.0 and 0.0 <= p_c <= p_d <= 1.0):
-            return
         for name in ("p_m", "p_d", "p_c"):
             _check_prob(name, getattr(self, name))
         if self.p_c > self.p_d:
@@ -114,11 +104,6 @@ def _leaves(p_m: float, p_d: float, p_c: float) -> tuple:
     first = q_m * q_d
     out = 1.0 - first - q_m * (p_m * q_d + q_m * (p_d - p_c))
     return first, p_m * q_m * q_d, q_m * q_m * (p_d - p_c), out if out > 0.0 else 0.0
-
-
-def succ_first(profile: LinkBlerProfile) -> float:
-    """Probability that metadata and data decode on the first attempt."""
-    return _leaves(profile.p_m, profile.p_d, profile.p_c)[0]
 
 
 def sc_outage(profile: LinkBlerProfile) -> OutageBreakdown:

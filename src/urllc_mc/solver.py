@@ -5,7 +5,7 @@ end-to-end outage, with the metadata BLER linked to the data BLER by a
 policy. Bisection on a log axis: the outage spans many decades in the
 BLER and is monotone, so bisection is slow but certain. Its steps call
 ``outage_at``, which multiplies the links' outage leaves and builds no
-``LinkBlerProfile``; ``link_profiles`` builds them for the other commands.
+``LinkBlerProfile``; ``build_profile`` builds one for the other commands.
 
 Sizing is the step after a solve: ``usage_at_solution`` prices a
 ``SolveResult`` in channel uses, and sizes the data alone (the paper
@@ -14,8 +14,9 @@ link finishes its own retransmission when its first transmission fails,
 even if another link already delivered the packet, so a round uses m + k
 transmissions when k links miss the first try. The expected usage needs
 only the per-link first-try probability, and ``usage_sc`` is its one
-formula: m links sharing a profile use ``usage_sc(m, succ_first(profile))``
-transmissions in expectation (the paper's normalized usage, fig. 4).
+formula: m links sharing a profile use
+``usage_sc(m, sc_outage(profile).p_succ_first)`` transmissions in
+expectation (the paper's normalized usage, fig. 4).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, SolverError, ValidationError, integer, real, shown
 from .fbl import FblContext, channel_use
@@ -91,16 +92,6 @@ def build_profile(
     return LinkBlerProfile(p_m=p_m, p_d=p_d, p_c=p_c)
 
 
-def link_profiles(
-    p_d: float,
-    policy: BlerPolicy,
-    chase: ChaseModel,
-    contexts: Sequence[Optional[FblContext]],
-) -> List[LinkBlerProfile]:
-    """One profile per link, in link order, each built on its own."""
-    return [build_profile(p_d, policy, chase, c) for c in contexts]
-
-
 def outage_at(
     p_d: float,
     policy: BlerPolicy,
@@ -109,11 +100,12 @@ def outage_at(
 ) -> float:
     """Forward outage over one link per context at a shared data BLER target.
 
-    ``mc_outage(link_profiles(...))`` bit for bit, errors included, without
-    building the profiles: ``p_m`` is computed once, a link whose context
-    is the previous link's object reuses its outage factor, and the product
-    takes one factor per link, in order. No other code reuses work across
-    links, and ``ScenarioConfig.contexts()`` makes equal links one object.
+    ``mc_outage`` over one ``build_profile`` per context, bit for bit,
+    errors included, without building the profiles: ``p_m`` is computed
+    once, a link whose context is the previous link's object reuses its
+    outage factor, and the product takes one factor per link, in order. No
+    other code reuses work across links, and ``ScenarioConfig.contexts()``
+    makes equal links one object.
     """
     out = 1.0
     for i, c in enumerate(contexts):

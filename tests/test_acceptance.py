@@ -22,7 +22,6 @@ from urllc_mc.outage import (
     LinkBlerProfile,
     mc_outage,
     sc_outage,
-    succ_first,
     success_mix,
 )
 from urllc_mc.solver import usage_sc
@@ -109,8 +108,8 @@ def test_criterion_4_mc_product_law():
 
 def test_criterion_5_normalized_usage_points():
     profile = LinkBlerProfile(0.01, 0.1, 0.0)
-    sc = usage_sc(1, succ_first(profile))
-    mc = usage_sc(2, succ_first(profile))
+    sc = usage_sc(1, sc_outage(profile).p_succ_first)
+    mc = usage_sc(2, sc_outage(profile).p_succ_first)
     assert sc == pytest.approx(1.109, abs=0.001)
     assert mc == pytest.approx(2.218, abs=0.002)
     _report(5, f"normalized usage at 1%/10% BLERs: SC={sc:.3f}, MC={mc:.3f}")

@@ -77,7 +77,6 @@ PUBLIC_NAMES = [
     "shannon_capacity",
     "simulate_run",
     "solve_bler",
-    "succ_first",
     "success_mix",
     "ttis_to_ms",
     "usage_at_solution",
@@ -86,7 +85,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 36
     assert sorted(urllc_mc.__all__) == PUBLIC_NAMES
 
 

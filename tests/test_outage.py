@@ -30,7 +30,6 @@ from urllc_mc.outage import (
     chase_bler,
     mc_outage,
     sc_outage,
-    succ_first,
     success_mix,
 )
 from urllc_mc.sim import _thresholds
@@ -102,9 +101,9 @@ VALID_PROBS = (0.5, 1.0, 0.0)
     "bad", [math.nan, math.inf, -math.inf, True, np.True_, -0.1, 1.0000001]
 )
 def test_bad_probability_rejected_by_name(bad):
-    # LinkBlerProfile's one-expression check of the common case must reject
-    # all that the per-name checks reject, with their exception and field
-    # name (huge ints: the test above)
+    # LinkBlerProfile checks each field on its own and names the first bad
+    # one, with the same exception as chase_bler's check of p_d (huge ints:
+    # the test above)
     for i, name in enumerate(PROB_FIELDS):
         probs = list(VALID_PROBS)
         probs[i] = bad
@@ -117,7 +116,8 @@ def test_bad_probability_rejected_by_name(bad):
 
 @pytest.mark.parametrize("good", [np.float64(0.5), 0, 1], ids=["float64", "0", "1"])
 def test_plain_and_numpy_probabilities_accepted(good):
-    # nor may it narrow what is accepted
+    # the per-field checks accept a numpy float64 and the ints 0 and 1, as
+    # chase_bler does
     for i, name in enumerate(PROB_FIELDS):
         probs = list(VALID_PROBS)
         probs[i] = good
@@ -144,9 +144,11 @@ def test_profile_allows_equality_and_degenerate_values():
 
 
 def test_succ_first_examples():
-    assert succ_first(LinkBlerProfile(0, 0, 0)) == 1.0
-    assert succ_first(LinkBlerProfile(0.01, 0.1, 0)) == pytest.approx(0.891, abs=1e-12)
-    assert succ_first(LinkBlerProfile(0.0328, 0.0328, 0)) == pytest.approx(0.935476, abs=5e-7)
+    assert sc_outage(LinkBlerProfile(0, 0, 0)).p_succ_first == 1.0
+    assert sc_outage(LinkBlerProfile(0.01, 0.1, 0)).p_succ_first == pytest.approx(
+        0.891, abs=1e-12)
+    assert sc_outage(LinkBlerProfile(0.0328, 0.0328, 0)).p_succ_first == pytest.approx(
+        0.935476, abs=5e-7)
 
 
 def _retx(profile: LinkBlerProfile) -> float:

@@ -1,4 +1,5 @@
-"""Tests for the resource-usage model."""
+"""Tests for the sizing half of ``solver.py``: ``usage_sc``,
+``usage_at_solution`` and ``UsageReport``."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 
 from urllc_mc.errors import DomainError
 from urllc_mc.fbl import FblContext, db_to_linear
-from urllc_mc.outage import ChaseModel, LinkBlerProfile, succ_first, success_mix
+from urllc_mc.outage import ChaseModel, LinkBlerProfile, sc_outage, success_mix
 from urllc_mc.solver import UsageReport, usage_at_solution, usage_sc
 from urllc_mc.solver import BlerPolicy, PolicyKind, SolveResult, solve_bler
 
@@ -37,7 +38,7 @@ def test_normalized_usage_reduction_and_linearity():
         r = float(rng.uniform(1, 500))
         p_m, p_d = (float(p) for p in rng.uniform(0, 1, 2))
         link = LinkBlerProfile(p_m, p_d, 0.0)
-        p = succ_first(link)
+        p = sc_outage(link).p_succ_first
         assert usage_sc(r, p) == pytest.approx(r * usage_sc(1.0, p), rel=1e-15)
         for m in range(1, 7):
             # bit for bit: IEEE products commute
@@ -123,15 +124,15 @@ def test_distribution_three_links_reference_mean():
 
 def test_normalized_usage_fig4_points():
     profile = LinkBlerProfile(0.01, 0.1, 0)
-    assert usage_sc(1, succ_first(profile)) == pytest.approx(1.109, abs=1e-12)
-    assert usage_sc(2, succ_first(profile)) == pytest.approx(2.218, abs=1e-12)
+    assert usage_sc(1, sc_outage(profile).p_succ_first) == pytest.approx(1.109, abs=1e-12)
+    assert usage_sc(2, sc_outage(profile).p_succ_first) == pytest.approx(2.218, abs=1e-12)
 
 
 def test_normalized_usage_perfect_link():
     perfect = LinkBlerProfile(0, 0, 0)
-    assert usage_sc(1, succ_first(perfect)) == 1.0
+    assert usage_sc(1, sc_outage(perfect).p_succ_first) == 1.0
     for m in range(1, 5):
-        assert usage_sc(m, succ_first(perfect)) == float(m)
+        assert usage_sc(m, sc_outage(perfect).p_succ_first) == float(m)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from urllc_mc.sim import (
     simulate_run,
     ttis_to_ms,
 )
-from urllc_mc.solver import BlerPolicy, PolicyKind, link_profiles
+from urllc_mc.solver import BlerPolicy, PolicyKind, build_profile
 
 Z_9999 = 3.8906  # two-sided 99.99% normal quantile
 
@@ -438,7 +438,7 @@ def test_latency_quantile_matches_analytic_mixture():
 def _per_node_profiles(m: int, chase: ChaseModel) -> list:
     """m links at p_d = 0.1 under the half policy, 256 bits at 0, 5, 10, 3 dB."""
     contexts = [FblContext(256, db_to_linear(s)) for s in (0.0, 5.0, 10.0, 3.0)[:m]]
-    return link_profiles(0.1, BlerPolicy(PolicyKind.HALF), chase, contexts)
+    return [build_profile(0.1, BlerPolicy(PolicyKind.HALF), chase, c) for c in contexts]
 
 
 def _half_width(p, n):  # binomial 95% normal-approximation half-width
@@ -800,9 +800,23 @@ def test_one_worker_tallies_at_a_time(monkeypatch, jobs):
     assert np.array_equal(agg.success_mix, one.success_mix)
 
 
-def test_one_worker_run_starts_no_thread(monkeypatch):
+@pytest.mark.parametrize(
+    ("jobs", "trials", "expected_pools"),
+    [
+        (1, 64 * 6 - 5, []),  # six batches
+        (2, 64 * 6 - 5, [{"max_workers": 2}]),
+        (2, 64, []),  # one batch
+        (8, 64 * 6 - 5, [{"max_workers": 6}]),
+    ],
+    ids=["jobs1-six-batches", "jobs2-six-batches", "jobs2-one-batch", "jobs8-six-batches"],
+)
+def test_one_worker_run_starts_no_thread(monkeypatch, jobs, trials, expected_pools):
     # a one-thread pool raises the peak memory of a jobs=1 run, so one
-    # worker runs in the calling thread; more build one pool
+    # worker runs in the calling thread; more build one pool, of at most
+    # one thread per batch
+    monkeypatch.setattr(sim, "BATCH_SIZE", 64)
+    profiles = [LinkBlerProfile(0.2, 0.3, 0.1)] * 2
+    one = simulate_run(profiles, trials, seed=5, jobs=1)
     pools = []
     pool_class = concurrent.futures.ThreadPoolExecutor
 
@@ -811,15 +825,10 @@ def test_one_worker_run_starts_no_thread(monkeypatch):
         return pool_class(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-    monkeypatch.setattr(sim, "BATCH_SIZE", 64)
-    profiles = [LinkBlerProfile(0.2, 0.3, 0.1)] * 2
-    trials = 64 * 6 - 5  # six batches
-    one = simulate_run(profiles, trials, seed=5, jobs=1)
-    assert pools == []
-    two = simulate_run(profiles, trials, seed=5, jobs=2)
-    assert pools == [{"max_workers": 2}]
-    assert np.array_equal(one.leaf_counts, two.leaf_counts)
-    assert np.array_equal(one.success_mix, two.success_mix)
+    agg = simulate_run(profiles, trials, seed=5, jobs=jobs)
+    assert pools == expected_pools
+    assert np.array_equal(one.leaf_counts, agg.leaf_counts)
+    assert np.array_equal(one.success_mix, agg.success_mix)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])

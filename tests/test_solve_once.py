@@ -35,7 +35,6 @@ from urllc_mc.solver import (
     PolicyKind,
     SolveResult,
     build_profile,
-    link_profiles,
     outage_at,
     solve_bler,
 )
@@ -135,15 +134,6 @@ def test_outage_at_over_per_node_sinrs_matches_per_link_product(chase, sinr_db):
         )
 
 
-def test_link_profiles_builds_one_profile_per_link():
-    a, b = FblContext(256, db_to_linear(0.0)), FblContext(256, db_to_linear(9.0))
-    for chase, contexts in ((FBL, [a, FblContext(256, a.sinr_linear), b, b, a]),
-                            (ChaseModel.ZERO, [None] * 4)):
-        assert link_profiles(0.05, EQUAL, chase, contexts) == [
-            build_profile(0.05, EQUAL, chase, c) for c in contexts
-        ]
-
-
 def test_mc_outage_keeps_link_order_over_distinct_profiles():
     a = LinkBlerProfile(0.1, 0.1, 0.0)
     b = LinkBlerProfile(0.3, 0.2, 0.04)
@@ -162,7 +152,8 @@ def test_mc_outage_keeps_link_order_over_distinct_profiles():
 
 
 # ---------------------------------------------------------------------------
-# one evaluation, no profile objects: outage_at is mc_outage(link_profiles(...))
+# one evaluation, no profile objects: outage_at is mc_outage over one
+# build_profile per link
 
 
 def _outcome(evaluate):
@@ -175,7 +166,7 @@ def _outcome(evaluate):
 
 
 def _via_profiles(p_d, policy, chase, contexts):
-    return mc_outage(link_profiles(p_d, policy, chase, contexts))
+    return mc_outage([build_profile(p_d, policy, chase, c) for c in contexts])
 
 
 _SINR_POOL = [db_to_linear(s) for s in (-3.0, 0.0, 4.0, 10.0, 25.0)]
@@ -191,7 +182,7 @@ _SINR_POOL = [db_to_linear(s) for s in (-3.0, 0.0, 4.0, 10.0, 25.0)]
     ),
     log_p_d=st.floats(-9.0, math.log10(0.4999)),
 )
-def test_outage_at_is_the_outage_of_the_link_profiles_bit_for_bit(policy, chase, links, log_p_d):
+def test_outage_at_is_the_outage_of_the_built_profiles_bit_for_bit(policy, chase, links, log_p_d):
     # a small pool makes repeats, adjacent and not; a drawn flag swaps in an
     # equal but distinct copy of the pool's context
     pool = [FblContext(256, s) for s in _SINR_POOL]
@@ -203,7 +194,7 @@ def test_outage_at_is_the_outage_of_the_link_profiles_bit_for_bit(policy, chase,
 
 
 def _bisect_over_profiles(m, target, policy, chase, contexts):
-    """solve_bler's bisection, written out over mc_outage(link_profiles(...))."""
+    """solve_bler's bisection, written out over mc_outage of built profiles."""
     lo_log, hi_log = (math.log10(p) for p in P_D_BRACKET)
     assert _via_profiles(P_D_BRACKET[0], policy, chase, contexts) <= target
     assert target <= _via_profiles(P_D_BRACKET[1], policy, chase, contexts)
@@ -224,7 +215,7 @@ def _bisect_over_profiles(m, target, policy, chase, contexts):
 @pytest.mark.parametrize("policy", [EQUAL, HALF, FIXED])
 @pytest.mark.parametrize("sinr_db", [[10.0], [0.0, 0.0], [0.0, 5.0, 10.0], [3.0, 3.0, 7.0, 3.0]])
 @pytest.mark.parametrize("depth", [0.3, 0.55, 0.8])
-def test_solve_bler_equals_a_bisection_over_link_profiles(chase, policy, sinr_db, depth):
+def test_solve_bler_equals_a_bisection_over_built_profiles(chase, policy, sinr_db, depth):
     m = len(sinr_db)
     contexts = [FblContext(256, db_to_linear(s)) for s in sinr_db]
     # a target inside the reachable outage range, ``depth`` of the way up
@@ -259,7 +250,7 @@ _CTX = FblContext(256, db_to_linear(10.0))
     # twice this SINR overflows to inf: the context builds, the chase fails
     (0.1, FBL, [FblContext(256, 1e308)] * 2),
 ])
-def test_outage_at_raises_what_the_link_profiles_raise(p_d, chase, contexts):
+def test_outage_at_raises_what_building_the_profiles_raises(p_d, chase, contexts):
     got = _outcome(lambda: outage_at(p_d, EQUAL, chase, contexts))
     assert got[0] in (DomainError, ValidationError)
     assert got == _outcome(lambda: _via_profiles(p_d, EQUAL, chase, contexts))
