@@ -35,7 +35,6 @@ from .solver import (
     BlerPolicy,
     PolicyKind,
     SolveResult,
-    UsageReport,
     build_profile,
     solve_bler,
     usage_at_solution,
@@ -68,7 +67,6 @@ __all__ = [
     "SolveResult",
     "SolverError",
     "UrllcMcError",
-    "UsageReport",
     "ValidationError",
     "achieved_bler",
     "build_profile",

@@ -94,11 +94,11 @@ def cmd_resource(cfg: ScenarioConfig) -> Rows:
     """Channel use and total expected usage at the outage target, and given
     ``metadata_bits`` the metadata's node-average channel use, never in the total."""
     contexts = cfg.contexts()
-    report = usage_at_solution(solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy,
-                                          cfg.chase, contexts), contexts)
+    result = solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase, contexts)
+    channel_use_single, total_usage = usage_at_solution(result, contexts)
     meta_use = None
     if cfg.metadata_bits is not None:
-        p_m = report.solve.p_m
+        p_m = result.p_m
         if not p_m < 0.5:  # channel_use sizes a BLER in (0, 0.5) only
             raise DomainError(f"metadata_bits: cannot size the metadata at BLER "
                               f"{p_m!r}, which must be below 0.5")
@@ -106,8 +106,8 @@ def cmd_resource(cfg: ScenarioConfig) -> Rows:
                              for c in contexts) / len(contexts)
     header = ["scheme", "m", "bler_target", "channel_use", "total_usage",
               "metadata_channel_use"]
-    rows = [[cfg.scheme, report.solve.m_nodes, report.solve.p_d,
-             report.channel_use_single, report.total_usage, meta_use]]
+    rows = [[cfg.scheme, result.m_nodes, result.p_d, channel_use_single, total_usage,
+             meta_use]]
     return header, rows
 
 
@@ -216,11 +216,8 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
             if result is None or cfg.chase.reads_sinr:
                 result = solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy,
                                     cfg.chase, links)
-            report = usage_at_solution(result, links)
-            rows.append([
-                sinr_db, cfg.scheme, cfg.m_nodes, report.solve.p_d,
-                report.channel_use_single, report.total_usage,
-            ])
+            rows.append([sinr_db, cfg.scheme, cfg.m_nodes, result.p_d,
+                         *usage_at_solution(result, links)])
         return header, rows
 
     # node-count sweep: integer grid in [1, MAX_NODES], linear scale only,
@@ -245,13 +242,9 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
     rows = []
     for m in ms:
         links = [ctx] * m
-        report = usage_at_solution(
-            solve_bler(m, cfg.target_outage, cfg.policy, cfg.chase, links), links
-        )
-        rows.append([
-            m, "SC" if m == 1 else "MC", report.solve.p_d, report.solve.achieved_outage,
-            report.channel_use_single, report.total_usage,
-        ])
+        result = solve_bler(m, cfg.target_outage, cfg.policy, cfg.chase, links)
+        rows.append([m, "SC" if m == 1 else "MC", result.p_d, result.achieved_outage,
+                     *usage_at_solution(result, links)])
     return header, rows
 
 
@@ -297,20 +290,18 @@ def _reproduce_table2_fig5() -> Tuple[Rows, Rows]:
     MC solve: under perfect combining the BLER targets read no SINR."""
     policy = BlerPolicy(PolicyKind.EQUAL)
     solved = {m: solve_bler(m, _REPRO_TARGET, policy, ChaseModel.ZERO) for m in (1, 2)}
-    sized = {}  # sinr_db -> [SC report, MC report]
+    sized = {}  # sinr_db -> [(p_d, channel use, total usage) of SC, of MC]
     for sinr_db in (0.0, 10.0):
         ctx = FblContext(_REPRO_PAYLOAD_BITS, db_to_linear(sinr_db))
-        sized[sinr_db] = [usage_at_solution(res, [ctx] * m) for m, res in solved.items()]
-    fig5 = [[sinr_db, sc.solve.p_d, sc.channel_use_single, sc.total_usage,
-             mc.solve.p_d, mc.channel_use_single, mc.total_usage,
-             1.0 - sc.total_usage / mc.total_usage] for sinr_db, (sc, mc) in sized.items()]
+        sized[sinr_db] = [(res.p_d, *usage_at_solution(res, [ctx] * m))
+                          for m, res in solved.items()]
+    fig5 = [[sinr_db, *sc, *mc, 1.0 - sc[2] / mc[2]] for sinr_db, (sc, mc) in sized.items()]
     table2 = []
-    for scheme, report in zip(("SC", "MC"), sized[10.0]):
+    for scheme, (p_d, r, total) in zip(("SC", "MC"), sized[10.0]):
         quoted = _REPRO_USAGE_QUOTED[scheme]
         # the quoted duplicated-scheme usage is not reproducible from the
         # expected-usage formula; flag it instead of guessing
-        table2.append([scheme, report.solve.p_d, report.channel_use_single,
-                       report.total_usage, quoted, abs(report.total_usage - quoted) > 0.5])
+        table2.append([scheme, p_d, r, total, quoted, abs(total - quoted) > 0.5])
     return (
         (["scheme", "bler_target", "channel_use", "usage_eq", "usage_paper",
           "discrepancy_flag"], table2),

@@ -174,7 +174,9 @@ def chase_bler(
         return 0.0
     if model is ChaseModel.PRODUCT:
         return p_d * p_d
-    if ctx is None:
+    if not isinstance(model, ChaseModel):
+        raise ValidationError(f"chase model must be a ChaseModel, got {model!r}")
+    if not isinstance(ctx, FblContext):
         raise ValidationError("FINITE_BLOCKLENGTH chase model requires an FblContext")
     if not 0.0 < p_d < 0.5:  # the BLER range that channel_use sizes
         raise DomainError(f"p_d: finite_blocklength chase needs a BLER in (0, 0.5), got {p_d!r}")

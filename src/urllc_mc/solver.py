@@ -8,8 +8,9 @@ BLER and is monotone, so bisection is slow but certain. Its steps call
 ``LinkBlerProfile``; ``build_profile`` builds one for the other commands.
 
 Sizing is the step after a solve: ``usage_at_solution`` prices a
-``SolveResult`` in channel uses, and sizes the data alone (the paper
-prices duplication by the channel uses of the duplicated data). Every
+``SolveResult`` in channel uses, as the pair of one transmission's
+channel use and the expected total usage, and sizes the data alone (the
+paper prices duplication by the channel uses of the duplicated data). Every
 link finishes its own retransmission when its first transmission fails,
 even if another link already delivered the packet, so a round uses m + k
 transmissions when k links miss the first try. The expected usage needs
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError, SolverError, ValidationError, integer, real, shown
 from .fbl import FblContext, channel_use
@@ -48,6 +49,8 @@ class BlerPolicy:
     fixed_meta: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, PolicyKind):
+            raise ValidationError(f"policy kind must be a PolicyKind, got {self.kind!r}")
         if self.kind is PolicyKind.FIXED_META:
             if not (real(self.fixed_meta) and 0.0 < self.fixed_meta < 1.0):
                 raise ValidationError(
@@ -189,29 +192,6 @@ def solve_bler(
     )
 
 
-@dataclass(frozen=True)
-class UsageReport:
-    """Dimensioning summary at a solve.
-
-    ``solve`` is the solve the links were sized at: its BLER target
-    ``p_d``, the outage it reached and its link count. ``channel_use_single``
-    is the per-transmission channel-use count (node average when per-node
-    SINRs differ); ``total_usage`` includes the expected retransmissions
-    over all links. Both count the data's channel uses only.
-    """
-
-    solve: SolveResult
-    channel_use_single: float
-    total_usage: float
-
-    def __post_init__(self) -> None:
-        slack = 1e-9 * self.channel_use_single
-        if self.total_usage < self.channel_use_single - slack:
-            raise DomainError("total usage cannot undercut a single transmission")
-        if self.total_usage < self.solve.m_nodes * self.channel_use_single - slack:
-            raise DomainError("total usage cannot undercut one transmission per node")
-
-
 def usage_sc(r: float, p_succ_first: float) -> float:
     """Expected channel uses of a single link: r plus r more when the
     first transmission fails, i.e. (2 - p_succ_first) * r."""
@@ -222,22 +202,24 @@ def usage_sc(r: float, p_succ_first: float) -> float:
     return (2.0 - p_succ_first) * r
 
 
-def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext]) -> UsageReport:
+def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext]) -> Tuple[float, float]:
     """Size a transmission at a solve over the links ``contexts``, one per
-    node: the finite-blocklength channel use at ``result.p_d`` plus the
-    expected retransmissions, summed node-wise. Each link is sized on its
-    own, equal links too: a ``channel_use`` call costs about 1 us, and only
-    ``outage_at`` reuses work across links. A solve holds at other SINRs
-    only if its chase model reads none (``ChaseModel.reads_sinr``).
+    node: ``(channel_use_single, total_usage)``, the finite-blocklength
+    channel use of one transmission at ``result.p_d`` (node average when
+    per-node SINRs differ), and that summed over the nodes plus the
+    expected retransmissions. Both count the data's channel uses only.
+    Each link is sized on its own, equal links too: a ``channel_use`` call
+    costs about 1 us, and only ``outage_at`` reuses work across links. A
+    solve holds at other SINRs only if its chase model reads none
+    (``ChaseModel.reads_sinr``).
     """
     if contexts is None or len(contexts) != result.m_nodes:
         raise ValidationError(f"usage_at_solution needs the {result.m_nodes} solved links")
+    for c in contexts:
+        if not isinstance(c, FblContext):
+            raise ValidationError(f"contexts: usage_at_solution sizes FblContexts, got {c!r}")
     uses = [channel_use(c, result.p_d) for c in contexts]
     # the first-try leaf reads only the BLER targets (no p_c), shared by all nodes
     p1 = _leaves(result.p_m, result.p_d, 0.0)[0]
     r_sum = math.fsum(uses)
-    return UsageReport(
-        solve=result,
-        channel_use_single=r_sum / len(uses),
-        total_usage=usage_sc(r_sum, p1),
-    )
+    return r_sum / len(uses), usage_sc(r_sum, p1)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import inspect
 import math
 import re
-from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ from urllc_mc import (
     Numerology,
     PolicyKind,
     UrllcMcError,
-    UsageReport,
+    ValidationError,
     achieved_bler,
     build_profile,
     channel_dispersion,
@@ -59,7 +58,6 @@ PUBLIC_NAMES = [
     "SolveResult",
     "SolverError",
     "UrllcMcError",
-    "UsageReport",
     "ValidationError",
     "achieved_bler",
     "build_profile",
@@ -85,7 +83,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(urllc_mc.__all__) == PUBLIC_NAMES
 
 
@@ -97,8 +95,9 @@ def test_every_public_name_resolves():
 def test_sizing_surface_is_pinned():
     # sizing sizes the data; the metadata column belongs to the resource command
     assert list(inspect.signature(usage_at_solution).parameters) == ["result", "contexts"]
-    assert [f.name for f in fields(UsageReport)] == ["solve", "channel_use_single",
-                                                    "total_usage"]
+    sized = usage_at_solution(solve_bler(2, 1e-5, BlerPolicy(), ChaseModel.ZERO), [CTX] * 2)
+    assert type(sized) is tuple
+    assert [type(x) for x in sized] == [float, float]  # channel_use_single, total_usage
 
 
 PERFECT = LinkBlerProfile(0, 0, 0)
@@ -141,6 +140,41 @@ NUMERIC_ARGUMENTS = {
     "BlerPolicy.fixed_meta": ("fixed_meta", 0.1, lambda b: BlerPolicy(
         PolicyKind.FIXED_META, b)),
 }
+
+FBL = ChaseModel.FINITE_BLOCKLENGTH
+
+# (the argument, the name the error gives, a value of the wrong type, a call
+# with the argument set to it): a chase model, policy kind or link that is
+# not the enum member or FblContext the call reads
+TYPED_ARGUMENTS = [
+    ("solve_bler.chase", "chase model must", "product", lambda b: solve_bler(
+        2, 1e-5, BlerPolicy(), b, [CTX] * 2)),
+    ("build_profile.chase", "chase model must", "zero", lambda b: build_profile(
+        0.1, BlerPolicy(), b, CTX)),
+    ("BlerPolicy.kind", "policy kind", "equal", BlerPolicy),
+    ("BlerPolicy.kind", "policy kind", "fixed_meta", lambda b: BlerPolicy(b, 0.3)),
+    ("usage_at_solution.contexts", "contexts", None, lambda b: usage_at_solution(
+        solve_bler(2, 1e-5, BlerPolicy(), ChaseModel.ZERO), [b, b])),
+    ("build_profile.ctx", "requires an FblContext", "ctx", lambda b: build_profile(
+        0.1, BlerPolicy(), FBL, b)),
+    ("solve_bler.contexts", "requires an FblContext", "ctx", lambda b: solve_bler(
+        2, 1e-5, BlerPolicy(), FBL, [b, b])),
+]
+
+
+@pytest.mark.parametrize("name, bad, call", [row[1:] for row in TYPED_ARGUMENTS],
+                         ids=[f"{row[0]}-{row[2]}" for row in TYPED_ARGUMENTS])
+def test_enum_and_link_arguments_reject_other_types_by_name(name, bad, call):
+    # a string in place of the enum member would otherwise read as the
+    # finite-blocklength model, or fail as an AttributeError
+    with pytest.raises(ValidationError, match=name):
+        call(bad)
+
+
+def test_a_missing_link_keeps_its_message():
+    with pytest.raises(ValidationError,
+                       match="^FINITE_BLOCKLENGTH chase model requires an FblContext$"):
+        chase_bler(FBL, 0.1, None)
 
 
 @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_],

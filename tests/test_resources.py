@@ -1,5 +1,5 @@
-"""Tests for the sizing half of ``solver.py``: ``usage_sc``,
-``usage_at_solution`` and ``UsageReport``."""
+"""Tests for the sizing half of ``solver.py``: ``usage_sc`` and
+``usage_at_solution``, which returns ``(channel_use_single, total_usage)``."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ import pytest
 from urllc_mc.errors import DomainError
 from urllc_mc.fbl import FblContext, db_to_linear
 from urllc_mc.outage import ChaseModel, LinkBlerProfile, sc_outage, success_mix
-from urllc_mc.solver import UsageReport, usage_at_solution, usage_sc
-from urllc_mc.solver import BlerPolicy, PolicyKind, SolveResult, solve_bler
+from urllc_mc.solver import usage_at_solution, usage_sc
+from urllc_mc.solver import BlerPolicy, PolicyKind, solve_bler
 
 ZERO = ChaseModel.ZERO
 EQUAL = BlerPolicy(PolicyKind.EQUAL)
@@ -141,39 +141,41 @@ def test_normalized_usage_perfect_link():
 
 def test_usage_at_solution_sc_table_row():
     ctx = FblContext(256, db_to_linear(10.0))
-    report = usage_at_solution(solve_bler(1, 1e-5, EQUAL, ZERO, [ctx]), [ctx])
-    assert report.solve.p_d == pytest.approx(0.001826, abs=2e-5)
-    assert report.channel_use_single == pytest.approx(85.14, abs=0.05)
-    assert report.total_usage == pytest.approx(85.44, abs=0.10)
-    assert report.solve.m_nodes == 1
+    solved = solve_bler(1, 1e-5, EQUAL, ZERO, [ctx])
+    channel_use_single, total_usage = usage_at_solution(solved, [ctx])
+    assert solved.p_d == pytest.approx(0.001826, abs=2e-5)
+    assert channel_use_single == pytest.approx(85.14, abs=0.05)
+    assert total_usage == pytest.approx(85.44, abs=0.10)
+    assert solved.m_nodes == 1
 
 
 def test_usage_at_solution_mc_table_row():
     ctx = FblContext(256, db_to_linear(10.0))
-    report = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, [ctx] * 2), [ctx] * 2)
-    assert report.solve.p_d == pytest.approx(0.0328, abs=2e-4)
-    assert report.channel_use_single == pytest.approx(80.88, abs=0.05)
-    assert report.total_usage == pytest.approx(172.20, abs=0.10)
+    solved = solve_bler(2, 1e-5, EQUAL, ZERO, [ctx] * 2)
+    channel_use_single, total_usage = usage_at_solution(solved, [ctx] * 2)
+    assert solved.p_d == pytest.approx(0.0328, abs=2e-4)
+    assert channel_use_single == pytest.approx(80.88, abs=0.05)
+    assert total_usage == pytest.approx(172.20, abs=0.10)
 
 
 def test_usage_at_solution_in_domain_at_loose_target():
     ctx = FblContext(256, db_to_linear(10.0))
-    report = usage_at_solution(solve_bler(1, 0.249, EQUAL, ZERO, [ctx]), [ctx])
-    assert report.channel_use_single > ctx.payload_bits / ctx.capacity
+    channel_use_single, _ = usage_at_solution(solve_bler(1, 0.249, EQUAL, ZERO, [ctx]), [ctx])
+    assert channel_use_single > ctx.payload_bits / ctx.capacity
 
 
 def test_usage_at_solution_heterogeneous_nodes():
     contexts = [FblContext(256, db_to_linear(10.0)), FblContext(256, db_to_linear(0.0))]
-    report = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, contexts), contexts)
+    solved = solve_bler(2, 1e-5, EQUAL, ZERO, contexts)
+    _, total_usage = usage_at_solution(solved, contexts)
     # same solved BLER as the homogeneous case (outage ignores SINR under
     # ideal link adaptation); usage sums the two per-node channel uses
     at10, at0 = [contexts[0]] * 2, [contexts[1]] * 2
-    r10 = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, at10), at10)
-    r0 = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, at0), at0)
-    assert report.solve.p_d == pytest.approx(r10.solve.p_d, rel=1e-12)
-    assert report.total_usage == pytest.approx(
-        (r10.total_usage + r0.total_usage) / 2, rel=1e-12
-    )
+    solved10 = solve_bler(2, 1e-5, EQUAL, ZERO, at10)
+    _, total10 = usage_at_solution(solved10, at10)
+    _, total0 = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, at0), at0)
+    assert solved.p_d == pytest.approx(solved10.p_d, rel=1e-12)
+    assert total_usage == pytest.approx((total10 + total0) / 2, rel=1e-12)
 
 
 def test_usage_at_solution_savings_band():
@@ -181,18 +183,8 @@ def test_usage_at_solution_savings_band():
     # after the BLER relaxation: savings in [46%, 52%] at 0 and 10 dB
     for sinr_db in (0.0, 10.0):
         ctx = FblContext(256, db_to_linear(sinr_db))
-        sc = usage_at_solution(solve_bler(1, 1e-5, EQUAL, ZERO, [ctx]), [ctx])
-        mc = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, [ctx] * 2), [ctx] * 2)
-        savings = 1.0 - sc.total_usage / mc.total_usage
+        _, sc = usage_at_solution(solve_bler(1, 1e-5, EQUAL, ZERO, [ctx]), [ctx])
+        _, mc = usage_at_solution(solve_bler(2, 1e-5, EQUAL, ZERO, [ctx] * 2), [ctx] * 2)
+        savings = 1.0 - sc / mc
         assert 0.46 <= savings <= 0.52
-        assert 0.49 <= sc.total_usage / mc.total_usage <= 0.54
-
-
-def test_usage_report_invariants():
-    def solved(m):
-        return SolveResult(p_d=0.01, p_m=0.01, achieved_outage=1e-5, iterations=1, m_nodes=m)
-
-    with pytest.raises(DomainError):
-        UsageReport(solved(1), 100.0, 99.0)
-    with pytest.raises(DomainError):
-        UsageReport(solved(2), 100.0, 150.0)
+        assert 0.49 <= sc / mc <= 0.54
