@@ -56,7 +56,7 @@ def _policy_label(policy: BlerPolicy) -> str:
     return policy.kind.value
 
 
-def cmd_outage(cfg: ScenarioConfig) -> Rows:
+def cmd_outage(cfg: ScenarioConfig, args) -> Rows:
     """Closed-form outage breakdown at the configured data BLER."""
     if cfg.p_d is None:
         raise ValidationError("p_d: is required for the outage command")
@@ -78,7 +78,7 @@ def cmd_outage(cfg: ScenarioConfig) -> Rows:
     return header, rows
 
 
-def cmd_solve(cfg: ScenarioConfig) -> Rows:
+def cmd_solve(cfg: ScenarioConfig, args) -> Rows:
     """BLER target achieving the configured outage target."""
     result = solve_bler(
         cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase, cfg.contexts()
@@ -90,7 +90,7 @@ def cmd_solve(cfg: ScenarioConfig) -> Rows:
     return header, rows
 
 
-def cmd_resource(cfg: ScenarioConfig) -> Rows:
+def cmd_resource(cfg: ScenarioConfig, args) -> Rows:
     """Channel use and total expected usage at the outage target, and given
     ``metadata_bits`` the metadata's node-average channel use, never in the total."""
     contexts = cfg.contexts()
@@ -111,8 +111,9 @@ def cmd_resource(cfg: ScenarioConfig) -> Rows:
     return header, rows
 
 
-def cmd_simulate(cfg: ScenarioConfig, seed: int, jobs: int = 1) -> Rows:
-    """Monte Carlo estimates for the configured scenario, drawn with ``seed``.
+def cmd_simulate(cfg: ScenarioConfig, args) -> Rows:
+    """Monte Carlo estimates for the configured scenario, drawn with
+    ``args.seed`` (the configured seed when None) on ``args.jobs`` threads.
 
     Simulates at the configured p_d when given, otherwise at the solved
     BLER target.
@@ -123,7 +124,8 @@ def cmd_simulate(cfg: ScenarioConfig, seed: int, jobs: int = 1) -> Rows:
         p_d = solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase,
                          contexts).p_d
     profiles = [build_profile(p_d, cfg.policy, cfg.chase, c) for c in contexts]
-    agg = simulate_run(profiles, cfg.trials, seed, jobs=jobs)
+    seed = cfg.seed if args.seed is None else args.seed
+    agg = simulate_run(profiles, cfg.trials, seed, jobs=args.jobs)
     latency = latency_quantile(
         agg.success_mix, cfg.numerology, cfg.latency_quantile, cfg.shared_frame_alignment
     )
@@ -343,6 +345,9 @@ def _render_pretty(header: List[str], rows: List[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RENDER = {"csv": _render_csv, "pretty": _render_pretty}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="urllc-mc",
@@ -351,23 +356,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scenario = argparse.ArgumentParser(add_help=False)
     scenario.add_argument("--config", help="path to the scenario JSON document")
-    scenario.add_argument("--format", choices=("csv", "pretty"), default="pretty")
+    scenario.add_argument("--format", choices=_RENDER, default="pretty")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("outage", parents=[scenario],
-                   help="closed-form outage at the configured p_d")
-    sub.add_parser("solve", parents=[scenario],
-                   help="BLER target for the configured outage target")
-    sub.add_parser("resource", parents=[scenario],
-                   help="channel use and total usage at the outage target")
+    for name, run, text in (
+        ("outage", cmd_outage, "closed-form outage at the configured p_d"),
+        ("solve", cmd_solve, "BLER target for the configured outage target"),
+        ("resource", cmd_resource, "channel use and total usage at the outage target"),
+    ):
+        sub.add_parser(name, parents=[scenario], help=text).set_defaults(run=run)
     simulate = sub.add_parser("simulate", parents=[scenario],
                               help="Monte Carlo estimates for the scenario")
+    simulate.set_defaults(run=cmd_simulate)
     simulate.add_argument("--seed", type=int, help="override the configured seed")
     simulate.add_argument("--jobs", type=int, default=1,
                           help="simulation worker threads; they draw in parallel and take "
                                "turns to tally (results are identical)")
     sweep = sub.add_parser("sweep", parents=[scenario],
                            help="evaluate along a swept variable")
+    sweep.set_defaults(run=cmd_sweep)
     sweep.add_argument("--variable", required=True, choices=("p_d", "sinr_db", "m"))
     sweep.add_argument("--start", type=float, required=True)
     sweep.add_argument("--stop", type=float, required=True)
@@ -379,12 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> ScenarioConfig:
-    if not args.config:
-        raise ValidationError(f"--config is required for the {args.command} command")
-    return load_scenario(args.config)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -392,26 +393,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for path in cmd_reproduce(args.out):
                 print(path)
             return 0
-        cfg = _load_config(args)
-        if args.command == "outage":
-            header, rows = cmd_outage(cfg)
-        elif args.command == "solve":
-            header, rows = cmd_solve(cfg)
-        elif args.command == "resource":
-            header, rows = cmd_resource(cfg)
-        elif args.command == "simulate":
-            seed = cfg.seed if args.seed is None else args.seed
-            header, rows = cmd_simulate(cfg, seed, jobs=args.jobs)
-        else:
-            header, rows = cmd_sweep(cfg, args)
+        if not args.config:
+            raise ValidationError(f"--config is required for the {args.command} command")
+        header, rows = args.run(load_scenario(args.config), args)
     except UrllcMcError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: IO_ERROR: {exc}", file=sys.stderr)
         return 6
-    render = _render_csv if args.format == "csv" else _render_pretty
-    sys.stdout.write(render(header, rows))
+    sys.stdout.write(_RENDER[args.format](header, rows))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Optional, Tuple
 
-from .errors import DomainError, ParseError, ValidationError, integer, real
+from .errors import DomainError, ParseError, ValidationError, integer, real, shown
 from .fbl import FblContext, db_to_linear
 from .outage import MAX_NODES, ChaseModel
 from .sim import MAX_SEED, MAX_TRIALS, Numerology
@@ -65,7 +65,7 @@ def _number(value, field_name: str) -> float:
     large for a float are rejected by field name."""
     _require(integer(value) or isinstance(value, float), field_name,
              f"must be a number, got {value!r}")
-    _require(real(value), field_name, f"must be finite, got {value!r}")
+    _require(real(value), field_name, f"must be finite, got {shown(value)}")
     return float(value)
 
 

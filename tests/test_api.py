@@ -8,6 +8,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +91,16 @@ def test_public_surface_is_pinned():
 def test_every_public_name_resolves():
     for name in urllc_mc.__all__:
         assert getattr(urllc_mc, name) is not None, name
+
+
+def test_the_version_has_one_owner():
+    # the package metadata reads urllc_mc.__version__; pyproject.toml keeps no copy
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "urllc_mc.__version__"}
 
 
 def test_sizing_surface_is_pinned():

@@ -7,6 +7,7 @@ through capsys. Exit codes: 0 ok, 2 parse, 3 validation, 4 solver,
 
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
 import json
@@ -273,7 +274,7 @@ def test_simulate_ms_row_is_the_budget_worst_case_at_quantile_one(config_path):
         p_d=0.1, trials=2000, latency_quantile=1,
         numerology={"t_up_ttis": 0, "harq_rtt_ttis": 7, "symbols_per_tti": 2, "scs_khz": 15},
     ))
-    _, rows = cmd_simulate(cfg, cfg.seed)
+    _, rows = cmd_simulate(cfg, argparse.Namespace(seed=None, jobs=1))
     assert rows[3][0] == "latency_ms_q1"
     assert rows[3][1] == latency_budget_check(cfg.numerology, 1.0)[0]
 
@@ -854,8 +855,9 @@ def test_pretty_format_renders_header(config_path, capsys):
 
 
 # One digest per (document, command) pair in csv: the exit code, stdout and
-# stderr of the closed-form commands over six documents. The m sweep rejects
-# a document whose SINRs differ per node, and a fixed metadata BLER cannot
+# stderr of the closed-form commands over six documents. In pretty, one digest
+# per document covers its six commands in order. The m sweep rejects a
+# document whose SINRs differ per node, and a fixed metadata BLER cannot
 # bracket the target at every m, so those digests pin the error instead.
 BATTERY_DOCUMENTS = {
     "zero_m2": {"scheme": "MC", "m_nodes": 2, "sinr_db": 10, "p_d": 0.01},
@@ -930,17 +932,33 @@ BATTERY_SHA256 = {
     },
 }
 
+BATTERY_PRETTY_SHA256 = {
+    "fbl_3": "20a4abd11300a45c9e6baca47e7e9d782f7d43ce8fe763955ac37cb2451b83da",
+    "fbl_4": "fd715c2062d4f4b6ff480caa0b43897cd8453bfeaae34195099f3a32d68e0455",
+    "fixed_meta": "43414f48ff0a5cb2e9d1a6db4be5b85c225109ad3a18512774cf378a6548d24c",
+    "half_product_3": "bf605f218eb764d1cbbcec96cd31f10476a28e188e6d8307509bbfbe8716930c",
+    "sc": "4c7c8d06718379be1679679f785a1bf5d2783909aca1a354662bac41f9f876cc",
+    "zero_m2": "833e1ba42372c25a9c9802b9c1c414d9c6bd3e1addb99145d5a29bddfc833566",
+}
 
-def _battery_digest(document: str, command: str, tmp_path, capsys) -> str:
+
+def _battery_run(document: str, command: str, fmt: str, tmp_path, capsys) -> str:
     path = tmp_path / f"{document}.json"
     path.write_text(json.dumps({"target_outage": 1e-5, **BATTERY_DOCUMENTS[document]}))
-    code = main([*BATTERY_COMMANDS[command], "--config", str(path), "--format", "csv"])
+    code = main([*BATTERY_COMMANDS[command], "--config", str(path), "--format", fmt])
     out, err = capsys.readouterr()
-    return hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+    return f"{code}\n{out}\n{err}"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("document", sorted(BATTERY_DOCUMENTS))
 def test_closed_form_commands_bytes_are_pinned(document, tmp_path, capsys):
-    digests = {command: _battery_digest(document, command, tmp_path, capsys)
+    digests = {command: _sha256(_battery_run(document, command, "csv", tmp_path, capsys))
                for command in BATTERY_COMMANDS}
     assert digests == BATTERY_SHA256[document]
+    pretty = "".join(_battery_run(document, command, "pretty", tmp_path, capsys)
+                     for command in BATTERY_COMMANDS)
+    assert _sha256(pretty) == BATTERY_PRETTY_SHA256[document]

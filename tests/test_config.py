@@ -188,13 +188,17 @@ HUGE = 10**400  # a JSON integer beyond the float range
     # finite in dB, but beyond the float range in linear scale
     + [({"sinr_db": 1e300}, "sinr_db"),
        ({"scheme": "MC", "sinr_db": [10, 1e300]}, "sinr_db"),
-       ({"scheme": "MC", "m_nodes": 3, "sinr_db": [10, 4000, 10]}, "sinr_db")],
+       ({"scheme": "MC", "m_nodes": 3, "sinr_db": [10, 4000, 10]}, "sinr_db")]
+    # an integer field, checked as an integer first
+    + [({"trials": HUGE}, "trials")],
 )
 def test_non_finite_numbers_rejected_by_name(overrides, field):
     # json.loads accepts NaN, Infinity and integers too large for a float,
     # which pass every range check
-    with pytest.raises(ValidationError, match=f"{field}: must be finite"):
+    with pytest.raises(ValidationError, match=f"{field}: must be finite") as info:
         parse_scenario(_doc(**overrides))
+    if str(HUGE) in json.dumps(overrides):  # HUGE or -HUGE: described, not printed
+        assert str(info.value) == f"{field}: must be finite, got an int past the float range"
     if "numerology" in overrides:
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             Numerology(**overrides["numerology"])
