@@ -9,9 +9,8 @@ broadcasts to all nodes.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import DomainError, ParseError, ValidationError, integer, real, shown
 from .fbl import FblContext, db_to_linear
@@ -20,8 +19,7 @@ from .sim import MAX_SEED, MAX_TRIALS, Numerology
 from .solver import BlerPolicy
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """A full experiment description, and the schema of the scenario
     document: a key is a field name, an absent key takes the field's
     default, and the scalar fields are type-checked by their annotations
@@ -33,13 +31,13 @@ class ScenarioConfig:
     target_outage: float
     payload_bits: int = 256
     metadata_bits: Optional[int] = None  # reported by resource, never added to channel use
-    policy: BlerPolicy = field(default_factory=BlerPolicy)
+    policy: BlerPolicy = BlerPolicy()
     chase: ChaseModel = ChaseModel.ZERO
     p_d: Optional[float] = None
     trials: int = 100_000
     seed: int = 1234
     latency_quantile: float = 0.99
-    numerology: Numerology = field(default_factory=Numerology)
+    numerology: Numerology = Numerology()
     shared_frame_alignment: bool = True
 
     def contexts(self) -> list[FblContext]:
@@ -52,7 +50,8 @@ class ScenarioConfig:
 
 
 # the fixed_meta policy's value sits beside "policy"
-_KEYS = {f.name for f in fields(ScenarioConfig)} | {"fixed_meta"}
+_KEYS = {*ScenarioConfig._fields, "fixed_meta"}
+MISSING = object()  # the default of a field that has none
 
 
 def _require(cond: bool, field_name: str, constraint: str):
@@ -70,23 +69,24 @@ def _number(value, field_name: str) -> float:
 
 
 def _scalars(doc: dict, schema) -> dict:
-    """Every scalar field of the dataclass ``schema``, in field order: the
-    document's value checked against the field's annotation string (the
-    modules postpone annotations), or else its default (MISSING if none)."""
+    """Every scalar field of the record ``schema``, in field order: the
+    document's value checked against the field's annotation (a ForwardRef, as
+    the modules postpone them), or else its default (MISSING if none)."""
     values = {}
-    for f in fields(schema):
-        if f.type not in ("int", "Optional[int]", "float", "Optional[float]", "bool"):
+    for name, annotation in schema.__annotations__.items():
+        kind = annotation.__forward_arg__
+        if kind not in ("int", "Optional[int]", "float", "Optional[float]", "bool"):
             continue
-        value = values[f.name] = doc.get(f.name, f.default)
-        if f.name not in doc:
+        value = values[name] = doc.get(name, schema._field_defaults.get(name, MISSING))
+        if name not in doc:
             continue
-        if f.type == "bool":
-            _require(isinstance(value, bool), f.name, f"must be a boolean, got {value!r}")
-        elif f.type in ("int", "Optional[int]"):
-            _require(integer(value), f.name, f"must be an integer, got {value!r}")
-            _number(value, f.name)  # rejects an int too large for a float
+        if kind == "bool":
+            _require(isinstance(value, bool), name, f"must be a boolean, got {value!r}")
+        elif kind in ("int", "Optional[int]"):
+            _require(integer(value), name, f"must be an integer, got {value!r}")
+            _number(value, name)  # rejects an int too large for a float
         else:
-            values[f.name] = _number(value, f.name)
+            values[name] = _number(value, name)
     return values
 
 
@@ -157,9 +157,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     _require(0.0 < target < 1.0, "target_outage", f"must be in (0, 1), got {target!r}")
     _at_least(values, 1, "payload_bits", "metadata_bits")
 
-    kind = _enum(doc, "policy", BlerPolicy.kind)  # the dataclass defaults
+    kind = _enum(doc, "policy", BlerPolicy._field_defaults["kind"])
     policy = BlerPolicy(kind, **_scalars(doc, BlerPolicy))
-    chase = _enum(doc, "chase", ScenarioConfig.chase)
+    chase = _enum(doc, "chase", ScenarioConfig._field_defaults["chase"])
 
     p_d = values["p_d"]
     if p_d is not None:
@@ -175,7 +175,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     sub = doc.get("numerology", {})
     _require(isinstance(sub, dict), "numerology", "must be an object")
-    unknown = set(sub) - {f.name for f in fields(Numerology)}
+    unknown = set(sub) - set(Numerology._fields)
     if unknown:
         raise ValidationError(f"numerology: unknown key {sorted(unknown)[0]!r}")
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, with their CLI exit and error
-codes, and the one test of what a numeric argument may be."""
+"""Exception types with their CLI exit and error codes, the one test of what
+a numeric argument may be, and the decorator of every checked record."""
 
 import math
 import sys
@@ -70,3 +70,19 @@ def shown(value: object) -> str:
         return repr(value)
     name = type(value).__name__
     return f"{value!r}, {'an' if name[0] in 'aeiou' else 'a'} {name}, not a Python int or float"
+
+
+def checked(record):
+    """Class decorator for a ``typing.NamedTuple`` whose ``_check`` raises on a
+    bad value: its constructor, ``_make`` and ``_replace`` all run the check.
+    (A NamedTuple's own body may not define ``__new__`` or ``_make``.)"""
+    make = record.__new__
+
+    def __new__(cls, *args, **kwargs):
+        self = make(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    __new__.__wrapped__ = make  # so that help() shows the fields
+    record.__new__, record._make = __new__, classmethod(lambda cls, it: cls(*it))
+    return record

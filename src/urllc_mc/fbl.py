@@ -9,9 +9,10 @@ All functions are pure and scalar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from statistics import NormalDist
+from typing import NamedTuple
 
 from .errors import DomainError, integer, real, shown
 
@@ -81,34 +82,43 @@ def db_to_linear(x_db: float) -> float:
         raise DomainError(f"must be finite in linear scale, got {shown(x_db)} dB") from None
 
 
-@dataclass(frozen=True)
-class FblContext:
+class _FblContext(NamedTuple):
+    payload_bits: int
+    sinr_linear: float
+    capacity: float
+    dispersion: float
+
+
+class FblContext(_FblContext):
     """Payload size and link SINR with the derived coding quantities.
 
     ``capacity`` and ``dispersion`` are always recomputed from
     ``sinr_linear``; they are stored so repeated evaluations do not pay
-    for the logs. A SINR so small that ``1 + sinr`` rounds to 1 gives a
-    zero capacity, which no channel use can reach, and is rejected.
-    ``_two_copy`` is the pair at twice the SINR (two combined copies),
-    computed when first read and kept out of equality and ``repr``.
+    for the logs, and ``_make`` and ``_replace`` take only the other two. A
+    SINR so small that ``1 + sinr`` rounds to 1 gives a zero capacity, which
+    no channel use can reach, and is rejected. ``_two_copy`` is the pair at
+    twice the SINR (two combined copies), computed when first read and kept
+    out of equality and ``repr``.
     """
 
-    payload_bits: int
-    sinr_linear: float
-    capacity: float = field(init=False)
-    dispersion: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        bits = self.payload_bits
+    def __new__(cls, payload_bits: int, sinr_linear: float) -> FblContext:
+        bits = payload_bits
         if not (integer(bits) and real(bits) and bits >= 1):
             raise DomainError(f"payload_bits must be a positive integer, got {shown(bits)}")
-        capacity = shannon_capacity(self.sinr_linear)
+        capacity = shannon_capacity(sinr_linear)
         if capacity == 0.0:
             raise DomainError(
-                f"capacity log2(1 + sinr) rounds to 0 at sinr_linear {self.sinr_linear!r}"
+                f"capacity log2(1 + sinr) rounds to 0 at sinr_linear {sinr_linear!r}"
             )
-        object.__setattr__(self, "capacity", capacity)
-        object.__setattr__(self, "dispersion", channel_dispersion(self.sinr_linear))
+        dispersion = channel_dispersion(sinr_linear)
+        return super().__new__(cls, payload_bits, sinr_linear, capacity, dispersion)
+
+    @classmethod
+    def _make(cls, iterable) -> FblContext:
+        return cls(*islice(iterable, 2))
+
+    def __getnewargs__(self) -> tuple:  # what copy and pickle pass to __new__
+        return self[:2]
 
     @cached_property
     def _two_copy(self) -> tuple:

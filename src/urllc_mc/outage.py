@@ -14,11 +14,10 @@ forms run on the standard library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .errors import DomainError, ValidationError, real, shown
+from .errors import DomainError, ValidationError, checked, real, shown
 from .fbl import FblContext, _bler, channel_use
 
 if TYPE_CHECKING:
@@ -35,8 +34,8 @@ def _check_prob(name: str, value) -> None:
         raise DomainError(f"{name} must be a probability in [0, 1], got {shown(value)}")
 
 
-@dataclass(frozen=True)
-class LinkBlerProfile:
+@checked
+class LinkBlerProfile(NamedTuple):
     """The three error probabilities of one link.
 
     Metadata and data block error rates, held equal across the initial
@@ -49,7 +48,7 @@ class LinkBlerProfile:
     p_d: float
     p_c: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("p_m", "p_d", "p_c"):
             _check_prob(name, getattr(self, name))
         if self.p_c > self.p_d:
@@ -71,8 +70,7 @@ class ChaseModel(Enum):
         return self not in (ChaseModel.ZERO, ChaseModel.PRODUCT)
 
 
-@dataclass(frozen=True)
-class OutageBreakdown:
+class OutageBreakdown(NamedTuple):
     """Probabilities of the three success classes and of outage.
 
     The four fields partition the event space: they sum to one within

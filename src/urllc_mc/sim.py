@@ -55,11 +55,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
-from .errors import ValidationError, integer, real, shown
+from .errors import ValidationError, checked, integer, real, shown
 from .outage import LinkBlerProfile, _link_count
 
 if TYPE_CHECKING:
@@ -87,8 +86,8 @@ MAX_SEED = 2**128 - 1
 MAX_JOBS = 64
 
 
-@dataclass(frozen=True)
-class Numerology:
+@checked
+class Numerology(NamedTuple):
     """Mini-slot timing constants; durations are in TTIs unless noted.
 
     The default is a four-symbol mini-slot at 30 kHz subcarrier spacing
@@ -105,7 +104,7 @@ class Numerology:
     t_tx_ttis: float = 1.0
     t_bp_initial_ttis: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis"):
             if not real(value := getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {shown(value)}")
@@ -171,8 +170,7 @@ def latency_budget_check(numerology: Numerology, budget_ms: float) -> tuple[floa
     return worst_ms, worst_ms <= budget_ms
 
 
-@dataclass(frozen=True)
-class SimAggregate:
+class SimAggregate(NamedTuple):
     """Integer tallies of a run and their provenance.
 
     ``leaf_counts[n]`` are the per-link event-tree leaf tallies

@@ -23,11 +23,10 @@ expectation (the paper's normalized usage, fig. 4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DomainError, SolverError, ValidationError, integer, real, shown
+from .errors import DomainError, SolverError, ValidationError, checked, integer, real, shown
 from .fbl import FblContext, channel_use
 from .outage import MAX_NODES, ChaseModel, LinkBlerProfile, _leaves, _link_count, chase_bler
 
@@ -41,14 +40,14 @@ class PolicyKind(Enum):
     FIXED_META = "fixed_meta"  # p_m held constant
 
 
-@dataclass(frozen=True)
-class BlerPolicy:
+@checked
+class BlerPolicy(NamedTuple):
     """Linkage between the metadata BLER and the data BLER."""
 
     kind: PolicyKind = PolicyKind.EQUAL
     fixed_meta: Optional[float] = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not isinstance(self.kind, PolicyKind):
             raise ValidationError(f"policy kind must be a PolicyKind, got {self.kind!r}")
         if self.kind is PolicyKind.FIXED_META:
@@ -68,8 +67,7 @@ class BlerPolicy:
         return float(self.fixed_meta)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     p_d: float
     p_m: float
     achieved_outage: float

@@ -3,8 +3,10 @@ is added or removed only by editing the list below."""
 
 from __future__ import annotations
 
+import copy
 import inspect
 import math
+import pickle
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -32,8 +34,10 @@ from urllc_mc import (
     db_to_linear,
     latency_budget_check,
     latency_quantile,
+    parse_scenario,
     q_func,
     q_inv,
+    sc_outage,
     shannon_capacity,
     simulate_run,
     solve_bler,
@@ -256,3 +260,61 @@ def test_a_refused_type_is_marked_in_the_message():
 ])
 def test_real_and_integer(value, is_real, is_integer):
     assert (real(value), integer(value)) == (is_real, is_integer)
+
+
+# one record of each value type, built when a test asks for it
+RECORDS = {
+    "BlerPolicy": lambda: BlerPolicy(PolicyKind.FIXED_META, fixed_meta=0.01),
+    "FblContext": lambda: CTX,
+    "LinkBlerProfile": lambda: LinkBlerProfile(0.01, 0.1, 0.0),
+    "Numerology": Numerology,
+    "OutageBreakdown": lambda: sc_outage(LinkBlerProfile(0.01, 0.1, 0.0)),
+    "ScenarioConfig": lambda: parse_scenario(
+        '{"scheme": "MC", "target_outage": 1e-5, "sinr_db": 10, "p_d": 0.01}'),
+    "SimAggregate": lambda: simulate_run([LinkBlerProfile(0.01, 0.1, 0.0)], 1000, 7),
+    "SolveResult": lambda: solve_bler(2, 1e-5, BlerPolicy(), ChaseModel.ZERO),
+}
+
+
+def test_the_value_types_are_the_public_records():
+    records = [n for n in urllc_mc.__all__
+               if isinstance(getattr(urllc_mc, n), type) and issubclass(getattr(urllc_mc, n), tuple)]
+    assert records == list(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_cannot_be_assigned(name):
+    record = RECORDS[name]()
+    assert type(record) is getattr(urllc_mc, name)
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+@pytest.mark.parametrize("record, field, bad, message", [
+    (BlerPolicy(), "fixed_meta", 0.5, "EQUAL policy takes no fixed_meta value"),
+    (CTX, "sinr_linear", 0.0, "sinr_linear must be positive, got 0.0"),
+    (LinkBlerProfile(0.01, 0.1, 0.0), "p_c", 0.2,
+     "post-combining error p_c=0.2 must not exceed the single-transmission data BLER p_d=0.1"),
+    (Numerology(), "harq_rtt_ttis", 0,
+     "harq_rtt_ttis must be a positive integer within the float range, got 0"),
+], ids=["BlerPolicy", "FblContext", "LinkBlerProfile", "Numerology"])
+def test_checked_records_check_make_and_replace(record, field, bad, message):
+    # NamedTuple's own _make calls tuple.__new__ and would skip the check
+    kind = type(record)
+    values = [bad if f == field else v for f, v in zip(record._fields, record)]
+    for build in (lambda: kind._make(values), lambda: record._replace(**{field: bad})):
+        with pytest.raises(UrllcMcError, match=f"^{re.escape(message)}$"):
+            build()
+    rebuilt = [kind._make(record), record._replace(), copy.copy(record), copy.deepcopy(record),
+               pickle.loads(pickle.dumps(record))]
+    for same in rebuilt:
+        assert same == record and same is not record and type(same) is kind
+
+
+def test_a_context_derives_capacity_and_dispersion():
+    for field in ("capacity", "dispersion"):
+        with pytest.raises(ValueError, match=rf"^Got unexpected field names: \['{field}'\]$"):
+            CTX._replace(**{field: 1.0})
+    assert CTX._replace(sinr_linear=20.0) == FblContext(256, 20.0)
+    assert FblContext._make((256, 10.0, 1.0, 1.0)) == CTX  # recomputed, never read

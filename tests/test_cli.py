@@ -652,6 +652,15 @@ def test_cli_import_loads_only_stdlib():
     assert [m for m in added if m not in sys.stdlib_module_names] == ["urllc_mc"]
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the value types are typing.NamedTuple records; dataclasses imports
+    # inspect, which imports ast, dis and tokenize, a third of the set-up time
+    loaded = ast.literal_eval(_probe(
+        "import sys, urllc_mc.cli; "
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"))
+    assert loaded == []
+
+
 _SIMULATOR_MODULES = ("numpy", "numpy.random", "concurrent.futures")
 
 # Runs every closed-form command through cli.main in one process, then

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
 
 import pytest
 
@@ -19,9 +18,11 @@ from urllc_mc.sim import Numerology
 from urllc_mc.solver import PolicyKind
 
 
-# the numerology schema: field types are annotation strings in sim.py
-NUMEROLOGY_FLOATS = [f.name for f in fields(Numerology) if f.type == "float"]
-NUMEROLOGY_INTS = [f.name for f in fields(Numerology) if f.type == "int"]
+# the numerology schema: field types are annotation strings in sim.py, which
+# a NamedTuple holds as forward references
+NUMEROLOGY_TYPES = {n: t.__forward_arg__ for n, t in Numerology.__annotations__.items()}
+NUMEROLOGY_FLOATS = [n for n, t in NUMEROLOGY_TYPES.items() if t == "float"]
+NUMEROLOGY_INTS = [n for n, t in NUMEROLOGY_TYPES.items() if t == "int"]
 
 
 def _doc(**overrides) -> str:
@@ -46,11 +47,9 @@ def test_minimal_document_gets_defaults():
     assert cfg.numerology.scs_khz == 30.0
     assert cfg.numerology.symbols_per_tti == 4
     assert cfg.shared_frame_alignment is True
-    # every field with a default takes the dataclass's own
-    for f in fields(ScenarioConfig):
-        if f.default is not MISSING or f.default_factory is not MISSING:
-            default = f.default if f.default_factory is MISSING else f.default_factory()
-            assert getattr(cfg, f.name) == default, f.name
+    # every field with a default takes the record's own
+    for name, default in ScenarioConfig._field_defaults.items():
+        assert getattr(cfg, name) == default, name
 
 
 def test_mc_defaults_to_two_nodes_with_broadcast_sinr():
@@ -137,13 +136,13 @@ def test_numerology_overrides():
         parse_scenario(_doc(numerology={"scs": 30}))
 
 
-def test_numerology_schema_follows_the_dataclass():
+def test_numerology_schema_follows_the_record():
     assert NUMEROLOGY_FLOATS == ["scs_khz", "t_up_ttis", "t_tx_ttis", "t_bp_initial_ttis"]
     assert NUMEROLOGY_INTS == ["symbols_per_tti", "harq_rtt_ttis"]
     # every field round-trips, each with its own value and type
     values = {
-        f.name: i + 2 if f.name in NUMEROLOGY_INTS else i + 0.5
-        for i, f in enumerate(fields(Numerology))
+        name: i + 2 if name in NUMEROLOGY_INTS else i + 0.5
+        for i, name in enumerate(Numerology._fields)
     }
     numerology = parse_scenario(_doc(numerology=values)).numerology
     for name, value in values.items():

@@ -7,7 +7,6 @@ to 1e-14.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import sys
@@ -370,7 +369,9 @@ def test_mc_outage_heterogeneous_product():
 def test_mc_outage_is_the_in_order_product_of_sc_outage(drawn, data):
     # links drawn from the profiles and equal copies of them, so runs of one
     # object, equal distinct objects and unequal links all occur
-    pool = drawn + [dataclasses.replace(p) for p in drawn]
+    copies = [p._replace() for p in drawn]
+    assert all(c == p and c is not p for c, p in zip(copies, drawn))
+    pool = drawn + copies
     links = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
     expected = 1.0
     for profile in links:

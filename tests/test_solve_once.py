@@ -10,7 +10,6 @@ the one-link-at-a-time computation it replaces.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -312,9 +311,7 @@ def test_the_doubled_pair_leaves_context_equality_and_repr_alone():
     read, fresh = FblContext(256, 10.0), FblContext(256, 10.0)
     shown = repr(fresh)
     chase_bler(FBL, 0.01, read)
-    assert [f.name for f in dataclasses.fields(read)] == [
-        "payload_bits", "sinr_linear", "capacity", "dispersion"
-    ]
+    assert read._fields == ("payload_bits", "sinr_linear", "capacity", "dispersion")
     assert repr(read) == shown == (
         f"FblContext(payload_bits=256, sinr_linear=10.0, capacity={read.capacity!r}, "
         f"dispersion={read.dispersion!r})"

@@ -120,13 +120,12 @@ def test_solve_roundtrip_random_cases():
     rng = np.random.default_rng(17)
     for _ in range(200):
         m = int(rng.integers(1, 4))
-        policy = rng.choice(
-            [
-                EQUAL,
-                BlerPolicy(PolicyKind.HALF),
-                BlerPolicy(PolicyKind.FIXED_META, fixed_meta=0.01),
-            ]
-        )
+        # indexed, not rng.choice: numpy reads a list of records as a 2-D array
+        policy = [
+            EQUAL,
+            BlerPolicy(PolicyKind.HALF),
+            BlerPolicy(PolicyKind.FIXED_META, fixed_meta=0.01),
+        ][int(rng.integers(3))]
         target = float(10.0 ** rng.uniform(-8, -2))
         try:
             res = solve_bler(m, target, policy, ZERO)
