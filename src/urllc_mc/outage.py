@@ -7,21 +7,15 @@ alone writes. Duplicated transmission: product of the per-link outages,
 since every link runs its own independent HARQ round and copies are
 never combined across links. Its success mix holds every per-round
 distribution: outage, retransmissions and latency.
-
-Only ``success_mix`` reads numpy, and imports it when called: the closed
-forms run on the standard library.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, ValidationError, checked, real, shown
 from .fbl import FblContext, _bler, channel_use
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Most duplicating links a solve, a scenario, an m sweep, a simulation or an
 # exact success mix may use. The paper evaluates m <= 3 and the benchmark
@@ -129,28 +123,27 @@ def mc_outage(profiles: Sequence[LinkBlerProfile]) -> float:
     return out
 
 
-def success_mix(profiles: Sequence[LinkBlerProfile]) -> np.ndarray:
+def success_mix(profiles: Sequence[LinkBlerProfile]) -> Tuple[Tuple[float, ...], ...]:
     """Exact success mix of a packet duplicated over the given links.
 
-    Cell (a, b) is the probability that exactly ``a`` links succeed on the
+    Cell [a][b] is the probability that exactly ``a`` links succeed on the
     first try and ``b`` on the retransmission, the exact counterpart of
     ``SimAggregate.success_mix``; its reversed row sums are the
     distribution of the number of retransmitting links. Each link enters
-    as its outage factor plus the shifted success terms, so cell (0, 0)
+    as its outage factor plus the shifted success terms, so cell [0][0]
     takes the products of ``mc_outage`` and equals it bit for bit.
     """
-    import numpy as np
-
     m = _link_count(profiles)
-    mix = np.zeros((m + 1, m + 1))
-    mix[0, 0] = 1.0
+    zero = [0.0] * (m + 1)
+    mix = [[1.0, *zero[1:]], *[zero] * m]
     for profile in profiles:
-        bd = sc_outage(profile)
-        step = mix * bd.p_out
-        step[1:] += mix[:-1] * bd.p_succ_first
-        step[:, 1:] += mix[:, :-1] * (bd.p_succ_timeout_retx + bd.p_succ_nack_retx)
-        mix = step
-    return mix
+        first, timeout, nack, out = map(float, _leaves(profile.p_m, profile.p_d, profile.p_c))
+        retx = timeout + nack
+        # a missing neighbour (row a - 1 or column b - 1) adds an exact 0.0
+        mix = [[(x * out + up * first) + left * retx
+                for x, up, left in zip(row, above, [0.0, *row])]
+               for row, above in zip(mix, [zero, *mix])]
+    return tuple(map(tuple, mix))
 
 
 def chase_bler(

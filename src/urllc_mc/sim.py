@@ -47,8 +47,8 @@ Plain Monte Carlo only: validate at error rates where the binomial
 intervals are meaningful, not at the 1e-5 operating points.
 
 numpy, its Philox generator and the thread pool are imported by the
-functions that draw, tally or read a mix, not with the module, so the
-closed-form commands that import ``Numerology`` run without them.
+functions that draw or tally, not with the module, so the closed-form
+commands that import ``Numerology`` run without them.
 """
 
 from __future__ import annotations
@@ -175,44 +175,44 @@ class SimAggregate(NamedTuple):
 
     ``leaf_counts[n]`` are the per-link event-tree leaf tallies
     (first-try success, timeout-path success, NACK-path success, outage)
-    of link n. ``success_mix[a, b]`` counts the trials in which exactly
+    of link n. ``success_mix[a][b]`` counts the trials in which exactly
     ``a`` links succeeded on the first try and ``b`` links on their
     retransmission; its reversed row sums count the trials in which
     exactly k links retransmitted, i.e. used m + k transmissions, since
     the m - a links that missed the first try all retransmit. The trial
-    and link counts are the mix's sum and shape, so they cannot disagree
-    with it. Tallies of disjoint trial ranges merge by plain sums. The
-    estimates read the tallies as exact Python integers, good up to
-    ``MAX_TRIALS``.
+    and link counts are the mix's sum and size, so they cannot disagree
+    with it. Both tables are tuples of Python ints, so tallies of
+    disjoint trial ranges merge cell by cell, and the estimates read them
+    exactly.
     """
 
     seed: int
-    leaf_counts: np.ndarray  # (m, 4) int64
-    success_mix: np.ndarray  # (m + 1, m + 1) int64
+    leaf_counts: Tuple[Tuple[int, ...], ...]  # m rows of 4
+    success_mix: Tuple[Tuple[int, ...], ...]  # m + 1 rows of m + 1
 
     @property
     def trials(self) -> int:
-        return int(self.success_mix.sum())
+        return sum(map(sum, self.success_mix))
 
     @property
     def m_nodes(self) -> int:
-        return self.success_mix.shape[0] - 1
+        return len(self.success_mix) - 1
 
     @property
     def n_success(self) -> int:
-        return self.trials - int(self.success_mix[0, 0])
+        return self.trials - self.success_mix[0][0]
 
     def outage(self) -> Tuple[float, float]:
         """Outage proportion and its 95% half-width (normal-approximation
         binomial interval)."""
-        mean = int(self.success_mix[0, 0]) / self.trials
+        mean = self.success_mix[0][0] / self.trials
         return mean, 1.96 * math.sqrt(mean * (1.0 - mean) / self.trials)
 
     def mean_usage(self) -> Tuple[float, float]:
         """Mean usage in multiples of one transmission's channel uses, and
         its 95% half-width."""
         n, m = self.trials, self.m_nodes
-        counts = [int(c) for c in self.success_mix.sum(axis=1)[::-1]]  # [k]: k retransmitted
+        counts = [sum(r) for r in reversed(self.success_mix)]  # [k]: k retransmitted
         mean = sum((m + k) * c for k, c in enumerate(counts)) / n
         total_sq = sum((m + k) ** 2 * c for k, c in enumerate(counts))
         var = max(0.0, total_sq / n - mean * mean)
@@ -364,11 +364,13 @@ def simulate_run(
         shares = (starts[n * w // workers:n * (w + 1) // workers] for w in range(workers))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, shares))
-    return SimAggregate(seed=seed, leaf_counts=leaf_counts, success_mix=mix)
+    return SimAggregate(seed, tuple(map(tuple, leaf_counts.tolist())),
+                        tuple(map(tuple, mix.tolist())))
 
 
 def _latency_tail(
-    mix: np.ndarray, numerology: Numerology, x: float, shared_frame_alignment: bool
+    mix: Sequence[Sequence[float]], numerology: Numerology, x: float,
+    shared_frame_alignment: bool
 ) -> float:
     """Mass of the mix, in expectation over the frame alignment, whose
     latency exceeds ``x`` TTIs.
@@ -378,27 +380,28 @@ def _latency_tail(
     t_fa uniform on [0, 1). With one shared alignment the packet arrives
     at t_fa + o1 if a > 0 and at t_fa + o2 otherwise, since o2 >= o1 + 1;
     with independent alignments P(L > x) = (1 - F(x - o1))^a
-    (1 - F(x - o2))^b, where F is the uniform CDF.
+    (1 - F(x - o2))^b, where F is the uniform CDF. The weighted cells are
+    summed by ``math.fsum``, correctly rounded in any order.
     """
-    import numpy as np
-
     o1, o2 = _latency_offsets(numerology)
     late1 = 1.0 - min(max(x - o1, 0.0), 1.0)
     late2 = 1.0 - min(max(x - o2, 0.0), 1.0)
-    k = np.arange(mix.shape[0])
+    k = range(len(mix))
     if shared_frame_alignment:
-        late = np.full((k.size, k.size), late1)
-        late[0] = late2  # no first-try success: the retransmission delivers
+        # no first-try success (row 0): the retransmission delivers
+        late = [[late1 if a else late2] * len(k) for a in k]
     else:
-        late = late1 ** k[:, None] * late2 ** k[None, :]
-    late[0, 0] = 0.0  # outage: no latency
-    return float(np.sum(mix * late))
+        late = [[late1 ** a * late2 ** b for b in k] for a in k]
+    late[0][0] = 0.0  # outage: no latency
+    return math.fsum(c * w for row, ws in zip(mix, late) for c, w in zip(row, ws))
 
 
-def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
+def latency_quantile(mix: Sequence[Sequence[float]], numerology: Numerology, q: float,
                      shared_frame_alignment: bool = True) -> float:
     """The q-quantile of the latency given success, in TTIs; NaN when the
-    mix holds no success.
+    mix holds no success. ``mix`` is any square nested sequence of counts
+    or probabilities, such as ``SimAggregate.success_mix`` or
+    ``outage.success_mix``.
 
     It is the smallest x, to full double precision, on the support
     [first-try offset, retransmission offset + 1] (``_latency_offsets``)
@@ -412,12 +415,12 @@ def latency_quantile(mix: np.ndarray, numerology: Numerology, q: float,
     """
     if not (real(q) and 0.0 < q <= 1.0):
         raise ValidationError(f"q must be in (0, 1], got {shown(q)}")
-    successes = float(mix.sum() - mix[0, 0])  # all but the outage cell
+    successes = float(sum(map(sum, mix)) - mix[0][0])  # all but the outage cell
     if successes == 0:
         return math.nan
     lo, retx = _latency_offsets(numerology)
     if q == 1.0:
-        return retx + 1.0 if mix[0, 1:].any() else lo + 1.0
+        return retx + 1.0 if any(mix[0][1:]) else lo + 1.0
     hi = retx + 1.0
     allowed = (1.0 - q) * successes
     while True:

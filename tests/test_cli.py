@@ -642,8 +642,8 @@ def _probe(code: str, *args: str) -> str:
 
 
 def test_cli_import_loads_only_stdlib():
-    # the package declares only numpy, and only the simulator and the exact
-    # success mix import it, when they run: the Q-function pair comes from
+    # the package declares only numpy, and only the simulator's drawing
+    # functions import it, when they run: the Q-function pair comes from
     # the standard library, and scipy, mpmath and hypothesis serve the
     # benchmark's oracle and the tests
     added = ast.literal_eval(_probe(
@@ -701,6 +701,32 @@ def test_only_simulate_loads_numpy_and_the_thread_pool(tmp_path):
         _COMMANDS_PROBE, str(config), str(tmp_path / "repro")).splitlines())
     assert closed_form == []
     assert simulate == list(_SIMULATOR_MODULES)
+
+
+# The exact mix of the MC2 Table 2 point and its latency quantile, then the
+# estimates of a hand-built aggregate; prints them and the loaded modules.
+_MIX_PROBE = """
+import sys
+from urllc_mc import (BlerPolicy, ChaseModel, Numerology, SimAggregate, build_profile,
+                      latency_quantile, solve_bler, success_mix)
+
+p_d = solve_bler(2, 1e-5, BlerPolicy(), ChaseModel.ZERO).p_d
+mix = success_mix([build_profile(p_d, BlerPolicy(), ChaseModel.ZERO)] * 2)
+agg = SimAggregate(7, ((95, 2, 1, 2),) * 2, ((2, 3, 1), (4, 10, 0), (80, 0, 0)))
+print([mix[0][0], latency_quantile(mix, Numerology(), 0.999),
+       latency_quantile(agg.success_mix, Numerology(), 0.99), agg.outage(), agg.mean_usage()])
+print([m for m in %r if m in sys.modules])
+""" % (_SIMULATOR_MODULES,)
+
+
+def test_exact_mix_and_estimates_load_no_numpy():
+    # only simulate_run draws; a mix, its quantile and a run's estimates
+    # are plain Python
+    values, loaded = map(ast.literal_eval, _probe(_MIX_PROBE).splitlines())
+    assert loaded == []
+    outage, quantile, counted, (mean, _), (usage, _) = values
+    assert 0.0 < outage <= 1e-5 and quantile == pytest.approx(6.7596, abs=1e-4)
+    assert 2.0 <= counted <= 7.0 and mean == 0.02 and usage == 2.26
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)

@@ -386,9 +386,9 @@ def test_mc_outage_empty_rejected():
 
 
 def test_mc_outage_link_count_is_bounded_like_success_mix():
-    # mc_outage is success_mix's cell (0, 0), so both take the same lists
+    # mc_outage is success_mix's cell [0][0], so both take the same lists
     profile = LinkBlerProfile(0.1, 0.1, 0.0)
-    assert mc_outage([profile] * MAX_NODES) == success_mix([profile] * MAX_NODES)[0, 0]
+    assert mc_outage([profile] * MAX_NODES) == success_mix([profile] * MAX_NODES)[0][0]
     for build in (mc_outage, success_mix):
         with pytest.raises(ValidationError) as info:
             build([profile] * (MAX_NODES + 1))
@@ -418,17 +418,23 @@ def test_success_mix_matches_outcome_enumeration():
 @given(st.lists(_profiles(), min_size=1, max_size=6))
 def test_success_mix_outage_cell_is_mc_outage(profiles):
     # the same products in the same order, so equal bit for bit
-    assert success_mix(profiles)[0, 0] == mc_outage(profiles)
+    assert success_mix(profiles)[0][0] == mc_outage(profiles)
 
 
-def _factored_mix(profiles) -> np.ndarray:
-    """The mix with each link's retransmission term in the factored form
-    (1 - p_m) * (p_m * (1 - p_d) + (1 - p_m) * (p_d - p_c))."""
+def _numpy_mix(profiles, factored: bool = False) -> np.ndarray:
+    """The success mix by the numpy recurrence that ``success_mix`` ran
+    before it moved to plain lists, the oracle of the list recurrence.
+    With ``factored``, each link's retransmission term is the factored
+    form (1 - p_m) * (p_m * (1 - p_d) + (1 - p_m) * (p_d - p_c)) instead
+    of the sum of its two retransmission leaves."""
     mix = np.zeros((len(profiles) + 1,) * 2)
     mix[0, 0] = 1.0
     for p in profiles:
-        retx = (1.0 - p.p_m) * (p.p_m * (1.0 - p.p_d) + (1.0 - p.p_m) * (p.p_d - p.p_c))
         bd = sc_outage(p)
+        if factored:
+            retx = (1.0 - p.p_m) * (p.p_m * (1.0 - p.p_d) + (1.0 - p.p_m) * (p.p_d - p.p_c))
+        else:
+            retx = bd.p_succ_timeout_retx + bd.p_succ_nack_retx
         step = mix * bd.p_out
         step[1:] += mix[:-1] * bd.p_succ_first
         step[:, 1:] += mix[:, :-1] * retx
@@ -441,7 +447,29 @@ def _factored_mix(profiles) -> np.ndarray:
 def test_success_mix_matches_factored_retx_total(profiles):
     # the summed leaves move a cell by a few ulp at most
     got = success_mix(profiles)
-    assert np.max(np.abs(got - _factored_mix(profiles))) <= 1e-15
+    assert np.max(np.abs(got - _numpy_mix(profiles, factored=True))) <= 1e-15
+
+
+def _as_tuples(mix: np.ndarray) -> tuple:
+    return tuple(map(tuple, mix.tolist()))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_profiles(), min_size=1, max_size=6))
+def test_success_mix_equals_the_numpy_recurrence(profiles):
+    # the same products and sums in the same order, so equal cell for cell
+    got = success_mix(profiles)
+    assert got == _as_tuples(_numpy_mix(profiles))
+    assert got[0][0] == mc_outage(profiles)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(_profiles())
+def test_success_mix_equals_the_numpy_recurrence_over_max_nodes(profile):
+    profiles = [profile] * MAX_NODES
+    got = success_mix(profiles)
+    assert got == _as_tuples(_numpy_mix(profiles))
+    assert got[0][0] == mc_outage(profiles)
 
 
 def test_success_mix_row_sums_are_binomial_over_equal_links():
@@ -449,7 +477,7 @@ def test_success_mix_row_sums_are_binomial_over_equal_links():
         p = sc_outage(profile).p_succ_first
         for m in range(1, 7):
             # entry k: exactly k links retransmit
-            got = success_mix([profile] * m).sum(axis=1)[::-1]
+            got = [sum(r) for r in reversed(success_mix([profile] * m))]
             expected = [math.comb(m, k) * p ** (m - k) * (1.0 - p) ** k for k in range(m + 1)]
             assert np.allclose(got, expected, rtol=0.0, atol=1e-15)
 

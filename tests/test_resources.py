@@ -87,8 +87,8 @@ def _usage_distribution(m: int, r: float, p_succ_first: float) -> list:
     the exact success mix."""
     p_fail = 1.0 - p_succ_first
     link = LinkBlerProfile(p_m=0.0, p_d=p_fail, p_c=0.0)
-    weights = success_mix([link] * m).sum(axis=1)[::-1]
-    return [((m + k) * r, float(w)) for k, w in enumerate(weights)]
+    weights = [sum(row) for row in reversed(success_mix([link] * m))]
+    return [((m + k) * r, w) for k, w in enumerate(weights)]
 
 
 def test_distribution_two_links():

@@ -46,7 +46,7 @@ Z_9999 = 3.8906  # two-sided 99.99% normal quantile
 DEFAULT = Numerology()
 
 
-def _tail(mix: np.ndarray, x: float, numerology: Numerology = DEFAULT,
+def _tail(mix, x: float, numerology: Numerology = DEFAULT,
           shared: bool = True) -> float:
     """Success mass of ``mix`` whose latency exceeds ``x`` TTIs."""
     return sim._latency_tail(mix, numerology, x, shared)
@@ -150,7 +150,7 @@ def test_latency_budget_must_be_positive():
 def test_sc_trial_perfect_link():
     agg = simulate_run([LinkBlerProfile(0, 0, 0)], 20, seed=0)
     assert agg.n_success == 20
-    assert agg.leaf_counts[0].tolist() == [20, 0, 0, 0]  # no retransmission
+    assert list(agg.leaf_counts[0]) == [20, 0, 0, 0]  # no retransmission
     assert agg.mean_usage() == (1.0, 0.0)  # one transmission each
     # t_fa in [0,1) + tx + up
     mix = agg.success_mix
@@ -162,10 +162,10 @@ def test_sc_trial_forced_timeout_path():
     # too and no 0/1 profile forces a timeout success (test_stream_layout_is_pinned
     # reaches that leaf); a retransmission on the NACK path lands in the same band
     lost = simulate_run([LinkBlerProfile(1, 0, 0)], 20, seed=1)
-    assert lost.leaf_counts[0].tolist() == [0, 0, 0, 20]
+    assert list(lost.leaf_counts[0]) == [0, 0, 0, 20]
     agg = simulate_run([LinkBlerProfile(0, 1, 0)], 20, seed=1)
     assert agg.n_success == 20
-    assert agg.leaf_counts[0].tolist() == [0, 0, 20, 0]
+    assert list(agg.leaf_counts[0]) == [0, 0, 20, 0]
     assert agg.mean_usage() == (2.0, 0.0)
     # t_fa + rtt 4 + tx + up
     mix = agg.success_mix
@@ -176,7 +176,7 @@ def test_sc_trial_forced_nack_path():
     # data always fails, combining saves
     agg = simulate_run([LinkBlerProfile(0, 1, 0)], 20, seed=2)
     assert agg.n_success == 20
-    assert agg.leaf_counts[0].tolist() == [0, 0, 20, 0]
+    assert list(agg.leaf_counts[0]) == [0, 0, 20, 0]
     assert agg.mean_usage() == (2.0, 0.0)
     mix = agg.success_mix
     assert _tail(mix, 6.0) == 20 and _tail(mix, 7.0) == 0.0
@@ -185,18 +185,18 @@ def test_sc_trial_forced_nack_path():
 def test_sc_trial_certain_outage():
     agg = simulate_run([LinkBlerProfile(1, 1, 1)], 20, seed=3)
     assert agg.n_success == 0
-    assert agg.leaf_counts[0].tolist() == [0, 0, 0, 20]
+    assert list(agg.leaf_counts[0]) == [0, 0, 0, 20]
     assert agg.mean_usage() == (2.0, 0.0)
     assert math.isnan(latency_quantile(agg.success_mix, DEFAULT, 0.99))
     exact = success_mix([LinkBlerProfile(1, 1, 1)] * 2)  # and the exact mix
-    assert exact[0, 0] == 1.0
+    assert exact[0][0] == 1.0
     assert _tail(exact, 3.0) == 0.0  # no success mass at all
     assert math.isnan(latency_quantile(exact, DEFAULT, 0.99))
 
 
 def test_mc_trial_perfect_links():
     agg = simulate_run([LinkBlerProfile(0, 0, 0)] * 2, 20, seed=4)
-    assert agg.n_success == 20 and agg.success_mix[2, 0] == 20
+    assert agg.n_success == 20 and agg.success_mix[2][0] == 20
     assert agg.mean_usage() == (2.0, 0.0)
 
 
@@ -205,7 +205,7 @@ def test_mc_trial_takes_first_received_copy():
     fast = LinkBlerProfile(0, 0, 0)
     slow = LinkBlerProfile(0, 1, 0)
     agg = simulate_run([fast, slow], 20, seed=5)
-    assert agg.n_success == 20 and agg.success_mix[1, 1] == 20
+    assert agg.n_success == 20 and agg.success_mix[1][1] == 20
     assert _tail(agg.success_mix, 3.0) == 0.0  # the fast copy always wins
     assert agg.mean_usage() == (3.0, 0.0)  # 1 + 2 each, no cross-link cancel
 
@@ -223,7 +223,8 @@ def test_link_count_is_bounded_by_max_nodes(build):
     # the bound of solve_bler and the scenario, now owned by the outage module
     assert MAX_NODES == solver.MAX_NODES == 64
     profile = LinkBlerProfile(0.1, 0.1, 0.0)
-    assert build([profile] * MAX_NODES).shape == (MAX_NODES + 1, MAX_NODES + 1)
+    mix = build([profile] * MAX_NODES)
+    assert [len(row) for row in mix] == [MAX_NODES + 1] * (MAX_NODES + 1)
     with pytest.raises(ValidationError, match=f"at most {MAX_NODES} link profiles .*got 65"):
         build([profile] * (MAX_NODES + 1))
 
@@ -323,13 +324,11 @@ def test_mean_usage_matches_expected_usage():
 
 def test_mean_usage_sums_tallies_past_int64():
     # (m + k)**2 * count passes 2**63 - 1 although every tally fits
-    mix = np.zeros((2, 2), dtype=np.int64)
-    mix[0, 1] = mix[1, 0] = 2**61
-    agg = sim.SimAggregate(0, np.zeros((1, 4), dtype=np.int64), mix)
+    agg = sim.SimAggregate(0, ((0, 0, 0, 0),), ((0, 2**61), (2**61, 0)))
     assert agg.mean_usage() == (1.5, 1.96 * math.sqrt(0.25 / 2**62))
-    mix = np.zeros((65, 65), dtype=np.int64)
-    mix[0, 64] = mix[64, 0] = 2**57
-    agg = sim.SimAggregate(0, np.zeros((64, 4), dtype=np.int64), mix)
+    mix = [[0] * 65 for _ in range(65)]
+    mix[0][64] = mix[64][0] = 2**57
+    agg = sim.SimAggregate(0, ((0, 0, 0, 0),) * 64, tuple(map(tuple, mix)))
     assert agg.mean_usage() == (96.0, 1.96 * 32 / 2**29)
 
 
@@ -338,10 +337,10 @@ def test_usage_histogram_matches_binomial_distribution():
     m, n = 3, 10**6
     agg = simulate_run([profile] * m, n, seed=404)
     # [k]: k links retransmit, counted and exact
-    counts = agg.success_mix.sum(axis=1)[::-1]
-    dist = success_mix([profile] * m).sum(axis=1)[::-1]
+    counts = [sum(r) for r in reversed(agg.success_mix)]
+    dist = [sum(r) for r in reversed(success_mix([profile] * m))]
     for k, weight in enumerate(dist):
-        assert _within_ci(int(counts[k]), n, float(weight))
+        assert _within_ci(counts[k], n, weight)
 
 
 def test_latency_bands_default_numerology():
@@ -415,7 +414,7 @@ def test_latency_quantile_matches_analytic_mixture():
     # shared alignment, one link: a mixture of U[2, 3) and U[6, 7)
     profile = LinkBlerProfile(0.3, 0.3, 0.0)
     agg = simulate_run([profile], 10**5, seed=56)
-    w_first = agg.success_mix[1, 0] / agg.n_success
+    w_first = agg.success_mix[1][0] / agg.n_success
     # independent alignment, two links that both succeed first-try (or
     # both on the retransmission): offset + min(U1, U2)
     pairs = [
@@ -452,7 +451,8 @@ def test_exact_mix_matches_simulated_mix(chase):
         profiles = _per_node_profiles(m, chase)
         counted = simulate_run(profiles, n, seed=600 + m).success_mix
         exact = success_mix(profiles)
-        assert (np.abs(counted / n - exact) <= 4 * _half_width(exact, n)).all()
+        assert all(abs(c / n - p) <= 4 * _half_width(p, n)
+                   for c_row, p_row in zip(counted, exact) for c, p in zip(c_row, p_row))
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -461,16 +461,100 @@ def test_latency_tail_of_exact_mix_matches_simulated(shared):
     profiles = _per_node_profiles(2, ChaseModel.FINITE_BLOCKLENGTH)
     counted = simulate_run(profiles, n, seed=611).success_mix
     exact = success_mix(profiles)
-    successes = n - int(counted[0, 0])
+    successes = n - counted[0][0]
 
     def late(mix, x):  # P(latency > x | success)
-        return _tail(mix, x, DEFAULT, shared) / float(mix.sum() - mix[0, 0])
+        return _tail(mix, x, DEFAULT, shared) / float(sum(map(sum, mix)) - mix[0][0])
 
     # inside the first-try band [2, 3) and the retransmission band [6, 7)
     for x in (2.1, 2.5, 2.9, 6.1, 6.5, 6.9):
         p = late(exact, x)
         assert 0.0 < p < 1.0
         assert abs(late(counted, x) - p) <= 4 * _half_width(p, successes)
+
+
+def _numpy_tail(mix: np.ndarray, numerology: Numerology, x: float, shared: bool) -> float:
+    """``_latency_tail`` as it ran on numpy arrays before it moved to plain
+    lists (numpy's pairwise summation), the oracle of the list version."""
+    o1, o2 = sim._latency_offsets(numerology)
+    late1 = 1.0 - min(max(x - o1, 0.0), 1.0)
+    late2 = 1.0 - min(max(x - o2, 0.0), 1.0)
+    k = np.arange(mix.shape[0])
+    if shared:
+        late = np.full((k.size, k.size), late1)
+        late[0] = late2
+    else:
+        late = late1 ** k[:, None] * late2 ** k[None, :]
+    late[0, 0] = 0.0
+    return float(np.sum(mix * late))
+
+
+def _numpy_quantile(mix, numerology: Numerology, q: float, shared: bool) -> float:
+    """``latency_quantile``'s bisection for q < 1 over ``_numpy_tail``, with
+    the success mass summed by numpy, as it ran on numpy arrays."""
+    mix = np.asarray(mix)
+    successes = float(mix.sum() - mix[0, 0])
+    if successes == 0:
+        return math.nan
+    lo, retx = sim._latency_offsets(numerology)
+    hi = retx + 1.0
+    allowed = (1.0 - q) * successes
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi
+        if _numpy_tail(mix, numerology, mid, shared) <= allowed:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _oracle_mixes() -> list:
+    """Exact and counted (2,000 trials) mixes of random profiles over one
+    to four links, twenty of each, from a fixed seed."""
+    rng = np.random.default_rng(2019)
+    mixes = []
+    for i in range(20):
+        profiles = []
+        for _ in range(i % 4 + 1):
+            p_m, p_d = 10.0 ** rng.uniform(-4.0, -0.3, 2)
+            profiles.append(LinkBlerProfile(float(p_m), float(p_d), float(p_d * rng.uniform())))
+        mixes += [success_mix(profiles), simulate_run(profiles, 2_000, seed=i).success_mix]
+    return mixes
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("numerology", [
+    DEFAULT,
+    Numerology(harq_rtt_ttis=5, t_bp_initial_ttis=0.5),
+    Numerology(scs_khz=60.0, symbols_per_tti=2, harq_rtt_ttis=3, t_up_ttis=0.5, t_tx_ttis=1.5),
+], ids=["default", "rtt5_bp0.5", "scs60"])
+def test_latency_quantile_prints_as_the_numpy_oracle(numerology, shared):
+    # fsum and numpy's pairwise sum may round a tail apart by an ulp, which
+    # moves the bisection's last bits but never the nine printed digits
+    for mix in _oracle_mixes():
+        for q in (0.9, 0.99, 0.999, 0.9999, 0.99999):
+            got = latency_quantile(mix, numerology, q, shared)
+            assert f"{got:.9g}" == f"{_numpy_quantile(mix, numerology, q, shared):.9g}"
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_tallies_and_mixes_are_tuples_of_python_numbers(m):
+    # no numpy object leaves the package: a run's tallies hold Python ints,
+    # the exact mix Python floats, and the estimates are Python numbers
+    profiles = [LinkBlerProfile(0.2, 0.2, 0.04)] * m  # dense at m = 3
+    agg = simulate_run(profiles, 3 * sim.BATCH_SIZE, seed=8, jobs=2)
+    exact = success_mix(profiles)
+    from_float64 = success_mix([LinkBlerProfile(np.float64(0.2), np.float64(0.2), 0.04)] * m)
+    for table, cell in ((agg.leaf_counts, int), (agg.success_mix, int), (exact, float),
+                        (from_float64, float)):
+        assert type(table) is tuple and {type(row) for row in table} == {tuple}
+        assert {type(c) for row in table for c in row} == {cell}
+    assert {type(v) for v in (agg.trials, agg.n_success, agg.m_nodes)} == {int}
+    estimates = (*agg.outage(), *agg.mean_usage(),
+                 latency_quantile(agg.success_mix, DEFAULT, 0.99),
+                 latency_quantile(exact, DEFAULT, 0.99))
+    assert {type(v) for v in estimates} == {float}
 
 
 def test_peak_memory_does_not_grow_with_trials(monkeypatch):
@@ -638,7 +722,7 @@ def test_any_trial_partition_sums_to_the_run(m, data, seed):
         assert np.array_equal(agg.success_mix, mix)
     assert agg.trials == trials and agg.m_nodes == m
     for n in range(m):
-        assert agg.trials == agg.leaf_counts[n].sum()
+        assert agg.trials == sum(agg.leaf_counts[n])
 
 
 def test_batch_size_invariance(monkeypatch):
