@@ -27,8 +27,8 @@ from .sim import latency_quantile, simulate_run, ttis_to_ms
 from .solver import (
     BlerPolicy,
     PolicyKind,
+    _outage_of,
     build_profile,
-    outage_at,
     solve_bler,
     usage_at_solution,
     usage_sc,
@@ -192,14 +192,15 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
     grid = _sweep_grid(args)
     if args.variable == "p_d":
         header = ["p_d", "scheme", "m", "policy", "outage", "normalized_usage"]
-        contexts = cfg.contexts()
+        outage_of = _outage_of(cfg.policy, cfg.chase, cfg.contexts())
+        meta = cfg.policy._meta_rule()
         label = _policy_label(cfg.policy)
         rows = []
         for p_d in grid:
             if not 0.0 < p_d < 1.0:
                 raise ValidationError(f"p_d sweep value {p_d!r} outside (0, 1)")
-            outage = outage_at(p_d, cfg.policy, cfg.chase, contexts)
-            p_first = _leaves(cfg.policy.meta_bler(p_d), p_d, 0.0)[0]  # reads no p_c
+            outage = outage_of(p_d)
+            p_first = _leaves(meta(p_d), p_d, 0.0)[0]  # reads no p_c
             rows.append([p_d, cfg.scheme, cfg.m_nodes, label, outage,
                          usage_sc(cfg.m_nodes, p_first)])
         return header, rows
@@ -264,13 +265,10 @@ def _reproduce_fig3() -> Rows:
         ("half", BlerPolicy(PolicyKind.HALF)),
         ("fixed_0.01", BlerPolicy(PolicyKind.FIXED_META, fixed_meta=0.01)),
     ]
-    schemes = [("SC", 1), ("MC", 2), ("MC", 3)]
-    rows = []
-    for p_d in _logspace(-4.0, -1.0, 61):
-        for label, policy in policies:
-            for scheme, m in schemes:
-                rows.append([p_d, label, scheme, m,
-                             outage_at(p_d, policy, ChaseModel.ZERO, [None] * m)])
+    curves = [(label, scheme, m, _outage_of(policy, ChaseModel.ZERO, [None] * m))
+              for label, policy in policies for scheme, m in (("SC", 1), ("MC", 2), ("MC", 3))]
+    rows = [[p_d, label, scheme, m, outage(p_d)]
+            for p_d in _logspace(-4.0, -1.0, 61) for label, scheme, m, outage in curves]
     return header, rows
 
 

@@ -28,6 +28,10 @@ def q_func(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
     if not real(x):
         raise DomainError(f"q_func argument must be finite, got {shown(x)}")
+    return _q(x)
+
+
+def _q(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
@@ -41,10 +45,14 @@ def q_inv(p: float) -> float:
     """
     if not (real(p) and 0.0 < p < 1.0):
         raise DomainError(f"q_inv argument must be in (0, 1), got {shown(p)}")
+    return _q_inv(p)
+
+
+def _q_inv(p: float) -> float:
     x = -_STANDARD_NORMAL.inv_cdf(p)
     pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
     if pdf > 0.0:
-        x += (q_func(x) - p) / pdf
+        x += (_q(x) - p) / pdf
     return x
 
 
@@ -135,17 +143,21 @@ def channel_use(ctx: FblContext, bler: float) -> float:
     nonnegative and the positive-root selection holds; R is real-valued
     (no rounding to resource blocks).
     """
+    return _uses(ctx.payload_bits, ctx.capacity, ctx.dispersion, _sized_q_inv(bler))
+
+
+def _sized_q_inv(bler: float) -> float:  # channel_use's check, then _uses's qi
     if not (real(bler) and 0.0 < bler < 0.5):
         raise DomainError(f"bler must be in (0, 0.5), got {shown(bler)}")
-    qi = q_inv(bler)
-    c = ctx.capacity
-    v = ctx.dispersion
-    root = (qi * math.sqrt(v) + math.sqrt(qi * qi * v + 4.0 * ctx.payload_bits * c)) / (
-        2.0 * c
-    )
+    return _q_inv(bler)
+
+
+def _uses(bits: int, c: float, v: float, qi: float) -> float:
+    # channel_use from qi = q_inv(bler) of a checked bler; raises on overflow
+    root = (qi * math.sqrt(v) + math.sqrt(qi * qi * v + 4.0 * bits * c)) / (2.0 * c)
     uses = root * root
     if not math.isfinite(uses):
-        raise DomainError(f"channel use of a {ctx.payload_bits!r}-bit payload overflows")
+        raise DomainError(f"channel use of a {bits!r}-bit payload overflows")
     return uses
 
 

@@ -12,10 +12,10 @@ distribution: outage, retransmissions and latency.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, ValidationError, checked, real, shown
-from .fbl import FblContext, _bler, channel_use
+from .fbl import FblContext, _bler, _q_inv, _uses
 
 # Most duplicating links a solve, a scenario, an m sweep, a simulation or an
 # exact success mix may use. The paper evaluates m <= 3 and the benchmark
@@ -146,30 +146,38 @@ def success_mix(profiles: Sequence[LinkBlerProfile]) -> Tuple[Tuple[float, ...],
     return tuple(map(tuple, mix))
 
 
-def chase_bler(
-    model: ChaseModel, p_d: float, ctx: Optional[FblContext] = None
-) -> float:
+def chase_bler(model: ChaseModel, p_d: float, ctx: Optional[FblContext] = None) -> float:
     """Post-combining data error probability p_c under the chosen model.
 
     ZERO: combining always succeeds. PRODUCT: the combined decode fails
     only if both copies would fail independently. FINITE_BLOCKLENGTH:
     re-evaluate the block error rate at the summed SINR of the two
     equal-power copies, same payload, over the channel uses that ``ctx``
-    needs for a single copy at ``p_d`` < 0.5; requires ``ctx``. That BLER is
-    computed by ``fbl._bler``, as in ``achieved_bler``, from the capacity
-    and dispersion at the summed SINR, which ``ctx`` computes once; no
-    context is built for it.
+    needs for a single copy at ``p_d`` < 0.5; requires ``ctx``; computed by
+    ``fbl._bler``, as in ``achieved_bler``, with no context built for it.
     """
     _check_prob("p_d", p_d)
+    return _chase_of(model, ctx)(p_d)
+
+
+def _chase_of(model: ChaseModel, ctx: Optional[FblContext]) -> Callable[[float], float]:
+    """``chase_bler`` at one model and link as a function of p_d, the link's
+    constants read once; an unusable model or link raises here, not in it."""
     if model is ChaseModel.ZERO:
-        return 0.0
+        return lambda p_d: 0.0
     if model is ChaseModel.PRODUCT:
-        return p_d * p_d
+        return lambda p_d: p_d * p_d
     if not isinstance(model, ChaseModel):
         raise ValidationError(f"chase model must be a ChaseModel, got {model!r}")
     if not isinstance(ctx, FblContext):
         raise ValidationError("FINITE_BLOCKLENGTH chase model requires an FblContext")
-    if not 0.0 < p_d < 0.5:  # the BLER range that channel_use sizes
-        raise DomainError(f"p_d: finite_blocklength chase needs a BLER in (0, 0.5), got {p_d!r}")
-    capacity, dispersion = ctx._two_copy
-    return _bler(ctx.payload_bits, capacity, dispersion, channel_use(ctx, p_d))
+    bits, capacity, dispersion = ctx.payload_bits, ctx.capacity, ctx.dispersion
+
+    def finite_blocklength(p_d: float) -> float:
+        if not 0.0 < p_d < 0.5:  # the BLER range that channel_use sizes
+            raise DomainError(
+                f"p_d: finite_blocklength chase needs a BLER in (0, 0.5), got {p_d!r}")
+        capacity2, dispersion2 = ctx._two_copy
+        return _bler(bits, capacity2, dispersion2, _uses(bits, capacity, dispersion, _q_inv(p_d)))
+
+    return finite_blocklength

@@ -2,33 +2,28 @@
 
 Finds the per-transmission data BLER target that achieves a requested
 end-to-end outage, with the metadata BLER linked to the data BLER by a
-policy. Bisection on a log axis: the outage spans many decades in the
-BLER and is monotone, so bisection is slow but certain. Its steps call
-``outage_at``, which multiplies the links' outage leaves and builds no
-``LinkBlerProfile``; ``build_profile`` builds one for the other commands.
+policy, by bisection on a log axis: the outage spans many decades in the
+BLER and is monotone, so bisection is slow but certain. A solve resolves
+its outage model once (``_outage_of``); each step evaluates it at one p_d,
+checks included, and builds no ``LinkBlerProfile``.
 
-Sizing is the step after a solve: ``usage_at_solution`` prices a
-``SolveResult`` in channel uses, as the pair of one transmission's
-channel use and the expected total usage, and sizes the data alone (the
-paper prices duplication by the channel uses of the duplicated data). Every
-link finishes its own retransmission when its first transmission fails,
-even if another link already delivered the packet, so a round uses m + k
-transmissions when k links miss the first try. The expected usage needs
-only the per-link first-try probability, and ``usage_sc`` is its one
-formula: m links sharing a profile use
-``usage_sc(m, sc_outage(profile).p_succ_first)`` transmissions in
-expectation (the paper's normalized usage, fig. 4).
+Sizing prices a ``SolveResult`` in the channel uses of the data alone, as
+the paper prices duplication (``usage_at_solution``). Every link finishes
+its own retransmission when its first try fails, even if another link
+delivered, so m links sharing a profile use ``usage_sc(m,
+sc_outage(profile).p_succ_first)`` in expectation (fig. 4's normalized usage).
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, SolverError, ValidationError, checked, integer, real, shown
-from .fbl import FblContext, channel_use
-from .outage import MAX_NODES, ChaseModel, LinkBlerProfile, _leaves, _link_count, chase_bler
+from .fbl import FblContext, _sized_q_inv, _uses
+from .outage import (MAX_NODES, ChaseModel, LinkBlerProfile, _chase_of, _leaves, _link_count,
+                     chase_bler)
 
 P_D_BRACKET = (1e-9, 0.4999)  # upper end stays inside the channel-use domain
 MAX_ITERATIONS = 200
@@ -60,11 +55,15 @@ class BlerPolicy(NamedTuple):
             raise ValidationError(f"{self.kind.name} policy takes no fixed_meta value")
 
     def meta_bler(self, p_d: float) -> float:
+        return self._meta_rule()(p_d)
+
+    def _meta_rule(self) -> Callable[[float], float]:  # meta_bler, the policy read once
         if self.kind is PolicyKind.EQUAL:
-            return p_d
+            return lambda p_d: p_d
         if self.kind is PolicyKind.HALF:
-            return p_d / 2.0
-        return float(self.fixed_meta)
+            return lambda p_d: p_d / 2.0
+        fixed = float(self.fixed_meta)
+        return lambda p_d: fixed
 
 
 class SolveResult(NamedTuple):
@@ -93,37 +92,41 @@ def build_profile(
     return LinkBlerProfile(p_m=p_m, p_d=p_d, p_c=p_c)
 
 
-def outage_at(
-    p_d: float,
-    policy: BlerPolicy,
-    chase: ChaseModel,
-    contexts: Sequence[Optional[FblContext]],
-) -> float:
-    """Forward outage over one link per context at a shared data BLER target.
+def outage_at(p_d: float, policy: BlerPolicy, chase: ChaseModel,
+              contexts: Sequence[Optional[FblContext]]) -> float:
+    """Forward outage over one link per context at a shared data BLER target:
+    ``mc_outage`` over one ``build_profile`` per context, bit for bit, errors included."""
+    return _outage_of(policy, chase, contexts)(p_d)
 
-    ``mc_outage`` over one ``build_profile`` per context, bit for bit,
-    errors included, without building the profiles: ``p_m`` is computed
-    once, a link whose context is the previous link's object reuses its
-    outage factor, and the product takes one factor per link, in order. No
-    other code reuses work across links, and ``ScenarioConfig.contexts()``
-    makes equal links one object.
-    """
-    out = 1.0
+
+def _outage_of(policy: BlerPolicy, chase: ChaseModel, contexts: Sequence[Optional[FblContext]]):
+    """``outage_at`` as a function of p_d: the policy's rule and the chase of
+    each run of one context object are resolved once, and it raises what
+    ``outage_at`` raises, in its order: the p_d domain, each link's errors
+    in link order, then the link count."""
+    meta = policy._meta_rule()
+    links = []  # a link's chase, or None where it repeats the previous link's object
     for i, c in enumerate(contexts):
-        if not i:
-            if not (real(p_d) and 0.0 < p_d < 1.0):
-                raise DomainError(f"p_d must be in (0, 1), got {shown(p_d)}")
-            p_m = policy.meta_bler(p_d)
-        elif c is contexts[i - 1]:
+        try:
+            links.append(None if i and c is contexts[i - 1] else _chase_of(chase, c))
+        except ValidationError:  # no p_c at any p_d: raised again in link order
+            links.append(lambda p_d, c=c: _chase_of(chase, c))
+
+    def outage(p_d: float) -> float:
+        if links and not (real(p_d) and 0.0 < p_d < 1.0):
+            raise DomainError(f"p_d must be in (0, 1), got {shown(p_d)}")
+        out = 1.0
+        for p_c_of in links:
+            if p_c_of is not None:
+                p_m, p_c = meta(p_d), p_c_of(p_d)
+                if not 0.0 <= p_c <= p_d:
+                    LinkBlerProfile(p_m=p_m, p_d=p_d, p_c=p_c)  # raises its error
+                p_out = _leaves(p_m, p_d, p_c)[3]
             out *= p_out
-            continue
-        p_c = chase_bler(chase, p_d, c)
-        if not 0.0 <= p_c <= p_d:
-            LinkBlerProfile(p_m=p_m, p_d=p_d, p_c=p_c)  # raises its error
-        p_out = _leaves(p_m, p_d, p_c)[3]
-        out *= p_out
-    _link_count(contexts)  # last, as mc_outage counts the built profiles
-    return out
+        _link_count(contexts)  # last, as mc_outage counts the built profiles
+        return out
+
+    return outage
 
 
 def solve_bler(
@@ -152,9 +155,9 @@ def solve_bler(
     if not (real(target) and 1e-12 < target < 0.25):
         raise DomainError(f"target outage must be in (1e-12, 0.25), got {shown(target)}")
 
+    outage = _outage_of(policy, chase, contexts)
     lo_p, hi_p = P_D_BRACKET
-    f_lo = outage_at(lo_p, policy, chase, contexts)
-    f_hi = outage_at(hi_p, policy, chase, contexts)
+    f_lo, f_hi = outage(lo_p), outage(hi_p)
     if f_lo > f_hi:
         raise SolverError(
             f"NON_MONOTONE: outage at bracket ends is decreasing "
@@ -171,15 +174,9 @@ def solve_bler(
     for iteration in range(1, MAX_ITERATIONS + 1):
         mid_log = 0.5 * (lo_log + hi_log)
         p_d = 10.0**mid_log
-        f = outage_at(p_d, policy, chase, contexts)
+        f = outage(p_d)
         if abs(f - target) <= tol:
-            return SolveResult(
-                p_d=p_d,
-                p_m=policy.meta_bler(p_d),
-                achieved_outage=f,
-                iterations=iteration,
-                m_nodes=m,
-            )
+            return SolveResult(p_d, policy.meta_bler(p_d), f, iteration, m)
         if f >= target:
             hi_log = mid_log
         else:
@@ -206,17 +203,16 @@ def usage_at_solution(result: SolveResult, contexts: Sequence[FblContext]) -> Tu
     channel use of one transmission at ``result.p_d`` (node average when
     per-node SINRs differ), and that summed over the nodes plus the
     expected retransmissions. Both count the data's channel uses only.
-    Each link is sized on its own, equal links too: a ``channel_use`` call
-    costs about 1 us, and only ``outage_at`` reuses work across links. A
-    solve holds at other SINRs only if its chase model reads none
-    (``ChaseModel.reads_sinr``).
-    """
+    Every link is sized from one ``q_inv(result.p_d)``, as ``channel_use``
+    sizes it. A solve holds at other SINRs only if its chase model reads
+    none (``ChaseModel.reads_sinr``)."""
     if contexts is None or len(contexts) != result.m_nodes:
         raise ValidationError(f"usage_at_solution needs the {result.m_nodes} solved links")
     for c in contexts:
         if not isinstance(c, FblContext):
             raise ValidationError(f"contexts: usage_at_solution sizes FblContexts, got {c!r}")
-    uses = [channel_use(c, result.p_d) for c in contexts]
+    qi = _sized_q_inv(result.p_d)
+    uses = [_uses(c.payload_bits, c.capacity, c.dispersion, qi) for c in contexts]
     # the first-try leaf reads only the BLER targets (no p_c), shared by all nodes
     p1 = _leaves(result.p_m, result.p_d, 0.0)[0]
     r_sum = math.fsum(uses)

@@ -2,8 +2,9 @@
 
 A scenario's equal links are one context object, ``outage_at`` reuses a
 link's outage factor along a run of that object and no other code reuses
-work across links, sizing is a separate step from solving, and a SINR
-sweep solves once unless the chase model reads the SINR. Every test here
+work across links, a solve and a p_d sweep resolve their outage model
+once, sizing is a separate step from solving, and a SINR sweep solves
+once unless the chase model reads the SINR. Every test here
 compares with ``==``: the shared work must give exactly the numbers of
 the one-link-at-a-time computation it replaces.
 """
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import urllc_mc.cli as cli_mod
 import urllc_mc.fbl as fbl_mod
 import urllc_mc.outage as outage_mod
 import urllc_mc.solver as solver_mod
@@ -94,20 +96,40 @@ _A, _B = FblContext(256, db_to_linear(0.0)), FblContext(256, db_to_linear(9.0))
     ([_A, _B, _B, _A], [_A, _B, _A]),
 ])
 def test_outage_at_evaluates_the_chase_once_per_run_of_one_object(links, evaluated, monkeypatch):
-    calls = _counting(monkeypatch, solver_mod, "chase_bler")
+    # one finite-blocklength chase is one _bler call at its link's two-copy pair
+    calls = _counting(monkeypatch, outage_mod, "_bler")
     outage_at(0.01, EQUAL, FBL, links)
-    assert [args[2] for args in calls] == evaluated
+    assert [args[1:3] for args in calls] == [ctx._two_copy for ctx in evaluated]
 
 
 def test_a_p_d_sweep_evaluates_one_chase_per_point(tmp_path, capsys, monkeypatch):
     # config's one object per SINR reaches the solver's reuse end to end
     config = _write(tmp_path, scheme="MC", m_nodes=2, sinr_db=10, target_outage=1e-5,
                     chase="finite_blocklength")
-    calls = _counting(monkeypatch, solver_mod, "chase_bler")
+    calls = _counting(monkeypatch, outage_mod, "_bler")
     assert main(["sweep", "--config", config, "--variable", "p_d", "--start", "1e-6",
                  "--stop", "0.1", "--points", "11", "--scale", "log10"]) == 0
     capsys.readouterr()
     assert len(calls) == 11
+
+
+@pytest.mark.parametrize("chase", list(ChaseModel))
+@pytest.mark.parametrize("policy", [EQUAL, HALF, FIXED])
+def test_a_solve_resolves_its_outage_model_once(chase, policy, monkeypatch):
+    resolved = _counting(monkeypatch, solver_mod, "_outage_of")
+    solved = solve_bler(2, 1e-5, policy, chase, [_A, _B])
+    assert solved.iterations > 1
+    assert resolved == [(policy, chase, [_A, _B])]
+
+
+def test_a_p_d_sweep_resolves_its_outage_model_once(tmp_path, capsys, monkeypatch):
+    config = _write(tmp_path, scheme="MC", m_nodes=2, sinr_db=[0, 9], target_outage=1e-5,
+                    chase="finite_blocklength", policy="half")
+    resolved = _counting(monkeypatch, cli_mod, "_outage_of")
+    assert main(["sweep", "--config", config, "--variable", "p_d", "--start", "1e-6",
+                 "--stop", "0.1", "--points", "11", "--scale", "log10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 12
+    assert len(resolved) == 1
 
 
 @pytest.mark.parametrize("chase", list(ChaseModel))
@@ -229,7 +251,7 @@ def test_solve_bler_equals_a_bisection_over_built_profiles(chase, policy, sinr_d
 _CTX = FblContext(256, db_to_linear(10.0))
 
 
-@pytest.mark.parametrize("p_d, chase, contexts", [
+@pytest.mark.parametrize("p_d, chase, contexts, policy", [*((*case, EQUAL) for case in [
     (0.1, ChaseModel.ZERO, []),
     (0.1, FBL, []),
     (float("nan"), FBL, []),
@@ -248,16 +270,39 @@ _CTX = FblContext(256, db_to_linear(10.0))
     (0.1, FBL, [None] * 65),
     # twice this SINR overflows to inf: the context builds, the chase fails
     (0.1, FBL, [FblContext(256, 1e308)] * 2),
+    # the p_d checks come before a link's type and the pair's overflow
+    (0.6, FBL, [FblContext(256, 1e308)] * 2),
+    (0.0, FBL, [None] * 65),
+    # each link's errors in link order
+    (0.7, FBL, [None, _CTX]),
+    (0.1, "product", [_CTX] * 2),
+]),
+    (0.6, FBL, [_CTX] * 2, FIXED),
+    (0.1, FBL, [_CTX, None], FIXED),
 ])
-def test_outage_at_raises_what_building_the_profiles_raises(p_d, chase, contexts):
-    got = _outcome(lambda: outage_at(p_d, EQUAL, chase, contexts))
+def test_outage_at_raises_what_building_the_profiles_raises(p_d, chase, contexts, policy):
+    got = _outcome(lambda: outage_at(p_d, policy, chase, contexts))
     assert got[0] in (DomainError, ValidationError)
-    assert got == _outcome(lambda: _via_profiles(p_d, EQUAL, chase, contexts))
+    assert got == _outcome(lambda: _via_profiles(p_d, policy, chase, contexts))
+
+
+def test_the_chase_checks_p_d_before_the_two_copy_pair():
+    # outage_at and build_profile share outage._chase_of, so the comparison
+    # above cannot tell which of the two errors comes first
+    huge = FblContext(256, 1e308)  # twice its SINR overflows to inf
+    for evaluate in (lambda p_d: chase_bler(FBL, p_d, huge),
+                     lambda p_d: outage_at(p_d, EQUAL, FBL, [huge] * 2)):
+        with pytest.raises(DomainError, match=r"needs a BLER in \(0, 0\.5\), got 0\.6$"):
+            evaluate(0.6)
+        with pytest.raises(DomainError, match="^sinr_linear must be positive, got inf$"):
+            evaluate(0.1)
 
 
 def test_outage_at_raises_the_profile_error_when_combining_would_hurt(monkeypatch):
-    # no chase model gives p_c > p_d; both paths read solver.chase_bler
-    monkeypatch.setattr(solver_mod, "chase_bler", lambda chase, p_d, ctx: 2.0 * p_d)
+    # no chase model gives p_c > p_d; outage_at reads solver._chase_of, and
+    # build_profile, through chase_bler, outage._chase_of
+    for module in (solver_mod, outage_mod):
+        monkeypatch.setattr(module, "_chase_of", lambda chase, ctx: lambda p_d: 2.0 * p_d)
     got = _outcome(lambda: outage_at(0.1, HALF, FBL, [_CTX] * 2))
     assert got[0] is DomainError and "must not exceed" in got[1]
     assert got == _outcome(lambda: _via_profiles(0.1, HALF, FBL, [_CTX] * 2))
@@ -360,12 +405,15 @@ def test_usage_at_solution_rejects_a_link_count_other_than_the_solve(solved_m, s
 @pytest.mark.parametrize("sinr_db", [[10.0], [0.0, 0.0], [0.0, 5.0, 10.0], [3.0] * 4,
                                      [0.0, 0.0, 9.0, 9.0, 0.0]])
 @pytest.mark.parametrize("policy", [EQUAL, HALF])
-def test_usage_at_solution_sums_the_links_sized_one_at_a_time(chase, sinr_db, policy):
+def test_usage_at_solution_sums_the_links_sized_one_at_a_time(chase, sinr_db, policy,
+                                                              monkeypatch):
     m = len(sinr_db)
     contexts = [FblContext(256, db_to_linear(s)) for s in sinr_db]
     solved = solve_bler(m, 1e-5, policy, chase, contexts)
     uses = [channel_use(c, solved.p_d) for c in contexts]
+    q_invs = _counting(monkeypatch, fbl_mod, "_q_inv")
     channel_use_single, total_usage = usage_at_solution(solved, contexts)
+    assert q_invs == [(solved.p_d,)]  # one q_inv sizes every link
     assert channel_use_single == math.fsum(uses) / m
     p_first = (1.0 - solved.p_m) * (1.0 - solved.p_d)
     assert total_usage == (2.0 - p_first) * math.fsum(uses)

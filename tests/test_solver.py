@@ -162,19 +162,19 @@ def test_solve_no_bracket_below_fixed_meta_floor():
 
 
 def test_solve_non_monotone_detected(monkeypatch):
-    def upside_down(p_d, policy, chase, contexts):
+    def upside_down(p_d):
         return 1e-3 / p_d  # decreasing in p_d
 
-    monkeypatch.setattr(solver_mod, "outage_at", upside_down)
+    monkeypatch.setattr(solver_mod, "_outage_of", lambda policy, chase, contexts: upside_down)
     with pytest.raises(SolverError, match="NON_MONOTONE"):
         solver_mod.solve_bler(1, 1e-5, EQUAL, ZERO)
 
 
 def test_solve_without_convergence_raises(monkeypatch):
-    def step(p_d, policy, chase, contexts):
+    def step(p_d):
         return 0.0 if p_d < 1e-3 else 0.2  # brackets 1e-5 but never comes near it
 
-    monkeypatch.setattr(solver_mod, "outage_at", step)
+    monkeypatch.setattr(solver_mod, "_outage_of", lambda policy, chase, contexts: step)
     with pytest.raises(SolverError, match="no convergence .* in 200 iterations"):
         solver_mod.solve_bler(1, 1e-5, EQUAL, ZERO)
 
