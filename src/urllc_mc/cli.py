@@ -52,7 +52,7 @@ def _fmt(value) -> str:
 
 def _policy_label(policy: BlerPolicy) -> str:
     if policy.kind is PolicyKind.FIXED_META:
-        return f"fixed_meta={policy.fixed_meta:g}"
+        return f"fixed_meta={_fmt(policy.fixed_meta)}"
     return policy.kind.value
 
 
@@ -187,6 +187,21 @@ def _sweep_grid(args) -> List[float]:
     return _linspace(start, stop, points)
 
 
+def _sized_along_sinr(m, target, policy, chase, payload_bits, sinrs):
+    """``(sinr_db, solve, channel_use, total_usage)`` of m equal links at each SINR
+    in dB, checked before its solve; one solve serves all unless ``chase.reads_sinr``."""
+    result = None
+    for sinr_db in sinrs:
+        try:
+            ctx = FblContext(payload_bits, db_to_linear(sinr_db))
+        except DomainError as exc:
+            raise ValidationError(f"sinr_db sweep value {sinr_db!r}: {exc}") from None
+        links = [ctx] * m
+        if result is None or chase.reads_sinr:
+            result = solve_bler(m, target, policy, chase, links)
+        yield (sinr_db, result, *usage_at_solution(result, links))
+
+
 def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
     """Evaluate the scenario along the variable the sweep flags ``args`` name."""
     grid = _sweep_grid(args)
@@ -206,22 +221,10 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> Rows:
         return header, rows
 
     if args.variable == "sinr_db":
-        header = ["sinr_db", "scheme", "m", "bler_target", "channel_use",
-                  "total_usage"]
-        rows = []
-        result = None
-        for sinr_db in grid:
-            try:
-                ctx = FblContext(cfg.payload_bits, db_to_linear(sinr_db))
-            except DomainError as exc:
-                raise ValidationError(f"sinr_db sweep value {sinr_db!r}: {exc}") from None
-            links = [ctx] * cfg.m_nodes
-            if result is None or cfg.chase.reads_sinr:
-                result = solve_bler(cfg.m_nodes, cfg.target_outage, cfg.policy,
-                                    cfg.chase, links)
-            rows.append([sinr_db, cfg.scheme, cfg.m_nodes, result.p_d,
-                         *usage_at_solution(result, links)])
-        return header, rows
+        header = ["sinr_db", "scheme", "m", "bler_target", "channel_use", "total_usage"]
+        sized = _sized_along_sinr(cfg.m_nodes, cfg.target_outage, cfg.policy, cfg.chase,
+                                  cfg.payload_bits, grid)
+        return header, [[s, cfg.scheme, cfg.m_nodes, res.p_d, *usage] for s, res, *usage in sized]
 
     # node-count sweep: integer grid in [1, MAX_NODES], linear scale only,
     # one SINR for all nodes
@@ -286,15 +289,12 @@ def _reproduce_fig4() -> Rows:
 
 
 def _reproduce_table2_fig5() -> Tuple[Rows, Rows]:
-    """Table 2 (at 10 dB) and fig. 5 (at 0 and 10 dB) from one SC and one
-    MC solve: under perfect combining the BLER targets read no SINR."""
-    policy = BlerPolicy(PolicyKind.EQUAL)
-    solved = {m: solve_bler(m, _REPRO_TARGET, policy, ChaseModel.ZERO) for m in (1, 2)}
+    """Table 2 (at 10 dB) and fig. 5 (at 0 and 10 dB), SC and MC."""
     sized = {}  # sinr_db -> [(p_d, channel use, total usage) of SC, of MC]
-    for sinr_db in (0.0, 10.0):
-        ctx = FblContext(_REPRO_PAYLOAD_BITS, db_to_linear(sinr_db))
-        sized[sinr_db] = [(res.p_d, *usage_at_solution(res, [ctx] * m))
-                          for m, res in solved.items()]
+    for m in (1, 2):
+        for sinr_db, res, *usage in _sized_along_sinr(
+                m, _REPRO_TARGET, BlerPolicy(), ChaseModel.ZERO, _REPRO_PAYLOAD_BITS, [0.0, 10.0]):
+            sized.setdefault(sinr_db, []).append((res.p_d, *usage))
     fig5 = [[sinr_db, *sc, *mc, 1.0 - sc[2] / mc[2]] for sinr_db, (sc, mc) in sized.items()]
     table2 = []
     for scheme, (p_d, r, total) in zip(("SC", "MC"), sized[10.0]):

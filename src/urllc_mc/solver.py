@@ -3,9 +3,9 @@
 Finds the per-transmission data BLER target that achieves a requested
 end-to-end outage, with the metadata BLER linked to the data BLER by a
 policy, by bisection on a log axis: the outage spans many decades in the
-BLER and is monotone, so bisection is slow but certain. A solve resolves
-its outage model once (``_outage_of``); each step evaluates it at one p_d,
-checks included, and builds no ``LinkBlerProfile``.
+BLER and is monotone, so bisection is slow but certain. ``outage_at``, the
+outage of built profiles, is the reference; a solve resolves it once into
+the kernel ``_outage_of``, then evaluates that at one p_d per step.
 
 Sizing prices a ``SolveResult`` in the channel uses of the data alone, as
 the paper prices duplication (``usage_at_solution``). Every link finishes
@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, SolverError, ValidationError, checked, integer, real, shown
 from .fbl import FblContext, _sized_q_inv, _uses
-from .outage import (MAX_NODES, ChaseModel, LinkBlerProfile, _chase_of, _leaves, _link_count,
-                     chase_bler)
+from .outage import (MAX_NODES, ChaseModel, LinkBlerProfile, _chase_of, _leaves, chase_bler,
+                     mc_outage)
 
 P_D_BRACKET = (1e-9, 0.4999)  # upper end stays inside the channel-use domain
 MAX_ITERATIONS = 200
@@ -94,27 +94,21 @@ def build_profile(
 
 def outage_at(p_d: float, policy: BlerPolicy, chase: ChaseModel,
               contexts: Sequence[Optional[FblContext]]) -> float:
-    """Forward outage over one link per context at a shared data BLER target:
-    ``mc_outage`` over one ``build_profile`` per context, bit for bit, errors included."""
-    return _outage_of(policy, chase, contexts)(p_d)
+    """Outage over one link per context at data BLER p_d; ``_outage_of``'s checked reference."""
+    return mc_outage([build_profile(p_d, policy, chase, c) for c in contexts])
 
 
 def _outage_of(policy: BlerPolicy, chase: ChaseModel, contexts: Sequence[Optional[FblContext]]):
-    """``outage_at`` as a function of p_d: the policy's rule and the chase of
-    each run of one context object are resolved once, and it raises what
-    ``outage_at`` raises, in its order: the p_d domain, each link's errors
-    in link order, then the link count."""
+    """``outage_at`` as a function of p_d, for callers that checked p_d in (0, 1)
+    and 1 to ``MAX_NODES`` links. The policy's rule and each run of one context
+    object's chase resolve once, in link order, so an unusable model or link raises
+    here; an evaluation checks computed values: the chase's, then p_c <= p_d."""
     meta = policy._meta_rule()
-    links = []  # a link's chase, or None where it repeats the previous link's object
-    for i, c in enumerate(contexts):
-        try:
-            links.append(None if i and c is contexts[i - 1] else _chase_of(chase, c))
-        except ValidationError:  # no p_c at any p_d: raised again in link order
-            links.append(lambda p_d, c=c: _chase_of(chase, c))
+    # a link's chase, or None where it repeats the previous link's object
+    links = [None if i and c is contexts[i - 1] else _chase_of(chase, c)
+             for i, c in enumerate(contexts)]
 
     def outage(p_d: float) -> float:
-        if links and not (real(p_d) and 0.0 < p_d < 1.0):
-            raise DomainError(f"p_d must be in (0, 1), got {shown(p_d)}")
         out = 1.0
         for p_c_of in links:
             if p_c_of is not None:
@@ -123,7 +117,6 @@ def _outage_of(policy: BlerPolicy, chase: ChaseModel, contexts: Sequence[Optiona
                     LinkBlerProfile(p_m=p_m, p_d=p_d, p_c=p_c)  # raises its error
                 p_out = _leaves(p_m, p_d, p_c)[3]
             out *= p_out
-        _link_count(contexts)  # last, as mc_outage counts the built profiles
         return out
 
     return outage

@@ -319,6 +319,19 @@ def test_sweep_p_d_outage_monotone_in_m(config_path, capsys):
     assert np.all(np.diff(out2) >= 0)
 
 
+def test_sweep_p_d_labels_fixed_meta_to_9_significant_digits(config_path, capsys):
+    # 0.0123457 is 0.0123456789 to 6 digits, but the two outages differ
+    rows = {}
+    for fixed_meta in (0.0123456789, 0.0123457):
+        config = config_path(scheme="MC", m_nodes=2, policy="fixed_meta", fixed_meta=fixed_meta)
+        assert main(["sweep", "--config", config, "--variable", "p_d", "--start", "0.01",
+                     "--stop", "0.1", "--points", "2", "--format", "csv"]) == 0
+        rows[fixed_meta] = _rows(capsys.readouterr().out)
+    for fixed_meta, swept in rows.items():
+        assert [r["policy"] for r in swept] == [f"fixed_meta={fixed_meta!r}"] * 2
+    assert rows[0.0123456789][0]["outage"] != rows[0.0123457][0]["outage"]
+
+
 def test_sweep_m_solves_each_node_count(config_path, capsys):
     code = main([
         "sweep", "--config", config_path(scheme="MC"), "--variable", "m",

@@ -1,12 +1,14 @@
 """Solve once, size many: the closed-form layer shares work and not results.
 
-A scenario's equal links are one context object, ``outage_at`` reuses a
-link's outage factor along a run of that object and no other code reuses
-work across links, a solve and a p_d sweep resolve their outage model
-once, sizing is a separate step from solving, and a SINR sweep solves
-once unless the chase model reads the SINR. Every test here
-compares with ``==``: the shared work must give exactly the numbers of
-the one-link-at-a-time computation it replaces.
+A scenario's equal links are one context object, the solver's outage
+kernel ``_outage_of`` reuses a link's outage factor along a run of that
+object and no other code reuses work across links, a solve and a p_d sweep
+resolve that kernel once, sizing is a separate step from solving, and a
+SINR sweep solves once unless the chase model reads the SINR. The public
+``outage_at`` is the outage of built profiles, the reference that the
+kernel must match inside its contract (p_d in (0, 1), 1 to ``MAX_NODES``
+links). Every test here compares with ``==``: the shared work must give
+exactly the numbers of the one-link-at-a-time computation it replaces.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ import urllc_mc.outage as outage_mod
 import urllc_mc.solver as solver_mod
 from urllc_mc.cli import main
 from urllc_mc.config import parse_scenario
-from urllc_mc.errors import DomainError, ValidationError
+from urllc_mc.errors import DomainError, ValidationError, real
 from urllc_mc.fbl import FblContext, channel_use, db_to_linear
-from urllc_mc.outage import ChaseModel, LinkBlerProfile, chase_bler, mc_outage, sc_outage
+from urllc_mc.outage import (MAX_NODES, ChaseModel, LinkBlerProfile, chase_bler, mc_outage,
+                             sc_outage)
 from urllc_mc.solver import usage_at_solution
 from urllc_mc.solver import (
     MAX_ITERATIONS,
@@ -69,7 +72,7 @@ def _counting(monkeypatch, module, name):
 
 
 # ---------------------------------------------------------------------------
-# equal links are one object, and outage_at alone reuses along it
+# equal links are one object, and the outage kernel alone reuses along it
 
 
 @pytest.mark.parametrize("sinr_db, groups", [
@@ -98,7 +101,7 @@ _A, _B = FblContext(256, db_to_linear(0.0)), FblContext(256, db_to_linear(9.0))
 def test_outage_at_evaluates_the_chase_once_per_run_of_one_object(links, evaluated, monkeypatch):
     # one finite-blocklength chase is one _bler call at its link's two-copy pair
     calls = _counting(monkeypatch, outage_mod, "_bler")
-    outage_at(0.01, EQUAL, FBL, links)
+    solver_mod._outage_of(EQUAL, FBL, links)(0.01)
     assert [args[1:3] for args in calls] == [ctx._two_copy for ctx in evaluated]
 
 
@@ -173,8 +176,8 @@ def test_mc_outage_keeps_link_order_over_distinct_profiles():
 
 
 # ---------------------------------------------------------------------------
-# one evaluation, no profile objects: outage_at is mc_outage over one
-# build_profile per link
+# one evaluation, no profile objects: the kernel is outage_at, which is
+# mc_outage over one build_profile per link
 
 
 def _outcome(evaluate):
@@ -209,7 +212,7 @@ def test_outage_at_is_the_outage_of_the_built_profiles_bit_for_bit(policy, chase
     pool = [FblContext(256, s) for s in _SINR_POOL]
     contexts = [FblContext(256, pool[i].sinr_linear) if copy else pool[i] for i, copy in links]
     p_d = 10.0**log_p_d
-    got = _outcome(lambda: outage_at(p_d, policy, chase, contexts))
+    got = _outcome(lambda: solver_mod._outage_of(policy, chase, contexts)(p_d))
     assert got == _outcome(lambda: _via_profiles(p_d, policy, chase, contexts))
     assert got[0] is float
 
@@ -284,14 +287,30 @@ def test_outage_at_raises_what_building_the_profiles_raises(p_d, chase, contexts
     got = _outcome(lambda: outage_at(p_d, policy, chase, contexts))
     assert got[0] in (DomainError, ValidationError)
     assert got == _outcome(lambda: _via_profiles(p_d, policy, chase, contexts))
+    # inside its contract the kernel raises the same, at resolution or evaluation
+    if 1 <= len(contexts) <= MAX_NODES and real(p_d) and 0.0 < p_d < 1.0:
+        assert _outcome(lambda: solver_mod._outage_of(policy, chase, contexts)(p_d)) == got
+
+
+def test_a_solve_raises_a_later_links_unusable_context_before_evaluating():
+    # the kernel resolves every link's chase before its first evaluation, so
+    # the second link's missing context comes before the first link's
+    # two-copy overflow, which the profile path would raise first
+    huge = FblContext(256, 1e308)
+    with pytest.raises(ValidationError, match="^FINITE_BLOCKLENGTH chase model requires an "
+                                              "FblContext$"):
+        solve_bler(2, 1e-5, EQUAL, FBL, [huge, None])
+    with pytest.raises(DomainError, match="^sinr_linear must be positive, got inf$"):
+        outage_at(0.1, EQUAL, FBL, [huge, None])
 
 
 def test_the_chase_checks_p_d_before_the_two_copy_pair():
-    # outage_at and build_profile share outage._chase_of, so the comparison
+    # the kernel and build_profile share outage._chase_of, so the comparison
     # above cannot tell which of the two errors comes first
     huge = FblContext(256, 1e308)  # twice its SINR overflows to inf
     for evaluate in (lambda p_d: chase_bler(FBL, p_d, huge),
-                     lambda p_d: outage_at(p_d, EQUAL, FBL, [huge] * 2)):
+                     lambda p_d: outage_at(p_d, EQUAL, FBL, [huge] * 2),
+                     solver_mod._outage_of(EQUAL, FBL, [huge] * 2)):
         with pytest.raises(DomainError, match=r"needs a BLER in \(0, 0\.5\), got 0\.6$"):
             evaluate(0.6)
         with pytest.raises(DomainError, match="^sinr_linear must be positive, got inf$"):
@@ -299,13 +318,14 @@ def test_the_chase_checks_p_d_before_the_two_copy_pair():
 
 
 def test_outage_at_raises_the_profile_error_when_combining_would_hurt(monkeypatch):
-    # no chase model gives p_c > p_d; outage_at reads solver._chase_of, and
-    # build_profile, through chase_bler, outage._chase_of
+    # no chase model gives p_c > p_d; the kernel reads solver._chase_of, and
+    # outage_at, through build_profile and chase_bler, outage._chase_of
     for module in (solver_mod, outage_mod):
         monkeypatch.setattr(module, "_chase_of", lambda chase, ctx: lambda p_d: 2.0 * p_d)
     got = _outcome(lambda: outage_at(0.1, HALF, FBL, [_CTX] * 2))
     assert got[0] is DomainError and "must not exceed" in got[1]
     assert got == _outcome(lambda: _via_profiles(0.1, HALF, FBL, [_CTX] * 2))
+    assert got == _outcome(lambda: solver_mod._outage_of(HALF, FBL, [_CTX] * 2)(0.1))
 
 
 def _doubled_pairs(monkeypatch):
