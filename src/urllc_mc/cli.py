@@ -7,8 +7,8 @@ command but ``simulate`` runs on the standard library; numpy loads with
 the simulator.
 
 Exit codes: 0 ok, 2 parse, 3 validation, 4 solver, 5 domain, 6 I/O.
-Output is deterministic: fixed row order, fixed number formatting
-(9 significant digits), so identical inputs give byte-identical output.
+Output is deterministic: fixed row order and one format table (``_TEXT``,
+9 significant digits), so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .config import ScenarioConfig, load_scenario
 from .errors import DomainError, UrllcMcError, ValidationError
@@ -40,14 +40,23 @@ Rows = Tuple[List[str], List[list]]
 MAX_SWEEP_POINTS = 1_000_000
 
 
+# The text of a cell by its exact type, the one place each format is written:
+# an empty cell for a missing value, a yes/no flag, 9 significant digits.
+_TEXT = {type(None): "".format, bool: ("no", "yes").__getitem__,
+         float: "{:.9g}".format, int: str, str: str}
+
+
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+    """The text of one cell: a float subclass as a float, other types as ``str``."""
+    kind = float if isinstance(value, float) else type(value)
+    return _TEXT.get(kind, str)(value)
+
+
+def _column(cells: Sequence) -> Iterator[str]:
+    """The texts of one column, made as they are read: one conversion for a
+    column of one exact type in ``_TEXT``, otherwise ``_fmt`` cell by cell."""
+    kinds = set(map(type, cells))
+    return map(_TEXT.get(kinds.pop(), _fmt) if len(kinds) == 1 else _fmt, cells)
 
 
 def _policy_label(policy: BlerPolicy) -> str:
@@ -330,17 +339,18 @@ def cmd_reproduce(out_dir: str) -> List[str]:
 
 
 def _render_csv(header: List[str], rows: List[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    # rows to columns, each column to texts, and the texts back to rows
+    lines = [",".join(header), *map(",".join, zip(*map(_column, zip(*rows))))]
     return "\n".join(lines) + "\n"
 
 
 def _render_pretty(header: List[str], rows: List[list]) -> str:
-    cells = [header] + [[_fmt(cell) for cell in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in cells]
-    return "\n".join(lines) + "\n"
+    columns = []
+    for name, *cells in zip(header, *rows):
+        texts = [name, *_column(cells)]
+        width = max(map(len, texts))
+        columns.append([text.ljust(width) for text in texts])
+    return "\n".join(map(str.rstrip, map("  ".join, zip(*columns)))) + "\n"
 
 
 _RENDER = {"csv": _render_csv, "pretty": _render_pretty}

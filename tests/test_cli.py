@@ -23,7 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import urllc_mc
-from urllc_mc.cli import _fmt, _linspace, _logspace, cmd_simulate, main
+from urllc_mc.cli import (_fmt, _linspace, _logspace, _render_csv, _render_pretty,
+                          cmd_simulate, cmd_sweep, main)
 from urllc_mc.config import load_scenario
 from urllc_mc.fbl import FblContext, channel_use, db_to_linear
 from urllc_mc.outage import ChaseModel, chase_bler
@@ -1010,3 +1011,91 @@ def test_closed_form_commands_bytes_are_pinned(document, tmp_path, capsys):
     pretty = "".join(_battery_run(document, command, "pretty", tmp_path, capsys)
                      for command in BATTERY_COMMANDS)
     assert _sha256(pretty) == BATTERY_PRETTY_SHA256[document]
+
+
+# ---------------------------------------------------------------------------
+# rendering: the column-at-a-time renderers against the cell-by-cell ones
+# they replaced, kept here verbatim as the oracle
+
+
+def _oracle_fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+def _oracle_csv(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(_oracle_fmt(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_pretty(header, rows) -> str:
+    cells = [header] + [[_oracle_fmt(cell) for cell in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+             for row in cells]
+    return "\n".join(lines) + "\n"
+
+
+class _Float(float):
+    # a column of these must print through __format__, not as a plain float
+    def __format__(self, spec):
+        return "f" + super().__format__(spec)
+
+
+class _Int(int):
+    # and a column of these through __str__, not as a plain int
+    def __str__(self):
+        return "i" + super().__repr__()
+
+
+_CELLS = {
+    "float": st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+    "int": st.integers() | st.sampled_from([0, -7, 2**70]),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "str": st.text(max_size=6),
+    "float_subclass": st.floats().map(_Float),
+    "int_subclass": st.integers().map(_Int),
+}
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows whose columns are each of one cell type, or mixed."""
+    n_rows = draw(st.integers(0, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from([*_CELLS, "mixed"]))
+        cells = st.one_of(*_CELLS.values()) if kind == "mixed" else _CELLS[kind]
+        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    header = draw(st.lists(st.text(max_size=6), min_size=len(columns), max_size=len(columns)))
+    return header, [list(row) for row in zip(*columns)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tables())
+@example((["p", "flag"], [[None, True], [0.5, False]]))  # None among floats, a flag column
+@example((["x"], []))  # a header and no rows
+def test_renderers_print_the_cells_of_the_cell_by_cell_renderers(table):
+    header, rows = table
+    assert _render_csv(header, rows) == _oracle_csv(header, rows)
+    assert _render_pretty(header, rows) == _oracle_pretty(header, rows)
+
+
+def test_renderers_print_the_benchmark_p_d_sweep_as_the_oracle(config_path):
+    # the 20,001-point finite-blocklength p_d sweep of the benchmark's grid
+    path = config_path(scheme="MC", m_nodes=2, chase="finite_blocklength")
+    args = argparse.Namespace(variable="p_d", start=1e-5, stop=0.3, points=20_001,
+                              scale="log10")
+    header, rows = cmd_sweep(load_scenario(path), args)
+    assert len(rows) == 20_001
+    # compared line by line, so that a failure reports its first differing line
+    assert _render_csv(header, rows).split("\n") == _oracle_csv(header, rows).split("\n")
+    assert (_render_pretty(header, rows).split("\n")
+            == _oracle_pretty(header, rows).split("\n"))

@@ -176,8 +176,8 @@ def test_mc_outage_keeps_link_order_over_distinct_profiles():
 
 
 # ---------------------------------------------------------------------------
-# one evaluation, no profile objects: the kernel is outage_at, which is
-# mc_outage over one build_profile per link
+# one evaluation, no profile objects: the kernel _outage_of against its
+# reference outage_at, mc_outage over one build_profile per link
 
 
 def _outcome(evaluate):
@@ -283,10 +283,9 @@ _CTX = FblContext(256, db_to_linear(10.0))
     (0.6, FBL, [_CTX] * 2, FIXED),
     (0.1, FBL, [_CTX, None], FIXED),
 ])
-def test_outage_at_raises_what_building_the_profiles_raises(p_d, chase, contexts, policy):
+def test_the_kernel_raises_what_outage_at_raises(p_d, chase, contexts, policy):
     got = _outcome(lambda: outage_at(p_d, policy, chase, contexts))
     assert got[0] in (DomainError, ValidationError)
-    assert got == _outcome(lambda: _via_profiles(p_d, policy, chase, contexts))
     # inside its contract the kernel raises the same, at resolution or evaluation
     if 1 <= len(contexts) <= MAX_NODES and real(p_d) and 0.0 < p_d < 1.0:
         assert _outcome(lambda: solver_mod._outage_of(policy, chase, contexts)(p_d)) == got
@@ -324,7 +323,6 @@ def test_outage_at_raises_the_profile_error_when_combining_would_hurt(monkeypatc
         monkeypatch.setattr(module, "_chase_of", lambda chase, ctx: lambda p_d: 2.0 * p_d)
     got = _outcome(lambda: outage_at(0.1, HALF, FBL, [_CTX] * 2))
     assert got[0] is DomainError and "must not exceed" in got[1]
-    assert got == _outcome(lambda: _via_profiles(0.1, HALF, FBL, [_CTX] * 2))
     assert got == _outcome(lambda: solver_mod._outage_of(HALF, FBL, [_CTX] * 2)(0.1))
 
 
