@@ -140,7 +140,7 @@ def cmd_simulate(cfg: ScenarioConfig, args) -> Rows:
     )
     # NaN: nothing was delivered, in TTIs or in ms
     latency_ms = latency if math.isnan(latency) else ttis_to_ms(cfg.numerology, latency)
-    q = f"{cfg.latency_quantile:g}"
+    q = _fmt(cfg.latency_quantile)
     header = ["metric", "value", "ci_half_width_95", "trials", "seed"]
     rows = [
         ["outage", *agg.outage(), agg.trials, agg.seed],
@@ -339,9 +339,10 @@ def cmd_reproduce(out_dir: str) -> List[str]:
 
 
 def _render_csv(header: List[str], rows: List[list]) -> str:
-    # rows to columns, each column to texts, and the texts back to rows
-    lines = [",".join(header), *map(",".join, zip(*map(_column, zip(*rows))))]
-    return "\n".join(lines) + "\n"
+    # rows to columns, each column to texts, and the texts back to rows; a
+    # last empty line gives the final newline without a second copy
+    lines = [",".join(header), *map(",".join, zip(*map(_column, zip(*rows)))), ""]
+    return "\n".join(lines)
 
 
 def _render_pretty(header: List[str], rows: List[list]) -> str:

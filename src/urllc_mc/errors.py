@@ -75,7 +75,9 @@ def shown(value: object) -> str:
 def checked(record):
     """Class decorator for a ``typing.NamedTuple`` whose ``_check`` raises on a
     bad value: its constructor, ``_make`` and ``_replace`` all run the check.
-    (A NamedTuple's own body may not define ``__new__`` or ``_make``.)"""
+    (A NamedTuple's own body may not define ``__new__`` or ``_make``.) The
+    checked records are ``BlerPolicy``, ``FblContext``, ``LinkBlerProfile``
+    and ``Numerology``."""
     make = record.__new__
 
     def __new__(cls, *args, **kwargs):

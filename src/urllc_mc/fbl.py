@@ -3,18 +3,17 @@
 Normal-approximation machinery: Gaussian Q-function and its inverse,
 Shannon capacity, channel dispersion, and the closed-form channel-use
 count for a payload at a target block error rate (plus its inverse).
-All functions are pure and scalar.
+All functions are pure and scalar. ``FblContext`` is a link's payload and
+SINR, with ``capacity`` and ``dispersion`` as read-only properties.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from itertools import islice
 from statistics import NormalDist
 from typing import NamedTuple
 
-from .errors import DomainError, integer, real, shown
+from .errors import DomainError, checked, integer, real, shown
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -90,49 +89,34 @@ def db_to_linear(x_db: float) -> float:
         raise DomainError(f"must be finite in linear scale, got {shown(x_db)} dB") from None
 
 
-class _FblContext(NamedTuple):
-    payload_bits: int
-    sinr_linear: float
-    capacity: float
-    dispersion: float
+@checked
+class FblContext(NamedTuple):
+    """Payload size and link SINR, with the coding quantities they give.
 
-
-class FblContext(_FblContext):
-    """Payload size and link SINR with the derived coding quantities.
-
-    ``capacity`` and ``dispersion`` are always recomputed from
-    ``sinr_linear``; they are stored so repeated evaluations do not pay
-    for the logs, and ``_make`` and ``_replace`` take only the other two. A
-    SINR so small that ``1 + sinr`` rounds to 1 gives a zero capacity, which
-    no channel use can reach, and is rejected. ``_two_copy`` is the pair at
-    twice the SINR (two combined copies), computed when first read and kept
-    out of equality and ``repr``.
+    ``capacity`` and ``dispersion`` are read-only properties, computed from
+    ``sinr_linear`` at each read. A SINR so small that ``1 + sinr`` rounds to
+    1 gives a zero capacity, which no channel use can reach, and is rejected.
     """
 
-    def __new__(cls, payload_bits: int, sinr_linear: float) -> FblContext:
-        bits = payload_bits
+    payload_bits: int
+    sinr_linear: float
+
+    def _check(self) -> None:
+        bits = self.payload_bits
         if not (integer(bits) and real(bits) and bits >= 1):
             raise DomainError(f"payload_bits must be a positive integer, got {shown(bits)}")
-        capacity = shannon_capacity(sinr_linear)
-        if capacity == 0.0:
+        if shannon_capacity(self.sinr_linear) == 0.0:
             raise DomainError(
-                f"capacity log2(1 + sinr) rounds to 0 at sinr_linear {sinr_linear!r}"
+                f"capacity log2(1 + sinr) rounds to 0 at sinr_linear {self.sinr_linear!r}"
             )
-        dispersion = channel_dispersion(sinr_linear)
-        return super().__new__(cls, payload_bits, sinr_linear, capacity, dispersion)
 
-    @classmethod
-    def _make(cls, iterable) -> FblContext:
-        return cls(*islice(iterable, 2))
+    @property
+    def capacity(self) -> float:
+        return shannon_capacity(self.sinr_linear)
 
-    def __getnewargs__(self) -> tuple:  # what copy and pickle pass to __new__
-        return self[:2]
-
-    @cached_property
-    def _two_copy(self) -> tuple:
-        # raises, uncached, when twice the SINR overflows to inf
-        sinr = 2.0 * self.sinr_linear
-        return shannon_capacity(sinr), channel_dispersion(sinr)
+    @property
+    def dispersion(self) -> float:
+        return channel_dispersion(self.sinr_linear)
 
 
 def channel_use(ctx: FblContext, bler: float) -> float:

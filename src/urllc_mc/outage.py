@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, ValidationError, checked, real, shown
-from .fbl import FblContext, _bler, _q_inv, _uses
+from .fbl import FblContext, _bler, _q_inv, _uses, channel_dispersion, shannon_capacity
 
 # Most duplicating links a solve, a scenario, an m sweep, a simulation or an
 # exact success mix may use. The paper evaluates m <= 3 and the benchmark
@@ -162,7 +162,9 @@ def chase_bler(model: ChaseModel, p_d: float, ctx: Optional[FblContext] = None) 
 
 def _chase_of(model: ChaseModel, ctx: Optional[FblContext]) -> Callable[[float], float]:
     """``chase_bler`` at one model and link as a function of p_d, the link's
-    constants read once; an unusable model or link raises here, not in it."""
+    constants and the pair at twice its SINR (two combined copies) computed
+    once, here; an unusable model or link raises here, not in it, except a
+    doubled SINR that overflows to inf, which raises after the p_d check."""
     if model is ChaseModel.ZERO:
         return lambda p_d: 0.0
     if model is ChaseModel.PRODUCT:
@@ -172,12 +174,17 @@ def _chase_of(model: ChaseModel, ctx: Optional[FblContext]) -> Callable[[float],
     if not isinstance(ctx, FblContext):
         raise ValidationError("FINITE_BLOCKLENGTH chase model requires an FblContext")
     bits, capacity, dispersion = ctx.payload_bits, ctx.capacity, ctx.dispersion
+    two = 2.0 * ctx.sinr_linear  # the summed SINR of two combined copies
+    capacity2 = dispersion2 = None  # None where it overflows to inf
+    if real(two):
+        capacity2, dispersion2 = shannon_capacity(two), channel_dispersion(two)
 
     def finite_blocklength(p_d: float) -> float:
         if not 0.0 < p_d < 0.5:  # the BLER range that channel_use sizes
             raise DomainError(
                 f"p_d: finite_blocklength chase needs a BLER in (0, 0.5), got {p_d!r}")
-        capacity2, dispersion2 = ctx._two_copy
+        if capacity2 is None:
+            shannon_capacity(two)  # raises its error
         return _bler(bits, capacity2, dispersion2, _uses(bits, capacity, dispersion, _q_inv(p_d)))
 
     return finite_blocklength

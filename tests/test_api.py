@@ -317,4 +317,3 @@ def test_a_context_derives_capacity_and_dispersion():
         with pytest.raises(ValueError, match=rf"^Got unexpected field names: \['{field}'\]$"):
             CTX._replace(**{field: 1.0})
     assert CTX._replace(sinr_linear=20.0) == FblContext(256, 20.0)
-    assert FblContext._make((256, 10.0, 1.0, 1.0)) == CTX  # recomputed, never read

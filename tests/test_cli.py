@@ -280,6 +280,15 @@ def test_simulate_ms_row_is_the_budget_worst_case_at_quantile_one(config_path):
     assert rows[3][1] == latency_budget_check(cfg.numerology, 1.0)[0]
 
 
+@pytest.mark.parametrize("q, label", [(0.99, "q0.99"), (0.9999999, "q0.9999999"), (1, "q1")])
+def test_simulate_quantile_labels_carry_nine_digits(config_path, capsys, q, label):
+    # a quantile within 6 digits of 1 is not labelled as q = 1
+    assert main(["simulate", "--config", config_path(p_d=0.1, trials=100, latency_quantile=q),
+                 "--format", "csv"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [r["metric"] for r in rows[2:]] == [f"latency_ttis_{label}", f"latency_ms_{label}"]
+
+
 def test_simulate_prints_nan_latency_when_nothing_is_delivered(config_path, capsys):
     # ttis_to_ms refuses NaN, so the ms row passes it on without converting
     assert main(["simulate", "--config", config_path(p_d=0.999999, trials=10),

@@ -7,11 +7,16 @@ into the asserts; the oracle is kept here so the numbers can be re-derived.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from urllc_mc.errors import DomainError
 from urllc_mc.fbl import (
@@ -221,6 +226,34 @@ def test_bad_context_value_rejected_by_name(name, bad):
     fields = {"payload_bits": 256, "sinr_linear": 10.0, name: bad}
     with pytest.raises(DomainError, match=name):
         FblContext(**fields)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    bits=st.integers(1, 2**53),
+    sinr=st.one_of(st.floats(1e-15, sys.float_info.max),
+                   st.floats(-15.0, 308.25).map(lambda x: 10.0**x)),
+)
+@example(bits=256, sinr=10.0**154.2)  # past the dispersion overflow, about 1,541 dB
+@example(bits=1, sinr=sys.float_info.max)
+def test_context_properties_are_the_functions_of_its_sinr(bits, sinr):
+    ctx = FblContext(bits, sinr)
+    assert ctx.capacity == shannon_capacity(sinr)
+    assert ctx.dispersion == channel_dispersion(sinr)
+
+
+def test_context_is_a_two_field_record_without_an_instance_dict():
+    ctx = FblContext(256, 10.0)
+    assert FblContext._fields == ("payload_bits", "sinr_linear")
+    assert not hasattr(ctx, "__dict__")
+    for name in ("capacity", "dispersion", "note"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, 1.0)
+    for same in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+        assert type(same) is FblContext and same == ctx == (256, 10.0)
+    # capacity and dispersion are no longer fields, so _make takes two values
+    with pytest.raises(TypeError):
+        FblContext._make((256, 10.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("fields", [(1, 10.0), (256, 10), (256, np.float64(10.0))])

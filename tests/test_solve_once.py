@@ -13,6 +13,7 @@ exactly the numbers of the one-link-at-a-time computation it replaces.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -28,7 +29,8 @@ import urllc_mc.solver as solver_mod
 from urllc_mc.cli import main
 from urllc_mc.config import parse_scenario
 from urllc_mc.errors import DomainError, ValidationError, real
-from urllc_mc.fbl import FblContext, channel_use, db_to_linear
+from urllc_mc.fbl import (FblContext, channel_dispersion, channel_use, db_to_linear,
+                          shannon_capacity)
 from urllc_mc.outage import (MAX_NODES, ChaseModel, LinkBlerProfile, chase_bler, mc_outage,
                              sc_outage)
 from urllc_mc.solver import usage_at_solution
@@ -94,15 +96,20 @@ def test_scenario_contexts_are_one_object_per_distinct_sinr(sinr_db, groups):
 _A, _B = FblContext(256, db_to_linear(0.0)), FblContext(256, db_to_linear(9.0))
 
 
+def _doubled(ctx):
+    """The capacity and dispersion at twice the context's SINR."""
+    return shannon_capacity(2.0 * ctx.sinr_linear), channel_dispersion(2.0 * ctx.sinr_linear)
+
+
 @pytest.mark.parametrize("links, evaluated", [
     *(([_A] * m, [_A]) for m in range(1, 5)),
     ([_A, _B, _B, _A], [_A, _B, _A]),
 ])
 def test_outage_at_evaluates_the_chase_once_per_run_of_one_object(links, evaluated, monkeypatch):
-    # one finite-blocklength chase is one _bler call at its link's two-copy pair
+    # one finite-blocklength chase is one _bler call at its link's doubled pair
     calls = _counting(monkeypatch, outage_mod, "_bler")
     solver_mod._outage_of(EQUAL, FBL, links)(0.01)
-    assert [args[1:3] for args in calls] == [ctx._two_copy for ctx in evaluated]
+    assert [args[1:3] for args in calls] == [_doubled(ctx) for ctx in evaluated]
 
 
 def test_a_p_d_sweep_evaluates_one_chase_per_point(tmp_path, capsys, monkeypatch):
@@ -316,6 +323,21 @@ def test_the_chase_checks_p_d_before_the_two_copy_pair():
             evaluate(0.1)
 
 
+@pytest.mark.parametrize("start, code, message", [
+    (0.0, 3, "VALIDATION_ERROR: p_d sweep value 0.0 outside (0, 1)"),
+    (0.1, 5, "DOMAIN_ERROR: sinr_linear must be positive, got inf"),
+])
+def test_a_p_d_sweep_checks_its_grid_before_the_doubled_pair(tmp_path, capsys, start, code,
+                                                             message):
+    # at 3080 dB twice the SINR overflows: resolving the chase must not raise,
+    # or a bad grid value would exit 5 instead of 3
+    config = _write(tmp_path, scheme="MC", m_nodes=2, sinr_db=3080, target_outage=1e-5,
+                    chase="finite_blocklength")
+    assert main(["sweep", "--config", config, "--variable", "p_d", "--start", str(start),
+                 "--stop", "0.4", "--points", "5"]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_outage_at_raises_the_profile_error_when_combining_would_hurt(monkeypatch):
     # no chase model gives p_c > p_d; the kernel reads solver._chase_of, and
     # outage_at, through build_profile and chase_bler, outage._chase_of
@@ -326,7 +348,7 @@ def test_outage_at_raises_the_profile_error_when_combining_would_hurt(monkeypatc
     assert got == _outcome(lambda: solver_mod._outage_of(HALF, FBL, [_CTX] * 2)(0.1))
 
 
-def _doubled_pairs(monkeypatch):
+def _capacities(monkeypatch):
     """Arguments of every shannon_capacity call, wherever it is looked up."""
     calls = []
     original = fbl_mod.shannon_capacity
@@ -340,33 +362,50 @@ def _doubled_pairs(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("chase, pairs", [(ChaseModel.ZERO, 0), (ChaseModel.PRODUCT, 0),
+                                          (FBL, 1)])
+def test_the_chase_computes_the_doubled_pair_once_per_resolution(chase, pairs, monkeypatch):
+    ctx = FblContext(256, 10.0)
+    capacities = _capacities(monkeypatch)
+    for _ in range(3):  # however many evaluations read it
+        p_c_of = outage_mod._chase_of(chase, ctx)
+        values = [p_c_of(p_d) for p_d in P_D_GRID]
+        assert capacities.count(20.0) == pairs
+        capacities.clear()
+    assert values == [chase_bler(chase, p_d, ctx) for p_d in P_D_GRID]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_finite_blocklength_solve_builds_no_profile_and_one_pair_per_context(m, monkeypatch):
     a, b = FblContext(256, db_to_linear(0.0)), FblContext(256, db_to_linear(9.0))
     builds = _counting(monkeypatch, solver_mod, "build_profile")
-    capacities = _doubled_pairs(monkeypatch)
+    capacities = _capacities(monkeypatch)
+
+    def doubled():  # the capacities not at a context's own SINR
+        return [s for s in capacities if s not in (a.sinr_linear, b.sinr_linear)]
+
     solve_bler(m, 1e-5, EQUAL, FBL, [a] * m)
     assert builds == []
-    assert capacities == [2.0 * a.sinr_linear]
-    # a second solve over the same objects computes nothing again; a new
-    # context computes its own pair once, however many steps read it
+    assert doubled() == [2.0 * a.sinr_linear]
+    # each solve resolves its chase once: one pair per run of one context
+    # object, however many steps read it
     solve_bler(m, 1e-5, EQUAL, FBL, [a] * m)
     solve_bler(m + 1, 1e-5, EQUAL, FBL, [a] + [b] * m)
     assert builds == []
-    assert capacities == [2.0 * a.sinr_linear, 2.0 * b.sinr_linear]
+    assert doubled() == [2.0 * a.sinr_linear] * 3 + [2.0 * b.sinr_linear]
 
 
 def test_a_zero_chase_sinr_sweep_never_computes_the_doubled_pair(tmp_path, capsys, monkeypatch):
     config = _write(tmp_path, scheme="MC", m_nodes=2, sinr_db=10, target_outage=1e-5,
                     chase="zero")
-    capacities = _doubled_pairs(monkeypatch)
+    capacities = _capacities(monkeypatch)
     assert main(["sweep", "--config", config, "--variable", "sinr_db", "--start", "-5",
                  "--stop", "25", "--points", "7"]) == 0
     capsys.readouterr()
-    # capacities of the configured SINR's and the points' contexts, none at
-    # twice a SINR
+    # capacities of the configured SINR's and the points' contexts, each
+    # point's read in a run of its own, none at twice a SINR
     points = [db_to_linear(float(v)) for v in np.linspace(-5.0, 25.0, 7)]
-    assert capacities[-7:] == points
+    assert [s for s, _ in itertools.groupby(capacities)][-7:] == points
     assert set(capacities) == {db_to_linear(10.0), *points}
 
 
@@ -374,11 +413,8 @@ def test_the_doubled_pair_leaves_context_equality_and_repr_alone():
     read, fresh = FblContext(256, 10.0), FblContext(256, 10.0)
     shown = repr(fresh)
     chase_bler(FBL, 0.01, read)
-    assert read._fields == ("payload_bits", "sinr_linear", "capacity", "dispersion")
-    assert repr(read) == shown == (
-        f"FblContext(payload_bits=256, sinr_linear=10.0, capacity={read.capacity!r}, "
-        f"dispersion={read.dispersion!r})"
-    )
+    assert read._fields == ("payload_bits", "sinr_linear")
+    assert repr(read) == shown == "FblContext(payload_bits=256, sinr_linear=10.0)"
     assert read == fresh and hash(read) == hash(fresh)
     assert read != FblContext(256, 20.0)
 
